@@ -34,10 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from concurrent.futures import ThreadPoolExecutor
-
-from .correspondence import worker_count
-
 
 @dataclass(frozen=True)
 class NumericParams:
@@ -188,18 +184,13 @@ def ratio_table(
 ) -> List[RatioRow]:
     """Rows (l, v_l, N, ratio, abs_error) for each requested l, in order.
 
-    Evaluations are independent per l; the worker cap from OC_MIRROR_THREADS
-    applies.  abs_error is |ratio - 1|.
+    abs_error is |ratio - 1|.
     """
 
     def row(l: int) -> RatioRow:
         ratio = asym_ratio(params, N, l, component)
         return (l, (l + 0.5) * params.z, N, ratio, abs(ratio - 1.0))
 
-    workers = min(worker_count(), max(1, len(ls)))
-    if workers >= 2:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(row, ls))
     return [row(l) for l in ls]
 
 

@@ -48,6 +48,8 @@ from .series import (
     LinearFactorTerm,
     Monomial,
     TruncationWindow,
+    _add_term,
+    _built,
     expand_factor,
     mono,
     series_exp,
@@ -93,12 +95,13 @@ def bessel_first_kind(
         if e * arg_mono.bounded_mass > window.mass_budget:
             break
         if m + order >= 0:  # reciprocal Gamma kills the rest
-            mm = arg_mono**e
+            mm = arg_mono**e  # distinct for distinct e: arg_mono has positive mass
             if window.contains(mm):
                 c = half**e / (factorial(m) * factorial(m + order))
-                acc[mm] = acc.get(mm, Fraction(0)) + c
+                if c:
+                    acc[mm] = c
         m += 1
-    return FormalSeries(acc, window)
+    return _built(acc, window)
 
 
 # ===========================================================================
@@ -427,31 +430,39 @@ def z_coeff(
     index k = l - m - Z(term) must be >= 0; slope-0 terms are their own
     expansion in either direction and require the indices to land exactly.
     """
+    if mode not in (Expansion.Z_OVER_V, Expansion.V_OVER_Z):
+        raise ValueError(f"unknown expansion mode {mode!r}")
+    inv_fact = [Fraction(1, factorial(l)) for l in range(window.max_t + 1)]
+    contains = window.contains
     acc: Dict[Monomial, Fraction] = {}
     for t in terms:
-        for l in range(window.max_t + 1):
-            lc = t.coefficient / factorial(l)
-            if t.slope == 0:
-                if t.monomial.Z - l != -m:
+        coefficient, slope = t.coefficient, t.slope
+        if not coefficient:
+            continue
+        flat = slope == 0
+        q, t0, x, v, z, q1, q2 = t.monomial  # Z is stripped from every output
+        for l, lc in enumerate(inv_fact):
+            if flat:
+                if z - l != -m:
                     continue
-                out = t.monomial * mono(T=l, Z=-t.monomial.Z)  # strip Z entirely
-                _bump(acc, out, lc, window)
-                continue
-            if mode is Expansion.Z_OVER_V:
-                k = l - m - t.monomial.Z
+                out = Monomial(q, t0 + l, x, v, 0, q1, q2)
+                if contains(out):
+                    _add_term(acc, out, coefficient * lc)
+            elif mode is Expansion.Z_OVER_V:
+                k = l - m - z
                 if k < 0:
                     continue
-                out = t.monomial * mono(T=l, V=-k, Z=-t.monomial.Z)
-                _bump(acc, out, lc * t.slope**k, window)
-            elif mode is Expansion.V_OVER_Z:
-                j = m + t.monomial.Z - l
+                out = Monomial(q, t0 + l, x, v - k, 0, q1, q2)
+                if contains(out):
+                    _add_term(acc, out, coefficient * lc * slope**k)
+            else:
+                j = m + z - l
                 if j < 1:
                     continue
-                out = t.monomial * mono(T=l, V=j, Z=-t.monomial.Z)
-                _bump(acc, out, -lc * t.slope**-j, window)
-            else:
-                raise ValueError(f"unknown expansion mode {mode!r}")
-    return FormalSeries(acc, window)
+                out = Monomial(q, t0 + l, x, v + j, 0, q1, q2)
+                if contains(out):
+                    _add_term(acc, out, -coefficient * lc * slope**-j)
+    return _built(acc, window)
 
 
 def _bump(

@@ -20,16 +20,13 @@ plus the finite exceptional correction
 
     Exc = -Q*X^-1 + Q*X - T^2/(2v) - Q^2/v.
 
-``run_check`` builds both sides (optionally in parallel, governed by the
-``OC_MIRROR_THREADS`` environment variable) and reports the per-monomial
-difference; the headline assertion is that the difference is identically
-zero on every finite window.
+``run_check`` builds both sides and reports the per-monomial difference; the
+headline assertion is that the difference is identically zero on every
+finite window.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -43,6 +40,7 @@ from .series import (
     TruncationWindow,
     mono,
     series_exp,
+    series_sum,
     substitute,
 )
 
@@ -64,15 +62,14 @@ def disk_potential_bessel(window: TruncationWindow) -> FormalSeries:
     Every stored monomial has V-exponent 1 - l - 2m - |mu| <= 0.
     """
     work = _work_window(window)
-    total = FormalSeries.zero(window)
-    for mu in range(-window.max_abs_x, window.max_abs_x + 1):
-        if mu == 0:
-            continue
+
+    def winding(mu: int) -> FormalSeries:
         dressing = _winding_dressing(mu, work)
-        bessel = bessel_first_kind(mu, 2 * mu, mono(Q=1, V=-1), work)
-        term = (dressing * bessel).scale(Fraction(1, mu * mu), mono(X=mu, V=1))
-        total = total + term.truncate(window)
-    return total
+        bessel = bessel_first_kind(mu, 2 * mu, Monomial(Q=1, V=-1), work)
+        return (dressing * bessel).scale(Fraction(1, mu * mu), Monomial(X=mu, V=1))
+
+    windings = range(-window.max_abs_x, window.max_abs_x + 1)
+    return series_sum((winding(mu) for mu in windings if mu != 0), window)
 
 
 def disk_potential_localized(
@@ -86,23 +83,20 @@ def disk_potential_localized(
     — this is the independent oracle route, not the workhorse.
     """
     work = _work_window(window)
-    total = FormalSeries.zero(window)
-    for mu in range(-window.max_abs_x, window.max_abs_x + 1):
-        if mu == 0:
-            continue
-        degree_series = FormalSeries.zero(work)
-        d = 0
-        while 2 * d + abs(mu) <= window.max_q:
-            if max_sphere_degree is not None and d > max_sphere_degree:
-                break
-            dm, dp = (d, d + mu) if mu > 0 else (d - mu, d)
-            value = open_invariant(dm, dp)
-            contribution = value.scale(1, mono(Q=2 * d + abs(mu))).truncate(work)
-            degree_series = degree_series + contribution
-            d += 1
-        term = (_winding_dressing(mu, work) * degree_series).scale(1, mono(X=mu))
-        total = total + term.truncate(window)
-    return total
+
+    def contribution(mu: int, d: int) -> FormalSeries:
+        dm, dp = (d, d + mu) if mu > 0 else (d - mu, d)
+        return open_invariant(dm, dp).scale(1, Monomial(Q=2 * d + abs(mu)))
+
+    def winding(mu: int) -> FormalSeries:
+        top = (window.max_q - abs(mu)) // 2
+        if max_sphere_degree is not None:
+            top = min(top, max_sphere_degree)
+        degree_series = series_sum((contribution(mu, d) for d in range(top + 1)), work)
+        return (_winding_dressing(mu, work) * degree_series).scale(1, Monomial(X=mu))
+
+    windings = range(-window.max_abs_x, window.max_abs_x + 1)
+    return series_sum((winding(mu) for mu in windings if mu != 0), window)
 
 
 def exceptional_correction(window: TruncationWindow) -> FormalSeries:
@@ -222,26 +216,11 @@ class CorrespondenceReport:
         }
 
 
-def worker_count() -> int:
-    """Worker cap from the OC_MIRROR_THREADS environment variable (>= 1)."""
-    raw = os.environ.get("OC_MIRROR_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_check(
     window: TruncationWindow, corrupt_correction: bool = False
 ) -> CorrespondenceReport:
     """Build both sides and compare exactly; see the module docstring."""
-    if worker_count() >= 2:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            lhs_future = pool.submit(disk_potential_bessel, window)
-            rhs_future = pool.submit(rhs_assemble, window, True, corrupt_correction)
-            lhs, rhs = lhs_future.result(), rhs_future.result()
-    else:
-        lhs = disk_potential_bessel(window)
-        rhs = rhs_assemble(window, corrupt_correction=corrupt_correction)
+    lhs = disk_potential_bessel(window)
+    rhs = rhs_assemble(window, corrupt_correction=corrupt_correction)
     diff = lhs - rhs
     return CorrespondenceReport(window, lhs, rhs, diff, diff.is_zero())

@@ -62,7 +62,7 @@ from math import comb, factorial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .geometry import WIDE, P1Class, phi_p1, unit_p1, v_term
-from .series import FormalSeries, TruncationWindow, mono
+from .series import FormalSeries, TruncationWindow, mono, series_sum
 
 __all__ = [
     "psi_integral",
@@ -513,10 +513,8 @@ def closed_descendant(insertions: Sequence[Insertion], d: int) -> FormalSeries:
     ``insertions`` lists (restriction pair, psi exponent) per marking; the
     result is an exact V-Laurent scalar.
     """
-    total = FormalSeries.zero(WIDE)
-    for g in enumerate_graph_classes(len(insertions), d):
-        total = total + _graph_contribution(g, insertions)
-    return total
+    graphs = enumerate_graph_classes(len(insertions), d)
+    return series_sum((_graph_contribution(g, insertions) for g in graphs), WIDE)
 
 
 def _open_data(d_minus: int, d_plus: int) -> Tuple[int, int, int]:
@@ -564,15 +562,13 @@ def open_invariant(
         return _degree_zero_open(mu, h, insertions, None)
     n = len(insertions)
     pre = _disk_prefactor(mu)
-    total = FormalSeries.zero(WIDE)
-    for g in enumerate_graph_classes(n + 1, d):
-        disk_vertex = g.markings[n]
-        if g.labels[disk_vertex] != h:
-            continue
-        total = total + _graph_contribution(
-            g, insertions, open_vertex=disk_vertex, open_weight=Fraction(1, mu)
-        )
-    return pre * total
+    weight = Fraction(1, mu)
+    parts = (
+        _graph_contribution(g, insertions, open_vertex=g.markings[n], open_weight=weight)
+        for g in enumerate_graph_classes(n + 1, d)
+        if g.labels[g.markings[n]] == h  # the disk vertex sits at its forced point
+    )
+    return pre * series_sum(parts, WIDE)
 
 
 def open_via_closed(

@@ -23,6 +23,17 @@ truncation window.  Conventions:
   bounded grading (Q, T, q1, q2 have nonnegative exponents everywhere).
 * Iteration over terms is in lexicographic exponent order, which makes every
   report byte-reproducible.
+* Kernel results are built once.  The public constructor
+  ``FormalSeries(terms, window)`` validates input from outside the kernel:
+  it converts every coefficient to ``Fraction``, merges repeated monomials,
+  drops zeros and drops monomials outside the window.  Every result the
+  kernel computes itself (ring operations, ``scale``, ``truncate``,
+  ``z_slice``, ``substitute``, ``series_sum``, the expansions) is assembled
+  in one dict that already satisfies that contract — nonzero ``Fraction``
+  values, every monomial inside the window — and is wrapped without a
+  second pass.  Each operation tests ``window.contains`` only where its
+  output can leave the window: a sum whose window is smaller than an
+  operand's, a product, a monomial shift, a substitution.
 
 Rational factors of the form v/(v - c*z) are kept unexpanded as
 ``LinearFactorTerm`` until a direction of expansion is chosen:
@@ -62,11 +73,9 @@ __all__ = [
     "LinearFactorTerm",
     "Expansion",
     "mono",
-    "series_add",
-    "series_mul",
+    "series_sum",
     "series_exp",
     "substitute",
-    "coeff",
     "expand_factor",
 ]
 
@@ -91,7 +100,9 @@ class Monomial(NamedTuple):
     q2: int = 0
 
     def __mul__(self, other: "Monomial") -> "Monomial":  # type: ignore[override]
-        return Monomial(*(a + b for a, b in zip(self, other)))
+        a, b, c, d, e, f, g = self
+        A, B, C, D, E, F, G = other
+        return _tuple_new(Monomial, (a + A, b + B, c + C, d + D, e + E, f + F, g + G))
 
     def __pow__(self, n: int) -> "Monomial":
         return Monomial(*(a * n for a in self))
@@ -117,6 +128,7 @@ class Monomial(NamedTuple):
         return "*".join(parts) if parts else "1"
 
 
+_tuple_new = tuple.__new__
 ONE = Monomial()
 
 
@@ -175,18 +187,21 @@ class TruncationWindow:
         )
 
     def contains(self, m: Monomial) -> bool:
+        q, t, x, v, z, q1, q2 = m
         return (
-            0 <= m.Q <= self.max_q
-            and 0 <= m.T <= self.max_t
-            and abs(m.X) <= self.max_abs_x
-            and self.min_v <= m.V <= self.max_v
-            and self.min_z <= m.Z <= self.max_z
-            and m.q1 >= 0
-            and m.q2 >= 0
-            and m.q1 + m.q2 <= self.max_q12
+            0 <= q <= self.max_q
+            and 0 <= t <= self.max_t
+            and -self.max_abs_x <= x <= self.max_abs_x
+            and self.min_v <= v <= self.max_v
+            and self.min_z <= z <= self.max_z
+            and q1 >= 0
+            and q2 >= 0
+            and q1 + q2 <= self.max_q12
         )
 
     def intersect(self, other: "TruncationWindow") -> "TruncationWindow":
+        if other == self:
+            return self
         return TruncationWindow(
             max_q=min(self.max_q, other.max_q),
             max_t=min(self.max_t, other.max_t),
@@ -281,71 +296,124 @@ class FormalSeries:
     # -- ring structure -------------------------------------------------------
 
     def __add__(self, other: "FormalSeries") -> "FormalSeries":
-        w = self.window.intersect(other.window)
-        acc = dict(self._terms)
-        for m, c in other._terms.items():
-            s = acc.get(m, _ZERO) + c
-            if s == 0:
-                acc.pop(m, None)
-            else:
-                acc[m] = s
-        return FormalSeries(acc, w)
+        return self._combine(other, False)
 
     def __neg__(self) -> "FormalSeries":
-        return FormalSeries({m: -c for m, c in self._terms.items()}, self.window)
+        return _built({m: -c for m, c in self._terms.items()}, self.window)
 
     def __sub__(self, other: "FormalSeries") -> "FormalSeries":
-        return self + (-other)
+        return self._combine(other, True)
+
+    def _combine(self, other: "FormalSeries", negate: bool) -> "FormalSeries":
+        """self + other, or self - other; filters only an operand whose window shrank."""
+        w = self.window.intersect(other.window)
+        acc = dict(self._terms) if self.window == w else _clip(self._terms, w)
+        items = other._terms if other.window == w else _clip(other._terms, w)
+        _accumulate(acc, {m: -c for m, c in items.items()} if negate else items)
+        return _built(acc, w)
 
     def __mul__(self, other: "FormalSeries") -> "FormalSeries":
         w = self.window.intersect(other.window)
+        contains = w.contains
         acc: Dict[Monomial, Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = m1 * m2
-                if not w.contains(m):
-                    continue
-                s = acc.get(m, _ZERO) + c1 * c2
-                if s == 0:
-                    acc.pop(m, None)
-                else:
-                    acc[m] = s
-        return FormalSeries(acc, w)
+                if contains(m):
+                    _add_term(acc, m, c1 * c2)
+        return _built(acc, w)
 
     def scale(self, c: RationalLike, m: Monomial = ONE) -> "FormalSeries":
         """Multiply by the single term c·m (cheaper than a full ``__mul__``)."""
         c = Fraction(c)
-        return FormalSeries({mm * m: cc * c for mm, cc in self._terms.items()}, self.window)
+        if not c:
+            return _built({}, self.window)
+        if m == ONE:
+            return _built({mm: cc * c for mm, cc in self._terms.items()}, self.window)
+        contains = self.window.contains
+        out: Dict[Monomial, Fraction] = {}
+        for mm, cc in self._terms.items():
+            mm = mm * m
+            if contains(mm):
+                out[mm] = cc * c
+        return _built(out, self.window)
 
     def truncate(self, window: TruncationWindow) -> "FormalSeries":
-        return FormalSeries(self._terms, window)
+        if window == self.window:
+            return self  # instances are immutable
+        return _built(_clip(self._terms, window), window)
 
     def z_slice(self, z_exp: int) -> "FormalSeries":
         """Sub-series of terms whose Z-exponent equals ``z_exp``, Z divided out."""
+        if z_exp == 0:
+            return _built({m: c for m, c in self._terms.items() if m.Z == 0}, self.window)
         zshift = Monomial(Z=-z_exp)
-        return FormalSeries(
-            {m * zshift: c for m, c in self._terms.items() if m.Z == z_exp}, self.window
-        )
+        contains = self.window.contains
+        out: Dict[Monomial, Fraction] = {}
+        for m, c in self._terms.items():
+            if m.Z == z_exp:
+                m = m * zshift
+                if contains(m):
+                    out[m] = c
+        return _built(out, self.window)
 
 
 _ZERO = Fraction(0)
 
 
-# ---------------------------------------------------------------------------
-# module-level operation aliases (functional spelling of the same ring)
-# ---------------------------------------------------------------------------
+def _built(terms: Dict[Monomial, Fraction], window: TruncationWindow) -> FormalSeries:
+    """Wrap a term dict the kernel built itself, without copying or re-checking.
+
+    The caller guarantees the window contract: every value a nonzero
+    ``Fraction``, every key inside ``window``; and it hands the dict over
+    (nothing mutates it afterwards).
+    """
+    s = object.__new__(FormalSeries)
+    s._terms = terms
+    s.window = window
+    return s
 
 
-def series_add(a: FormalSeries, b: FormalSeries) -> FormalSeries:
-    return a + b
+def _clip(terms: Mapping[Monomial, Fraction], window: TruncationWindow) -> Dict[Monomial, Fraction]:
+    contains = window.contains
+    return {m: c for m, c in terms.items() if contains(m)}
 
 
-def series_mul(a: FormalSeries, b: FormalSeries) -> FormalSeries:
-    return a * b
+def _add_term(acc: Dict[Monomial, Fraction], m: Monomial, c: Fraction) -> None:
+    """Add one nonzero term into ``acc`` in place, dropping a sum that cancels."""
+    prev = acc.get(m)
+    if prev is None:
+        acc[m] = c
+    else:
+        s = prev + c
+        if s:
+            acc[m] = s
+        else:
+            del acc[m]
 
 
-def coeff(s: FormalSeries, m: Monomial) -> Fraction:
-    return s.coeff(m)
+def _accumulate(acc: Dict[Monomial, Fraction], terms: Mapping[Monomial, Fraction]) -> None:
+    for m, c in terms.items():
+        _add_term(acc, m, c)
+
+
+def series_sum(parts: Iterable[FormalSeries], window: TruncationWindow) -> FormalSeries:
+    """Sum of ``parts``, accumulated in place in one dict.
+
+    Equal to folding ``+`` over ``FormalSeries.zero(window)`` and the parts:
+    the result window is the intersection of ``window`` with every part's
+    window, and a part whose window is larger is clipped to it.
+    """
+    acc: Dict[Monomial, Fraction] = {}
+    w = window
+    windows = []
+    for p in parts:
+        w = w.intersect(p.window)
+        windows.append(p.window)
+        _accumulate(acc, p._terms)
+    if any(pw != w for pw in windows):
+        acc = _clip(acc, w)
+    return _built(acc, w)
 
 
 def series_exp(s: FormalSeries) -> FormalSeries:
@@ -391,37 +459,39 @@ def substitute(
     bad = set(images) - set(VARIABLES)
     if bad:
         raise ValueError(f"unknown variables: {sorted(bad)}")
-    idx = {name: i for i, name in enumerate(VARIABLES)}
+    # (variable index, name, image coefficient, image monomial, cache of ic**e)
+    subs = [
+        (VARIABLES.index(name), name, Fraction(ic), im, {})
+        for name, (ic, im) in images.items()
+    ]
+    contains = s.window.contains
     out: Dict[Monomial, Fraction] = {}
     for m, c in s._terms.items():
         new_c = c
         new_m = list(m)
         dead = False
-        for name, (ic, im) in images.items():
-            e = m[idx[name]]
+        for i, name, ic, im, powers in subs:
+            e = m[i]
             if e == 0:
                 continue
-            new_m[idx[name]] -= e  # the variable itself is consumed
-            ic = Fraction(ic)
+            new_m[i] -= e  # the variable itself is consumed
             if ic == 0:
                 if e < 0:
                     raise ValueError(f"cannot raise zero image of {name} to power {e}")
                 dead = True
                 break
-            new_c *= ic**e
+            p = powers.get(e)
+            if p is None:
+                p = powers[e] = ic**e
+            new_c *= p
             for j, ej in enumerate(im):
                 new_m[j] += ej * e
         if dead:
             continue
-        mm = Monomial(*new_m)
-        if not s.window.contains(mm):
-            continue
-        acc = out.get(mm, _ZERO) + new_c
-        if acc == 0:
-            out.pop(mm, None)
-        else:
-            out[mm] = acc
-    return FormalSeries(out, s.window)
+        mm = _tuple_new(Monomial, new_m)
+        if contains(mm):
+            _add_term(out, mm, new_c)
+    return _built(out, s.window)
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +544,10 @@ def expand_factor(
             mm = m * Monomial(V=-k, Z=k)
             if mm.V < window.min_v or mm.Z > window.max_z:
                 break
-            if window.contains(mm):
+            if c and window.contains(mm):
                 acc[mm] = c * slope**k
             k += 1
-        return FormalSeries(acc, window)
+        return _built(acc, window)
     if mode is Expansion.V_OVER_Z:
         if slope == 0:
             raise ValueError("slope-0 factor has no v/z expansion")
@@ -487,8 +557,8 @@ def expand_factor(
             mm = m * Monomial(V=j, Z=-j)
             if mm.V > window.max_v or mm.Z < window.min_z:
                 break
-            if window.contains(mm):
+            if c and window.contains(mm):
                 acc[mm] = -c * slope**-j
             j += 1
-        return FormalSeries(acc, window)
+        return _built(acc, window)
     raise ValueError(f"unknown expansion mode {mode!r}")

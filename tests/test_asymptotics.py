@@ -214,14 +214,5 @@ def test_ratio_table_rows_and_order():
         assert abs_err == abs(ratio - 1.0)
 
 
-def test_ratio_table_thread_count_is_immaterial(monkeypatch):
-    p = NumericParams()
-    monkeypatch.setenv("OC_MIRROR_THREADS", "1")
-    serial = ratio_table(p, 1, [50, 100, 200])
-    monkeypatch.setenv("OC_MIRROR_THREADS", "4")
-    threaded = ratio_table(p, 1, [50, 100, 200])
-    assert serial == threaded
-
-
 def test_ratio_table_empty_input():
     assert ratio_table(NumericParams(), 1, []) == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -214,11 +215,36 @@ def test_output_file_reruns_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_worker_env_does_not_change_bytes(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    argv = ["check", "--max-q", "4", "--max-mu", "2", "--output"]
-    monkeypatch.setenv("OC_MIRROR_THREADS", "1")
-    assert main(argv + [str(a)]) == 0
-    monkeypatch.setenv("OC_MIRROR_THREADS", "4")
-    assert main(argv + [str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+# sha256 of stdout at one mid window, recorded before the kernel fast path
+# landed: any reordering or reformatting of a table fails here
+GOLDEN_WINDOW = ["--max-q", "16", "--max-t", "6", "--max-mu", "6", "--min-v", "-14"]
+IFUNCTION_WINDOW = ["--max-q", "16", "--max-t", "6", "--min-v", "-14"]
+DISK_SHA256 = "c57fc637b6d03bdf482ea966097ed48ca278cb08705ad89f02ed6f7ff3519294"
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (["disk"] + GOLDEN_WINDOW, 0, DISK_SHA256),
+        (["rhs"] + GOLDEN_WINDOW, 0, DISK_SHA256),
+        (
+            ["check", "--format", "json"] + GOLDEN_WINDOW,
+            0,
+            "b01dfb089fd527fc3706c8f2cb579a0deb64d9edd137847f9c6a55bbe2e3ddb9",
+        ),
+        (
+            ["check", "--corrupt-exc", "--format", "json"] + GOLDEN_WINDOW,
+            1,
+            "f76493c4f31f148973aece86e6a38d6f14f4e561cc6a29c6f10a2c7b2d7258cc",
+        ),
+        (
+            ["ifunction"] + IFUNCTION_WINDOW,
+            0,
+            "e3613d34a85c7c268472db42a1b69fcbf9b673e8cb024a9e7b1476e05cd25b51",
+        ),
+    ],
+    ids=["disk", "rhs", "check", "check-corrupt", "ifunction"],
+)
+def test_stdout_matches_recorded_digest(capsys, argv, code, digest):
+    assert main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocmirror.correspondence import (
     CorrespondenceReport,
@@ -162,11 +164,21 @@ def test_rational_rendering():
     assert rational_str(F(5)) == "5/1"
 
 
-def test_thread_env_does_not_change_results(monkeypatch):
-    serial = run_check(WS)
-    monkeypatch.setenv("OC_MIRROR_THREADS", "2")
-    threaded = run_check(WS)
-    assert serial.passed and threaded.passed
-    assert serial.lhs == threaded.lhs and serial.rhs == threaded.rhs
-    monkeypatch.setenv("OC_MIRROR_THREADS", "not-a-number")
-    assert run_check(WS).passed
+@st.composite
+def sweep_window(draw):
+    """A window from the sweep ranges: max_q 0-8, max_t 0-4, max_abs_x 0-4,
+    min_v -10..1 (capped at max_v), max_v in {-1, 0, 1, 2}."""
+    max_v = draw(st.sampled_from((-1, 0, 1, 2)))
+    return TruncationWindow(
+        max_q=draw(st.integers(0, 8)),
+        max_t=draw(st.integers(0, 4)),
+        max_abs_x=draw(st.integers(0, 4)),
+        min_v=draw(st.integers(-10, min(1, max_v))),
+        max_v=max_v,
+    )
+
+
+@given(sweep_window())
+@settings(max_examples=80, deadline=None)
+def test_check_passes_on_random_windows(window):
+    assert run_check(window).passed

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ocmirror.series import (
+    VARIABLES,
     Expansion,
     FormalSeries,
     LinearFactorTerm,
@@ -17,6 +19,7 @@ from ocmirror.series import (
     expand_factor,
     mono,
     series_exp,
+    series_sum,
     substitute,
 )
 
@@ -159,6 +162,119 @@ def test_substitute_is_ring_homomorphism(a, b):
     b = FormalSeries({m: c for m, c in b.items() if m.X >= 0}, W)
     assert substitute(a + b, images) == substitute(a, images) + substitute(b, images)
     assert substitute(a * b, images) == substitute(a, images) * substitute(b, images)
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: kernel results against the validated constructor, on two
+# different windows (a missing window filter shows only when they differ)
+# ---------------------------------------------------------------------------
+
+# every window admits V = Z = 0, so any two of them intersect
+random_window = st.builds(
+    TruncationWindow,
+    max_q=st.integers(0, 4),
+    max_t=st.integers(0, 3),
+    max_abs_x=st.integers(0, 2),
+    min_v=st.integers(-4, 0),
+    max_v=st.integers(0, 2),
+    min_z=st.integers(-3, 0),
+    max_z=st.integers(0, 2),
+    max_q12=st.integers(0, 4),
+)
+
+
+def monomials_near(w: TruncationWindow):
+    """Monomials inside ``w`` or one step outside it in some direction."""
+    return st.builds(
+        Monomial,
+        Q=st.integers(0, w.max_q + 1),
+        T=st.integers(0, w.max_t + 1),
+        X=st.integers(-w.max_abs_x - 1, w.max_abs_x + 1),
+        V=st.integers(w.min_v - 1, w.max_v + 1),
+        Z=st.integers(w.min_z - 1, w.max_z + 1),
+        q1=st.integers(0, w.max_q12),
+        q2=st.integers(0, 1),
+    )
+
+
+windowed_series = random_window.flatmap(
+    lambda w: st.dictionaries(monomials_near(w), small_fraction, max_size=6).map(
+        lambda d: FormalSeries(d, w)
+    )
+)
+scalar = st.one_of(st.integers(-3, 3), small_fraction)
+
+
+def _validated(pairs, window):
+    """The same operation, term by term, through the public constructor."""
+    return FormalSeries(list(pairs), window)
+
+
+def _assert_contract(result, expected, window):
+    assert result == expected
+    assert result.window == window
+    for m, c in result.items():
+        assert window.contains(m), m
+        assert type(c) is Fraction and c != 0
+
+
+def _substitute_by_hand(s, images):
+    pairs = []
+    for m, c in s.items():
+        new_m = Monomial(*(0 if name in images else e for name, e in zip(VARIABLES, m)))
+        for name, (ic, im) in images.items():
+            e = m[VARIABLES.index(name)]
+            new_m = new_m * im**e
+            c = c * Fraction(ic) ** e
+        pairs.append((new_m, c))
+    return _validated(pairs, s.window)
+
+
+@given(
+    windowed_series,
+    windowed_series,
+    scalar,
+    st.builds(Monomial, Q=st.integers(0, 1), X=st.integers(-1, 1), V=st.integers(-1, 1)),
+    random_window,
+    st.integers(-3, 2),
+    st.integers(1, 2),
+)
+@settings(max_examples=200, deadline=None)
+def test_kernel_results_match_validated_constructor(
+    a, b, c, shift, other_window, z_exp, z_span
+):
+    w = a.window.intersect(b.window)
+    a_terms, b_terms = list(a.items()), list(b.items())
+    _assert_contract(a + b, _validated(a_terms + b_terms, w), w)
+    _assert_contract(a - b, _validated(a_terms + [(m, -k) for m, k in b_terms], w), w)
+    _assert_contract(
+        a * b, _validated([(m1 * m2, k1 * k2) for m1, k1 in a_terms for m2, k2 in b_terms], w), w
+    )
+    _assert_contract(-a, _validated([(m, -k) for m, k in a_terms], a.window), a.window)
+    for m in (Monomial(), shift):
+        _assert_contract(
+            a.scale(c, m), _validated([(mm * m, k * c) for mm, k in a_terms], a.window), a.window
+        )
+    _assert_contract(a.truncate(other_window), _validated(a_terms, other_window), other_window)
+    # a Z-range that may exclude 0, where a slice lands after the shift
+    zw = replace(a.window, min_z=z_exp, max_z=z_exp + z_span)
+    z_terms = list(a.truncate(zw).items())
+    _assert_contract(
+        a.truncate(zw).z_slice(z_exp),
+        _validated([(m * Monomial(Z=-z_exp), k) for m, k in z_terms if m.Z == z_exp], zw),
+        zw,
+    )
+    _assert_contract(
+        series_sum([a, b], other_window),
+        _validated(a_terms + b_terms, other_window.intersect(w)),
+        other_window.intersect(w),
+    )
+    images = {
+        "q1": (Fraction(-1), mono(Q=1, X=-1)),
+        "Z": (Fraction(1, 2), mono(V=1)),
+        "X": (3, mono(T=1, X=1)),
+    }
+    _assert_contract(substitute(a, images), _substitute_by_hand(a, images), a.window)
 
 
 def test_substitute_examples():
