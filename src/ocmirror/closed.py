@@ -468,13 +468,8 @@ def z_coeff(
 def _bump(
     acc: Dict[Monomial, Fraction], m: Monomial, c: Fraction, window: TruncationWindow
 ) -> None:
-    if c == 0 or not window.contains(m):
-        return
-    s = acc.get(m, Fraction(0)) + c
-    if s == 0:
-        acc.pop(m, None)
-    else:
-        acc[m] = s
+    if c and window.contains(m):
+        _add_term(acc, m, c)
 
 
 def z_coeff_split(

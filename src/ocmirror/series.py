@@ -233,7 +233,13 @@ class FormalSeries:
         self,
         terms: Mapping[Monomial, RationalLike] | Iterable[Tuple[Monomial, RationalLike]],
         window: TruncationWindow,
+        *,
+        _trusted: bool = False,
     ) -> None:
+        if _trusted:  # a dict the kernel built itself; see ``_built``
+            self._terms = terms
+            self.window = window
+            return
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: Dict[Monomial, Fraction] = {}
         for m, c in items:
@@ -345,17 +351,9 @@ class FormalSeries:
 
     def z_slice(self, z_exp: int) -> "FormalSeries":
         """Sub-series of terms whose Z-exponent equals ``z_exp``, Z divided out."""
-        if z_exp == 0:
-            return _built({m: c for m, c in self._terms.items() if m.Z == 0}, self.window)
         zshift = Monomial(Z=-z_exp)
-        contains = self.window.contains
-        out: Dict[Monomial, Fraction] = {}
-        for m, c in self._terms.items():
-            if m.Z == z_exp:
-                m = m * zshift
-                if contains(m):
-                    out[m] = c
-        return _built(out, self.window)
+        shifted = {m * zshift: c for m, c in self._terms.items() if m.Z == z_exp}
+        return _built(_clip(shifted, self.window), self.window)
 
 
 _ZERO = Fraction(0)
@@ -368,10 +366,7 @@ def _built(terms: Dict[Monomial, Fraction], window: TruncationWindow) -> FormalS
     ``Fraction``, every key inside ``window``; and it hands the dict over
     (nothing mutates it afterwards).
     """
-    s = object.__new__(FormalSeries)
-    s._terms = terms
-    s.window = window
-    return s
+    return FormalSeries(terms, window, _trusted=True)
 
 
 def _clip(terms: Mapping[Monomial, Fraction], window: TruncationWindow) -> Dict[Monomial, Fraction]:
