@@ -278,17 +278,29 @@ def _bipartition_labels(V: int, edges: Sequence[Tuple[int, int]], root_label: in
 def enumerate_graph_classes(n: int, d: int) -> List[DecoratedGraph]:
     """Isomorphism classes of decorated trees: n markings, total degree d >= 1.
 
-    Enumerates everything labeled (Pruefer trees x two bipartition labelings
-    x degree compositions x marking placements) and dedupes by canonical key;
-    order of the output is the deterministic discovery order.
+    Walks labeled blocks — one Pruefer tree with one bipartition labeling —
+    and within each block every degree composition and marking placement,
+    keeping the first graph of each canonical key; the output order is this
+    discovery order.  A block whose bare 2-coloured tree (unit degrees, no
+    markings) is isomorphic to an earlier block's is skipped whole: the
+    isomorphism carries each of its decorations onto one of the earlier
+    block, already enumerated in full, so every key it would produce is
+    already found.  Skipping it leaves the classes, their order and their
+    representatives unchanged.
     """
     if d < 1:
         raise ValueError("graph sums need positive total degree")
     found: Dict[tuple, DecoratedGraph] = {}
     for V in range(2, d + 2):
+        shapes = set()
         for tree in _labeled_trees(V):
+            unit_edges = tuple((u, v, 1) for u, v in tree)
             for root_label in (1, 2):
                 labels = _bipartition_labels(V, tree, root_label)
+                shape = DecoratedGraph(labels, unit_edges).canonical_key()
+                if shape in shapes:
+                    continue
+                shapes.add(shape)
                 for degs in _compositions(d, V - 1):
                     edges = tuple(
                         (u, v, de) for (u, v), de in zip(tree, degs)
@@ -303,8 +315,12 @@ def enumerate_graph_classes(n: int, d: int) -> List[DecoratedGraph]:
 
 
 def count_labeled_graphs(n: int, d: int, V: int) -> int:
-    """Number of *labeled* decorated trees on exactly V vertices (orbit check)."""
-    return len(_labeled_trees(V)) * 2 * _n_compositions(d, V - 1) * V**n
+    """Number of *labeled* decorated trees on exactly V vertices (orbit check).
+
+    Cayley's formula gives V^(V-2) labeled trees on V >= 2 vertices.
+    """
+    trees = V ** (V - 2) if V >= 2 else 1
+    return trees * 2 * _n_compositions(d, V - 1) * V**n
 
 
 def _compositions(total: int, parts: int) -> Iterable[Tuple[int, ...]]:
@@ -326,28 +342,8 @@ def _n_compositions(total: int, parts: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# automorphisms, counted twice
+# automorphisms
 # ---------------------------------------------------------------------------
-
-
-def _aut_brute(g: DecoratedGraph) -> int:
-    V = len(g.labels)
-    edge_map = {(u, v): de for u, v, de in g.edges}
-    count = 0
-    for perm in itertools.permutations(range(V)):
-        if any(g.labels[perm[v]] != g.labels[v] for v in range(V)):
-            continue
-        if any(perm[mv] != mv for mv in g.markings):
-            continue
-        ok = True
-        for (u, v), de in edge_map.items():
-            iu, iv = perm[u], perm[v]
-            if edge_map.get((min(iu, iv), max(iu, iv))) != de:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
 
 
 def _aut_rooted(g: DecoratedGraph, v: int, parent: int, adj) -> int:
@@ -361,7 +357,16 @@ def _aut_rooted(g: DecoratedGraph, v: int, parent: int, adj) -> int:
     return aut
 
 
-def _aut_canonical(g: DecoratedGraph) -> int:
+def automorphism_count(g: DecoratedGraph) -> int:
+    """Order of the decoration-preserving automorphism group.
+
+    Rooted at the tree's center like :meth:`DecoratedGraph.canonical_key`:
+    the order is the product, over vertices, of the factorials of the
+    multiplicities of isomorphic (edge degree, child subtree) branches.  Two
+    central vertices are adjacent, so they sit at different fixed points and
+    no automorphism swaps them.  The tests check the count against a
+    brute-force permutation search.
+    """
     V = len(g.labels)
     if V == 1:
         return 1
@@ -370,24 +375,7 @@ def _aut_canonical(g: DecoratedGraph) -> int:
     if len(centers) == 1:
         return _aut_rooted(g, centers[0], -1, adj)
     c1, c2 = centers
-    a = _aut_rooted(g, c1, c2, adj) * _aut_rooted(g, c2, c1, adj)
-    if g._encode(c1, c2, adj) == g._encode(c2, c1, adj):
-        a *= 2
-    return a
-
-
-def automorphism_count(g: DecoratedGraph) -> int:
-    """Order of the decoration-preserving automorphism group.
-
-    Computed both by brute-force permutation search and by the recursive
-    canonical-form product; the agreement of the two is asserted on every
-    call (they share no code).
-    """
-    brute = _aut_brute(g)
-    recursive = _aut_canonical(g)
-    if brute != recursive:
-        raise AssertionError(f"automorphism counts disagree: {brute} vs {recursive}")
-    return brute
+    return _aut_rooted(g, c1, c2, adj) * _aut_rooted(g, c2, c1, adj)
 
 
 # ===========================================================================
@@ -589,7 +577,7 @@ def open_via_closed(
         return _degree_zero_open(mu, h, insertions, point_class)
     n = len(insertions)
     pre = _disk_prefactor(mu)
-    total = FormalSeries.zero(WIDE)
+    parts = []
     for g in enumerate_graph_classes(n + 1, d):
         disk_vertex = g.markings[n]
         weight_factor = point_class[g.labels[disk_vertex] - 1]
@@ -598,8 +586,8 @@ def open_via_closed(
         contribution = _graph_contribution(
             g, insertions, open_vertex=disk_vertex, open_weight=Fraction(1, mu)
         )
-        total = total + contribution * weight_factor
-    return pre * total
+        parts.append(contribution * weight_factor)
+    return pre * series_sum(parts, WIDE)
 
 
 # ===========================================================================
@@ -637,9 +625,10 @@ def j_degree_part_from_graphs(alpha: int, d: int, window: TruncationWindow) -> F
     if alpha not in (1, 2):
         raise ValueError(f"no fixed point {alpha}")
     sign = _W_SIGN[alpha]
-    total = FormalSeries.zero(window)
-    for a in range(-window.min_z):
-        val = closed_descendant([(unit_p1(), 0), (phi_p1(alpha), a)], d)
-        val = val.scale(Fraction(sign), mono(Q=2 * d, V=1, Z=-a - 1))
-        total = total + val.truncate(window)
-    return total
+    parts = (
+        closed_descendant([(unit_p1(), 0), (phi_p1(alpha), a)], d)
+        .scale(Fraction(sign), mono(Q=2 * d, V=1, Z=-a - 1))
+        .truncate(window)
+        for a in range(-window.min_z)
+    )
+    return series_sum(parts, window)

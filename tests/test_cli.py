@@ -216,7 +216,9 @@ def test_output_file_reruns_are_byte_identical(tmp_path):
 
 
 # sha256 of stdout at one mid window, recorded before the kernel fast path
-# landed: any reordering or reformatting of a table fails here
+# landed, and of two graph-class tables, recorded before block skipping in
+# the graph enumeration: any reordering or reformatting of a table, or any
+# change of a class representative, fails here
 GOLDEN_WINDOW = ["--max-q", "16", "--max-t", "6", "--max-mu", "6", "--min-v", "-14"]
 IFUNCTION_WINDOW = ["--max-q", "16", "--max-t", "6", "--min-v", "-14"]
 DISK_SHA256 = "c57fc637b6d03bdf482ea966097ed48ca278cb08705ad89f02ed6f7ff3519294"
@@ -242,8 +244,18 @@ DISK_SHA256 = "c57fc637b6d03bdf482ea966097ed48ca278cb08705ad89f02ed6f7ff3519294"
             0,
             "e3613d34a85c7c268472db42a1b69fcbf9b673e8cb024a9e7b1476e05cd25b51",
         ),
+        (
+            ["localize", "--degree", "3", "--markings", "2"],
+            0,
+            "363bc011e64a7e0deff693b78494056a2b71374ba97b37d624df5eff2a26fc92",
+        ),
+        (
+            ["localize", "--degree", "3", "--markings", "4", "--format", "json"],
+            0,
+            "2bcda67cdc0559bffef37cab970eb8c8cc1ea5b51ea3f1d96e8478a990d36781",
+        ),
     ],
-    ids=["disk", "rhs", "check", "check-corrupt", "ifunction"],
+    ids=["disk", "rhs", "check", "check-corrupt", "ifunction", "localize-csv", "localize-json"],
 )
 def test_stdout_matches_recorded_digest(capsys, argv, code, digest):
     assert main(argv) == code

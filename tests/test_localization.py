@@ -11,6 +11,9 @@ import pytest
 from ocmirror.geometry import phi_p1, unit_p1, v_term
 from ocmirror.localization import (
     DecoratedGraph,
+    _bipartition_labels,
+    _compositions,
+    _labeled_trees,
     automorphism_count,
     closed_descendant,
     count_labeled_graphs,
@@ -107,6 +110,54 @@ def test_star_automorphisms():
 def test_path_with_distinct_degrees_is_rigid():
     path = DecoratedGraph((1, 2, 1), ((0, 1, 1), (1, 2, 2)))
     assert automorphism_count(path) == 1
+
+
+def _enumerate_by_dedupe(n, d):
+    """Oracle: every labeled graph, deduped by canonical key, no block skipping."""
+    found = {}
+    for V in range(2, d + 2):
+        for tree in _labeled_trees(V):
+            for root_label in (1, 2):
+                labels = _bipartition_labels(V, tree, root_label)
+                for degs in _compositions(d, V - 1):
+                    edges = tuple((u, v, de) for (u, v), de in zip(tree, degs))
+                    for marks in itertools.product(range(V), repeat=n):
+                        g = DecoratedGraph(labels, edges, tuple(marks))
+                        found.setdefault(g.canonical_key(), g)
+    return list(found.values())
+
+
+def _aut_brute(g):
+    """Oracle: count label-, marking- and degree-preserving vertex permutations."""
+    V = len(g.labels)
+    edge_map = {(u, v): de for u, v, de in g.edges}
+    count = 0
+    for perm in itertools.permutations(range(V)):
+        if any(g.labels[perm[v]] != g.labels[v] for v in range(V)):
+            continue
+        if any(perm[mv] != mv for mv in g.markings):
+            continue
+        if all(
+            edge_map.get((min(perm[u], perm[v]), max(perm[u], perm[v]))) == de
+            for (u, v), de in edge_map.items()
+        ):
+            count += 1
+    return count
+
+
+ORACLE_GRID = [(n, d) for n in range(3) for d in range(1, 5)] + [(0, 5), (3, 3), (4, 3)]
+
+
+@pytest.mark.parametrize("n,d", ORACLE_GRID)
+def test_enumeration_matches_dedupe_oracle(n, d):
+    # same classes, same representatives, same order as the unskipped walk
+    assert enumerate_graph_classes(n, d) == _enumerate_by_dedupe(n, d)
+
+
+@pytest.mark.parametrize("n,d", ORACLE_GRID)
+def test_automorphism_count_matches_brute_force(n, d):
+    for g in enumerate_graph_classes(n, d):
+        assert automorphism_count(g) == _aut_brute(g), g
 
 
 def test_orbit_counts_match_labeled_enumeration():
