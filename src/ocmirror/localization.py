@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -192,21 +191,15 @@ class DecoratedGraph:
     def canonical_key(self) -> tuple:
         """Isomorphism-class invariant, complete for decorated trees.
 
-        Roots at the tree's center (one or two central vertices, found by
-        leaf stripping on the underlying tree — centrality ignores the
-        decorations but isomorphisms preserve it, so this is sound).
+        The rooted encoding (label, markings, sorted (edge degree, child)
+        branches) of the tree's center, found by leaf stripping on the
+        underlying tree.  Of two centers, the root is the one at fixed point
+        1: two centers are adjacent, so their labels differ, and every
+        isomorphism carries this root to the other tree's root.
         """
-        V = len(self.labels)
-        if V == 1:
-            return ("v", self.labels[0], self.markings_at(0))
         adj = self.adjacency()
-        centers = _tree_centers(V, adj)
-        if len(centers) == 1:
-            return ("c", self._encode(centers[0], -1, adj))
-        c1, c2 = centers
-        de = next(d for u, d in adj[c1] if u == c2)
-        halves = sorted([self._encode(c1, c2, adj), self._encode(c2, c1, adj)])
-        return ("e", de, tuple(halves))
+        root = min(_tree_centers(len(self.labels), adj), key=lambda c: self.labels[c])
+        return self._encode(root, -1, adj)
 
 
 def _tree_centers(V: int, adj) -> List[int]:
@@ -253,8 +246,6 @@ def _pruefer_to_edges(seq: Sequence[int], V: int) -> List[Tuple[int, int]]:
 def _labeled_trees(V: int) -> List[List[Tuple[int, int]]]:
     if V == 1:
         return [[]]
-    if V == 2:
-        return [[(0, 1)]]
     return [_pruefer_to_edges(seq, V) for seq in itertools.product(range(V), repeat=V - 2)]
 
 
@@ -286,7 +277,9 @@ def enumerate_graph_classes(n: int, d: int) -> List[DecoratedGraph]:
     isomorphism carries each of its decorations onto one of the earlier
     block, already enumerated in full, so every key it would produce is
     already found.  Skipping it leaves the classes, their order and their
-    representatives unchanged.
+    representatives unchanged.  Every graph is a valid decorated tree by
+    construction (a Pruefer tree, a bipartition labeling, positive degrees);
+    the tests validate each class.
     """
     if d < 1:
         raise ValueError("graph sums need positive total degree")
@@ -309,7 +302,6 @@ def enumerate_graph_classes(n: int, d: int) -> List[DecoratedGraph]:
                         g = DecoratedGraph(labels, edges, tuple(marks))
                         key = g.canonical_key()
                         if key not in found:
-                            g.validate()
                             found[key] = g
     return list(found.values())
 
@@ -324,13 +316,8 @@ def count_labeled_graphs(n: int, d: int, V: int) -> int:
 
 
 def _compositions(total: int, parts: int) -> Iterable[Tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Positive compositions, in the lexicographic order of the weak ones."""
+    return (tuple(k + 1 for k in ks) for ks in _weak_compositions(total - parts, parts))
 
 
 def _n_compositions(total: int, parts: int) -> int:
@@ -346,36 +333,24 @@ def _n_compositions(total: int, parts: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _aut_rooted(g: DecoratedGraph, v: int, parent: int, adj) -> int:
-    children = [(de, g._encode(u, v, adj), u) for u, de in adj[v] if u != parent]
-    groups = Counter((de, enc) for de, enc, _ in children)
-    aut = 1
-    for c in groups.values():
-        aut *= factorial(c)
-    for _, _, u in children:
-        aut *= _aut_rooted(g, u, v, adj)
-    return aut
-
-
 def automorphism_count(g: DecoratedGraph) -> int:
     """Order of the decoration-preserving automorphism group.
 
-    Rooted at the tree's center like :meth:`DecoratedGraph.canonical_key`:
-    the order is the product, over vertices, of the factorials of the
-    multiplicities of isomorphic (edge degree, child subtree) branches.  Two
-    central vertices are adjacent, so they sit at different fixed points and
-    no automorphism swaps them.  The tests check the count against a
-    brute-force permutation search.
+    Read off :meth:`DecoratedGraph.canonical_key`: every isomorphism fixes its
+    root, so the group acts on rooted branches, and each run of k equal
+    (edge degree, child subtree) branches below a vertex contributes
+    k! * aut(child)^k.  The tests check the count against a brute-force
+    permutation search.
     """
-    V = len(g.labels)
-    if V == 1:
-        return 1
-    adj = g.adjacency()
-    centers = _tree_centers(V, adj)
-    if len(centers) == 1:
-        return _aut_rooted(g, centers[0], -1, adj)
-    c1, c2 = centers
-    return _aut_rooted(g, c1, c2, adj) * _aut_rooted(g, c2, c1, adj)
+
+    def rooted(key: tuple) -> int:
+        aut = 1
+        for (_, child), run in itertools.groupby(key[2]):
+            k = len(list(run))
+            aut *= factorial(k) * rooted(child) ** k
+        return aut
+
+    return rooted(g.canonical_key())
 
 
 # ===========================================================================
@@ -531,14 +506,7 @@ def _degree_zero_open(
     for restriction, _ in insertions:
         total = total * restriction[h - 1]
     exps = [a for _, a in insertions]
-    w_open = Fraction(1, mu)
-    if not exps:
-        vertex = v_term(w_open, 1)  # lone boundary flag -> w_o
-    elif len(exps) == 1:
-        vertex = FormalSeries.of((-w_open) ** exps[0], mono(V=exps[0]), WIDE)
-    else:
-        vertex = vertex_integral([], exps, w_open)
-    return total * vertex
+    return total * vertex_integral([], exps, Fraction(1, mu))
 
 
 def open_invariant(

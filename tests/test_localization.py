@@ -151,7 +151,10 @@ ORACLE_GRID = [(n, d) for n in range(3) for d in range(1, 5)] + [(0, 5), (3, 3),
 @pytest.mark.parametrize("n,d", ORACLE_GRID)
 def test_enumeration_matches_dedupe_oracle(n, d):
     # same classes, same representatives, same order as the unskipped walk
-    assert enumerate_graph_classes(n, d) == _enumerate_by_dedupe(n, d)
+    classes = enumerate_graph_classes(n, d)
+    assert classes == _enumerate_by_dedupe(n, d)
+    for g in classes:
+        g.validate()
 
 
 @pytest.mark.parametrize("n,d", ORACLE_GRID)
@@ -160,15 +163,27 @@ def test_automorphism_count_matches_brute_force(n, d):
         assert automorphism_count(g) == _aut_brute(g), g
 
 
+def test_equal_branches_multiply_child_orders():
+    # a root with two equal branches, each a vertex with two equal leaves:
+    # the run contributes 2! * aut(branch)^2 = 2 * 2^2.  Degrees up to 5 have
+    # too few vertices for such a run, so the grid above never reaches it.
+    labels = (1, 2, 2, 1, 1, 1, 1)
+    edges = ((0, 1, 1), (0, 2, 1), (1, 3, 1), (1, 4, 1), (2, 5, 1), (2, 6, 1))
+    for markings, order in [((), 8), ((3,), 2)]:
+        g = DecoratedGraph(labels, edges, markings)
+        assert automorphism_count(g) == _aut_brute(g) == order
+
+
 def test_orbit_counts_match_labeled_enumeration():
-    # sum over classes of V!/|Aut| must reproduce the labeled count, per V
-    for n, d in [(0, 2), (0, 3), (1, 2), (2, 1)]:
+    # sum over classes of V!/|Aut| must reproduce the labeled count, per V;
+    # Cayley's count never goes through the canonical key or its root
+    for n, d in ORACLE_GRID:
         by_v = {}
         for g in enumerate_graph_classes(n, d):
             V = len(g.labels)
             by_v[V] = by_v.get(V, F(0)) + F(factorial(V), automorphism_count(g))
-        for V, total in by_v.items():
-            assert total == count_labeled_graphs(n, d, V), (n, d, V)
+        for V in range(2, d + 2):
+            assert by_v.get(V, 0) == count_labeled_graphs(n, d, V), (n, d, V)
 
 
 # ---------------------------------------------------------------------------
