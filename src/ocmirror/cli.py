@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -221,6 +222,7 @@ def _add_format_flags(sub: argparse.ArgumentParser, default: str) -> None:
     sub.add_argument("--output", default=None, help="write here instead of stdout")
 
 
+@functools.cache  # built on the first call; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ocmirror",

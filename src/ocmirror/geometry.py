@@ -25,6 +25,7 @@ points *before* specialization).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
@@ -340,6 +341,7 @@ def pairing_surface(a: SurfaceClass, b: SurfaceClass) -> SymbolicPairing:
     )
 
 
+@functools.cache  # input-independent; the series is immutable
 def distinguished_pairing_prefactor() -> FormalSeries:
     """The scalar ⟨-, u1 * (origin point-basis class)⟩ applied to a class
     restricting to 1 at the origin point and arbitrary elsewhere.

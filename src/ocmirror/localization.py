@@ -195,11 +195,14 @@ class DecoratedGraph:
         branches) of the tree's center, found by leaf stripping on the
         underlying tree.  Of two centers, the root is the one at fixed point
         1: two centers are adjacent, so their labels differ, and every
-        isomorphism carries this root to the other tree's root.
+        isomorphism carries this root to the other tree's root.  Kept on the
+        instance once computed: the fields are immutable tuples.
         """
-        adj = self.adjacency()
-        root = min(_tree_centers(len(self.labels), adj), key=lambda c: self.labels[c])
-        return self._encode(root, -1, adj)
+        if "_key" not in self.__dict__:
+            adj = self.adjacency()
+            root = min(_tree_centers(len(self.labels), adj), key=lambda c: self.labels[c])
+            object.__setattr__(self, "_key", self._encode(root, -1, adj))
+        return self.__dict__["_key"]
 
 
 def _tree_centers(V: int, adj) -> List[int]:
@@ -360,10 +363,13 @@ def automorphism_count(g: DecoratedGraph) -> int:
 
 def edge_factor(d: int) -> FormalSeries:
     """h(d) = (-1)^d d^(2d) / ((d!)^2 v^(2d)) as an exact V-Laurent scalar."""
+    return v_term(_edge_coefficient(d), -2 * d)
+
+
+def _edge_coefficient(d: int) -> Fraction:
     if d < 1:
         raise ValueError("edge degrees are positive")
-    c = Fraction((-1) ** d * d ** (2 * d), factorial(d) ** 2)
-    return FormalSeries.of(c, mono(V=-2 * d), WIDE)
+    return Fraction((-1) ** d * d ** (2 * d), factorial(d) ** 2)
 
 
 def vertex_integral(
@@ -378,16 +384,21 @@ def vertex_integral(
     psi-formula.  Unstable cases follow the fixed conventions in the module
     docstring; combinations outside them raise.
     """
-    flags = [Fraction(c) for c in flag_weights]
+    return v_term(*_vertex_scalar(flag_weights, marking_exponents, open_weight))
+
+
+def _vertex_scalar(flags, exps, open_weight) -> Tuple[Fraction, int]:
+    """:func:`vertex_integral` as (c, k), meaning c * v^k."""
+    flags = [Fraction(c) for c in flags]
     if any(c == 0 for c in flags) or (open_weight is not None and open_weight == 0):
         raise ValueError("zero flag weight")
-    exps = list(marking_exponents)
+    exps = list(exps)
     ladder = flags + ([Fraction(open_weight)] if open_weight is not None else [])
     n_special = len(ladder) + len(exps)
     if n_special >= 3:
         budget = n_special - 3 - sum(exps)
         if budget < 0:
-            return FormalSeries.zero(WIDE)
+            return Fraction(0), 0
         norm = Fraction(factorial(n_special - 3))
         for a in exps:
             norm /= factorial(a)
@@ -397,14 +408,14 @@ def vertex_integral(
             for k, w in zip(ks, ladder):
                 c /= factorial(k) * w ** (k + 1)
             scalar += c
-        return FormalSeries.of(scalar, mono(V=-(budget + len(ladder))), WIDE)
+        return scalar, -(budget + len(ladder))
     if n_special == 1 and len(ladder) == 1:
-        return v_term(ladder[0], 1)
+        return ladder[0], 1
     if n_special == 2:
         if len(ladder) == 2:
-            return FormalSeries.of(1 / (ladder[0] + ladder[1]), mono(V=-1), WIDE)
+            return 1 / (ladder[0] + ladder[1]), -1
         if len(ladder) == 1 and len(exps) == 1:
-            return FormalSeries.of((-ladder[0]) ** exps[0], mono(V=exps[0]), WIDE)
+            return (-ladder[0]) ** exps[0], exps[0]
     raise ValueError(
         f"no convention for a vertex with {len(ladder)} flags and {len(exps)} markings"
     )
@@ -446,9 +457,13 @@ def _graph_contribution(
     open_vertex: Optional[int] = None,
     open_weight: Optional[Fraction] = None,
 ) -> FormalSeries:
-    total = v_term(Fraction(1, automorphism_count(g)))
+    # all factors but the insertion restrictions fold into c * V^k; each vertex
+    # takes its restrictions before its integral, which may raise
+    c = Fraction(1, automorphism_count(g))
     for _, _, de in g.edges:
-        total = total * edge_factor(de).scale(Fraction(1, de))
+        c *= _edge_coefficient(de) / de
+    k = -2 * g.degree
+    restrictions: Optional[FormalSeries] = None
     adj = g.adjacency()
     for v in range(len(g.labels)):
         label = g.labels[v]
@@ -459,15 +474,20 @@ def _graph_contribution(
             if i < len(insertions):
                 restriction, a = insertions[i]
                 exps.append(a)
-                total = total * restriction[label - 1]
+                r = restriction[label - 1]
+                restrictions = r if restrictions is None else restrictions * r
         # w^(valence-1), counting only edge flags
-        k = len(flags) - 1
-        total = total.scale(Fraction(sign) ** k, mono(V=k))
-        ow = open_weight if v == open_vertex else None
-        total = total * vertex_integral(flags, exps, ow)
-        if total.is_zero():
-            return total
-    return total
+        valence_k = len(flags) - 1
+        if sign < 0 and valence_k % 2:
+            c = -c
+        cv, kv = _vertex_scalar(flags, exps, open_weight if v == open_vertex else None)
+        c *= cv
+        k += valence_k + kv
+        if not c or (restrictions is not None and restrictions.is_zero()):
+            break
+    if restrictions is None:
+        return v_term(c, k)
+    return restrictions.scale(c, mono(V=k))
 
 
 def closed_descendant(insertions: Sequence[Insertion], d: int) -> FormalSeries:

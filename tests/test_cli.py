@@ -8,7 +8,9 @@ import re
 
 import pytest
 
+from ocmirror import cli
 from ocmirror.cli import main
+from ocmirror.geometry import distinguished_pairing_prefactor, v_term
 
 RATIONAL = re.compile(r"^-?\d+/\d+$")
 
@@ -260,3 +262,50 @@ DISK_SHA256 = "c57fc637b6d03bdf482ea966097ed48ca278cb08705ad89f02ed6f7ff3519294"
 def test_stdout_matches_recorded_digest(capsys, argv, code, digest):
     assert main(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr, --output file text) of one in-process call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    written = None
+    if "--output" in argv:
+        with open(argv[argv.index("--output") + 1], encoding="utf-8") as fh:
+            written = fh.read()
+    return code, captured.out, captured.err, written
+
+
+def test_reused_parser_carries_nothing_between_calls(capsys, tmp_path):
+    # each pair probes state a shared parser could leak into the next call:
+    # an appended list, a store_true flag, an output path, a usage error
+    window = ["--max-q", "3", "--max-mu", "2"]
+    sequence = [
+        ["asymptotics", "--l", "100", "--l", "316"],
+        ["asymptotics"],
+        ["check", "--corrupt-exc"] + window,
+        ["check"] + window,
+        ["localize", "--degree", "2", "--output", str(tmp_path / "table.csv")],
+        ["localize", "--degree", "2"],
+        ["disk", "--not-a-flag"],
+        ["disk"] + window,
+    ]
+    cli._build_parser.cache_clear()
+    shared = [_outcome(capsys, argv) for argv in sequence]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert shared == fresh
+    assert [code for code, *_ in shared] == [0, 0, 1, 0, 0, 0, 2, 0]
+    assert [line.split(",")[0] for line in shared[1][1].splitlines()] == ["l", "200"]
+    assert shared[4][1] == "" and shared[4][3] == shared[5][1] != ""
+    assert distinguished_pairing_prefactor() == v_term(1, -1)

@@ -8,11 +8,12 @@ from math import factorial
 
 import pytest
 
-from ocmirror.geometry import phi_p1, unit_p1, v_term
+from ocmirror.geometry import hyperplane_p1, phi_dual_p1, phi_p1, unit_p1, v_term
 from ocmirror.localization import (
     DecoratedGraph,
     _bipartition_labels,
     _compositions,
+    _graph_contribution,
     _labeled_trees,
     automorphism_count,
     closed_descendant,
@@ -225,6 +226,87 @@ def test_vertex_integral_rejects_unhandled_shapes():
         vertex_integral([F(0)])
     with pytest.raises(ValueError):
         vertex_integral([], [1, 1])
+
+
+def _contribution_by_series(g, insertions, open_vertex=None, open_weight=None):
+    """Oracle: one class's summand as a running product of one-term series."""
+    total = v_term(F(1, automorphism_count(g)))
+    for _, _, de in g.edges:
+        total = total * edge_factor(de).scale(F(1, de))
+    adj = g.adjacency()
+    for v in range(len(g.labels)):
+        label = g.labels[v]
+        sign = -1 if label == 1 else 1
+        flags = [F(sign, de) for _, de in adj[v]]
+        exps = []
+        for i in g.markings_at(v):
+            if i < len(insertions):
+                restriction, a = insertions[i]
+                exps.append(a)
+                total = total * restriction[label - 1]
+        k = len(flags) - 1
+        total = total.scale(F(sign) ** k, mono(V=k))
+        ow = open_weight if v == open_vertex else None
+        total = total * vertex_integral(flags, exps, ow)
+        if total.is_zero():
+            return total
+    return total
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _insertion_lists(n):
+    unit = unit_p1()
+    for a in range(3):
+        yield [(unit, a)] * n
+    yield [(unit, i % 3) for i in range(n)]
+    for cls in (hyperplane_p1(), phi_p1(1), phi_p1(2), phi_dual_p1(1), phi_dual_p1(2)):
+        yield [(cls, i % 2) for i in range(n)]
+
+
+@pytest.mark.parametrize("n,d", ORACLE_GRID)
+def test_scalar_contribution_matches_series_oracle(n, d):
+    for g in enumerate_graph_classes(n, d):
+        for insertions in _insertion_lists(n):
+            got = _graph_contribution(g, insertions)
+            assert got == _contribution_by_series(g, insertions), (g, insertions)
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n, d in ORACLE_GRID if n >= 1])
+def test_scalar_contribution_matches_series_oracle_with_open_vertex(n, d):
+    # the last marking carries the boundary flag, as in open_via_closed; a
+    # lone edge flag of weight -1/mu beside it divides by zero.  The lists
+    # take turns over the classes to keep the grid fast.
+    lists = list(_insertion_lists(n - 1))
+    raised = 0
+    for j, g in enumerate(enumerate_graph_classes(n, d)):
+        for mu in (1, -1, 2, -2):
+            args = (g, lists[j % len(lists)], g.markings[n - 1], F(1, mu))
+            want = _outcome(_contribution_by_series, *args)
+            assert _outcome(_graph_contribution, *args) == want, args
+            raised += isinstance(want, tuple)
+    assert raised > 0
+
+
+def test_vertex_integral_raises_before_a_vanishing_restriction_returns():
+    # the restriction is zero at the vertex whose integral raises: the
+    # integral comes first, so the call raises instead of returning zero
+    point2 = [(phi_p1(2), 0)]
+    edge = DecoratedGraph((1, 2), ((0, 1, 1),), (0,))
+    cases = [
+        (DecoratedGraph((1,), (), (0, 0)), point2 * 2),  # no convention
+        (edge, point2, 0, F(0)),  # zero boundary weight
+    ]
+    for args in cases:
+        want = _outcome(_contribution_by_series, *args)
+        assert isinstance(want, tuple), args
+        assert _outcome(_graph_contribution, *args) == want, args
 
 
 def test_disk_factors():
