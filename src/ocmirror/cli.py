@@ -174,19 +174,11 @@ def cmd_localize(args: argparse.Namespace) -> Tuple[int, str]:
 
 
 def cmd_ifunction(args: argparse.Namespace) -> Tuple[int, str]:
+    # outputs carry no Q; max_q bounds q1+q2 through the default max_q12
     window = TruncationWindow(
-        max_q=0,
-        max_t=args.max_t,
-        max_abs_x=0,
-        min_v=args.min_v,
-        max_v=1,
-        min_z=-(2 * args.max_q + args.max_t + 4),
-        max_z=2,
-        max_q12=args.max_q,
+        max_q=args.max_q, max_t=args.max_t, max_abs_x=0, min_v=args.min_v, max_v=1
     )
-    families = surface_series_terms(window)
-    terms = families["excess1"] + families["excess2"] + families["balanced"]
-    series = z_coeff(terms, args.zcoeff, window)
+    series = z_coeff(surface_series_terms(window), args.zcoeff, window)
     rows = [
         (m.T, m.q1, m.q2, m.V, rational_str(c))
         for m, c in series.items()

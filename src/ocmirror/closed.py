@@ -19,14 +19,15 @@ curve class (d1, d2) contributes a product of linear-factor ratios read off
 the divisor restriction tables (:mod:`ocmirror.geometry`); after
 specialization the product collapses to a finite combination of
 v/(v - c z) factors, computed here by exact cancellation plus partial
-fractions in t = v/z.  For the restricted series three families survive
-(first-Kaehler excess, second-Kaehler excess, balanced), given in closed form
-and cross-checked against the general resolver in the tests.
+fractions in t = v/z.  At the origin one closed form gives every class: a
+single v/(v - mu z) term whose slope mu = d2 - d1 is the signed Kaehler
+excess, which the Kaehler substitution turns into the winding X^mu.  It is
+cross-checked against the general resolver in the tests.
 
 Extraction: ``z_coeff`` takes the coefficient of a fixed power z^(-m) of the
 exponential-prefactored sum of linear-factor terms, expanding every factor in
-the requested direction.  The honest z/v-direction extraction keeps only
-nonnegative expansion indices; ``z_coeff_split`` additionally returns the
+the z/v direction.  This honest extraction keeps only nonnegative expansion
+indices; ``z_coeff_split`` additionally returns the
 regrouped presentation (boundary monomials such as -q1*v plus an
 unconstrained resummation) whose parts individually have positive V-powers
 but whose sum is the honest coefficient — the two presentations are tested
@@ -376,39 +377,32 @@ def _poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-# --- the three surviving families at the origin cone, in closed form -------
+# --- the origin-cone series in closed form: one term per curve class ------
 
 
-def surface_series_terms(window: TruncationWindow) -> Dict[str, Tuple[LinearFactorTerm, ...]]:
+def surface_series_terms(window: TruncationWindow) -> Tuple[LinearFactorTerm, ...]:
     """Origin-restricted specialized surface series, window-complete.
 
-    Families by Kaehler excess mu = |d1 - d2| (mu = 0 balanced); each term is
+    One term per curve class (d1, d2) with d1 + d2 at most the window's joint
+    q1+q2 cap.  With the signed Kaehler excess mu = d2 - d1 and
+    d = min(d1, d2), the term is
 
-        (-1)^mu / (d! (d+mu)!) * q1^dheavy q2^dlight * z^-(2d+mu) * v/(v ± mu z)
+        (-1)^|mu| / (d! (d+|mu|)!) * q1^d1 q2^d2 * z^-(d1+d2) * v/(v - mu z);
 
-    with the heavy side and the slope sign tied to which Kaehler direction is
-    in excess.  Bounded by the window's joint q1+q2 cap; the identity with
-    the general resolver term by term is part of the test suite.
+    balanced classes (mu = 0, the constant 1 among them) have the factor 1.
+    The Kaehler substitution sends the term to the winding X^mu, so its slope
+    is also its winding.  The identity with the general resolver term by term
+    is part of the test suite.
     """
     cap = window.max_q12
-    fam: Dict[str, List[LinearFactorTerm]] = {"excess1": [], "excess2": [], "balanced": []}
-    for d in range(cap // 2 + 1):
-        if 2 * d <= cap and d > 0:
-            fam["balanced"].append(
-                LinearFactorTerm(
-                    Fraction(1, factorial(d) ** 2), mono(q1=d, q2=d, Z=-2 * d), Fraction(0)
-                )
-            )
-        for mu in range(1, cap - 2 * d + 1):
-            c = Fraction((-1) ** mu, factorial(d) * factorial(d + mu))
-            fam["excess1"].append(
-                LinearFactorTerm(c, mono(q1=d + mu, q2=d, Z=-(2 * d + mu)), Fraction(-mu))
-            )
-            fam["excess2"].append(
-                LinearFactorTerm(c, mono(q1=d, q2=d + mu, Z=-(2 * d + mu)), Fraction(mu))
-            )
-    fam["balanced"].insert(0, LinearFactorTerm(Fraction(1), Monomial(), Fraction(0)))
-    return {k: tuple(v) for k, v in fam.items()}
+    terms: List[LinearFactorTerm] = []
+    for d1 in range(cap + 1):
+        for d2 in range(cap - d1 + 1):
+            mu = d2 - d1
+            d = min(d1, d2)
+            c = Fraction((-1) ** abs(mu), factorial(d) * factorial(d + abs(mu)))
+            terms.append(LinearFactorTerm(c, mono(q1=d1, q2=d2, Z=-(d1 + d2)), Fraction(mu)))
+    return tuple(terms)
 
 
 # ===========================================================================
@@ -417,21 +411,16 @@ def surface_series_terms(window: TruncationWindow) -> Dict[str, Tuple[LinearFact
 
 
 def z_coeff(
-    terms: Iterable[LinearFactorTerm],
-    m: int,
-    window: TruncationWindow,
-    mode: Expansion = Expansion.Z_OVER_V,
+    terms: Iterable[LinearFactorTerm], m: int, window: TruncationWindow
 ) -> FormalSeries:
-    """Coefficient of z^(-m) in e^(t0/z) * sum(terms), factors expanded.
+    """Coefficient of z^(-m) in e^(t0/z) * sum(terms), factors expanded in z/v.
 
     The exponential prefactor is the origin restriction of the full monomial
     prefactor (the hyperplane-dependent exponent vanishes there), so each
-    term gains T^l/l! alongside z^(-l).  In the z/v direction the expansion
-    index k = l - m - Z(term) must be >= 0; slope-0 terms are their own
-    expansion in either direction and require the indices to land exactly.
+    term gains T^l/l! alongside z^(-l).  The expansion index
+    k = l - m - Z(term) must be >= 0; a slope-0 factor is 1, so it
+    contributes only at k = 0.
     """
-    if mode not in (Expansion.Z_OVER_V, Expansion.V_OVER_Z):
-        raise ValueError(f"unknown expansion mode {mode!r}")
     inv_fact = [Fraction(1, factorial(l)) for l in range(window.max_t + 1)]
     contains = window.contains
     acc: Dict[Monomial, Fraction] = {}
@@ -439,29 +428,14 @@ def z_coeff(
         coefficient, slope = t.coefficient, t.slope
         if not coefficient:
             continue
-        flat = slope == 0
         q, t0, x, v, z, q1, q2 = t.monomial  # Z is stripped from every output
         for l, lc in enumerate(inv_fact):
-            if flat:
-                if z - l != -m:
-                    continue
-                out = Monomial(q, t0 + l, x, v, 0, q1, q2)
-                if contains(out):
-                    _add_term(acc, out, coefficient * lc)
-            elif mode is Expansion.Z_OVER_V:
-                k = l - m - z
-                if k < 0:
-                    continue
-                out = Monomial(q, t0 + l, x, v - k, 0, q1, q2)
-                if contains(out):
-                    _add_term(acc, out, coefficient * lc * slope**k)
-            else:
-                j = m + z - l
-                if j < 1:
-                    continue
-                out = Monomial(q, t0 + l, x, v + j, 0, q1, q2)
-                if contains(out):
-                    _add_term(acc, out, -coefficient * lc * slope**-j)
+            k = l - m - z
+            if k < 0 or (k and not slope):
+                continue
+            out = Monomial(q, t0 + l, x, v - k, 0, q1, q2)
+            if contains(out):
+                _add_term(acc, out, coefficient * lc * slope**k)
     return _built(acc, window)
 
 
@@ -478,7 +452,7 @@ def z_coeff_split(
     """Regrouped presentation of the z/v-direction ``z_coeff``: (boundary, bulk).
 
     The bulk drops the k >= 0 constraint on the expansion index, which turns
-    each family into an unconstrained ladder (the shape that resums into
+    each sloped term into an unconstrained ladder (the shape that resums into
     Bessel functions); the boundary is minus the spilled k < 0 part — finitely
     many monomials of positive V-power (V-power m-1 at most, so the window
     must admit it).  By construction boundary + bulk == z_coeff; the tests
@@ -507,8 +481,8 @@ def z_coeff_split(
 def phi_k_coeff(k: int, m: int, window: TruncationWindow) -> FormalSeries:
     """z^(-m)-coefficient of the k-th inverse-weight expansion coefficient.
 
-    The second-excess family, read as a series in 1/v at large weight, has
-    coefficients phi_k whose z-expansion is
+    The second-excess terms (slope > 0), read as a series in 1/v at large
+    weight, have coefficients phi_k whose z-expansion is
 
         sum_{l + 2d + mu = k + m, mu >= 1}
             (t0^l / l!) * (-1)^mu * mu^k / (d! (d+mu)!) * q1^d q2^(d+mu),

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .closed import bessel_first_kind, surface_series_terms, z_coeff
 from .geometry import distinguished_pairing_prefactor
@@ -72,9 +72,7 @@ def disk_potential_bessel(window: TruncationWindow) -> FormalSeries:
     return series_sum((winding(mu) for mu in windings if mu != 0), window)
 
 
-def disk_potential_localized(
-    window: TruncationWindow, max_sphere_degree: Optional[int] = None
-) -> FormalSeries:
+def disk_potential_localized(window: TruncationWindow) -> FormalSeries:
     """Disk potential resummed from one-boundary fixed-point graph sums.
 
     Each winding's sphere-degree series is an exact graph-sum value; the
@@ -90,8 +88,6 @@ def disk_potential_localized(
 
     def winding(mu: int) -> FormalSeries:
         top = (window.max_q - abs(mu)) // 2
-        if max_sphere_degree is not None:
-            top = min(top, max_sphere_degree)
         degree_series = series_sum((contribution(mu, d) for d in range(top + 1)), work)
         return (_winding_dressing(mu, work) * degree_series).scale(1, Monomial(X=mu))
 
@@ -127,7 +123,8 @@ def rhs_assemble(
     """Descendant-slice side of the identity, truncated to ``window``.
 
     Pipeline: z^-2 coefficient of the origin-restricted surface series
-    (all three Kaehler-excess families, z/v expansion) -> multiply by the
+    (z/v expansion; only the terms whose slope, their winding after the
+    substitution, fits the window's winding bound) -> multiply by the
     distinguished pairing prefactor (recomputed from the surface pairing;
     the tests pin it to 1/v) -> trade Kaehler parameters for winding/area
     variables (the substitution consumes every q1 and q2) -> add the
@@ -145,9 +142,9 @@ def rhs_assemble(
         max_z=0,
         max_q12=window.max_q,
     )
-    families = surface_series_terms(pre)
-    all_terms = families["excess1"] + families["excess2"] + families["balanced"]
-    slice2 = z_coeff(all_terms, 2, pre)
+    # a term of slope mu lands at X^mu, so the window's windings pick the terms
+    terms = [t for t in surface_series_terms(pre) if abs(t.slope) <= window.max_abs_x]
+    slice2 = z_coeff(terms, 2, pre)
 
     prefactor = distinguished_pairing_prefactor()
     # the V-shift by the prefactor must happen in a window whose floor is

@@ -200,9 +200,15 @@ class TruncationWindow:
         )
 
     def intersect(self, other: "TruncationWindow") -> "TruncationWindow":
+        """Common part of two windows; it is empty if their V or Z ranges are disjoint.
+
+        Built past ``__post_init__``, whose min <= max check guards outside
+        input: a window with a min above its max contains no monomial.
+        """
         if other == self:
             return self
-        return TruncationWindow(
+        w = object.__new__(TruncationWindow)
+        w.__dict__.update(
             max_q=min(self.max_q, other.max_q),
             max_t=min(self.max_t, other.max_t),
             max_abs_x=min(self.max_abs_x, other.max_abs_x),
@@ -212,6 +218,7 @@ class TruncationWindow:
             max_z=min(self.max_z, other.max_z),
             max_q12=min(self.max_q12, other.max_q12),
         )
+        return w
 
     @property
     def mass_budget(self) -> int:

@@ -68,7 +68,7 @@ def test_criterion_1_main_identity():
 
 
 # ---------------------------------------------------------------------------
-# 2. general surface term == closed family forms at the origin fixed point
+# 2. general surface term == the closed form at the origin fixed point
 # ---------------------------------------------------------------------------
 
 
@@ -83,21 +83,20 @@ def test_criterion_2_surface_term_closed_forms():
     window = TruncationWindow(
         max_q=6, max_t=4, max_abs_x=0, min_v=-8, max_v=1, min_z=-24, max_z=2, max_q12=6
     )
-    families = surface_series_terms(window)
     by_class = {}
-    for t in families["excess1"] + families["excess2"] + families["balanced"]:
+    for t in surface_series_terms(window):
         by_class.setdefault((t.monomial.q1, t.monomial.q2), []).append(t)
     checked = 0
     for d1 in range(7):
         for d2 in range(7 - d1):
             general = surface_term_specialized(d1, d2, 0)
-            family = by_class.get((d1, d2), [])
-            assert _expand_terms(general, window) == _expand_terms(family, window), (
+            closed = by_class.get((d1, d2), [])
+            assert _expand_terms(general, window) == _expand_terms(closed, window), (
                 d1,
                 d2,
             )
             checked += 1
-    _report(2, f"general term == family term on all {checked} classes with d1+d2 <= 6")
+    _report(2, f"general term == closed-form term on all {checked} classes with d1+d2 <= 6")
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from ocmirror.asymptotics import (
 from ocmirror.closed import phi_k_coeff, surface_series_terms
 from ocmirror.series import TruncationWindow
 
+from families import by_slope_sign
+
 F = Fraction
 
 # ---------------------------------------------------------------------------
@@ -105,7 +107,7 @@ _PW = TruncationWindow(
 def _exact_I2(q: Fraction, v: Fraction) -> Fraction:
     """Exact rational value of the second excess component at z = 1, q0 = 1."""
     total = F(0)
-    for term in surface_series_terms(_XW)["excess2"]:
+    for term in by_slope_sign(surface_series_terms(_XW), 1):
         m = term.monomial
         if m.T != 0:  # q0 = 1 kills the logarithm direction
             continue

@@ -79,8 +79,13 @@ def test_missing_required_flag_exits_2():
 
 
 def test_invalid_window_exits_2(capsys):
-    assert main(["disk", "--max-q", "-1"]) == 2
-    assert "error:" in capsys.readouterr().err
+    for argv in (
+        ["disk", "--max-q", "-1"],
+        ["disk", "--min-v", "2"],
+        ["ifunction", "--max-q", "-1"],
+    ):
+        assert main(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err
 
 
 def test_invalid_numeric_params_exit_2(capsys):

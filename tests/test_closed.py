@@ -27,7 +27,10 @@ from ocmirror.series import (
     TruncationWindow,
     expand_factor,
     mono,
+    series_exp,
 )
+
+from families import by_slope_sign
 
 F = Fraction
 
@@ -172,9 +175,8 @@ def test_specialized_term_vanishes_off_origin_when_numerator_dies():
 
 
 def test_specialized_matches_closed_family_forms():
-    fams = surface_series_terms(WQ)
     by_class = {}
-    for t in fams["excess1"] + fams["excess2"] + fams["balanced"]:
+    for t in surface_series_terms(WQ):
         by_class.setdefault((t.monomial.q1, t.monomial.q2), []).append(t)
     for d1 in range(5):
         for d2 in range(5):
@@ -221,22 +223,21 @@ def test_truncated_ratio_stabilizes(a):
 
 
 def test_balanced_family_z2():
-    fams = surface_series_terms(WQ)
-    s = z_coeff(fams["balanced"], 2, WQ)
+    s = z_coeff(by_slope_sign(surface_series_terms(WQ), 0), 2, WQ)
     expected = FormalSeries({mono(T=2): F(1, 2), mono(q1=1, q2=1): F(1)}, WQ)
     assert s == expected
 
 
 def test_excess_family_z2_spot_values():
-    fams = surface_series_terms(WQ)
-    s1 = z_coeff(fams["excess1"], 2, WQ)
+    terms = surface_series_terms(WQ)
+    s1 = z_coeff(by_slope_sign(terms, -1), 2, WQ)
     # the would-be (l,d,mu) = (0,0,1) monomial q1*V needs expansion index -1:
     # absent from the honest extraction
     assert s1.coeff(mono(q1=1, V=1)) == 0
     assert s1.coeff(mono(q1=2)) == F(1, 2)
     assert s1.coeff(mono(T=1, q1=1)) == -1
     assert s1.coeff(mono(q1=2, q2=1, V=-1)) == F(1, 2)
-    s2 = z_coeff(fams["excess2"], 2, WQ)
+    s2 = z_coeff(by_slope_sign(terms, 1), 2, WQ)
     assert s2.coeff(mono(q2=1, V=1)) == 0
     assert s2.coeff(mono(q2=2)) == F(1, 2)
     assert s2.coeff(mono(T=1, q2=1)) == -1
@@ -245,8 +246,7 @@ def test_excess_family_z2_spot_values():
 def test_excess1_z2_closed_formula():
     # coefficient of q1^(d+mu) q2^d T^l V^(2-l-2d-mu) is
     # (-1)^l mu^(l+2d+mu-2) / (l! d! (d+mu)!)  once l+2d+mu >= 2
-    fams = surface_series_terms(WQ)
-    s = z_coeff(fams["excess1"], 2, WQ)
+    s = z_coeff(by_slope_sign(surface_series_terms(WQ), -1), 2, WQ)
     for l in range(3):
         for d in range(3):
             for mu in range(1, 4):
@@ -258,26 +258,39 @@ def test_excess1_z2_closed_formula():
 
 
 def test_split_presentation_boundary_and_identity():
-    fams = surface_series_terms(WQ)
-    b1, r1 = z_coeff_split(fams["excess1"], 2, WQ)
+    terms = surface_series_terms(WQ)
+    excess1, excess2, balanced = (by_slope_sign(terms, sign) for sign in (-1, 1, 0))
+    b1, r1 = z_coeff_split(excess1, 2, WQ)
     assert b1 == FormalSeries({mono(q1=1, V=1): F(-1)}, WQ)
-    assert b1 + r1 == z_coeff(fams["excess1"], 2, WQ)
-    b2, r2 = z_coeff_split(fams["excess2"], 2, WQ)
+    assert b1 + r1 == z_coeff(excess1, 2, WQ)
+    b2, r2 = z_coeff_split(excess2, 2, WQ)
     assert b2 == FormalSeries({mono(q2=1, V=1): F(1)}, WQ)
-    assert b2 + r2 == z_coeff(fams["excess2"], 2, WQ)
-    b3, r3 = z_coeff_split(fams["balanced"], 2, WQ)
+    assert b2 + r2 == z_coeff(excess2, 2, WQ)
+    b3, r3 = z_coeff_split(balanced, 2, WQ)
     assert b3 == 0
-    assert r3 == z_coeff(fams["balanced"], 2, WQ)
+    assert r3 == z_coeff(balanced, 2, WQ)
 
 
 def test_large_z_direction_leading_behavior():
     # in the v/z direction the full restricted series starts 1 + t0/z + ...
-    fams = surface_series_terms(WQ)
-    terms = fams["excess1"] + fams["excess2"] + fams["balanced"]
-    assert z_coeff(terms, 0, WQ, Expansion.V_OVER_Z) == 1
-    assert z_coeff(terms, -1, WQ, Expansion.V_OVER_Z) == 0  # no positive powers
-    s = z_coeff(terms, 1, WQ, Expansion.V_OVER_Z)
-    assert s == FormalSeries({mono(T=1): F(1)}, WQ)
+    series = FormalSeries.zero(WQ)
+    for t in surface_series_terms(WQ):
+        if t.slope:
+            series = series + expand_factor(t, Expansion.V_OVER_Z, WQ)
+        else:  # the factor is 1
+            series = series + FormalSeries.of(t.coefficient, t.monomial, WQ)
+    series = series * series_exp(FormalSeries.of(1, mono(T=1, Z=-1), WQ))
+    assert series.z_slice(0) == 1
+    assert series.z_slice(1) == 0  # no positive powers
+    assert series.z_slice(-1) == FormalSeries({mono(T=1): F(1)}, WQ)
+    # the first sloped terms arrive at z^-2, where their sign shows
+    want = {
+        mono(T=2): F(1, 2),
+        mono(q1=1, q2=1): F(1),
+        mono(V=1, q1=1): F(-1),
+        mono(V=1, q2=1): F(1),
+    }
+    assert series.z_slice(-2) == FormalSeries(want, WQ)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +320,7 @@ def test_phi_k_negative_slice_indices():
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_phi_sum_reassembles_excess2_extraction(m):
-    fams = surface_series_terms(WQ)
-    target = z_coeff(fams["excess2"], m, WQ)
+    target = z_coeff(by_slope_sign(surface_series_terms(WQ), 1), m, WQ)
     acc = FormalSeries.zero(WQ)
     for k in range(-WQ.min_v + 1):
         acc = acc + phi_k_coeff(k, m, WQ).scale(1, mono(V=-k))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ocmirror.closed import surface_series_terms, z_coeff
 from ocmirror.correspondence import (
     CorrespondenceReport,
     disk_potential_bessel,
@@ -19,10 +21,13 @@ from ocmirror.correspondence import (
     rhs_assemble,
     run_check,
 )
+from ocmirror.geometry import distinguished_pairing_prefactor
 from ocmirror.localization import open_invariant
-from ocmirror.series import FormalSeries, TruncationWindow, mono
+from ocmirror.series import FormalSeries, TruncationWindow, mono, substitute
 
 F = Fraction
+
+KAEHLER = {"q1": (F(-1), mono(Q=1, X=-1)), "q2": (F(-1), mono(Q=1, X=1))}
 
 WM = TruncationWindow(max_q=6, max_t=3, max_abs_x=3, min_v=-6, max_v=1)
 WS = TruncationWindow(max_q=5, max_t=2, max_abs_x=2, min_v=-5, max_v=1)
@@ -178,6 +183,39 @@ def sweep_window(draw):
     )
 
 
+def _rhs_all_windings(window: TruncationWindow) -> FormalSeries:
+    """Oracle for ``rhs_assemble``: every term, whatever its winding.
+
+    Every excess up to max_q goes through ``z_coeff``, the pairing and the
+    Kaehler substitution, whose window then drops the windings beyond
+    max_abs_x.
+    """
+    pre = TruncationWindow(
+        max_q=window.max_q,
+        max_t=window.max_t,
+        max_abs_x=window.max_abs_x,
+        min_v=window.min_v + 1,
+        max_v=window.max_v + 1,
+        max_q12=window.max_q,
+    )
+    slice2 = z_coeff(surface_series_terms(pre), 2, pre)
+    mid = replace(pre, min_v=window.min_v)
+    paired = slice2.truncate(mid) * distinguished_pairing_prefactor().truncate(mid)
+    result = substitute(paired, KAEHLER).truncate(window)
+    return result + exceptional_correction(window)
+
+
+def test_surface_terms_land_at_their_slope():
+    # q1^d1 q2^d2 -> (-Q)^(d1+d2) X^(d2-d1): a term's slope is its winding
+    window = TruncationWindow(max_q=6, max_t=2, max_abs_x=6, min_v=-6, max_v=3)
+    for t in surface_series_terms(window):
+        assert t.slope == t.monomial.q2 - t.monomial.q1
+        # the slice z^Z(term), where every term has its leading coefficient
+        landed = substitute(z_coeff([t], -t.monomial.Z, window), KAEHLER)
+        assert not landed.is_zero(), t
+        assert all(m.X == t.slope for m, _ in landed.items()), t
+
+
 @given(sweep_window())
 @settings(max_examples=80, deadline=None)
 def test_check_passes_on_random_windows(window):
@@ -185,3 +223,5 @@ def test_check_passes_on_random_windows(window):
     assert report.passed
     # the substitution trades every Kaehler variable for winding/area ones
     assert all(m.q1 == 0 and m.q2 == 0 for m, _ in report.rhs.items())
+    # building only the window's windings loses nothing
+    assert report.rhs == _rhs_all_windings(window)

@@ -197,7 +197,17 @@ def monomials_near(w: TruncationWindow):
     )
 
 
-windowed_series = random_window.flatmap(
+# the same windows moved along V and Z, so two of them may not intersect
+shifted_window = st.builds(
+    lambda w, dv, dz: replace(
+        w, min_v=w.min_v + dv, max_v=w.max_v + dv, min_z=w.min_z + dz, max_z=w.max_z + dz
+    ),
+    random_window,
+    st.integers(-6, 6),
+    st.integers(-5, 5),
+)
+
+windowed_series = st.one_of(random_window, shifted_window).flatmap(
     lambda w: st.dictionaries(monomials_near(w), small_fraction, max_size=6).map(
         lambda d: FormalSeries(d, w)
     )
