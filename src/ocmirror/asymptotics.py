@@ -9,7 +9,7 @@ is an absolutely convergent double sum away from the excluded weights
 {mu*z : mu >= 1}.  Along the half-shifted sequence v_l = (l + 1/2) z the pole
 factors obey |v_l / (v_l - mu z)| <= 2 mu + 1, which dominates the tail by a
 factorially convergent series; the implementation tracks the positive term
-envelope directly and stops once it falls below the configured tolerance
+envelope directly and stops once it falls below a fixed tolerance
 (past that point consecutive terms shrink by better than a factor of two, so
 the discarded tail is at most twice the tolerance).
 
@@ -34,17 +34,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+# tail controls of every double sum: the envelope a sum stops below, and the
+# most terms it may take before it is declared divergent
+_TAIL_TOLERANCE = 1e-14
+_MAX_TERMS = 10000
+
 
 @dataclass(frozen=True)
 class NumericParams:
-    """Positive evaluation point plus tail controls for the double sums."""
+    """Positive evaluation point of the double sums."""
 
     q0: float = 1.0
     q1: float = 0.25
     q2: float = 0.25
     z: float = 1.0
-    tail_tolerance: float = 1e-14
-    max_terms: int = 10000
 
     def __post_init__(self) -> None:
         if self.q0 <= 0:
@@ -53,8 +56,6 @@ class NumericParams:
             raise ValueError("q1 and q2 must be nonnegative")
         if self.z <= 0:
             raise ValueError("z must be positive")
-        if self.tail_tolerance <= 0 or self.max_terms < 1:
-            raise ValueError("tail controls must be positive")
 
 
 def _check_component(component: int) -> None:
@@ -78,9 +79,9 @@ def _inner_sum_from(lead: float, params: NumericParams, mu: int, component: int)
     total = 0.0
     term = lead
     d = 0
-    while d <= params.max_terms:
+    while d <= _MAX_TERMS:
         total += term
-        if d >= 1 and term < params.tail_tolerance * 1e-3:
+        if d >= 1 and term < _TAIL_TOLERANCE * 1e-3:
             return total
         term *= light * heavy / ((d + 1) * (d + mu + 1) * params.z**2)
         d += 1
@@ -120,13 +121,13 @@ def eval_I2(params: NumericParams, v: float, component: int = 2) -> float:
     total = 0.0
     lead = 1.0
     mu = 1
-    while mu <= params.max_terms:
+    while mu <= _MAX_TERMS:
         lead *= heavy / (mu * params.z)
         denom = v - mu * params.z if component == 2 else v + mu * params.z
         pole = v / denom
         inner = _inner_sum_from(lead, params, mu, component)
         total += (-1) ** mu * pole * inner
-        if inner * pole_bound < params.tail_tolerance and (mu + 1) * params.z > 2 * heavy:
+        if inner * pole_bound < _TAIL_TOLERANCE and (mu + 1) * params.z > 2 * heavy:
             return _prefactor(params) * total
         mu += 1
     raise ArithmeticError("excess sum did not meet the tail tolerance within max_terms")
@@ -142,7 +143,7 @@ def eval_phi_k(params: NumericParams, k: int, component: int = 2) -> float:
     total = 0.0
     lead = 1.0
     mu = 1
-    while mu <= params.max_terms:
+    while mu <= _MAX_TERMS:
         lead *= heavy / (mu * params.z)
         weight = float(eps * mu * params.z) ** k
         inner = _inner_sum_from(lead, params, mu, component)
@@ -150,7 +151,7 @@ def eval_phi_k(params: NumericParams, k: int, component: int = 2) -> float:
         # beyond mu >= k the polynomial growth of the weight is dominated;
         # require the envelope small and the factorial ratio safely below 1
         if (
-            abs(weight) * inner < params.tail_tolerance
+            abs(weight) * inner < _TAIL_TOLERANCE
             and mu >= k + 2
             and (mu + 1) * params.z > 6 * heavy
         ):

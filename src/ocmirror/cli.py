@@ -35,7 +35,7 @@ import functools
 import io
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .asymptotics import NumericParams, ratio_table
 from .closed import surface_series_terms, z_coeff
@@ -92,15 +92,8 @@ def _laurent_str(series: FormalSeries) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _f_coefficient_rows(series: FormalSeries) -> List[Tuple[int, int, int, int, str]]:
-    return [
-        (m.X, m.Q, m.T, m.V, rational_str(c))
-        for m, c in series.items()
-    ]
-
-
 def _f_table(series: FormalSeries, fmt: str) -> str:
-    rows = _f_coefficient_rows(series)
+    rows = [(m.X, m.Q, m.T, m.V, rational_str(c)) for m, c in series.items()]
     if fmt == "json":
         return _json_text(
             [dict(zip(F_COLUMNS, row)) for row in rows]
@@ -128,13 +121,7 @@ def cmd_check(args: argparse.Namespace) -> Tuple[int, str]:
     if args.format == "json":
         text = _json_text(report.to_json_dict())
     else:
-        text = _csv_text(
-            F_COLUMNS,
-            [
-                (row["X"], row["Q"], row["T"], row["V"], row["value"])
-                for row in report.diff_rows()
-            ],
-        )
+        text = _f_table(report.diff, "csv")
     return (0 if report.passed else 1), text
 
 
@@ -174,7 +161,7 @@ def cmd_localize(args: argparse.Namespace) -> Tuple[int, str]:
 
 
 def cmd_ifunction(args: argparse.Namespace) -> Tuple[int, str]:
-    # outputs carry no Q; max_q bounds q1+q2 through the default max_q12
+    # outputs carry no Q; the window's max_q is the joint q1+q2 cap
     window = TruncationWindow(
         max_q=args.max_q, max_t=args.max_t, max_abs_x=0, min_v=args.min_v, max_v=1
     )

@@ -126,7 +126,7 @@ def j_reduced_component(alpha: int, window: TruncationWindow) -> FormalSeries:
     window's V-ceiling controls the retained depth.
     """
     eps = _sign(alpha)
-    prefactor = series_exp(FormalSeries.of(1, mono(T=1, Z=-1), window))
+    prefactor = series_exp(1, mono(T=1, Z=-1), window)
     total = FormalSeries.zero(window)
     d_max = window.max_q // 2
     for d in range(d_max + 1):
@@ -156,7 +156,7 @@ def j_reduced_at(alpha: int, c: Fraction, window: TruncationWindow) -> FormalSer
     for m in range(1, d_max + 1):
         if eps + m * c == 0:
             raise ValueError(f"z = ({c})*v hits the pole at degree factor m={m}")
-    prefactor = series_exp(FormalSeries.of(Fraction(1) / c, mono(T=1, V=-1), window))
+    prefactor = series_exp(1 / c, mono(T=1, V=-1), window)
     total = FormalSeries.zero(window)
     for d in range(d_max + 1):
         denom = Fraction(factorial(d)) * c**d
@@ -178,7 +178,7 @@ def j_gamma_form(alpha: int, mu: int, window: TruncationWindow) -> FormalSeries:
     if mu < 1:
         raise ValueError("winding order must be positive here")
     eps = _sign(alpha)
-    prefactor = series_exp(FormalSeries.of(eps * mu, mono(T=1, V=-1), window))
+    prefactor = series_exp(eps * mu, mono(T=1, V=-1), window)
     acc: Dict[Monomial, Fraction] = {}
     m = 0
     while 2 * m + mu <= window.max_q:
@@ -202,7 +202,7 @@ def j_bessel_form(alpha: int, mu: int, window: TruncationWindow) -> FormalSeries
     if mu < 1:
         raise ValueError("winding order must be positive here")
     eps = _sign(alpha)
-    prefactor = series_exp(FormalSeries.of(eps * mu, mono(T=1, V=-1), window))
+    prefactor = series_exp(eps * mu, mono(T=1, V=-1), window)
     scale = Fraction(eps, mu) ** mu * factorial(mu)
     bess = bessel_first_kind(mu, 2 * eps * mu, mono(Q=1, V=-1), window)
     return (prefactor * bess).scale(scale, mono(V=mu))
@@ -383,9 +383,9 @@ def _poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
 def surface_series_terms(window: TruncationWindow) -> Tuple[LinearFactorTerm, ...]:
     """Origin-restricted specialized surface series, window-complete.
 
-    One term per curve class (d1, d2) with d1 + d2 at most the window's joint
-    q1+q2 cap.  With the signed Kaehler excess mu = d2 - d1 and
-    d = min(d1, d2), the term is
+    One term per curve class (d1, d2) with d1 + d2 at most the window's
+    ``max_q``, its joint q1+q2 cap.  With the signed Kaehler excess
+    mu = d2 - d1 and d = min(d1, d2), the term is
 
         (-1)^|mu| / (d! (d+|mu|)!) * q1^d1 q2^d2 * z^-(d1+d2) * v/(v - mu z);
 
@@ -394,7 +394,7 @@ def surface_series_terms(window: TruncationWindow) -> Tuple[LinearFactorTerm, ..
     is also its winding.  The identity with the general resolver term by term
     is part of the test suite.
     """
-    cap = window.max_q12
+    cap = window.max_q
     terms: List[LinearFactorTerm] = []
     for d1 in range(cap + 1):
         for d2 in range(cap - d1 + 1):
@@ -500,7 +500,7 @@ def phi_k_coeff(k: int, m: int, window: TruncationWindow) -> FormalSeries:
     for l in range(min(k + m, window.max_t) + 1):
         for d in range((k + m - l) // 2 + 1):
             mu = k + m - l - 2 * d
-            if mu < 1 or 2 * d + mu > window.max_q12:
+            if mu < 1 or 2 * d + mu > window.max_q:
                 continue
             c = (
                 Fraction((-1) ** mu * mu**k)

@@ -47,7 +47,7 @@ from .series import (
 
 def _winding_dressing(mu: int, window: TruncationWindow) -> FormalSeries:
     """exp(mu * t0 / v), the area-zero dressing shared by every route."""
-    return series_exp(FormalSeries.of(Fraction(mu), mono(T=1, V=-1), window))
+    return series_exp(mu, mono(T=1, V=-1), window)
 
 
 def _work_window(window: TruncationWindow) -> TruncationWindow:
@@ -115,11 +115,7 @@ def _flip_v_floor_part(s: FormalSeries) -> FormalSeries:
     )
 
 
-def rhs_assemble(
-    window: TruncationWindow,
-    include_correction: bool = True,
-    corrupt_correction: bool = False,
-) -> FormalSeries:
+def rhs_assemble(window: TruncationWindow, corrupt_correction: bool = False) -> FormalSeries:
     """Descendant-slice side of the identity, truncated to ``window``.
 
     Pipeline: z^-2 coefficient of the origin-restricted surface series
@@ -132,16 +128,7 @@ def rhs_assemble(
     same T variable on both sides, so the log-area identification is the
     identity map here.
     """
-    pre = TruncationWindow(
-        max_q=window.max_q,
-        max_t=window.max_t,
-        max_abs_x=window.max_abs_x,
-        min_v=window.min_v + 1,
-        max_v=window.max_v + 1,
-        min_z=0,
-        max_z=0,
-        max_q12=window.max_q,
-    )
+    pre = replace(window, min_v=window.min_v + 1, max_v=window.max_v + 1, min_z=0, max_z=0)
     # a term of slope mu lands at X^mu, so the window's windings pick the terms
     terms = [t for t in surface_series_terms(pre) if abs(t.slope) <= window.max_abs_x]
     slice2 = z_coeff(terms, 2, pre)
@@ -156,14 +143,10 @@ def rhs_assemble(
         paired,
         {"q1": (Fraction(-1), mono(Q=1, X=-1)), "q2": (Fraction(-1), mono(Q=1, X=1))},
     )
-    result = substituted.truncate(window)
-
-    if include_correction:
-        correction = exceptional_correction(window)
-        if corrupt_correction:
-            correction = _flip_v_floor_part(correction)
-        result = result + correction
-    return result
+    correction = exceptional_correction(window)
+    if corrupt_correction:
+        correction = _flip_v_floor_part(correction)
+    return substituted.truncate(window) + correction
 
 
 # ---------------------------------------------------------------------------

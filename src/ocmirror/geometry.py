@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from .series import FormalSeries, Monomial, TruncationWindow, mono
 
@@ -207,9 +207,6 @@ class SymbolicPairing:
     """
 
     addends: Tuple[Tuple[UPoly, UPoly], ...]
-
-    def plus(self, other: "SymbolicPairing") -> "SymbolicPairing":
-        return SymbolicPairing(self.addends + other.addends)
 
     def _over_common_denominator(self) -> Tuple[UPoly, UPoly]:
         num = UPoly()

@@ -146,9 +146,8 @@ class TruncationWindow:
 
     Q, T and the pair (q1, q2) are bounded above only (their exponents are
     nonnegative by construction); X is bounded in absolute value; V and Z are
-    bounded on both sides.  ``max_q12`` bounds q1-exp + q2-exp jointly, since
-    the Kaehler substitution turns that total into a Q-power; it defaults to
-    ``max_q``.
+    bounded on both sides.  ``max_q`` also bounds q1-exp + q2-exp jointly,
+    since the Kaehler substitution turns that total into a Q-power.
     """
 
     max_q: int
@@ -158,12 +157,9 @@ class TruncationWindow:
     max_v: int = 1
     min_z: int = 0
     max_z: int = 0
-    max_q12: int = -1  # -1: defaults to max_q (dataclass-friendly sentinel)
 
     def __post_init__(self) -> None:
-        if self.max_q12 < 0:
-            object.__setattr__(self, "max_q12", self.max_q)
-        if min(self.max_q, self.max_t, self.max_abs_x, self.max_q12) < 0:
+        if min(self.max_q, self.max_t, self.max_abs_x) < 0:
             raise ValueError("upper truncation bounds must be nonnegative")
         if self.min_v > self.max_v or self.min_z > self.max_z:
             raise ValueError("empty window: min bound exceeds max bound")
@@ -183,7 +179,6 @@ class TruncationWindow:
             max_v=_WIDE,
             min_z=-_WIDE,
             max_z=_WIDE,
-            max_q12=_WIDE,
         )
 
     def contains(self, m: Monomial) -> bool:
@@ -196,7 +191,7 @@ class TruncationWindow:
             and self.min_z <= z <= self.max_z
             and q1 >= 0
             and q2 >= 0
-            and q1 + q2 <= self.max_q12
+            and q1 + q2 <= self.max_q
         )
 
     def intersect(self, other: "TruncationWindow") -> "TruncationWindow":
@@ -216,14 +211,13 @@ class TruncationWindow:
             max_v=min(self.max_v, other.max_v),
             min_z=max(self.min_z, other.min_z),
             max_z=min(self.max_z, other.max_z),
-            max_q12=min(self.max_q12, other.max_q12),
         )
         return w
 
     @property
     def mass_budget(self) -> int:
         """Upper bound for :attr:`Monomial.bounded_mass` inside the window."""
-        return self.max_q + self.max_t + self.max_q12
+        return 2 * self.max_q + self.max_t
 
 
 class FormalSeries:
@@ -418,32 +412,31 @@ def series_sum(parts: Iterable[FormalSeries], window: TruncationWindow) -> Forma
     return _built(acc, w)
 
 
-def series_exp(s: FormalSeries) -> FormalSeries:
-    """exp of a series all of whose monomials have positive bounded mass.
+def series_exp(c: RationalLike, m: Monomial, window: TruncationWindow) -> FormalSeries:
+    """exp(c·m) = sum_n c^n/n! · m^n in ``window``, for m of positive bounded mass.
 
-    The mass condition (every monomial strictly increases the jointly
-    bounded-above grading Q + T + q1 + q2) guarantees that s^n leaves the
-    window once n exceeds the window's mass budget, so the exponential is a
-    finite sum.  Arguments violating it — e.g. anything with a constant term,
-    or a pure V/Z/X monomial whose powers could wander inside the window
-    forever — are rejected.
+    The mass condition (m strictly increases the jointly bounded-above
+    grading Q + T + q1 + q2) guarantees that m^n leaves the window once n
+    exceeds the window's mass budget, so the exponential is a finite sum.
+    Every exponent of m^n moves linearly in n, so when the window holds
+    1 = m^0 a power that leaves it never comes back, and the sum stops at
+    the first power outside; a window without 1 gives zero, as repeated
+    truncated multiplication does.  A monomial violating the mass condition
+    — the constant 1, or a pure V/Z/X monomial whose powers could wander
+    inside the window forever — is rejected.
     """
-    for m, _ in s.items():
-        if m.bounded_mass <= 0:
-            raise ValueError(f"series_exp argument term {m} does not increase the bounded grading")
-    budget = s.window.mass_budget
-    if budget > 4096:
+    if m.bounded_mass <= 0:
+        raise ValueError(f"series_exp argument {m} does not increase the bounded grading")
+    if window.mass_budget > 4096:
         raise ValueError("series_exp needs a finite window (mass budget too large)")
-    result = FormalSeries.one(s.window)
-    power = FormalSeries.one(s.window)
-    fact = 1
-    for n in range(1, budget + 1):
-        power = power * s
-        if power.is_zero():
-            break
-        fact *= n
-        result = result + power.scale(Fraction(1, fact))
-    return result
+    c = Fraction(c)
+    acc: Dict[Monomial, Fraction] = {}
+    power, coefficient, n = ONE, Fraction(1), 0
+    while coefficient and window.contains(power):
+        acc[power] = coefficient
+        n += 1
+        power, coefficient = power * m, coefficient * c / n
+    return _built(acc, window)
 
 
 def substitute(

@@ -81,7 +81,7 @@ def _expand_terms(terms, window):
 
 def test_criterion_2_surface_term_closed_forms():
     window = TruncationWindow(
-        max_q=6, max_t=4, max_abs_x=0, min_v=-8, max_v=1, min_z=-24, max_z=2, max_q12=6
+        max_q=6, max_t=4, max_abs_x=0, min_v=-8, max_v=1, min_z=-24, max_z=2
     )
     by_class = {}
     for t in surface_series_terms(window):
@@ -209,7 +209,7 @@ def test_criterion_7_asymptotic_ratio():
 
 def test_criterion_8_correction_is_forced():
     lhs = disk_potential_bessel(MAIN_WINDOW)
-    bare = rhs_assemble(MAIN_WINDOW, include_correction=False)
+    bare = rhs_assemble(MAIN_WINDOW) - exceptional_correction(MAIN_WINDOW)
     forced = lhs - bare
     assert forced == exceptional_correction(MAIN_WINDOW)
     monomials = list(forced.items())

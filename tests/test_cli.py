@@ -223,7 +223,8 @@ def test_output_file_reruns_are_byte_identical(tmp_path):
 
 
 # sha256 of stdout at one mid window, recorded before the kernel fast path
-# landed, and of two graph-class tables, recorded before block skipping in
+# landed (the two check CSV tables: before check's CSV used the disk table
+# writer), and of two graph-class tables, recorded before block skipping in
 # the graph enumeration: any reordering or reformatting of a table, or any
 # change of a class representative, fails here
 GOLDEN_WINDOW = ["--max-q", "16", "--max-t", "6", "--max-mu", "6", "--min-v", "-14"]
@@ -247,6 +248,16 @@ DISK_SHA256 = "c57fc637b6d03bdf482ea966097ed48ca278cb08705ad89f02ed6f7ff3519294"
             "f76493c4f31f148973aece86e6a38d6f14f4e561cc6a29c6f10a2c7b2d7258cc",
         ),
         (
+            ["check", "--format", "csv"] + GOLDEN_WINDOW,
+            0,
+            "e8ef49c85a8b6a4f83ba7b76cdc8d7f3ff172d1448b0874a3195d8777a0b87f3",
+        ),
+        (
+            ["check", "--corrupt-exc", "--format", "csv"] + GOLDEN_WINDOW,
+            1,
+            "6d19bbac0705365458e5d19614fb63a0d7963218f54b177c4c9ff10efe711666",
+        ),
+        (
             ["ifunction"] + IFUNCTION_WINDOW,
             0,
             "e3613d34a85c7c268472db42a1b69fcbf9b673e8cb024a9e7b1476e05cd25b51",
@@ -262,7 +273,17 @@ DISK_SHA256 = "c57fc637b6d03bdf482ea966097ed48ca278cb08705ad89f02ed6f7ff3519294"
             "2bcda67cdc0559bffef37cab970eb8c8cc1ea5b51ea3f1d96e8478a990d36781",
         ),
     ],
-    ids=["disk", "rhs", "check", "check-corrupt", "ifunction", "localize-csv", "localize-json"],
+    ids=[
+        "disk",
+        "rhs",
+        "check",
+        "check-corrupt",
+        "check-csv",
+        "check-corrupt-csv",
+        "ifunction",
+        "localize-csv",
+        "localize-json",
+    ],
 )
 def test_stdout_matches_recorded_digest(capsys, argv, code, digest):
     assert main(argv) == code

@@ -35,7 +35,7 @@ from families import by_slope_sign
 F = Fraction
 
 # window for z-extraction work (output lives in q1, q2, T, V)
-WQ = TruncationWindow(max_q=8, max_t=4, max_abs_x=8, min_v=-8, max_v=1, min_z=-24, max_z=2, max_q12=8)
+WQ = TruncationWindow(max_q=8, max_t=4, max_abs_x=8, min_v=-8, max_v=1, min_z=-24, max_z=2)
 # window for curve-side series (deep v/z ladders)
 WJ = TruncationWindow(max_q=8, max_t=2, max_abs_x=0, min_v=-12, max_v=10, min_z=-14, max_z=0)
 
@@ -180,7 +180,7 @@ def test_specialized_matches_closed_family_forms():
         by_class.setdefault((t.monomial.q1, t.monomial.q2), []).append(t)
     for d1 in range(5):
         for d2 in range(5):
-            if d1 + d2 > WQ.max_q12 or (d1, d2) == (0, 0):
+            if d1 + d2 > WQ.max_q or (d1, d2) == (0, 0):
                 continue
             general = surface_term_specialized(d1, d2, 0)
             closed = by_class.get((d1, d2), [])
@@ -250,7 +250,7 @@ def test_excess1_z2_closed_formula():
     for l in range(3):
         for d in range(3):
             for mu in range(1, 4):
-                if l + 2 * d + mu < 2 or 2 * d + mu > WQ.max_q12:
+                if l + 2 * d + mu < 2 or 2 * d + mu > WQ.max_q:
                     continue
                 want = F((-1) ** l * mu ** (l + 2 * d + mu - 2), _f(l) * _f(d) * _f(d + mu))
                 got = s.coeff(mono(T=l, q1=d + mu, q2=d, V=2 - l - 2 * d - mu))
@@ -279,7 +279,7 @@ def test_large_z_direction_leading_behavior():
             series = series + expand_factor(t, Expansion.V_OVER_Z, WQ)
         else:  # the factor is 1
             series = series + FormalSeries.of(t.coefficient, t.monomial, WQ)
-    series = series * series_exp(FormalSeries.of(1, mono(T=1, Z=-1), WQ))
+    series = series * series_exp(1, mono(T=1, Z=-1), WQ)
     assert series.z_slice(0) == 1
     assert series.z_slice(1) == 0  # no positive powers
     assert series.z_slice(-1) == FormalSeries({mono(T=1): F(1)}, WQ)

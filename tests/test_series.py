@@ -56,7 +56,7 @@ def test_window_contains():
     assert not W.contains(mono(Q=-1))  # negative Q-powers never admitted
     assert not W.contains(mono(V=2))
     assert not W.contains(mono(Z=-7))
-    assert not W.contains(mono(q1=4, q2=3))  # joint bound: 4 + 3 > max_q12 = 6
+    assert not W.contains(mono(q1=4, q2=3))  # joint bound: 4 + 3 > max_q = 6
     assert W.contains(mono(q1=4, q2=2))
 
 
@@ -69,11 +69,6 @@ def test_window_intersect_and_validation():
         TruncationWindow(max_q=-1, max_t=0, max_abs_x=0, min_v=0)
     with pytest.raises(ValueError):
         TruncationWindow(max_q=1, max_t=1, max_abs_x=1, min_v=1, max_v=0)
-
-
-def test_defaulted_q12_bound_tracks_max_q():
-    w = TruncationWindow(max_q=5, max_t=1, max_abs_x=1, min_v=-1)
-    assert w.max_q12 == 5
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +174,6 @@ random_window = st.builds(
     max_v=st.integers(0, 2),
     min_z=st.integers(-3, 0),
     max_z=st.integers(0, 2),
-    max_q12=st.integers(0, 4),
 )
 
 
@@ -192,7 +186,7 @@ def monomials_near(w: TruncationWindow):
         X=st.integers(-w.max_abs_x - 1, w.max_abs_x + 1),
         V=st.integers(w.min_v - 1, w.max_v + 1),
         Z=st.integers(w.min_z - 1, w.max_z + 1),
-        q1=st.integers(0, w.max_q12),
+        q1=st.integers(0, w.max_q),
         q2=st.integers(0, 1),
     )
 
@@ -312,26 +306,74 @@ def test_substitute_rejects_unknown_variable():
 # ---------------------------------------------------------------------------
 
 
+def _exp_by_products(s: FormalSeries) -> FormalSeries:
+    """Oracle for ``series_exp``: 1 + sum_n s^n/n!, each power a truncated product."""
+    for m, _ in s.items():
+        assert m.bounded_mass > 0, m
+    result = FormalSeries.one(s.window)
+    power = FormalSeries.one(s.window)
+    fact = 1
+    for n in range(1, s.window.mass_budget + 1):
+        power = power * s
+        if power.is_zero():
+            break
+        fact *= n
+        result = result + power.scale(Fraction(1, fact))
+    return result
+
+
 def test_exp_of_unit_direction():
-    s = series_exp(s_of((mono(T=1, Z=-1), 1)))
+    s = series_exp(1, mono(T=1, Z=-1), W)
     for l in range(W.max_t + 1):
         assert s.coeff(mono(T=l, Z=-l)) == Fraction(1, _fact(l))
     assert len(s) == W.max_t + 1
 
 
 def test_exp_group_law():
-    a = s_of((mono(T=1, V=-1), 2))
-    b = s_of((mono(Q=1, X=1), Fraction(1, 3)), (mono(T=1, Z=-1), -1))
-    assert series_exp(a + b) == series_exp(a) * series_exp(b)
+    a, b = Fraction(2), Fraction(-1, 3)
+    for m in (mono(T=1, V=-1), mono(Q=1, X=1), mono(T=1, Z=-1), mono(q1=1, q2=1, Z=-2)):
+        assert series_exp(a, m, W) * series_exp(b, m, W) == series_exp(a + b, m, W), m
+
+
+def exp_monomials(w: TruncationWindow):
+    """Monomials of positive bounded mass, mostly inside ``w``."""
+    inside = st.builds(
+        Monomial,
+        Q=st.integers(0, w.max_q),
+        T=st.integers(0, w.max_t),
+        X=st.integers(-w.max_abs_x, w.max_abs_x),
+        V=st.integers(w.min_v, w.max_v),
+        Z=st.integers(w.min_z, w.max_z),
+        q1=st.integers(0, 1),
+        q2=st.integers(0, 1),
+    )
+    return st.one_of(inside, inside, monomials_near(w)).map(
+        lambda m: m if m.bounded_mass > 0 else m * mono(T=1)
+    )
+
+
+# two draws in three keep V^0 and Z^0 inside the window
+exp_arguments = st.one_of(random_window, random_window, shifted_window).flatmap(
+    lambda w: st.tuples(st.just(w), exp_monomials(w), scalar)
+)
+
+
+@given(exp_arguments)
+@settings(max_examples=300, deadline=None)
+def test_exp_matches_repeated_products(args):
+    # shifted windows may exclude V^0 or Z^0, where both routes give zero
+    window, m, c = args
+    got = series_exp(c, m, window)
+    _assert_contract(got, _exp_by_products(FormalSeries.of(c, m, window)), window)
 
 
 def test_exp_rejects_constant_and_massless_terms():
     with pytest.raises(ValueError):
-        series_exp(FormalSeries.one(W))
+        series_exp(1, Monomial(), W)
     with pytest.raises(ValueError):
-        series_exp(s_of((mono(V=-1), 1)))  # pure V-monomial: mass 0
+        series_exp(1, mono(V=-1), W)  # pure V-monomial: mass 0
     with pytest.raises(ValueError):
-        series_exp(FormalSeries.of(1, mono(T=1), TruncationWindow.wide()))
+        series_exp(1, mono(T=1), TruncationWindow.wide())
 
 
 # ---------------------------------------------------------------------------
