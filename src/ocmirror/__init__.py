@@ -10,7 +10,8 @@ expansion of the same slice.
 Modules
 -------
 series
-    Truncated multivariate Laurent series over ``fractions.Fraction`` — the
+    Truncated multivariate Laurent series over the rationals, stored as
+    integer numerators over one reduced denominator per series — the
     arithmetic kernel everything else is written against.
 geometry
     Equivariant restriction/pairing data for the line and for the toric

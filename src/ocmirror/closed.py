@@ -27,11 +27,13 @@ cross-checked against the general resolver in the tests.
 Extraction: ``z_coeff`` takes the coefficient of a fixed power z^(-m) of the
 exponential-prefactored sum of linear-factor terms, expanding every factor in
 the z/v direction.  This honest extraction keeps only nonnegative expansion
-indices; ``z_coeff_split`` additionally returns the
-regrouped presentation (boundary monomials such as -q1*v plus an
-unconstrained resummation) whose parts individually have positive V-powers
-but whose sum is the honest coefficient — the two presentations are tested
-against each other.
+indices; the tests check it against a regrouped presentation (boundary
+monomials such as -q1*v plus an unconstrained resummation) and against the
+inverse-weight coefficients of the asymptotic expansion.
+
+``bessel_first_kind`` and ``z_coeff`` build their series from raw
+``(monomial, numerator, denominator)`` terms through the kernel's single-lcm
+assembly, as the expansions of :mod:`ocmirror.series` do.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from .series import (
     LinearFactorTerm,
     Monomial,
     TruncationWindow,
-    _add_term,
-    _built,
+    _from_raw,
+    _tuple_new,
     expand_factor,
     mono,
     series_exp,
@@ -66,8 +68,6 @@ __all__ = [
     "surface_term_specialized",
     "surface_series_terms",
     "z_coeff",
-    "z_coeff_split",
-    "phi_k_coeff",
 ]
 
 
@@ -89,7 +89,8 @@ def bessel_first_kind(
     if arg_mono.bounded_mass <= 0:
         raise ValueError("bessel argument monomial must increase the bounded grading")
     half = Fraction(arg_coeff) / 2
-    acc: Dict[Monomial, Fraction] = {}
+    p, q = half.numerator, half.denominator
+    raw = []
     m = 0
     while True:
         e = 2 * m + order
@@ -98,11 +99,9 @@ def bessel_first_kind(
         if m + order >= 0:  # reciprocal Gamma kills the rest
             mm = arg_mono**e  # distinct for distinct e: arg_mono has positive mass
             if window.contains(mm):
-                c = half**e / (factorial(m) * factorial(m + order))
-                if c:
-                    acc[mm] = c
+                raw.append((mm, p**e, q**e * factorial(m) * factorial(m + order)))
         m += 1
-    return _built(acc, window)
+    return _from_raw(raw, window)
 
 
 # ===========================================================================
@@ -421,90 +420,21 @@ def z_coeff(
     k = l - m - Z(term) must be >= 0; a slope-0 factor is 1, so it
     contributes only at k = 0.
     """
-    inv_fact = [Fraction(1, factorial(l)) for l in range(window.max_t + 1)]
+    facts = [factorial(l) for l in range(window.max_t + 1)]
     contains = window.contains
-    acc: Dict[Monomial, Fraction] = {}
+    raw = []
     for t in terms:
         coefficient, slope = t.coefficient, t.slope
         if not coefficient:
             continue
-        q, t0, x, v, z, q1, q2 = t.monomial  # Z is stripped from every output
-        for l, lc in enumerate(inv_fact):
+        p, q = coefficient.numerator, coefficient.denominator
+        a, b = slope.numerator, slope.denominator
+        Q, t0, x, v, z, q1, q2 = t.monomial  # Z is stripped from every output
+        for l, f in enumerate(facts):
             k = l - m - z
-            if k < 0 or (k and not slope):
+            if k < 0 or (k and not a):
                 continue
-            out = Monomial(q, t0 + l, x, v - k, 0, q1, q2)
+            out = _tuple_new(Monomial, (Q, t0 + l, x, v - k, 0, q1, q2))
             if contains(out):
-                _add_term(acc, out, coefficient * lc * slope**k)
-    return _built(acc, window)
-
-
-def _bump(
-    acc: Dict[Monomial, Fraction], m: Monomial, c: Fraction, window: TruncationWindow
-) -> None:
-    if c and window.contains(m):
-        _add_term(acc, m, c)
-
-
-def z_coeff_split(
-    terms: Iterable[LinearFactorTerm], m: int, window: TruncationWindow
-) -> Tuple[FormalSeries, FormalSeries]:
-    """Regrouped presentation of the z/v-direction ``z_coeff``: (boundary, bulk).
-
-    The bulk drops the k >= 0 constraint on the expansion index, which turns
-    each sloped term into an unconstrained ladder (the shape that resums into
-    Bessel functions); the boundary is minus the spilled k < 0 part — finitely
-    many monomials of positive V-power (V-power m-1 at most, so the window
-    must admit it).  By construction boundary + bulk == z_coeff; the tests
-    freeze the boundary monomials (e.g. -q1*v and +q2*v at m = 2) and check
-    the identity against the honest extraction.
-    """
-    boundary: Dict[Monomial, Fraction] = {}
-    bulk: Dict[Monomial, Fraction] = {}
-    for t in terms:
-        for l in range(window.max_t + 1):
-            lc = t.coefficient / factorial(l)
-            if t.slope == 0:
-                if t.monomial.Z - l == -m:
-                    out = t.monomial * mono(T=l, Z=-t.monomial.Z)
-                    _bump(bulk, out, lc, window)
-                continue
-            k = l - m - t.monomial.Z
-            out = t.monomial * mono(T=l, V=-k, Z=-t.monomial.Z)
-            contribution = lc * t.slope**k
-            _bump(bulk, out, contribution, window)
-            if k < 0:
-                _bump(boundary, out, -contribution, window)
-    return FormalSeries(boundary, window), FormalSeries(bulk, window)
-
-
-def phi_k_coeff(k: int, m: int, window: TruncationWindow) -> FormalSeries:
-    """z^(-m)-coefficient of the k-th inverse-weight expansion coefficient.
-
-    The second-excess terms (slope > 0), read as a series in 1/v at large
-    weight, have coefficients phi_k whose z-expansion is
-
-        sum_{l + 2d + mu = k + m, mu >= 1}
-            (t0^l / l!) * (-1)^mu * mu^k / (d! (d+mu)!) * q1^d q2^(d+mu),
-
-    a finite sum inside any window.  ``m`` may be negative down to 1 - k:
-    for k >= 2 the scale coefficient genuinely carries positive z-powers
-    (d = 0, mu < k).  These are the exact counterparts of the floating-point
-    evaluations in :mod:`ocmirror.asymptotics`.
-    """
-    if k < 0:
-        raise ValueError("the inverse-weight index is nonnegative")
-    if k + m < 1:
-        return FormalSeries.zero(window)
-    acc: Dict[Monomial, Fraction] = {}
-    for l in range(min(k + m, window.max_t) + 1):
-        for d in range((k + m - l) // 2 + 1):
-            mu = k + m - l - 2 * d
-            if mu < 1 or 2 * d + mu > window.max_q:
-                continue
-            c = (
-                Fraction((-1) ** mu * mu**k)
-                / (factorial(l) * factorial(d) * factorial(d + mu))
-            )
-            _bump(acc, mono(T=l, q1=d, q2=d + mu), c, window)
-    return FormalSeries(acc, window)
+                raw.append((out, p * a**k, q * f * b**k))
+    return _from_raw(raw, window)

@@ -2,7 +2,7 @@
 
 Everything downstream (disk potentials, hypergeometric series, localization
 sums) is carried by one container, ``FormalSeries``: a mapping from exponent
-vectors to ``fractions.Fraction`` coefficients together with a rectangular
+vectors to exact rational coefficients together with a rectangular
 truncation window.  Conventions:
 
 * Variables, in storage order::
@@ -15,7 +15,20 @@ truncation window.  Conventions:
       q1  first surface Kaehler parameter   (eliminated by substitution)
       q2  second surface Kaehler parameter  (eliminated by substitution)
 
-* Coefficients are exact rationals; zero coefficients are never stored.
+* Coefficients are exact rationals, stored the way FLINT's ``fmpq_poly``
+  stores them: ``{Monomial: int}`` numerators over one positive ``int``
+  denominator per series.  Every series is kept in one canonical form — no
+  numerator is zero, and the gcd of the denominator and all numerators is
+  1 — so two series are equal exactly when their numerator dicts and
+  denominators are.  ``items()`` and ``coeff()`` hand out reduced
+  ``Fraction`` values, so callers never see the storage; ``closed`` builds
+  its expansions through ``_from_raw`` below.
+* Sums rescale every operand to the lcm of the denominators, products
+  multiply numerators and denominators, and each result is reduced with one
+  ``math.gcd`` over its denominator and numerators.  The expansions (exp,
+  substitution, linear factors, and the Bessel and z-coefficient series of
+  ``closed``) collect raw ``(monomial, numerator, denominator)`` terms and
+  put them over one denominator by a single lcm (``_from_raw``).
 * A series remembers the window it was truncated to.  Arithmetic re-truncates
   to the intersection of the operand windows, so a coefficient that fits the
   result window is exact — there is no "noise" from discarded monomials that
@@ -25,12 +38,13 @@ truncation window.  Conventions:
   report byte-reproducible.
 * Kernel results are built once.  The public constructor
   ``FormalSeries(terms, window)`` validates input from outside the kernel:
-  it converts every coefficient to ``Fraction``, merges repeated monomials,
-  drops zeros and drops monomials outside the window.  Every result the
-  kernel computes itself (ring operations, ``scale``, ``truncate``,
-  ``z_slice``, ``substitute``, ``series_sum``, the expansions) is assembled
-  in one dict that already satisfies that contract — nonzero ``Fraction``
-  values, every monomial inside the window — and is wrapped without a
+  it accepts only exact coefficients (``int`` and ``Fraction``, any
+  ``numbers.Rational``; floats, strings and decimals raise ``TypeError``),
+  merges repeated monomials, drops zeros and drops monomials outside the
+  window.  Every result the kernel computes itself (ring operations,
+  ``scale``, ``truncate``, ``substitute``, ``series_sum``, the expansions) is
+  assembled in one numerator dict that already satisfies that contract —
+  canonical, every monomial inside the window — and is wrapped without a
   second pass.  Each operation tests ``window.contains`` only where its
   output can leave the window: a sum whose window is smaller than an
   operand's, a product, a monomial shift, a substitution.
@@ -63,7 +77,9 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, NamedTuple, Tuple, Union
+from math import gcd, lcm
+from numbers import Rational
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Tuple, Union
 
 __all__ = [
     "VARIABLES",
@@ -221,38 +237,35 @@ class TruncationWindow:
 
 
 class FormalSeries:
-    """Truncated sparse Laurent series: ``{Monomial: Fraction}`` + window.
+    """Truncated sparse Laurent series: ``{Monomial: int}`` / ``int`` + window.
 
     Instances are value-like: no method mutates ``self``.  Equality compares
-    term maps only (two series that agree as maps are equal even if their
+    coefficients only (two series that agree as maps are equal even if their
     windows differ; windows are bookkeeping for *future* operations).
     """
 
-    __slots__ = ("_terms", "window")
+    __slots__ = ("_nums", "_den", "window")
 
     def __init__(
         self,
         terms: Mapping[Monomial, RationalLike] | Iterable[Tuple[Monomial, RationalLike]],
         window: TruncationWindow,
         *,
-        _trusted: bool = False,
+        _den: int = 0,
     ) -> None:
-        if _trusted:  # a dict the kernel built itself; see ``_built``
-            self._terms = terms
+        if _den:  # numerators the kernel built itself; see ``_built``
+            self._nums = terms
+            self._den = _den
             self.window = window
             return
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: Dict[Monomial, Fraction] = {}
+        contains = window.contains
+        raw = []
         for m, c in items:
-            c = Fraction(c)
-            if c == 0 or not window.contains(m):
-                continue
-            acc = clean.get(m, _ZERO) + c
-            if acc == 0:
-                clean.pop(m, None)
-            else:
-                clean[m] = acc
-        self._terms = clean
+            c = _exact(c)
+            if contains(m):
+                raw.append((m, c.numerator, c.denominator))
+        self._nums, self._den = _over_lcm(raw)
         self.window = window
 
     # -- construction helpers ------------------------------------------------
@@ -263,34 +276,37 @@ class FormalSeries:
 
     @classmethod
     def one(cls, window: TruncationWindow) -> "FormalSeries":
-        return cls({ONE: Fraction(1)}, window)
+        return cls({ONE: 1}, window)
 
     @classmethod
     def of(cls, c: RationalLike, m: Monomial, window: TruncationWindow) -> "FormalSeries":
-        return cls({m: Fraction(c)}, window)
+        return cls({m: c}, window)
 
     # -- inspection -----------------------------------------------------------
 
     def items(self) -> Iterator[Tuple[Monomial, Fraction]]:
         """Terms in lexicographic exponent order (deterministic)."""
-        for m in sorted(self._terms):
-            yield m, self._terms[m]
+        nums, den = self._nums, self._den
+        for m in sorted(nums):
+            yield m, Fraction(nums[m], den)
 
     def coeff(self, m: Monomial) -> Fraction:
-        return self._terms.get(m, _ZERO)
+        n = self._nums.get(m)
+        return _ZERO if n is None else Fraction(n, self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._nums)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FormalSeries):
-            return self._terms == other._terms
+            return self._den == other._den and self._nums == other._nums
         if isinstance(other, (int, Fraction)):
-            other_terms = {} if other == 0 else {ONE: Fraction(other)}
-            return self._terms == other_terms
+            if other == 0:
+                return not self._nums
+            return self._den == other.denominator and self._nums == {ONE: other.numerator}
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
@@ -306,7 +322,7 @@ class FormalSeries:
         return self._combine(other, False)
 
     def __neg__(self) -> "FormalSeries":
-        return _built({m: -c for m, c in self._terms.items()}, self.window)
+        return _built({m: -n for m, n in self._nums.items()}, self._den, self.window)
 
     def __sub__(self, other: "FormalSeries") -> "FormalSeries":
         return self._combine(other, True)
@@ -314,102 +330,140 @@ class FormalSeries:
     def _combine(self, other: "FormalSeries", negate: bool) -> "FormalSeries":
         """self + other, or self - other; filters only an operand whose window shrank."""
         w = self.window.intersect(other.window)
-        acc = dict(self._terms) if self.window == w else _clip(self._terms, w)
-        items = other._terms if other.window == w else _clip(other._terms, w)
-        _accumulate(acc, {m: -c for m, c in items.items()} if negate else items)
-        return _built(acc, w)
+        a = self._nums if self.window == w else _clip(self._nums, w)
+        b = other._nums if other.window == w else _clip(other._nums, w)
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, den // other._den
+        acc = {m: n * fa for m, n in a.items()}
+        get = acc.get
+        if negate:
+            fb = -fb
+        for m, n in b.items():
+            acc[m] = get(m, 0) + n * fb
+        return _reduced(acc, den, w)
 
     def __mul__(self, other: "FormalSeries") -> "FormalSeries":
         w = self.window.intersect(other.window)
         contains = w.contains
-        acc: Dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        acc: Dict[Monomial, int] = {}
+        get = acc.get
+        right = list(other._nums.items())
+        for m1, n1 in self._nums.items():
+            for m2, n2 in right:
                 m = m1 * m2
                 if contains(m):
-                    _add_term(acc, m, c1 * c2)
-        return _built(acc, w)
+                    acc[m] = get(m, 0) + n1 * n2
+        return _reduced(acc, self._den * other._den, w)
 
     def scale(self, c: RationalLike, m: Monomial = ONE) -> "FormalSeries":
         """Multiply by the single term c·m (cheaper than a full ``__mul__``)."""
-        c = Fraction(c)
-        if not c:
-            return _built({}, self.window)
+        c = _exact(c)
+        p, den = c.numerator, self._den * c.denominator
         if m == ONE:
-            return _built({mm: cc * c for mm, cc in self._terms.items()}, self.window)
+            return _reduced({mm: n * p for mm, n in self._nums.items()}, den, self.window)
         contains = self.window.contains
-        out: Dict[Monomial, Fraction] = {}
-        for mm, cc in self._terms.items():
+        out: Dict[Monomial, int] = {}
+        for mm, n in self._nums.items():
             mm = mm * m
             if contains(mm):
-                out[mm] = cc * c
-        return _built(out, self.window)
+                out[mm] = n * p
+        return _reduced(out, den, self.window)
 
     def truncate(self, window: TruncationWindow) -> "FormalSeries":
         if window == self.window:
             return self  # instances are immutable
-        return _built(_clip(self._terms, window), window)
-
-    def z_slice(self, z_exp: int) -> "FormalSeries":
-        """Sub-series of terms whose Z-exponent equals ``z_exp``, Z divided out."""
-        zshift = Monomial(Z=-z_exp)
-        shifted = {m * zshift: c for m, c in self._terms.items() if m.Z == z_exp}
-        return _built(_clip(shifted, self.window), self.window)
+        return _reduced(_clip(self._nums, window), self._den, window)
 
 
 _ZERO = Fraction(0)
 
 
-def _built(terms: Dict[Monomial, Fraction], window: TruncationWindow) -> FormalSeries:
-    """Wrap a term dict the kernel built itself, without copying or re-checking.
+def _exact(c: object) -> Fraction:
+    """A coefficient from outside the kernel as a ``Fraction``; inexact ones are refused."""
+    if type(c) is Fraction:
+        return c  # immutable, so shared as it is
+    if not isinstance(c, Rational):
+        raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__} {c!r}")
+    return Fraction(c)
 
-    The caller guarantees the window contract: every value a nonzero
-    ``Fraction``, every key inside ``window``; and it hands the dict over
-    (nothing mutates it afterwards).
+
+def _built(nums: Dict[Monomial, int], den: int, window: TruncationWindow) -> FormalSeries:
+    """Wrap numerators the kernel built itself, without copying or re-checking.
+
+    The caller guarantees the contract: ``den`` positive, every numerator a
+    nonzero ``int``, their gcd with ``den`` 1, every key inside ``window``;
+    and it hands the dict over (nothing mutates it afterwards).
     """
-    return FormalSeries(terms, window, _trusted=True)
+    return FormalSeries(nums, window, _den=den)
 
 
-def _clip(terms: Mapping[Monomial, Fraction], window: TruncationWindow) -> Dict[Monomial, Fraction]:
+def _canonical(acc: Dict[Monomial, int], den: int) -> Tuple[Dict[Monomial, int], int]:
+    """Drop zero numerators and divide out the content: the canonical form."""
+    if not all(acc.values()):
+        acc = {m: n for m, n in acc.items() if n}
+    g = gcd(den, *acc.values())
+    if g == 1:
+        return acc, den
+    return {m: n // g for m, n in acc.items()}, den // g
+
+
+def _reduced(acc: Dict[Monomial, int], den: int, window: TruncationWindow) -> FormalSeries:
+    """``acc / den`` inside ``window``, in canonical form."""
+    nums, den = _canonical(acc, den)
+    return _built(nums, den, window)
+
+
+def _clip(nums: Mapping[Monomial, int], window: TruncationWindow) -> Dict[Monomial, int]:
     contains = window.contains
-    return {m: c for m, c in terms.items() if contains(m)}
+    return {m: n for m, n in nums.items() if contains(m)}
 
 
-def _add_term(acc: Dict[Monomial, Fraction], m: Monomial, c: Fraction) -> None:
-    """Add one nonzero term into ``acc`` in place, dropping a sum that cancels."""
-    prev = acc.get(m)
-    if prev is None:
-        acc[m] = c
-    else:
-        s = prev + c
-        if s:
-            acc[m] = s
-        else:
-            del acc[m]
+RawTerm = Tuple[Monomial, int, int]
 
 
-def _accumulate(acc: Dict[Monomial, Fraction], terms: Mapping[Monomial, Fraction]) -> None:
-    for m, c in terms.items():
-        _add_term(acc, m, c)
+def _over_lcm(raw: List[RawTerm]) -> Tuple[Dict[Monomial, int], int]:
+    """Sum of the terms num/den over one canonical denominator.
+
+    The lcm of the raw denominators (each positive) is taken once; repeated
+    monomials merge and terms that cancel drop out.
+    """
+    dens = {d for _, _, d in raw}
+    den = lcm(*dens)
+    factor = {d: den // d for d in dens}
+    acc: Dict[Monomial, int] = {}
+    get = acc.get
+    for m, n, d in raw:
+        acc[m] = get(m, 0) + n * factor[d]
+    return _canonical(acc, den)
+
+
+def _from_raw(raw: List[RawTerm], window: TruncationWindow) -> FormalSeries:
+    """A series from raw ``(monomial, num, den)`` terms inside ``window``."""
+    nums, den = _over_lcm(raw)
+    return _built(nums, den, window)
 
 
 def series_sum(parts: Iterable[FormalSeries], window: TruncationWindow) -> FormalSeries:
-    """Sum of ``parts``, accumulated in place in one dict.
+    """Sum of ``parts`` over the lcm of their denominators, accumulated in one dict.
 
     Equal to folding ``+`` over ``FormalSeries.zero(window)`` and the parts:
     the result window is the intersection of ``window`` with every part's
     window, and a part whose window is larger is clipped to it.
     """
-    acc: Dict[Monomial, Fraction] = {}
+    parts = list(parts)
     w = window
-    windows = []
     for p in parts:
         w = w.intersect(p.window)
-        windows.append(p.window)
-        _accumulate(acc, p._terms)
-    if any(pw != w for pw in windows):
+    den = lcm(*{p._den for p in parts})
+    acc: Dict[Monomial, int] = {}
+    get = acc.get
+    for p in parts:
+        f = den // p._den
+        for m, n in p._nums.items():
+            acc[m] = get(m, 0) + n * f
+    if any(p.window != w for p in parts):
         acc = _clip(acc, w)
-    return _built(acc, w)
+    return _reduced(acc, den, w)
 
 
 def series_exp(c: RationalLike, m: Monomial, window: TruncationWindow) -> FormalSeries:
@@ -429,14 +483,15 @@ def series_exp(c: RationalLike, m: Monomial, window: TruncationWindow) -> Formal
         raise ValueError(f"series_exp argument {m} does not increase the bounded grading")
     if window.mass_budget > 4096:
         raise ValueError("series_exp needs a finite window (mass budget too large)")
-    c = Fraction(c)
-    acc: Dict[Monomial, Fraction] = {}
-    power, coefficient, n = ONE, Fraction(1), 0
-    while coefficient and window.contains(power):
-        acc[power] = coefficient
+    c = _exact(c)
+    p, q = c.numerator, c.denominator
+    raw: List[RawTerm] = []
+    power, num, den, n = ONE, 1, 1, 0
+    while num and window.contains(power):
+        raw.append((power, num, den))
         n += 1
-        power, coefficient = power * m, coefficient * c / n
-    return _built(acc, window)
+        power, num, den = power * m, num * p, den * q * n
+    return _from_raw(raw, window)
 
 
 def substitute(
@@ -454,39 +509,45 @@ def substitute(
     bad = set(images) - set(VARIABLES)
     if bad:
         raise ValueError(f"unknown variables: {sorted(bad)}")
-    # (variable index, name, image coefficient, image monomial, cache of ic**e)
+    # (variable index, name, image coefficient, image monomial, cache of the
+    # image powers by exponent)
     subs = [
-        (VARIABLES.index(name), name, Fraction(ic), im, {})
+        (VARIABLES.index(name), name, _exact(ic), im, {})
         for name, (ic, im) in images.items()
     ]
     contains = s.window.contains
-    out: Dict[Monomial, Fraction] = {}
-    for m, c in s._terms.items():
-        new_c = c
-        new_m = list(m)
-        dead = False
+    raw: List[RawTerm] = []
+    for m, n in s._nums.items():
+        mm, num, den = m, n, s._den
         for i, name, ic, im, powers in subs:
             e = m[i]
             if e == 0:
                 continue
-            new_m[i] -= e  # the variable itself is consumed
-            if ic == 0:
-                if e < 0:
-                    raise ValueError(f"cannot raise zero image of {name} to power {e}")
-                dead = True
-                break
-            p = powers.get(e)
-            if p is None:
-                p = powers[e] = ic**e
-            new_c *= p
-            for j, ej in enumerate(im):
-                new_m[j] += ej * e
-        if dead:
-            continue
-        mm = _tuple_new(Monomial, new_m)
-        if contains(mm):
-            _add_term(out, mm, new_c)
-    return _built(out, s.window)
+            power = powers.get(e)
+            if power is None:
+                power = powers[e] = _image_power(i, name, ic, im, e)
+            shift, p, q = power
+            if not p:
+                break  # a zero image kills the term
+            mm, num, den = mm * shift, num * p, den * q
+        else:
+            if contains(mm):
+                raw.append((mm, num, den))
+    return _from_raw(raw, s.window)
+
+
+def _image_power(
+    i: int, name: str, ic: Fraction, im: Monomial, e: int
+) -> Tuple[Monomial, int, int]:
+    """var_i^e ↦ (ic·im)^e as (monomial shift consuming var_i^e, numerator, denominator)."""
+    if ic == 0:
+        if e < 0:
+            raise ValueError(f"cannot raise zero image of {name} to power {e}")
+        return ONE, 0, 1
+    c = ic**e
+    shift = list(im**e)
+    shift[i] -= e
+    return _tuple_new(Monomial, shift), c.numerator, c.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +574,8 @@ class LinearFactorTerm:
     slope: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficient", Fraction(self.coefficient))
-        object.__setattr__(self, "slope", Fraction(self.slope))
+        object.__setattr__(self, "coefficient", _exact(self.coefficient))
+        object.__setattr__(self, "slope", _exact(self.slope))
 
 
 def expand_factor(
@@ -530,30 +591,33 @@ def expand_factor(
     pinned by the telescoping products documented in the module docstring.
     """
     c, m, slope = term.coefficient, term.monomial, term.slope
+    p, q = c.numerator, c.denominator
+    raw: List[RawTerm] = []
     if mode is Expansion.Z_OVER_V:
         if slope == 0:
             return FormalSeries.of(c, m, window)
-        acc: Dict[Monomial, Fraction] = {}
+        a, b = slope.numerator, slope.denominator
         k = 0
         while True:
             mm = m * Monomial(V=-k, Z=k)
             if mm.V < window.min_v or mm.Z > window.max_z:
                 break
-            if c and window.contains(mm):
-                acc[mm] = c * slope**k
+            if window.contains(mm):
+                raw.append((mm, p * a**k, q * b**k))
             k += 1
-        return _built(acc, window)
+        return _from_raw(raw, window)
     if mode is Expansion.V_OVER_Z:
         if slope == 0:
             raise ValueError("slope-0 factor has no v/z expansion")
-        acc = {}
+        inverse = 1 / slope
+        a, b = inverse.numerator, inverse.denominator
         j = 1
         while True:
             mm = m * Monomial(V=j, Z=-j)
             if mm.V > window.max_v or mm.Z < window.min_z:
                 break
-            if c and window.contains(mm):
-                acc[mm] = -c * slope**-j
+            if window.contains(mm):
+                raw.append((mm, -p * a**j, q * b**j))
             j += 1
-        return _built(acc, window)
+        return _from_raw(raw, window)
     raise ValueError(f"unknown expansion mode {mode!r}")

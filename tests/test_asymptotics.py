@@ -15,10 +15,11 @@ from ocmirror.asymptotics import (
     fitted_error_constant,
     ratio_table,
 )
-from ocmirror.closed import phi_k_coeff, surface_series_terms
+from ocmirror.closed import surface_series_terms
 from ocmirror.series import TruncationWindow
 
 from families import by_slope_sign
+from second_routes import phi_k_coeff
 
 F = Fraction
 

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ocmirror.closed import bessel_first_kind, z_coeff
 from ocmirror.series import (
     VARIABLES,
     Expansion,
@@ -21,6 +25,14 @@ from ocmirror.series import (
     series_exp,
     series_sum,
     substitute,
+)
+
+from second_routes import (
+    fraction_bessel_first_kind,
+    fraction_expand_factor,
+    fraction_series_exp,
+    fraction_z_coeff,
+    z_slice,
 )
 
 W = TruncationWindow(max_q=6, max_t=4, max_abs_x=3, min_v=-6, max_v=1, min_z=-6, max_z=2)
@@ -111,7 +123,7 @@ def test_scale_matches_singleton_mul():
 
 def test_z_slice():
     s = s_of((mono(Q=2, Z=-1), 4), (mono(Z=-1, V=1), 1), (mono(Q=1), 7))
-    sl = s.z_slice(-1)
+    sl = z_slice(s, -1)
     assert sl == s_of((mono(Q=2), 4), (mono(V=1), 1))
 
 
@@ -119,8 +131,10 @@ def test_z_slice():
 # hypothesis: ring axioms and substitution homomorphism
 # ---------------------------------------------------------------------------
 
+# denominators up to 30, so that sums rescale to an lcm larger than either
+# denominator and results reduce by a nontrivial gcd
 small_fraction = st.fractions(
-    min_value=Fraction(-4), max_value=Fraction(4), max_denominator=6
+    min_value=Fraction(-4), max_value=Fraction(4), max_denominator=30
 )
 small_monomial = st.builds(
     Monomial,
@@ -191,6 +205,20 @@ def monomials_near(w: TruncationWindow):
     )
 
 
+def monomials_inside(w: TruncationWindow):
+    """Monomials inside ``w``, except where q1 + q2 = 2 exceeds a max_q below 2."""
+    return st.builds(
+        Monomial,
+        Q=st.integers(0, w.max_q),
+        T=st.integers(0, w.max_t),
+        X=st.integers(-w.max_abs_x, w.max_abs_x),
+        V=st.integers(w.min_v, w.max_v),
+        Z=st.integers(w.min_z, w.max_z),
+        q1=st.integers(0, 1),
+        q2=st.integers(0, 1),
+    )
+
+
 # the same windows moved along V and Z, so two of them may not intersect
 shifted_window = st.builds(
     lambda w, dv, dz: replace(
@@ -201,10 +229,13 @@ shifted_window = st.builds(
     st.integers(-5, 5),
 )
 
-windowed_series = st.one_of(random_window, shifted_window).flatmap(
-    lambda w: st.dictionaries(monomials_near(w), small_fraction, max_size=6).map(
-        lambda d: FormalSeries(d, w)
-    )
+# half the monomials drawn inside the window (only one in thirteen of those
+# drawn near it falls inside), and two windows in three holding V^0 and Z^0,
+# so that products of two drawn series are not almost always empty
+windowed_series = st.one_of(random_window, random_window, shifted_window).flatmap(
+    lambda w: st.dictionaries(
+        st.one_of(monomials_inside(w), monomials_near(w)), small_fraction, max_size=6
+    ).map(lambda d: FormalSeries(d, w))
 )
 scalar = st.one_of(st.integers(-3, 3), small_fraction)
 
@@ -217,8 +248,14 @@ def _validated(pairs, window):
 def _assert_contract(result, expected, window):
     assert result == expected
     assert result.window == window
-    for m, c in result.items():
+    # the canonical form: positive denominator, nonzero int numerators, content 1
+    nums, den = result._nums, result._den
+    assert type(den) is int and den > 0
+    assert gcd(den, *nums.values()) == 1
+    for m, n in nums.items():
         assert window.contains(m), m
+        assert type(n) is int and n != 0
+    for m, c in result.items():
         assert type(c) is Fraction and c != 0
 
 
@@ -234,18 +271,57 @@ def _substitute_by_hand(s, images):
     return _validated(pairs, s.window)
 
 
+# raw material of the expansions: unexpanded linear factors and Bessel arguments
+factor_monomial = st.builds(
+    Monomial,
+    Q=st.integers(0, 1),
+    T=st.just(0),
+    X=st.integers(-1, 1),
+    V=st.integers(-3, 1),
+    Z=st.integers(-3, 0),
+    q1=st.integers(0, 1),
+    q2=st.integers(0, 1),
+)
+linear_factor = st.builds(
+    LinearFactorTerm, small_fraction, factor_monomial, st.one_of(st.just(0), small_fraction)
+)
+massive_monomial = st.builds(
+    Monomial,
+    Q=st.integers(0, 1),
+    T=st.integers(0, 1),
+    X=st.integers(-1, 1),
+    V=st.integers(-1, 0),
+    Z=st.integers(-1, 0),
+    q1=st.just(0),
+    q2=st.just(0),
+).filter(lambda m: m.bounded_mass > 0)
+
+
 @given(
     windowed_series,
     windowed_series,
     scalar,
-    st.builds(Monomial, Q=st.integers(0, 1), X=st.integers(-1, 1), V=st.integers(-1, 1)),
+    st.builds(
+        Monomial,
+        Q=st.integers(0, 1),
+        T=st.just(0),
+        X=st.integers(-1, 1),
+        V=st.integers(-1, 1),
+        Z=st.just(0),
+        q1=st.just(0),
+        q2=st.just(0),
+    ),
     random_window,
     st.integers(-3, 2),
     st.integers(1, 2),
+    st.lists(linear_factor, max_size=4),
+    massive_monomial,
+    st.integers(-3, 3),
+    st.integers(-1, 3),
 )
 @settings(max_examples=200, deadline=None)
 def test_kernel_results_match_validated_constructor(
-    a, b, c, shift, other_window, z_exp, z_span
+    a, b, c, shift, other_window, z_exp, z_span, factors, arg, order, z_index
 ):
     w = a.window.intersect(b.window)
     a_terms, b_terms = list(a.items()), list(b.items())
@@ -260,14 +336,9 @@ def test_kernel_results_match_validated_constructor(
             a.scale(c, m), _validated([(mm * m, k * c) for mm, k in a_terms], a.window), a.window
         )
     _assert_contract(a.truncate(other_window), _validated(a_terms, other_window), other_window)
-    # a Z-range that may exclude 0, where a slice lands after the shift
+    # a Z-range that may exclude 0
     zw = replace(a.window, min_z=z_exp, max_z=z_exp + z_span)
-    z_terms = list(a.truncate(zw).items())
-    _assert_contract(
-        a.truncate(zw).z_slice(z_exp),
-        _validated([(m * Monomial(Z=-z_exp), k) for m, k in z_terms if m.Z == z_exp], zw),
-        zw,
-    )
+    _assert_contract(a.truncate(zw), _validated(a_terms, zw), zw)
     _assert_contract(
         series_sum([a, b], other_window),
         _validated(a_terms + b_terms, other_window.intersect(w)),
@@ -279,6 +350,54 @@ def test_kernel_results_match_validated_constructor(
         "X": (3, mono(T=1, X=1)),
     }
     _assert_contract(substitute(a, images), _substitute_by_hand(a, images), a.window)
+    # the expansions, against their one-Fraction-per-coefficient routes, in a
+    # window that holds V^0 and Z^0
+    e = other_window
+    _assert_contract(series_exp(c, arg, e), fraction_series_exp(c, arg, e), e)
+    _assert_contract(
+        bessel_first_kind(order, c, arg, e), fraction_bessel_first_kind(order, c, arg, e), e
+    )
+    _assert_contract(z_coeff(factors, z_index, e), fraction_z_coeff(factors, z_index, e), e)
+    # W is deep enough in V and Z for several rungs of either ladder
+    for t, win, mode in itertools.product(factors, (e, W), Expansion):
+        if mode is Expansion.V_OVER_Z and t.slope == 0:
+            continue
+        _assert_contract(expand_factor(t, mode, win), fraction_expand_factor(t, mode, win), win)
+
+
+def test_equal_values_reached_through_different_denominators():
+    a = s_of((mono(Q=1), Fraction(1, 6)), (mono(T=1), Fraction(-3, 10)))
+    b = s_of((mono(Q=1), Fraction(3, 4)), (mono(V=-1), Fraction(5, 9)), (mono(T=1), Fraction(3, 10)))
+    c = s_of((mono(T=1), Fraction(7, 15)), (Monomial(), Fraction(2, 21)))
+    assert (a * b) * c == a * (b * c)
+    assert a + b - b == a
+    assert (a + b).coeff(mono(T=1)) == 0  # -3/10 + 3/10 cancels and is dropped
+    assert (a + b).coeff(mono(Q=1)) == Fraction(11, 12)
+    # 1/6 + 5/6 reduces to 1 over denominator 1
+    assert s_of((Monomial(), Fraction(1, 6))) + s_of((Monomial(), Fraction(5, 6))) == 1
+    # clipping the only term over 4 leaves 2/4, which reduces to 1/2
+    halves = s_of((mono(Q=1), Fraction(1, 2)), (mono(T=1), Fraction(1, 4)))
+    assert halves.truncate(replace(W, max_t=0)) == s_of((mono(Q=1), Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, "1/3", Decimal("0.1")], ids=repr)
+def test_inexact_coefficients_are_refused(bad):
+    with pytest.raises(TypeError):
+        FormalSeries({mono(Q=1): bad}, W)
+    with pytest.raises(TypeError):
+        FormalSeries([(mono(Q=1), bad)], W)
+    with pytest.raises(TypeError):
+        FormalSeries.of(bad, mono(Q=1), W)
+    with pytest.raises(TypeError):
+        FormalSeries.one(W).scale(bad)
+    with pytest.raises(TypeError):
+        series_exp(bad, mono(T=1), W)
+    with pytest.raises(TypeError):
+        LinearFactorTerm(bad, Monomial(), 1)
+    with pytest.raises(TypeError):
+        LinearFactorTerm(1, Monomial(), bad)
+    with pytest.raises(TypeError):
+        substitute(FormalSeries.one(W), {"T": (bad, Monomial())})
 
 
 def test_substitute_examples():
@@ -337,16 +456,7 @@ def test_exp_group_law():
 
 def exp_monomials(w: TruncationWindow):
     """Monomials of positive bounded mass, mostly inside ``w``."""
-    inside = st.builds(
-        Monomial,
-        Q=st.integers(0, w.max_q),
-        T=st.integers(0, w.max_t),
-        X=st.integers(-w.max_abs_x, w.max_abs_x),
-        V=st.integers(w.min_v, w.max_v),
-        Z=st.integers(w.min_z, w.max_z),
-        q1=st.integers(0, 1),
-        q2=st.integers(0, 1),
-    )
+    inside = monomials_inside(w)
     return st.one_of(inside, inside, monomials_near(w)).map(
         lambda m: m if m.bounded_mass > 0 else m * mono(T=1)
     )
