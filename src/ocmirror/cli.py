@@ -161,11 +161,12 @@ def cmd_localize(args: argparse.Namespace) -> Tuple[int, str]:
 
 
 def cmd_ifunction(args: argparse.Namespace) -> Tuple[int, str]:
-    # outputs carry no Q; the window's max_q is the joint q1+q2 cap
+    # outputs carry no Q; the window's max_q is the joint q1+q2 cap, and
+    # the slice keeps every Kaehler excess up to it
     window = TruncationWindow(
         max_q=args.max_q, max_t=args.max_t, max_abs_x=0, min_v=args.min_v, max_v=1
     )
-    series = z_coeff(surface_series_terms(window), args.zcoeff, window)
+    series = z_coeff(surface_series_terms(window, window.max_q), args.zcoeff, window)
     rows = [
         (m.T, m.q1, m.q2, m.V, rational_str(c))
         for m, c in series.items()

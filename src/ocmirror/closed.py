@@ -379,11 +379,14 @@ def _poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
 # --- the origin-cone series in closed form: one term per curve class ------
 
 
-def surface_series_terms(window: TruncationWindow) -> Tuple[LinearFactorTerm, ...]:
+def surface_series_terms(
+    window: TruncationWindow, max_abs_slope: int
+) -> Tuple[LinearFactorTerm, ...]:
     """Origin-restricted specialized surface series, window-complete.
 
     One term per curve class (d1, d2) with d1 + d2 at most the window's
-    ``max_q``, its joint q1+q2 cap.  With the signed Kaehler excess
+    ``max_q``, its joint q1+q2 cap, and |d2 - d1| at most ``max_abs_slope``
+    (``max_q`` or more keeps every class).  With the signed Kaehler excess
     mu = d2 - d1 and d = min(d1, d2), the term is
 
         (-1)^|mu| / (d! (d+|mu|)!) * q1^d1 q2^d2 * z^-(d1+d2) * v/(v - mu z);
@@ -396,7 +399,7 @@ def surface_series_terms(window: TruncationWindow) -> Tuple[LinearFactorTerm, ..
     cap = window.max_q
     terms: List[LinearFactorTerm] = []
     for d1 in range(cap + 1):
-        for d2 in range(cap - d1 + 1):
+        for d2 in range(max(0, d1 - max_abs_slope), min(cap - d1, d1 + max_abs_slope) + 1):
             mu = d2 - d1
             d = min(d1, d2)
             c = Fraction((-1) ** abs(mu), factorial(d) * factorial(d + abs(mu)))

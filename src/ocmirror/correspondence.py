@@ -8,17 +8,25 @@ whose coefficient of T^l Q^(2m+|mu|) X^mu V^(1-l-2m-|mu|) is
 mu^(l+2m+|mu|-2) / (l! m! (m+|mu|)!).  Built from the Bessel kernel (fast
 route) or resummed from one-boundary graph sums (independent route).
 
-Right side: the z^-2 slice of the origin-restricted surface series, expanded
-in the z/v direction, paired against the distinguished origin class (an
-exact 1/v prefactor, recomputed through the full fixed-point pairing; the
-tests pin it against the direct reduction), with the Kaehler parameters
-traded for winding/area variables by
+Right side: the z^-2 slice of the origin-restricted surface series, paired
+against the distinguished origin class and written in winding/area
+variables, plus a finite exceptional correction.  The surface series has one
+term per curve class, coefficient * q1^d1 q2^d2 * z^-(d1+d2) * v/(v - mu z)
+with mu = d2 - d1.  Each term is first multiplied by the pairing prefactor
+(an exact 1/v, recomputed through the full fixed-point pairing; the tests
+pin it against the direct reduction), and the Kaehler parameters are traded
+for winding/area variables by
 
     q1 -> -Q * X^-1,      q2 -> -Q * X,
 
-plus the finite exceptional correction
+which sends the term to the single winding X^mu.  So only the terms with
+|mu| <= max_abs_x are built, both maps act on these few terms rather than
+on their expansion, and the z^-2 slice (factors expanded in z/v) is
+extracted directly in the final variables.  Then
 
-    Exc = -Q*X^-1 + Q*X - T^2/(2v) - Q^2/v.
+    Exc = -Q*X^-1 + Q*X - T^2/(2v) - Q^2/v
+
+is added.
 
 ``run_check`` builds both sides and reports the per-monomial difference; the
 headline assertion is that the difference is identically zero on every
@@ -36,13 +44,17 @@ from .geometry import distinguished_pairing_prefactor
 from .localization import open_invariant
 from .series import (
     FormalSeries,
+    LinearFactorTerm,
     Monomial,
     TruncationWindow,
     mono,
     series_exp,
     series_sum,
-    substitute,
+    substitute_terms,
 )
+
+#: the Kaehler parameters in winding/area variables
+KAEHLER = {"q1": (Fraction(-1), mono(Q=1, X=-1)), "q2": (Fraction(-1), mono(Q=1, X=1))}
 
 
 def _winding_dressing(mu: int, window: TruncationWindow) -> FormalSeries:
@@ -51,8 +63,8 @@ def _winding_dressing(mu: int, window: TruncationWindow) -> FormalSeries:
 
 
 def _work_window(window: TruncationWindow) -> TruncationWindow:
-    # one level of V-headroom below the floor: products are assembled before
-    # the final V-shift by the mu^-2 * v disk normalization
+    # one level of V-headroom below the floor: the Bessel series is built
+    # before the V-shift by the mu^-2 * v disk normalization
     return replace(window, min_v=window.min_v - 1, max_v=max(window.max_v, 0))
 
 
@@ -64,9 +76,9 @@ def disk_potential_bessel(window: TruncationWindow) -> FormalSeries:
     work = _work_window(window)
 
     def winding(mu: int) -> FormalSeries:
-        dressing = _winding_dressing(mu, work)
         bessel = bessel_first_kind(mu, 2 * mu, Monomial(Q=1, V=-1), work)
-        return (dressing * bessel).scale(Fraction(1, mu * mu), Monomial(X=mu, V=1))
+        scaled = bessel.scale(Fraction(1, mu * mu), Monomial(X=mu, V=1))
+        return _winding_dressing(mu, work) * scaled
 
     windings = range(-window.max_abs_x, window.max_abs_x + 1)
     return series_sum((winding(mu) for mu in windings if mu != 0), window)
@@ -118,35 +130,27 @@ def _flip_v_floor_part(s: FormalSeries) -> FormalSeries:
 def rhs_assemble(window: TruncationWindow, corrupt_correction: bool = False) -> FormalSeries:
     """Descendant-slice side of the identity, truncated to ``window``.
 
-    Pipeline: z^-2 coefficient of the origin-restricted surface series
-    (z/v expansion; only the terms whose slope, their winding after the
-    substitution, fits the window's winding bound) -> multiply by the
-    distinguished pairing prefactor (recomputed from the surface pairing;
-    the tests pin it to 1/v) -> trade Kaehler parameters for winding/area
-    variables (the substitution consumes every q1 and q2) -> add the
-    exceptional correction.  The zeroth flat coordinate is carried by the
-    same T variable on both sides, so the log-area identification is the
-    identity map here.
+    Order: take the surface terms whose slope, their winding after the
+    substitution, fits the window's winding bound -> multiply each by every
+    term of the distinguished pairing prefactor (recomputed from the surface
+    pairing; the tests pin it to 1/v) -> trade the Kaehler parameters in its
+    monomial for winding/area variables (the factor v/(v - mu z) involves
+    neither) -> extract the z^-2 coefficient in ``window`` -> add the
+    exceptional correction.  Each map sends a term to one term, so nothing is
+    truncated before the extraction.  The zeroth flat coordinate is carried
+    by the same T variable on both sides, so the log-area identification is
+    the identity map here.
     """
-    pre = replace(window, min_v=window.min_v + 1, max_v=window.max_v + 1, min_z=0, max_z=0)
-    # a term of slope mu lands at X^mu, so the window's windings pick the terms
-    terms = [t for t in surface_series_terms(pre) if abs(t.slope) <= window.max_abs_x]
-    slice2 = z_coeff(terms, 2, pre)
-
-    prefactor = distinguished_pairing_prefactor()
-    # the V-shift by the prefactor must happen in a window whose floor is
-    # already the final one, or slice terms at the pre-floor get lost
-    mid = replace(pre, min_v=window.min_v)
-    paired = slice2.truncate(mid) * prefactor.truncate(mid)
-
-    substituted = substitute(
-        paired,
-        {"q1": (Fraction(-1), mono(Q=1, X=-1)), "q2": (Fraction(-1), mono(Q=1, X=1))},
-    )
+    terms = surface_series_terms(window, window.max_abs_x)
+    paired = [
+        LinearFactorTerm(t.coefficient * c, t.monomial * m, t.slope)
+        for m, c in distinguished_pairing_prefactor().items()
+        for t in terms
+    ]
     correction = exceptional_correction(window)
     if corrupt_correction:
         correction = _flip_v_floor_part(correction)
-    return substituted.truncate(window) + correction
+    return z_coeff(substitute_terms(paired, KAEHLER), 2, window) + correction
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,14 @@ truncation window.  Conventions:
   ``closed``) collect raw ``(monomial, numerator, denominator)`` terms and
   put them over one denominator by a single lcm (``_from_raw``).
 * A series remembers the window it was truncated to.  Arithmetic re-truncates
-  to the intersection of the operand windows, so a coefficient that fits the
-  result window is exact — there is no "noise" from discarded monomials that
-  could re-enter, because every ring operation only ever raises the total
-  bounded grading (Q, T, q1, q2 have nonnegative exponents everywhere).
+  to the intersection of the operand windows.  In Q, T, q1 and q2, whose
+  exponents are nonnegative everywhere, operations only raise exponents, so
+  a monomial the window dropped never re-enters it.  In the two-sided X, V
+  and Z it can: with |X| <= 3, (X^-2*X^-2)*X is 0 but X^-2*(X^-2*X) is X^-3,
+  and a truncation before a monomial shift loses what the shift would bring
+  in.  (The right side of the correspondence once lost its 1/V prefactor so
+  at max_v <= -3, pairing in a window of V ceiling max_v + 1.)  Monomial maps
+  therefore go on the inputs of an expansion (``substitute_terms``).
 * Iteration over terms is in lexicographic exponent order, which makes every
   report byte-reproducible.
 * Kernel results are built once.  The public constructor
@@ -79,7 +83,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Tuple, Union
 
 __all__ = [
     "VARIABLES",
@@ -92,6 +96,7 @@ __all__ = [
     "series_sum",
     "series_exp",
     "substitute",
+    "substitute_terms",
     "expand_factor",
 ]
 
@@ -334,7 +339,7 @@ class FormalSeries:
         b = other._nums if other.window == w else _clip(other._nums, w)
         den = lcm(self._den, other._den)
         fa, fb = den // self._den, den // other._den
-        acc = {m: n * fa for m, n in a.items()}
+        acc = dict(a) if fa == 1 else {m: n * fa for m, n in a.items()}
         get = acc.get
         if negate:
             fb = -fb
@@ -494,18 +499,34 @@ def series_exp(c: RationalLike, m: Monomial, window: TruncationWindow) -> Formal
     return _from_raw(raw, window)
 
 
-def substitute(
-    s: FormalSeries, images: Mapping[str, Tuple[RationalLike, Monomial]]
-) -> FormalSeries:
+Images = Mapping[str, Tuple[RationalLike, Monomial]]
+
+
+def substitute(s: FormalSeries, images: Images) -> FormalSeries:
     """Replace each variable in ``images`` by a rational multiple of a monomial.
 
     ``images`` maps a variable name to ``(c, m)``, read as var ↦ c·m.  A
     variable raised to a negative power needs c != 0.  Variables not listed
-    are left alone.  The result is re-truncated to the window of ``s``;
-    substitution is a ring homomorphism on the nose (checked in tests),
-    truncation commutes with it because the maps used here send monomials to
-    monomials.
+    are left alone.  Each term of ``s`` is mapped exactly, and the result is
+    re-truncated to the window of ``s``.  That makes ``substitute`` a ring
+    homomorphism only where truncation cannot drop a term the map would
+    bring back into the window, i.e. in Q, T, q1 and q2: with |X| <= 3,
+    ``substitute(X^2*X^2, {X: (-1, Q)})`` is 0 but the square of
+    ``substitute(X^2, ...)`` is Q^4.  To map the terms of an expansion before
+    expanding, use :func:`substitute_terms`.
     """
+    image = _monomial_image(images)
+    contains = s.window.contains
+    raw: List[RawTerm] = []
+    for m, n in s._nums.items():
+        mm, p, q = image(m)
+        if p and contains(mm):
+            raw.append((mm, n * p, s._den * q))
+    return _from_raw(raw, s.window)
+
+
+def _monomial_image(images: Images) -> Callable[[Monomial], RawTerm]:
+    """m ↦ its image as (monomial, numerator, denominator); numerator 0 if the image is 0."""
     bad = set(images) - set(VARIABLES)
     if bad:
         raise ValueError(f"unknown variables: {sorted(bad)}")
@@ -515,10 +536,9 @@ def substitute(
         (VARIABLES.index(name), name, _exact(ic), im, {})
         for name, (ic, im) in images.items()
     ]
-    contains = s.window.contains
-    raw: List[RawTerm] = []
-    for m, n in s._nums.items():
-        mm, num, den = m, n, s._den
+
+    def image(m: Monomial) -> RawTerm:
+        mm, num, den = m, 1, 1
         for i, name, ic, im, powers in subs:
             e = m[i]
             if e == 0:
@@ -528,12 +548,11 @@ def substitute(
                 power = powers[e] = _image_power(i, name, ic, im, e)
             shift, p, q = power
             if not p:
-                break  # a zero image kills the term
+                return ONE, 0, 1  # a zero image kills the term
             mm, num, den = mm * shift, num * p, den * q
-        else:
-            if contains(mm):
-                raw.append((mm, num, den))
-    return _from_raw(raw, s.window)
+        return mm, num, den
+
+    return image
 
 
 def _image_power(
@@ -576,6 +595,26 @@ class LinearFactorTerm:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficient", _exact(self.coefficient))
         object.__setattr__(self, "slope", _exact(self.slope))
+
+
+def substitute_terms(
+    terms: Iterable[LinearFactorTerm], images: Images
+) -> List[LinearFactorTerm]:
+    """Each term with ``images`` applied to its coefficient·monomial, untruncated.
+
+    The map is :func:`substitute`'s, term by term; a term whose image is zero
+    is dropped.  The factor v/(v - slope·z) is kept as it is, so V and Z
+    cannot be replaced.
+    """
+    if {"V", "Z"} & set(images):
+        raise ValueError("V and Z occur in the linear factor; they cannot be substituted")
+    image = _monomial_image(images)
+    out: List[LinearFactorTerm] = []
+    for t in terms:
+        mm, p, q = image(t.monomial)
+        if p:
+            out.append(LinearFactorTerm(t.coefficient * Fraction(p, q), mm, t.slope))
+    return out
 
 
 def expand_factor(

@@ -84,7 +84,7 @@ def test_criterion_2_surface_term_closed_forms():
         max_q=6, max_t=4, max_abs_x=0, min_v=-8, max_v=1, min_z=-24, max_z=2
     )
     by_class = {}
-    for t in surface_series_terms(window):
+    for t in surface_series_terms(window, window.max_q):
         by_class.setdefault((t.monomial.q1, t.monomial.q2), []).append(t)
     checked = 0
     for d1 in range(7):

@@ -7,6 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -170,8 +171,8 @@ def test_rational_rendering():
 @st.composite
 def sweep_window(draw):
     """A window from the sweep ranges: max_q 0-8, max_t 0-4, max_abs_x 0-4,
-    min_v -10..1 (capped at max_v), max_v in {-1, 0, 1, 2}."""
-    max_v = draw(st.sampled_from((-1, 0, 1, 2)))
+    min_v -10..1 (capped at max_v), max_v -4..2."""
+    max_v = draw(st.integers(-4, 2))
     return TruncationWindow(
         max_q=draw(st.integers(0, 8)),
         max_t=draw(st.integers(0, 4)),
@@ -182,11 +183,12 @@ def sweep_window(draw):
 
 
 def _rhs_all_windings(window: TruncationWindow) -> FormalSeries:
-    """Oracle for ``rhs_assemble``: every term, whatever its winding.
+    """Oracle for ``rhs_assemble``: the expanded slice, mapped afterwards.
 
-    Every excess up to max_q goes through ``z_coeff``, the pairing and the
-    Kaehler substitution, whose window then drops the windings beyond
-    max_abs_x.
+    Every excess up to max_q goes through ``z_coeff`` in a window shifted one
+    V-step up, then the pairing and the Kaehler substitution, whose window
+    then drops the windings beyond max_abs_x.  The pairing window keeps a V
+    ceiling of at least 0, so the 1/v prefactor itself is never clipped.
     """
     pre = TruncationWindow(
         max_q=window.max_q,
@@ -195,8 +197,8 @@ def _rhs_all_windings(window: TruncationWindow) -> FormalSeries:
         min_v=window.min_v + 1,
         max_v=window.max_v + 1,
     )
-    slice2 = z_coeff(surface_series_terms(pre), 2, pre)
-    mid = replace(pre, min_v=window.min_v)
+    slice2 = z_coeff(surface_series_terms(pre, pre.max_q), 2, pre)
+    mid = replace(pre, min_v=window.min_v, max_v=max(pre.max_v, 0))
     paired = slice2.truncate(mid) * distinguished_pairing_prefactor().truncate(mid)
     result = substitute(paired, KAEHLER).truncate(window)
     return result + exceptional_correction(window)
@@ -205,7 +207,7 @@ def _rhs_all_windings(window: TruncationWindow) -> FormalSeries:
 def test_surface_terms_land_at_their_slope():
     # q1^d1 q2^d2 -> (-Q)^(d1+d2) X^(d2-d1): a term's slope is its winding
     window = TruncationWindow(max_q=6, max_t=2, max_abs_x=6, min_v=-6, max_v=3)
-    for t in surface_series_terms(window):
+    for t in surface_series_terms(window, window.max_q):
         assert t.slope == t.monomial.q2 - t.monomial.q1
         # the slice z^Z(term), where every term has its leading coefficient
         landed = substitute(z_coeff([t], -t.monomial.Z, window), KAEHLER)
@@ -222,3 +224,20 @@ def test_check_passes_on_random_windows(window):
     assert all(m.q1 == 0 and m.q2 == 0 for m, _ in report.rhs.items())
     # building only the window's windings loses nothing
     assert report.rhs == _rhs_all_windings(window)
+
+
+@pytest.mark.parametrize("max_v", [-3, -5])
+def test_check_passes_below_a_v_ceiling_of_minus_two(max_v):
+    # pairing in a window of V ceiling max_v + 1 once clipped the 1/v
+    # prefactor itself, which left the right side empty
+    window = TruncationWindow(max_q=6, max_t=3, max_abs_x=3, min_v=-8, max_v=max_v)
+    report = run_check(window)
+    assert report.passed
+    assert not report.rhs.is_zero()
+    assert report.rhs == _rhs_all_windings(window)
+
+
+@pytest.mark.parametrize("max_v", [-1, 2])
+def test_rhs_matches_the_oracle_on_a_large_window(max_v):
+    window = TruncationWindow(max_q=32, max_t=10, max_abs_x=14, min_v=-29, max_v=max_v)
+    assert rhs_assemble(window) == _rhs_all_windings(window)

@@ -25,6 +25,7 @@ from ocmirror.series import (
     series_exp,
     series_sum,
     substitute,
+    substitute_terms,
 )
 
 from second_routes import (
@@ -398,6 +399,8 @@ def test_inexact_coefficients_are_refused(bad):
         LinearFactorTerm(1, Monomial(), bad)
     with pytest.raises(TypeError):
         substitute(FormalSeries.one(W), {"T": (bad, Monomial())})
+    with pytest.raises(TypeError):
+        substitute_terms([LinearFactorTerm(1, mono(T=1), 0)], {"T": (bad, Monomial())})
 
 
 def test_substitute_examples():
@@ -418,6 +421,30 @@ def test_substitute_zero_image():
 def test_substitute_rejects_unknown_variable():
     with pytest.raises(ValueError):
         substitute(FormalSeries.one(W), {"R": (1, Monomial())})
+
+
+def test_substitute_terms_maps_each_term_as_substitute_does():
+    terms = [
+        LinearFactorTerm(Fraction(2, 3), mono(q1=2, q2=1, Z=-3), 1),
+        LinearFactorTerm(-1, mono(T=1, q2=2, V=-1), -2),
+        LinearFactorTerm(5, mono(X=-1, q1=1, Z=-1), 0),
+    ]
+    images = {
+        "q1": (Fraction(-1), mono(Q=1, X=-1)),
+        "q2": (Fraction(-1, 2), mono(Q=1, X=1)),
+        "T": (0, Monomial()),
+    }
+    wide = TruncationWindow.wide()
+    out = substitute_terms(terms, images)
+    # the zero image of T kills the second term; the others keep their slope
+    assert [t.slope for t in out] == [1, 0]
+    for t, image in zip((terms[0], terms[2]), out):
+        assert FormalSeries.of(image.coefficient, image.monomial, wide) == substitute(
+            FormalSeries.of(t.coefficient, t.monomial, wide), images
+        )
+    for variable in ("V", "Z"):
+        with pytest.raises(ValueError):
+            substitute_terms(terms, {variable: (1, mono(Q=1))})
 
 
 # ---------------------------------------------------------------------------
