@@ -17,8 +17,8 @@ geometry
     Equivariant restriction/pairing data for the line and for the toric
     surface, including the distinguished pairing normalization.
 closed
-    Hypergeometric curve series, the surface series, and exact extraction of
-    descendant-slice coefficients.
+    The Bessel series of the disk side, the surface series, and exact
+    extraction of descendant-slice coefficients.
 localization
     Fixed-point graph sums: decorated-tree enumeration, automorphisms,
     vertex/edge conventions, closed and one-boundary invariants.

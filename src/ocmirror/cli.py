@@ -267,7 +267,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, text = args.handler(args)
-    except (ValueError, ArithmeticError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.output:

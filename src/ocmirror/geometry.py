@@ -43,8 +43,6 @@ __all__ = [
     "hyperplane_p1",
     "phi_p1",
     "phi_dual_p1",
-    "pairing_p1",
-    "integral_p1",
     "RAYS",
     "CONES",
     "CHARGES",
@@ -76,7 +74,6 @@ P1_POINTS = (1, 2)
 P1Class = Tuple[FormalSeries, FormalSeries]
 
 _EULER_P1 = {1: v_term(-1, 1), 2: v_term(1, 1)}
-_EULER_INV_P1 = {1: v_term(-1, -1), 2: v_term(1, -1)}
 
 
 def euler_p1(point: int) -> FormalSeries:
@@ -105,19 +102,6 @@ def phi_dual_p1(alpha: int) -> P1Class:
     e = euler_p1(alpha)
     zero = v_term(0)
     return (e, zero) if alpha == 1 else (zero, e)
-
-
-def pairing_p1(a: P1Class, b: P1Class) -> FormalSeries:
-    """Equivariant intersection pairing: sum over fixed points of a*b/Euler."""
-    out = FormalSeries.zero(WIDE)
-    for alpha in P1_POINTS:
-        out = out + a[alpha - 1] * b[alpha - 1] * _EULER_INV_P1[alpha]
-    return out
-
-
-def integral_p1(a: P1Class) -> FormalSeries:
-    """Equivariant pushforward to a point (pairing against the unit)."""
-    return pairing_p1(a, unit_p1())
 
 
 # ===========================================================================

@@ -48,7 +48,10 @@ the disk.  Two independently coded routes evaluate the same invariant: the
 direct one sums over graphs whose disk vertex sits at the forced fixed point;
 the factored one sums over *all* graphs against an extra fixed-point-class
 insertion that kills the wrong assignments numerically.  Their agreement is
-an acceptance requirement, not an implementation shortcut.
+an acceptance requirement, not an implementation shortcut.  The tests hold
+two more routes against these sums: the string recursion for the psi
+integrals, and the reduced curve series J~ of the projective line, which the
+one-point descendant sums rebuild degree by degree.
 """
 
 from __future__ import annotations
@@ -61,11 +64,10 @@ from math import comb, factorial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .geometry import WIDE, P1Class, phi_p1, unit_p1, v_term
-from .series import FormalSeries, TruncationWindow, mono, series_sum
+from .series import FormalSeries, mono, series_sum
 
 __all__ = [
     "psi_integral",
-    "psi_integral_by_string",
     "DecoratedGraph",
     "enumerate_graph_classes",
     "count_labeled_graphs",
@@ -77,7 +79,6 @@ __all__ = [
     "open_invariant",
     "open_via_closed",
     "graph_class_rows",
-    "j_degree_part_from_graphs",
 ]
 
 
@@ -99,25 +100,6 @@ def psi_integral(exponents: Sequence[int]) -> Fraction:
     for a in exponents:
         denom *= factorial(a)
     return Fraction(factorial(n - 3), denom)
-
-
-def psi_integral_by_string(exponents: Sequence[int]) -> Fraction:
-    """Independent oracle: pull marked points off with the string equation."""
-    n = len(exponents)
-    if n < 3:
-        raise ValueError("need at least three marked points")
-    if sum(exponents) != n - 3:
-        return Fraction(0)
-    if n == 3:
-        return Fraction(1)  # dimension zero forces all exponents to vanish
-    exps = list(exponents)
-    i = exps.index(0)  # exists: sum < n
-    rest = exps[:i] + exps[i + 1 :]
-    total = Fraction(0)
-    for j, a in enumerate(rest):
-        if a >= 1:
-            total += psi_integral_by_string(rest[:j] + [a - 1] + rest[j + 1 :])
-    return total
 
 
 # ===========================================================================
@@ -579,7 +561,7 @@ def open_via_closed(
 
 
 # ===========================================================================
-# descendant form of the curve series, one degree at a time
+# inspection table of the graph classes
 # ===========================================================================
 
 
@@ -600,23 +582,3 @@ def graph_class_rows(n: int, d: int) -> List[GraphClassRow]:
         (g, automorphism_count(g), _graph_contribution(g, insertions))
         for g in enumerate_graph_classes(n, d)
     ]
-
-
-def j_degree_part_from_graphs(alpha: int, d: int, window: TruncationWindow) -> FormalSeries:
-    """Degree-d part of the reduced curve series rebuilt from graph sums:
-
-        Q^(2d) * (Euler weight at alpha) * sum_a <1, phi_alpha psi^a> z^(-a-1),
-
-    the a-range bounded by the window's z-floor.  Matches the t0-free part of
-    :func:`ocmirror.closed.j_reduced_component` degree by degree.
-    """
-    if alpha not in (1, 2):
-        raise ValueError(f"no fixed point {alpha}")
-    sign = _W_SIGN[alpha]
-    parts = (
-        closed_descendant([(unit_p1(), 0), (phi_p1(alpha), a)], d)
-        .scale(Fraction(sign), mono(Q=2 * d, V=1, Z=-a - 1))
-        .truncate(window)
-        for a in range(-window.min_z)
-    )
-    return series_sum(parts, window)

@@ -26,9 +26,9 @@ truncation window.  Conventions:
 * Sums rescale every operand to the lcm of the denominators, products
   multiply numerators and denominators, and each result is reduced with one
   ``math.gcd`` over its denominator and numerators.  The expansions (exp,
-  substitution, linear factors, and the Bessel and z-coefficient series of
-  ``closed``) collect raw ``(monomial, numerator, denominator)`` terms and
-  put them over one denominator by a single lcm (``_from_raw``).
+  substitution, and the Bessel and z-coefficient series of ``closed``)
+  collect raw ``(monomial, numerator, denominator)`` terms and put them over
+  one denominator by a single lcm (``_from_raw``).
 * A series remembers the window it was truncated to.  Arithmetic re-truncates
   to the intersection of the operand windows.  In Q, T, q1 and q2, whose
   exponents are nonnegative everywhere, operations only raise exponents, so
@@ -54,30 +54,14 @@ truncation window.  Conventions:
   operand's, a product, a monomial shift, a substitution.
 
 Rational factors of the form v/(v - c*z) are kept unexpanded as
-``LinearFactorTerm`` until a direction of expansion is chosen:
-
-* ``Expansion.Z_OVER_V``  : v/(v-cz) = sum_{k>=0} (cz/v)^k, a power series in
-  z/v.  For c = 0 the factor is literally 1.
-* ``Expansion.V_OVER_Z``  : the same factor read as a series in v/z,
-  v/(v-cz) = -(v/cz) * sum_{j>=0} (v/cz)^j = -sum_{j>=1} (v/cz)^j,
-  which requires c != 0.
-
-The overall sign of the V_OVER_Z image is easy to get wrong; it is pinned
-here by the telescoping identities (checked in the test suite)
-
-    expand(t, Z_OVER_V) * (1 - c z/v) == t-without-factor   exactly, and
-    expand(t, V_OVER_Z) * (v - c z)   == v * t-without-factor exactly,
-
-inside any window: the single boundary monomial of the telescope falls
-outside the window on the correct side in each mode.  A second, independent
-pin: with these signs the V_OVER_Z expansion of the surface hypergeometric
-series starts 1 + t0/z + O(z^-2), as it must for a cohomology-valued series
-of that shape.
+``LinearFactorTerm``.  The one expansion the program makes is in the z/v
+direction, v/(v-cz) = sum_{k>=0} (cz/v)^k (for c = 0 the factor is literally
+1), and it happens inside ``closed.z_coeff``, which reads off one z-power of
+the expanded sum without building the ladders.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,13 +75,11 @@ __all__ = [
     "TruncationWindow",
     "FormalSeries",
     "LinearFactorTerm",
-    "Expansion",
     "mono",
     "series_sum",
     "series_exp",
     "substitute",
     "substitute_terms",
-    "expand_factor",
 ]
 
 VARIABLES: Tuple[str, ...] = ("Q", "T", "X", "V", "Z", "q1", "q2")
@@ -574,13 +556,6 @@ def _image_power(
 # ---------------------------------------------------------------------------
 
 
-class Expansion(enum.Enum):
-    """Direction in which a v/(v-cz) factor is expanded."""
-
-    Z_OVER_V = "z_over_v"  # power series in z/v  (valid for any slope)
-    V_OVER_Z = "v_over_z"  # Laurent series in v/z (needs slope != 0)
-
-
 @dataclass(frozen=True)
 class LinearFactorTerm:
     """A term ``coefficient * monomial * v/(v - slope*z)``, factor unexpanded.
@@ -615,48 +590,3 @@ def substitute_terms(
         if p:
             out.append(LinearFactorTerm(t.coefficient * Fraction(p, q), mm, t.slope))
     return out
-
-
-def expand_factor(
-    term: LinearFactorTerm, mode: Expansion, window: TruncationWindow
-) -> FormalSeries:
-    """Expand the rational factor of ``term`` in the requested direction.
-
-    Z_OVER_V:  v/(v-cz) = sum_{k>=0} c^k (z/v)^k.
-    V_OVER_Z:  v/(v-cz) = -sum_{j>=1} c^-j (v/z)^j   (slope 0 rejected: the
-    factor 1 has no v/z expansion with this shape).
-
-    Both sums are truncated by the window's V and Z bounds; the signs are
-    pinned by the telescoping products documented in the module docstring.
-    """
-    c, m, slope = term.coefficient, term.monomial, term.slope
-    p, q = c.numerator, c.denominator
-    raw: List[RawTerm] = []
-    if mode is Expansion.Z_OVER_V:
-        if slope == 0:
-            return FormalSeries.of(c, m, window)
-        a, b = slope.numerator, slope.denominator
-        k = 0
-        while True:
-            mm = m * Monomial(V=-k, Z=k)
-            if mm.V < window.min_v or mm.Z > window.max_z:
-                break
-            if window.contains(mm):
-                raw.append((mm, p * a**k, q * b**k))
-            k += 1
-        return _from_raw(raw, window)
-    if mode is Expansion.V_OVER_Z:
-        if slope == 0:
-            raise ValueError("slope-0 factor has no v/z expansion")
-        inverse = 1 / slope
-        a, b = inverse.numerator, inverse.denominator
-        j = 1
-        while True:
-            mm = m * Monomial(V=j, Z=-j)
-            if mm.V > window.max_v or mm.Z < window.min_z:
-                break
-            if window.contains(mm):
-                raw.append((mm, -p * a**j, q * b**j))
-            j += 1
-        return _from_raw(raw, window)
-    raise ValueError(f"unknown expansion mode {mode!r}")

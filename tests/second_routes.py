@@ -1,11 +1,24 @@
-"""Second routes to kernel results for the tests, written over the public API.
+"""Second routes to the program's results, for the tests, over the public API.
 
-The ``fraction_*`` functions are the kernel's expansions computed the direct
-way, one ``Fraction`` per coefficient, and handed to the validated
-constructor; the kernel itself stores integer numerators over one common
-denominator, so these are an independent check of its rescaling and
-reduction.  ``z_slice``, ``z_coeff_split`` and ``phi_k_coeff`` are
-presentations of the surface series that only the tests read.
+The program builds each quantity one way; the routes here build the same
+quantities another way, and the tests assert that the two agree.
+
+* The ``fraction_*`` functions are the kernel's expansions computed the
+  direct way, one ``Fraction`` per coefficient, and handed to the validated
+  constructor; the kernel itself stores integer numerators over one common
+  denominator, so these are an independent check of its rescaling and
+  reduction.  ``fraction_expand_factor`` is the only expansion of a linear
+  factor into its z/v or v/z ladder.
+* ``z_slice``, ``z_coeff_split`` and ``phi_k_coeff`` are presentations of
+  the surface series that only the tests read.
+* The general surface resolver reads each curve class off the divisor
+  restriction tables and resolves it by partial fractions; the closed form
+  of ``ocmirror.closed.surface_series_terms`` is checked against it.
+* The reduced curve series J~ of the projective line, as a series in v/z
+  and at z = c*v in three forms (products, factorial quotients, Bessel), and
+  its degree parts rebuilt from graph sums.
+* The string recursion for the psi integrals, and the equivariant pairing
+  on the line.
 
 The module is not named ``oracles``: pytest imports it by its bare name, and
 ``perfbench/oracles.py`` is imported the same way.
@@ -13,17 +26,34 @@ The module is not named ``oracles``: pytest imports it by its bare name, and
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
+from ocmirror.closed import bessel_first_kind
+from ocmirror.geometry import (
+    CHARGES,
+    P1_POINTS,
+    SURFACE_POINTS,
+    WIDE,
+    P1Class,
+    UPoly,
+    divisor_restriction,
+    phi_p1,
+    unit_p1,
+    v_term,
+)
+from ocmirror.localization import closed_descendant
 from ocmirror.series import (
-    Expansion,
     FormalSeries,
     LinearFactorTerm,
     Monomial,
     TruncationWindow,
     mono,
+    series_exp,
+    series_sum,
 )
 
 Pairs = List[Tuple[Monomial, Fraction]]
@@ -36,7 +66,7 @@ def z_slice(s: FormalSeries, z_exp: int) -> FormalSeries:
 
 
 # ---------------------------------------------------------------------------
-# the kernel's expansions, one Fraction per coefficient
+# the expansions, one Fraction per coefficient
 # ---------------------------------------------------------------------------
 
 
@@ -53,12 +83,30 @@ def fraction_series_exp(c, m: Monomial, window: TruncationWindow) -> FormalSerie
 
 
 def fraction_expand_factor(
-    term: LinearFactorTerm, mode: Expansion, window: TruncationWindow
+    term: LinearFactorTerm, window: TruncationWindow, *, v_over_z: bool = False
 ) -> FormalSeries:
-    """``expand_factor`` with each ladder coefficient c·slope^±k a Fraction."""
+    """The factor v/(v - c*z) of ``term`` expanded, each coefficient a Fraction.
+
+    In the z/v direction, v/(v-cz) = sum_{k>=0} c^k (z/v)^k; for c = 0 the
+    factor is literally 1.  In the v/z direction (``v_over_z``),
+    v/(v-cz) = -(v/cz) * sum_{j>=0} (v/cz)^j = -sum_{j>=1} c^-j (v/z)^j,
+    which needs c != 0.  Both ladders stop at the window's V and Z bounds.
+
+    The overall sign of the v/z ladder is easy to get wrong; the tests pin
+    both directions by the telescoping identities
+
+        expand(t, z/v) * (1 - c z/v) == t-without-factor     exactly, and
+        expand(t, v/z) * (v - c z)   == v * t-without-factor exactly,
+
+    inside any window: the single boundary monomial of the telescope falls
+    outside the window on the correct side in each direction.  A second pin:
+    with these signs the v/z expansion of the surface hypergeometric series
+    starts 1 + t0/z + O(z^-2), as it must for a cohomology-valued series of
+    that shape.
+    """
     c, m, slope = term.coefficient, term.monomial, term.slope
     pairs: Pairs = []
-    if mode is Expansion.Z_OVER_V:
+    if not v_over_z:
         if slope == 0:
             return FormalSeries([(m, c)], window)
         k = 0
@@ -69,6 +117,8 @@ def fraction_expand_factor(
             pairs.append((mm, c * slope**k))
             k += 1
         return FormalSeries(pairs, window)
+    if slope == 0:
+        raise ValueError("slope-0 factor has no v/z expansion")
     j = 1
     while True:
         mm = m * Monomial(V=j, Z=-j)
@@ -77,6 +127,11 @@ def fraction_expand_factor(
         pairs.append((mm, -c * slope**-j))
         j += 1
     return FormalSeries(pairs, window)
+
+
+def expand_terms(terms: Iterable[LinearFactorTerm], window: TruncationWindow) -> FormalSeries:
+    """Sum of the z/v expansions of ``terms``."""
+    return series_sum([fraction_expand_factor(t, window) for t in terms], window)
 
 
 def fraction_bessel_first_kind(
@@ -173,3 +228,334 @@ def phi_k_coeff(k: int, m: int, window: TruncationWindow) -> FormalSeries:
             c = Fraction((-1) ** mu * mu**k) / (factorial(l) * factorial(d) * factorial(d + mu))
             pairs.append((mono(T=l, q1=d, q2=d + mu), c))
     return FormalSeries(pairs, window)
+
+
+# ---------------------------------------------------------------------------
+# the general surface resolver: one curve class from the divisor tables
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SurfaceTermFactors:
+    """Unreduced factor data of one curve-class term at one fixed point.
+
+    ``numerator``/``denominator`` hold (restriction, j) pairs standing for
+    the linear form (restriction + j*z); restrictions are u1,u2-polynomials.
+    The term's value is q1^d1 q2^d2 times the factor ratio.
+    """
+
+    degrees: Tuple[int, int]
+    point: int
+    numerator: Tuple[Tuple[UPoly, int], ...]
+    denominator: Tuple[Tuple[UPoly, int], ...]
+
+
+def surface_term_symbolic(d1: int, d2: int, point: int) -> SurfaceTermFactors:
+    """Factor data for curve class (d1, d2) >= 0 at a fixed point, unspecialized."""
+    if d1 < 0 or d2 < 0 or point not in SURFACE_POINTS:
+        raise ValueError("effective curve classes and valid fixed points only")
+    num: List[Tuple[UPoly, int]] = []
+    den: List[Tuple[UPoly, int]] = []
+    for i in range(1, 5):
+        a = CHARGES[i - 1][0] * d1 + CHARGES[i - 1][1] * d2
+        r = divisor_restriction(i, point)
+        if a >= 0:
+            den.extend((r, j) for j in range(1, a + 1))
+        else:
+            num.extend((r, j) for j in range(a + 1, 1))
+    return SurfaceTermFactors((d1, d2), point, tuple(num), tuple(den))
+
+
+def _specialized_r(p: UPoly) -> Fraction:
+    """A restriction as a multiple of v under u1 -> -V, u2 -> V (all are linear)."""
+    s = p.specialize()
+    if s.is_zero():
+        return Fraction(0)
+    ((m, c),) = s.items()
+    if m != mono(V=1):
+        raise ValueError("divisor restriction did not specialize to a multiple of v")
+    return c
+
+
+def surface_term_specialized(d1: int, d2: int, point: int) -> Tuple[LinearFactorTerm, ...]:
+    """One curve-class term under the circle embedding, fully resolved.
+
+    Cancels identical linear factors between numerator and denominator
+    exactly, splits off scalar factors (j z), and resolves what remains by
+    partial fractions in t = v/z (the specialized roots are pairwise
+    distinct, which is asserted).  Returns a tuple of unexpanded linear
+    factor terms summing to the term's value; the empty tuple means the term
+    vanishes identically (a numerator factor specialized to zero).
+    """
+    data = surface_term_symbolic(d1, d2, point)
+    num = [(_specialized_r(p), j) for p, j in data.numerator]
+    den = [(_specialized_r(p), j) for p, j in data.denominator]
+
+    # exact multiset cancellation of common (r, j) factors
+    cnum, cden = Counter(num), Counter(den)
+    common = cnum & cden
+    cnum -= common
+    cden -= common
+
+    coeff = Fraction(1)
+    z_exp = 0
+    num_poly = [Fraction(1)]  # polynomial in t = v/z, ascending coefficients
+    den_roots: List[Fraction] = []
+    for (r, j), k in sorted(cnum.items()):
+        for _ in range(k):
+            if r == 0 and j == 0:
+                return ()  # the factor is identically zero
+            if r == 0:
+                coeff *= j
+                z_exp += 1
+            else:
+                # factor (r v + j z) = r z (t + j/r)
+                coeff *= r
+                z_exp += 1
+                num_poly = _poly_mul_linear(num_poly, Fraction(j, r))
+    for (r, j), k in sorted(cden.items()):
+        for _ in range(k):
+            if r == 0 and j == 0:
+                raise ZeroDivisionError("vanishing denominator factor")
+            if r == 0:
+                coeff /= j
+                z_exp -= 1
+            else:
+                coeff /= r
+                z_exp -= 1
+                den_roots.append(Fraction(-j, r))
+    if len(set(den_roots)) != len(den_roots):
+        raise AssertionError("specialized denominator roots must be distinct")
+
+    base = mono(q1=d1, q2=d2)
+    out: List[LinearFactorTerm] = []
+    quot, residues = _partial_fractions(num_poly, den_roots)
+    # polynomial part: sum_m g_m t^m = sum_m g_m v^m z^-m
+    for m, g in enumerate(quot):
+        if g != 0:
+            out.append(
+                LinearFactorTerm(coeff * g, base * mono(V=m, Z=z_exp - m), Fraction(0))
+            )
+    # residue part: res/(t - tau) = res * (z/v) * [v/(v - tau z)]
+    for tau, res in residues:
+        if res != 0:
+            out.append(
+                LinearFactorTerm(coeff * res, base * mono(V=-1, Z=z_exp + 1), tau)
+            )
+    return tuple(out)
+
+
+def _poly_mul_linear(p: Sequence[Fraction], c: Fraction) -> List[Fraction]:
+    """Multiply an ascending-coefficient polynomial in t by (t + c)."""
+    out = [Fraction(0)] * (len(p) + 1)
+    for i, a in enumerate(p):
+        out[i] += a * c
+        out[i + 1] += a
+    return out
+
+
+def _partial_fractions(
+    num: Sequence[Fraction], roots: Sequence[Fraction]
+) -> Tuple[List[Fraction], List[Tuple[Fraction, Fraction]]]:
+    """num(t) / prod (t - root) as (quotient poly, [(root, residue)]).
+
+    Roots must be pairwise distinct.  Uses division for the polynomial part
+    and residue evaluation num(root)/prod(root - other) for the rest.
+    """
+    den = [Fraction(1)]
+    for r in roots:
+        den = _poly_mul_linear(den, -r)
+    quot, rem = _poly_divmod(list(num), den)
+    residues = []
+    for r in roots:
+        val = _poly_eval(rem, r)
+        for other in roots:
+            if other != r:
+                val /= r - other
+        residues.append((r, val))
+    return quot, residues
+
+
+def _poly_divmod(num: List[Fraction], den: List[Fraction]) -> Tuple[List[Fraction], List[Fraction]]:
+    num = list(num)
+    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
+    while len(num) >= len(den) and any(num):
+        if num[-1] == 0:
+            num.pop()
+            continue
+        shift = len(num) - len(den)
+        c = num[-1] / den[-1]
+        q[shift] += c
+        for i, dcoef in enumerate(den):
+            num[shift + i] -= c * dcoef
+        num.pop()
+    return q, num or [Fraction(0)]
+
+
+def _poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# the reduced curve series J~ of the projective line
+# ---------------------------------------------------------------------------
+
+
+def _sign(alpha: int) -> int:
+    """Sign of the tangent weight at a fixed point of the line: -v at 1, +v at 2."""
+    if alpha == 1:
+        return -1
+    if alpha == 2:
+        return 1
+    raise ValueError(f"no fixed point {alpha}")
+
+
+def j_reduced_component(alpha: int, window: TruncationWindow) -> FormalSeries:
+    """Reduced curve series at a fixed point, as a Laurent series in v/z.
+
+    J~(alpha) = e^(t0/z) * sum_d q^d / (d! z^d * prod_{m=1..d} (D + m z)),
+    with D = -v at point 1 and +v at point 2.  (The extra monomial
+    prefactor q^(D/2z) of the unreduced series is not a Laurent series in
+    the carried variables.)  Degree d carries Q^(2d); each factor
+    1/(D + m z) is expanded in the v/z direction, so the output involves
+    V^(j-1) Z^(-j) ladders and the window's V-ceiling controls the retained
+    depth.
+    """
+    eps = _sign(alpha)
+    prefactor = series_exp(1, mono(T=1, Z=-1), window)
+    total = FormalSeries.zero(window)
+    d_max = window.max_q // 2
+    for d in range(d_max + 1):
+        part = FormalSeries.of(Fraction(1, factorial(d)), mono(Q=2 * d, Z=-d), window)
+        for m in range(1, d + 1):
+            # 1/(eps*v + m*z) = eps * v^-1 * [v / (v - (-eps*m) z)]
+            factor = LinearFactorTerm(Fraction(eps), mono(V=-1), Fraction(-eps * m))
+            part = part * fraction_expand_factor(factor, window, v_over_z=True)
+        total = total + part
+    return prefactor * total
+
+
+def j_reduced_at(alpha: int, c: Fraction, window: TruncationWindow) -> FormalSeries:
+    """Reduced curve series with z evaluated at the point c*v, exactly.
+
+    Valid off the poles: c must avoid -eps/m for every degree m the window
+    admits.  Each degree contributes a scalar multiple of Q^(2d) V^(-2d); no
+    expansion is involved, so no truncation error either.
+    """
+    eps = _sign(alpha)
+    c = Fraction(c)
+    if c == 0:
+        raise ValueError("z -> 0 is not a regular point of the reduced series")
+    d_max = window.max_q // 2
+    for m in range(1, d_max + 1):
+        if eps + m * c == 0:
+            raise ValueError(f"z = ({c})*v hits the pole at degree factor m={m}")
+    prefactor = series_exp(1 / c, mono(T=1, V=-1), window)
+    total = FormalSeries.zero(window)
+    for d in range(d_max + 1):
+        denom = Fraction(factorial(d)) * c**d
+        for m in range(1, d + 1):
+            denom *= eps + m * c
+        total = total + FormalSeries.of(1 / denom, mono(Q=2 * d, V=-2 * d), window)
+    return prefactor * total
+
+
+def j_gamma_form(alpha: int, mu: int, window: TruncationWindow) -> FormalSeries:
+    """Factorial-quotient form of Q^mu * J~(alpha) at z = (eps/mu) v, mu >= 1.
+
+        e^(eps mu t0/v) * sum_m  mu^(2m) mu! / (m! (m+mu)!) * Q^(2m+mu) V^(-2m)
+
+    The per-degree product of linear factors collapses to a single ratio of
+    factorials; this is an independent route between :func:`j_reduced_at`
+    (products, no collapse) and :func:`j_bessel_form` (Bessel machinery).
+    """
+    if mu < 1:
+        raise ValueError("winding order must be positive here")
+    eps = _sign(alpha)
+    prefactor = series_exp(eps * mu, mono(T=1, V=-1), window)
+    pairs: Pairs = []
+    m = 0
+    while 2 * m + mu <= window.max_q:
+        pairs.append(
+            (
+                mono(Q=2 * m + mu, V=-2 * m),
+                Fraction(mu ** (2 * m) * factorial(mu), factorial(m) * factorial(m + mu)),
+            )
+        )
+        m += 1
+    return prefactor * FormalSeries(pairs, window)
+
+
+def j_bessel_form(alpha: int, mu: int, window: TruncationWindow) -> FormalSeries:
+    """Bessel-function form of Q^mu * J~(alpha) at z = (eps/mu) v, mu >= 1.
+
+    point 2:  e^( mu t0/v) * ( v/mu)^mu * mu! * I_mu( 2 mu sqrt(q) / v)
+    point 1:  e^(-mu t0/v) * (-v/mu)^mu * mu! * I_mu(-2 mu sqrt(q) / v)
+
+    written with (x/2) = ±mu*Q/V so every power is an exact monomial.
+    """
+    if mu < 1:
+        raise ValueError("winding order must be positive here")
+    eps = _sign(alpha)
+    prefactor = series_exp(eps * mu, mono(T=1, V=-1), window)
+    scale = Fraction(eps, mu) ** mu * factorial(mu)
+    bess = bessel_first_kind(mu, 2 * eps * mu, mono(Q=1, V=-1), window)
+    return (prefactor * bess).scale(scale, mono(V=mu))
+
+
+def j_degree_part_from_graphs(alpha: int, d: int, window: TruncationWindow) -> FormalSeries:
+    """Degree-d part of the reduced curve series rebuilt from graph sums:
+
+        Q^(2d) * (Euler weight at alpha) * sum_a <1, phi_alpha psi^a> z^(-a-1),
+
+    the a-range bounded by the window's z-floor.  Matches the t0-free part of
+    :func:`j_reduced_component` degree by degree.
+    """
+    sign = _sign(alpha)
+    parts = (
+        closed_descendant([(unit_p1(), 0), (phi_p1(alpha), a)], d)
+        .scale(Fraction(sign), mono(Q=2 * d, V=1, Z=-a - 1))
+        .truncate(window)
+        for a in range(-window.min_z)
+    )
+    return series_sum(parts, window)
+
+
+# ---------------------------------------------------------------------------
+# the string recursion and the pairing on the line
+# ---------------------------------------------------------------------------
+
+
+def psi_integral_by_string(exponents: Sequence[int]) -> Fraction:
+    """Independent oracle: pull marked points off with the string equation."""
+    n = len(exponents)
+    if n < 3:
+        raise ValueError("need at least three marked points")
+    if sum(exponents) != n - 3:
+        return Fraction(0)
+    if n == 3:
+        return Fraction(1)  # dimension zero forces all exponents to vanish
+    exps = list(exponents)
+    i = exps.index(0)  # exists: sum < n
+    rest = exps[:i] + exps[i + 1 :]
+    total = Fraction(0)
+    for j, a in enumerate(rest):
+        if a >= 1:
+            total += psi_integral_by_string(rest[:j] + [a - 1] + rest[j + 1 :])
+    return total
+
+
+def pairing_p1(a: P1Class, b: P1Class) -> FormalSeries:
+    """Equivariant intersection pairing: sum over fixed points of a*b/Euler."""
+    out = FormalSeries.zero(WIDE)
+    for alpha in P1_POINTS:
+        out = out + a[alpha - 1] * b[alpha - 1] * v_term(_sign(alpha), -1)
+    return out
+
+
+def integral_p1(a: P1Class) -> FormalSeries:
+    """Equivariant pushforward to a point (pairing against the unit)."""
+    return pairing_p1(a, unit_p1())

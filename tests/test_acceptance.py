@@ -11,34 +11,25 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ocmirror.asymptotics import NumericParams, asym_ratio, fitted_error_constant
-from ocmirror.closed import (
-    bessel_first_kind,
-    j_bessel_form,
-    j_gamma_form,
-    j_reduced_at,
-    j_reduced_component,
-    surface_series_terms,
-    surface_term_specialized,
-)
+from ocmirror.closed import bessel_first_kind, surface_series_terms
 from ocmirror.correspondence import (
     disk_potential_bessel,
     exceptional_correction,
     rhs_assemble,
     run_check,
 )
-from ocmirror.localization import (
+from ocmirror.localization import open_invariant, open_via_closed, psi_integral
+from ocmirror.series import FormalSeries, TruncationWindow, mono
+
+from second_routes import (
+    expand_terms,
+    j_bessel_form,
     j_degree_part_from_graphs,
-    open_invariant,
-    open_via_closed,
-    psi_integral,
+    j_gamma_form,
+    j_reduced_at,
+    j_reduced_component,
     psi_integral_by_string,
-)
-from ocmirror.series import (
-    Expansion,
-    FormalSeries,
-    TruncationWindow,
-    expand_factor,
-    mono,
+    surface_term_specialized,
 )
 
 F = Fraction
@@ -72,13 +63,6 @@ def test_criterion_1_main_identity():
 # ---------------------------------------------------------------------------
 
 
-def _expand_terms(terms, window):
-    out = FormalSeries.zero(window)
-    for t in terms:
-        out = out + expand_factor(t, Expansion.Z_OVER_V, window)
-    return out
-
-
 def test_criterion_2_surface_term_closed_forms():
     window = TruncationWindow(
         max_q=6, max_t=4, max_abs_x=0, min_v=-8, max_v=1, min_z=-24, max_z=2
@@ -91,7 +75,7 @@ def test_criterion_2_surface_term_closed_forms():
         for d2 in range(7 - d1):
             general = surface_term_specialized(d1, d2, 0)
             closed = by_class.get((d1, d2), [])
-            assert _expand_terms(general, window) == _expand_terms(closed, window), (
+            assert expand_terms(general, window) == expand_terms(closed, window), (
                 d1,
                 d2,
             )

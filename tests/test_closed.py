@@ -7,29 +7,24 @@ from fractions import Fraction
 
 import pytest
 
-from ocmirror.closed import (
-    bessel_first_kind,
+from ocmirror.closed import bessel_first_kind, surface_series_terms, z_coeff
+from ocmirror.geometry import UPoly
+from ocmirror.series import FormalSeries, TruncationWindow, mono, series_exp
+
+from families import by_slope_sign
+from second_routes import (
+    expand_terms,
+    fraction_expand_factor,
     j_bessel_form,
     j_gamma_form,
     j_reduced_at,
     j_reduced_component,
-    surface_series_terms,
+    phi_k_coeff,
     surface_term_specialized,
     surface_term_symbolic,
-    z_coeff,
+    z_coeff_split,
+    z_slice,
 )
-from ocmirror.geometry import UPoly
-from ocmirror.series import (
-    Expansion,
-    FormalSeries,
-    TruncationWindow,
-    expand_factor,
-    mono,
-    series_exp,
-)
-
-from families import by_slope_sign
-from second_routes import phi_k_coeff, z_coeff_split, z_slice
 
 F = Fraction
 
@@ -37,13 +32,6 @@ F = Fraction
 WQ = TruncationWindow(max_q=8, max_t=4, max_abs_x=8, min_v=-8, max_v=1, min_z=-24, max_z=2)
 # window for curve-side series (deep v/z ladders)
 WJ = TruncationWindow(max_q=8, max_t=2, max_abs_x=0, min_v=-12, max_v=10, min_z=-14, max_z=0)
-
-
-def expand_terms(terms, window, mode=Expansion.Z_OVER_V):
-    out = FormalSeries.zero(window)
-    for t in terms:
-        out = out + expand_factor(t, mode, window)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +271,7 @@ def test_large_z_direction_leading_behavior():
     series = FormalSeries.zero(WQ)
     for t in surface_series_terms(WQ, WQ.max_q):
         if t.slope:
-            series = series + expand_factor(t, Expansion.V_OVER_Z, WQ)
+            series = series + fraction_expand_factor(t, WQ, v_over_z=True)
         else:  # the factor is 1
             series = series + FormalSeries.of(t.coefficient, t.monomial, WQ)
     series = series * series_exp(1, mono(T=1, Z=-1), WQ)

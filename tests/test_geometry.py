@@ -20,8 +20,6 @@ from ocmirror.geometry import (
     flag_weight,
     hyperplane_p1,
     hyperplane_restriction,
-    integral_p1,
-    pairing_p1,
     pairing_surface,
     phi_dual_p1,
     phi_p1,
@@ -30,6 +28,8 @@ from ocmirror.geometry import (
     v_term,
 )
 from ocmirror.series import mono
+
+from second_routes import integral_p1, pairing_p1
 
 # ---------------------------------------------------------------------------
 # projective line

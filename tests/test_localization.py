@@ -21,15 +21,14 @@ from ocmirror.localization import (
     disk_factor,
     edge_factor,
     enumerate_graph_classes,
-    j_degree_part_from_graphs,
     open_invariant,
     open_via_closed,
     psi_integral,
-    psi_integral_by_string,
     vertex_integral,
 )
-from ocmirror.closed import j_reduced_component
 from ocmirror.series import FormalSeries, TruncationWindow, mono
+
+from second_routes import j_degree_part_from_graphs, j_reduced_component, psi_integral_by_string
 
 F = Fraction
 
