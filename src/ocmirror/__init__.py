@@ -21,7 +21,7 @@ closed
     extraction of descendant-slice coefficients.
 localization
     Fixed-point graph sums: decorated-tree enumeration, automorphisms,
-    vertex/edge conventions, closed and one-boundary invariants.
+    vertex/edge conventions, graph-class rows and one-boundary invariants.
 correspondence
     Both sides of the headline identity, their exceptional correction, and
     the machine-checkable comparison report.

@@ -61,7 +61,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .geometry import WIDE, P1Class, phi_p1, unit_p1, v_term
 from .series import FormalSeries, mono, series_sum
@@ -75,7 +75,6 @@ __all__ = [
     "edge_factor",
     "vertex_integral",
     "disk_factor",
-    "closed_descendant",
     "open_invariant",
     "open_via_closed",
     "graph_class_rows",
@@ -164,12 +163,6 @@ class DecoratedGraph:
 
     # -- canonical form -----------------------------------------------------
 
-    def _encode(self, v: int, parent: int, adj) -> tuple:
-        children = sorted(
-            (de, self._encode(u, v, adj)) for u, de in adj[v] if u != parent
-        )
-        return (self.labels[v], self.markings_at(v), tuple(children))
-
     def canonical_key(self) -> tuple:
         """Isomorphism-class invariant, complete for decorated trees.
 
@@ -181,10 +174,59 @@ class DecoratedGraph:
         instance once computed: the fields are immutable tuples.
         """
         if "_key" not in self.__dict__:
-            adj = self.adjacency()
-            root = min(_tree_centers(len(self.labels), adj), key=lambda c: self.labels[c])
-            object.__setattr__(self, "_key", self._encode(root, -1, adj))
+            V = len(self.labels)
+            order = _rooted_order(self.labels, _edge_adjacency(V, self.edges))
+            degrees = [de for _, _, de in self.edges]
+            key = _rooted_key(self.labels, order, degrees, _markings_by_vertex(V, self.markings))
+            object.__setattr__(self, "_key", key)
         return self.__dict__["_key"]
+
+
+def _edge_adjacency(V: int, edges) -> List[List[Tuple[int, int]]]:
+    """(neighbour, edge index) pairs per vertex; edges start with (u, v)."""
+    adj: List[List[Tuple[int, int]]] = [[] for _ in range(V)]
+    for e, (u, v, *_) in enumerate(edges):
+        adj[u].append((v, e))
+        adj[v].append((u, e))
+    return adj
+
+
+def _rooted_order(labels: Sequence[int], adj) -> List[Tuple[int, tuple]]:
+    """Each vertex with its (child, edge index) branches, children first.
+
+    The root, last in the list, is the tree center at fixed point 1 when
+    there are two centers (see :meth:`DecoratedGraph.canonical_key`).
+    """
+    root = min(_tree_centers(len(labels), adj), key=labels.__getitem__)
+    order = []
+    stack = [(root, -1)]
+    while stack:
+        v, parent = stack.pop()
+        branches = tuple((u, e) for u, e in adj[v] if u != parent)
+        order.append((v, branches))
+        stack.extend((u, v) for u, _ in branches)
+    order.reverse()
+    return order
+
+
+def _rooted_key(labels, order, degrees, markings_by_vertex) -> tuple:
+    """The rooted encoding of :meth:`DecoratedGraph.canonical_key`.
+
+    ``order`` comes from :func:`_rooted_order`, ``degrees[e]`` is the degree
+    of edge e, and ``markings_by_vertex[v]`` the markings on vertex v.
+    """
+    key: List[tuple] = [()] * len(labels)
+    for v, branches in order:
+        children = tuple(sorted((degrees[e], key[u]) for u, e in branches))
+        key[v] = (labels[v], markings_by_vertex[v], children)
+    return key[order[-1][0]]
+
+
+def _markings_by_vertex(V: int, markings: Sequence[int]) -> List[Tuple[int, ...]]:
+    by_vertex: List[Tuple[int, ...]] = [()] * V
+    for i, v in enumerate(markings):
+        by_vertex[v] += (i,)
+    return by_vertex
 
 
 def _tree_centers(V: int, adj) -> List[int]:
@@ -228,66 +270,92 @@ def _pruefer_to_edges(seq: Sequence[int], V: int) -> List[Tuple[int, int]]:
     return edges
 
 
-def _labeled_trees(V: int) -> List[List[Tuple[int, int]]]:
+def _labeled_trees(V: int) -> Iterator[List[Tuple[int, int]]]:
+    """Every labeled tree on V vertices, in the order of its Pruefer sequence."""
     if V == 1:
-        return [[]]
-    return [_pruefer_to_edges(seq, V) for seq in itertools.product(range(V), repeat=V - 2)]
+        yield []
+        return
+    for seq in itertools.product(range(V), repeat=V - 2):
+        yield _pruefer_to_edges(seq, V)
 
 
 def _bipartition_labels(V: int, edges: Sequence[Tuple[int, int]], root_label: int):
     labels = [0] * V
     labels[0] = root_label
-    adj: Dict[int, List[int]] = {v: [] for v in range(V)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = _edge_adjacency(V, edges)
     frontier = [0]
     while frontier:
         v = frontier.pop()
-        for u in adj[v]:
+        for u, _ in adj[v]:
             if labels[u] == 0:
                 labels[u] = 3 - labels[v]
                 frontier.append(u)
     return tuple(labels)
 
 
+def _labeled_blocks(V: int) -> int:
+    """Labeled 2-coloured trees on V vertices: Cayley's V^(V-2), twice."""
+    return 2 * (V ** (V - 2) if V >= 2 else 1)
+
+
+def _shape_blocks(V: int) -> Iterator[Tuple[List[Tuple[int, int]], tuple, list, tuple]]:
+    """The first block of each bare shape on V >= 2 vertices, in walk order.
+
+    A block is one Pruefer tree with one bipartition labeling; its shape is
+    its 2-coloured tree up to isomorphism (unit degrees, no markings).  Yields
+    (tree, labels, rooted order, shape key) and stops once the shapes found
+    account for every block: a shape of automorphism order a is the shape of
+    V!/a labeled blocks (orbit-stabiliser), and there are 2*V^(V-2) blocks.
+    """
+    unaccounted = _labeled_blocks(V)
+    unit = [1] * (V - 1)
+    unmarked = [()] * V
+    shapes = set()
+    for tree in _labeled_trees(V):
+        adj = _edge_adjacency(V, tree)
+        for root_label in (1, 2):
+            labels = _bipartition_labels(V, tree, root_label)
+            order = _rooted_order(labels, adj)
+            shape = _rooted_key(labels, order, unit, unmarked)
+            if shape in shapes:
+                continue
+            shapes.add(shape)
+            yield tree, labels, order, shape
+            unaccounted -= factorial(V) // _rooted_aut(shape)
+            if not unaccounted:
+                return
+
+
 def enumerate_graph_classes(n: int, d: int) -> List[DecoratedGraph]:
     """Isomorphism classes of decorated trees: n markings, total degree d >= 1.
 
     Walks labeled blocks — one Pruefer tree with one bipartition labeling —
-    and within each block every degree composition and marking placement,
-    keeping the first graph of each canonical key; the output order is this
-    discovery order.  A block whose bare 2-coloured tree (unit degrees, no
-    markings) is isomorphic to an earlier block's is skipped whole: the
-    isomorphism carries each of its decorations onto one of the earlier
-    block, already enumerated in full, so every key it would produce is
-    already found.  Skipping it leaves the classes, their order and their
-    representatives unchanged.  Every graph is a valid decorated tree by
-    construction (a Pruefer tree, a bipartition labeling, positive degrees);
-    the tests validate each class.
+    and decorates the first block of each bare shape (see
+    :func:`_shape_blocks`) with every degree composition and marking
+    placement, keeping the first graph of each canonical key; the output
+    order is this discovery order.  A later block of a known shape adds no
+    class: the isomorphism carries each of its decorations onto one of the
+    earlier block.  So each V's walk stops once the shapes found account for
+    all 2*V^(V-2) blocks by orbit-stabiliser, and the classes, their order
+    and their representatives are those of the full walk.  A decoration's
+    key is read off its block's rooted tree, and each kept representative
+    carries its key.  Every graph is a valid decorated tree by construction
+    (a Pruefer tree, a bipartition labeling, positive degrees); the tests
+    validate each class.
     """
     if d < 1:
         raise ValueError("graph sums need positive total degree")
     found: Dict[tuple, DecoratedGraph] = {}
     for V in range(2, d + 2):
-        shapes = set()
-        for tree in _labeled_trees(V):
-            unit_edges = tuple((u, v, 1) for u, v in tree)
-            for root_label in (1, 2):
-                labels = _bipartition_labels(V, tree, root_label)
-                shape = DecoratedGraph(labels, unit_edges).canonical_key()
-                if shape in shapes:
-                    continue
-                shapes.add(shape)
-                for degs in _compositions(d, V - 1):
-                    edges = tuple(
-                        (u, v, de) for (u, v), de in zip(tree, degs)
-                    )
-                    for marks in itertools.product(range(V), repeat=n):
-                        g = DecoratedGraph(labels, edges, tuple(marks))
-                        key = g.canonical_key()
-                        if key not in found:
-                            found[key] = g
+        for tree, labels, order, _ in _shape_blocks(V):
+            for degs in _compositions(d, V - 1):
+                for marks in itertools.product(range(V), repeat=n):
+                    key = _rooted_key(labels, order, degs, _markings_by_vertex(V, marks))
+                    if key not in found:
+                        edges = tuple((u, v, de) for (u, v), de in zip(tree, degs))
+                        g = DecoratedGraph(labels, edges, marks)
+                        object.__setattr__(g, "_key", key)
+                        found[key] = g
     return list(found.values())
 
 
@@ -296,8 +364,7 @@ def count_labeled_graphs(n: int, d: int, V: int) -> int:
 
     Cayley's formula gives V^(V-2) labeled trees on V >= 2 vertices.
     """
-    trees = V ** (V - 2) if V >= 2 else 1
-    return trees * 2 * _n_compositions(d, V - 1) * V**n
+    return _labeled_blocks(V) * _n_compositions(d, V - 1) * V**n
 
 
 def _compositions(total: int, parts: int) -> Iterable[Tuple[int, ...]]:
@@ -327,15 +394,16 @@ def automorphism_count(g: DecoratedGraph) -> int:
     k! * aut(child)^k.  The tests check the count against a brute-force
     permutation search.
     """
+    return _rooted_aut(g.canonical_key())
 
-    def rooted(key: tuple) -> int:
-        aut = 1
-        for (_, child), run in itertools.groupby(key[2]):
-            k = len(list(run))
-            aut *= factorial(k) * rooted(child) ** k
-        return aut
 
-    return rooted(g.canonical_key())
+def _rooted_aut(key: tuple) -> int:
+    """Automorphism order of the rooted tree a canonical key encodes."""
+    aut = 1
+    for (_, child), run in itertools.groupby(key[2]):
+        k = len(list(run))
+        aut *= factorial(k) * _rooted_aut(child) ** k
+    return aut
 
 
 # ===========================================================================
@@ -470,16 +538,6 @@ def _graph_contribution(
     if restrictions is None:
         return v_term(c, k)
     return restrictions.scale(c, mono(V=k))
-
-
-def closed_descendant(insertions: Sequence[Insertion], d: int) -> FormalSeries:
-    """Equivariant genus-zero descendant invariant of degree d >= 1.
-
-    ``insertions`` lists (restriction pair, psi exponent) per marking; the
-    result is an exact V-Laurent scalar.
-    """
-    graphs = enumerate_graph_classes(len(insertions), d)
-    return series_sum((_graph_contribution(g, insertions) for g in graphs), WIDE)
 
 
 def _open_data(d_minus: int, d_plus: int) -> Tuple[int, int, int]:

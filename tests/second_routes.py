@@ -16,7 +16,8 @@ quantities another way, and the tests assert that the two agree.
   of ``ocmirror.closed.surface_series_terms`` is checked against it.
 * The reduced curve series J~ of the projective line, as a series in v/z
   and at z = c*v in three forms (products, factorial quotients, Bessel), and
-  its degree parts rebuilt from graph sums.
+  its degree parts rebuilt from the closed descendant graph sums
+  (``closed_descendant``, which sums each class's summand).
 * The string recursion for the psi integrals, and the equivariant pairing
   on the line.
 
@@ -45,7 +46,7 @@ from ocmirror.geometry import (
     unit_p1,
     v_term,
 )
-from ocmirror.localization import closed_descendant
+from ocmirror.localization import _graph_contribution, enumerate_graph_classes
 from ocmirror.series import (
     FormalSeries,
     LinearFactorTerm,
@@ -504,6 +505,16 @@ def j_bessel_form(alpha: int, mu: int, window: TruncationWindow) -> FormalSeries
     scale = Fraction(eps, mu) ** mu * factorial(mu)
     bess = bessel_first_kind(mu, 2 * eps * mu, mono(Q=1, V=-1), window)
     return (prefactor * bess).scale(scale, mono(V=mu))
+
+
+def closed_descendant(insertions: Sequence[Tuple[P1Class, int]], d: int) -> FormalSeries:
+    """Equivariant genus-zero descendant invariant of degree d >= 1.
+
+    ``insertions`` lists (restriction pair, psi exponent) per marking; the
+    result is an exact V-Laurent scalar, the sum of each class's summand.
+    """
+    graphs = enumerate_graph_classes(len(insertions), d)
+    return series_sum((_graph_contribution(g, insertions) for g in graphs), WIDE)
 
 
 def j_degree_part_from_graphs(alpha: int, d: int, window: TruncationWindow) -> FormalSeries:

@@ -226,6 +226,26 @@ def test_check_passes_on_random_windows(window):
     assert report.rhs == _rhs_all_windings(window)
 
 
+def _off_grading(s: FormalSeries):
+    """The monomials of s off the grading V + T + Q = 1."""
+    return [m for m, _ in s.items() if m.V + m.T + m.Q != 1]
+
+
+@given(sweep_window())
+@settings(max_examples=80, deadline=None)
+def test_every_monomial_has_grading_one(window):
+    # weight exponent, log order and area order add up to 1 in every term
+    for build in (disk_potential_bessel, rhs_assemble, exceptional_correction):
+        assert _off_grading(build(window)) == [], build.__name__
+
+
+def test_grading_one_holds_on_nonempty_series():
+    # the property above is not vacuous: each side has terms on WM
+    for build in (disk_potential_bessel, rhs_assemble, exceptional_correction):
+        s = build(WM)
+        assert len(s) > 0 and _off_grading(s) == [], build.__name__
+
+
 @pytest.mark.parametrize("max_v", [-3, -5])
 def test_check_passes_below_a_v_ceiling_of_minus_two(max_v):
     # pairing in a window of V ceiling max_v + 1 once clipped the 1/v

@@ -8,6 +8,7 @@ from math import factorial
 
 import pytest
 
+from ocmirror import localization
 from ocmirror.geometry import hyperplane_p1, phi_dual_p1, phi_p1, unit_p1, v_term
 from ocmirror.localization import (
     DecoratedGraph,
@@ -15,8 +16,8 @@ from ocmirror.localization import (
     _compositions,
     _graph_contribution,
     _labeled_trees,
+    _shape_blocks,
     automorphism_count,
-    closed_descendant,
     count_labeled_graphs,
     disk_factor,
     edge_factor,
@@ -28,7 +29,12 @@ from ocmirror.localization import (
 )
 from ocmirror.series import FormalSeries, TruncationWindow, mono
 
-from second_routes import j_degree_part_from_graphs, j_reduced_component, psi_integral_by_string
+from second_routes import (
+    closed_descendant,
+    j_degree_part_from_graphs,
+    j_reduced_component,
+    psi_integral_by_string,
+)
 
 F = Fraction
 
@@ -146,15 +152,57 @@ def _aut_brute(g):
 
 
 ORACLE_GRID = [(n, d) for n in range(3) for d in range(1, 5)] + [(0, 5), (3, 3), (4, 3)]
+# the first points where the stopped walk leaves over 90% of the blocks unvisited
+BEYOND_ORACLE_GRID = [(1, 5), (0, 6)]
 
 
-@pytest.mark.parametrize("n,d", ORACLE_GRID)
+@pytest.mark.parametrize("n,d", ORACLE_GRID + BEYOND_ORACLE_GRID)
 def test_enumeration_matches_dedupe_oracle(n, d):
     # same classes, same representatives, same order as the unskipped walk
     classes = enumerate_graph_classes(n, d)
     assert classes == _enumerate_by_dedupe(n, d)
     for g in classes:
         g.validate()
+        # the key read off the block's rooted tree is the graph's own key
+        fresh = DecoratedGraph(g.labels, g.edges, g.markings).canonical_key()
+        assert g.__dict__["_key"] == fresh, g
+
+
+def _full_walk_shapes(V):
+    """Oracle: each bare shape with the index of the first tree that has it,
+    in walk order, with no early stop."""
+    shapes = {}
+    for i, tree in enumerate(_labeled_trees(V)):
+        unit_edges = tuple((u, v, 1) for u, v in tree)
+        for root_label in (1, 2):
+            g = DecoratedGraph(_bipartition_labels(V, tree, root_label), unit_edges)
+            shapes.setdefault(g.canonical_key(), i)
+    return list(shapes.items())
+
+
+@pytest.mark.parametrize("V,count", zip(range(2, 8), [1, 2, 3, 6, 10, 22]))
+def test_shape_walk_stops_with_every_shape_found(V, count, monkeypatch):
+    walked = []
+
+    def counted_trees(V):
+        for tree in _labeled_trees(V):
+            walked.append(tree)
+            yield tree
+
+    monkeypatch.setattr(localization, "_labeled_trees", counted_trees)
+    blocks = list(_shape_blocks(V))
+    full = _full_walk_shapes(V)
+    assert [shape for *_, shape in blocks] == [shape for shape, _ in full]
+    assert len(blocks) == count
+    # the walk ends at the tree where the last shape turns up
+    assert len(walked) == full[-1][1] + 1
+    # the shapes' orbits cover all 2 * V^(V-2) labeled blocks; the orders
+    # come from the brute-force search, not the key the stop rule reads
+    orbits = 0
+    for tree, labels, _, _ in blocks:
+        shape = DecoratedGraph(labels, tuple((u, v, 1) for u, v in tree))
+        orbits += F(factorial(V), _aut_brute(shape))
+    assert orbits == 2 * V ** (V - 2)
 
 
 @pytest.mark.parametrize("n,d", ORACLE_GRID)
