@@ -14,8 +14,8 @@ series
     integer numerators over one reduced denominator per series — the
     arithmetic kernel everything else is written against.
 geometry
-    Equivariant restriction/pairing data for the line and for the toric
-    surface, including the distinguished pairing normalization.
+    Equivariant fixed-point data for the line: the unit and the fixed-point
+    basis classes that the graph sums insert.
 closed
     The Bessel series of the disk side, the surface series, and exact
     extraction of descendant-slice coefficients.

@@ -24,7 +24,8 @@ All exact values are printed as ``num/den`` strings; series tables iterate
 in the kernel's lexicographic monomial order and graph tables in the
 deterministic enumeration order, so identical configurations produce
 byte-identical output.  Exit codes: 0 success (check passed), 1 check
-failure, 2 usage or configuration error.
+failure, 2 usage or configuration error, or an ``--output`` path that cannot
+be written.
 """
 
 from __future__ import annotations
@@ -271,8 +272,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -15,10 +15,9 @@ Surface side: the origin-cone restriction of the toric surface's
 hypergeometric series under the circle embedding u1 -> -V, u2 -> V.  At the
 origin one closed form gives every curve class (d1, d2): a single
 v/(v - mu z) term whose slope mu = d2 - d1 is the signed Kaehler excess,
-which the Kaehler substitution turns into the winding X^mu.  The tests check
-it term by term against the general resolver, which reads each class off
-the divisor restriction tables of :mod:`ocmirror.geometry` and resolves it
-by partial fractions.
+which the Kaehler map turns into the winding X^mu.  The tests check it
+term by term against a general resolver, which reads each class off the
+surface's divisor restriction tables and resolves it by partial fractions.
 
 Extraction: ``z_coeff`` takes the coefficient of a fixed power z^(-m) of the
 exponential-prefactored sum of linear-factor terms, expanding every factor in

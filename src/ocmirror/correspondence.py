@@ -12,17 +12,17 @@ Right side: the z^-2 slice of the origin-restricted surface series, paired
 against the distinguished origin class and written in winding/area
 variables, plus a finite exceptional correction.  The surface series has one
 term per curve class, coefficient * q1^d1 q2^d2 * z^-(d1+d2) * v/(v - mu z)
-with mu = d2 - d1.  Each term is first multiplied by the pairing prefactor
-(an exact 1/v, recomputed through the full fixed-point pairing; the tests
-pin it against the direct reduction), and the Kaehler parameters are traded
-for winding/area variables by
+with mu = d2 - d1.  The pairing is the constant 1/v (the tests recompute it
+through the surface's fixed-point pairing), and the Kaehler parameters are
+traded for winding/area variables by
 
     q1 -> -Q * X^-1,      q2 -> -Q * X,
 
 which sends the term to the single winding X^mu.  So only the terms with
-|mu| <= max_abs_x are built, both maps act on these few terms rather than
-on their expansion, and the z^-2 slice (factors expanded in z/v) is
-extracted directly in the final variables.  Then
+|mu| <= max_abs_x are built, the two maps act on these few terms as one
+fixed monomial map rather than on their expansion, and the z^-2 slice
+(factors expanded in z/v) is extracted directly in the final variables.
+Then
 
     Exc = -Q*X^-1 + Q*X - T^2/(2v) - Q^2/v
 
@@ -40,7 +40,6 @@ from fractions import Fraction
 from typing import Dict, List
 
 from .closed import bessel_first_kind, surface_series_terms, z_coeff
-from .geometry import distinguished_pairing_prefactor
 from .localization import open_invariant
 from .series import (
     FormalSeries,
@@ -50,11 +49,7 @@ from .series import (
     mono,
     series_exp,
     series_sum,
-    substitute_terms,
 )
-
-#: the Kaehler parameters in winding/area variables
-KAEHLER = {"q1": (Fraction(-1), mono(Q=1, X=-1)), "q2": (Fraction(-1), mono(Q=1, X=1))}
 
 
 def _winding_dressing(mu: int, window: TruncationWindow) -> FormalSeries:
@@ -127,30 +122,39 @@ def _flip_v_floor_part(s: FormalSeries) -> FormalSeries:
     )
 
 
+def _paired_in_winding_variables(t: LinearFactorTerm) -> LinearFactorTerm:
+    """The pairing's 1/v times ``t``, with q1 -> -Q*X^-1 and q2 -> -Q*X.
+
+    q1^d1 q2^d2 Z^e goes to (-1)^(d1+d2) Q^(d1+d2) X^(d2-d1) V^-1 Z^e; the
+    factor v/(v - slope*z) involves neither map.  Since d1 + d2 and
+    |d2 - d1| have the same parity, the sign cancels the closed form's.
+    """
+    m = t.monomial
+    d1, d2 = m.q1, m.q2
+    coefficient = -t.coefficient if (d1 + d2) % 2 else t.coefficient
+    return LinearFactorTerm(
+        coefficient, Monomial(Q=d1 + d2, X=d2 - d1, V=-1, Z=m.Z), t.slope
+    )
+
+
 def rhs_assemble(window: TruncationWindow, corrupt_correction: bool = False) -> FormalSeries:
     """Descendant-slice side of the identity, truncated to ``window``.
 
     Order: take the surface terms whose slope, their winding after the
-    substitution, fits the window's winding bound -> multiply each by every
-    term of the distinguished pairing prefactor (recomputed from the surface
-    pairing; the tests pin it to 1/v) -> trade the Kaehler parameters in its
-    monomial for winding/area variables (the factor v/(v - mu z) involves
-    neither) -> extract the z^-2 coefficient in ``window`` -> add the
-    exceptional correction.  Each map sends a term to one term, so nothing is
-    truncated before the extraction.  The zeroth flat coordinate is carried
-    by the same T variable on both sides, so the log-area identification is
-    the identity map here.
+    Kaehler map, fits the window's winding bound -> pair each with the
+    distinguished class and write it in winding/area variables, one
+    monomial map per term -> extract the z^-2 coefficient in ``window`` ->
+    add the exceptional correction.  The map sends a term to one term, so
+    nothing is truncated before the extraction.  The zeroth flat coordinate
+    is carried by the same T variable on both sides, so the log-area
+    identification is the identity map here.
     """
     terms = surface_series_terms(window, window.max_abs_x)
-    paired = [
-        LinearFactorTerm(t.coefficient * c, t.monomial * m, t.slope)
-        for m, c in distinguished_pairing_prefactor().items()
-        for t in terms
-    ]
+    mapped = [_paired_in_winding_variables(t) for t in terms]
     correction = exceptional_correction(window)
     if corrupt_correction:
         correction = _flip_v_floor_part(correction)
-    return z_coeff(substitute_terms(paired, KAEHLER), 2, window) + correction
+    return z_coeff(mapped, 2, window) + correction
 
 
 # ---------------------------------------------------------------------------

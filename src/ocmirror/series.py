@@ -12,8 +12,8 @@ truncation window.  Conventions:
       X   boundary-winding variable
       V   generator of the circle's equivariant coefficient ring
       Z   descendant variable z
-      q1  first surface Kaehler parameter   (eliminated by substitution)
-      q2  second surface Kaehler parameter  (eliminated by substitution)
+      q1  first surface Kaehler parameter   (mapped to -Q*X^-1)
+      q2  second surface Kaehler parameter  (mapped to -Q*X)
 
 * Coefficients are exact rationals, stored the way FLINT's ``fmpq_poly``
   stores them: ``{Monomial: int}`` numerators over one positive ``int``
@@ -25,8 +25,8 @@ truncation window.  Conventions:
   its expansions through ``_from_raw`` below.
 * Sums rescale every operand to the lcm of the denominators, products
   multiply numerators and denominators, and each result is reduced with one
-  ``math.gcd`` over its denominator and numerators.  The expansions (exp,
-  substitution, and the Bessel and z-coefficient series of ``closed``)
+  ``math.gcd`` over its denominator and numerators.  The expansions (exp, and
+  the Bessel and z-coefficient series of ``closed``)
   collect raw ``(monomial, numerator, denominator)`` terms and put them over
   one denominator by a single lcm (``_from_raw``).
 * A series remembers the window it was truncated to.  Arithmetic re-truncates
@@ -37,7 +37,8 @@ truncation window.  Conventions:
   and a truncation before a monomial shift loses what the shift would bring
   in.  (The right side of the correspondence once lost its 1/V prefactor so
   at max_v <= -3, pairing in a window of V ceiling max_v + 1.)  Monomial maps
-  therefore go on the inputs of an expansion (``substitute_terms``).
+  therefore go on the inputs of an expansion, as the right side's Kaehler
+  map does in ``correspondence.rhs_assemble``.
 * Iteration over terms is in lexicographic exponent order, which makes every
   report byte-reproducible.
 * Kernel results are built once.  The public constructor
@@ -46,12 +47,12 @@ truncation window.  Conventions:
   ``numbers.Rational``; floats, strings and decimals raise ``TypeError``),
   merges repeated monomials, drops zeros and drops monomials outside the
   window.  Every result the kernel computes itself (ring operations,
-  ``scale``, ``truncate``, ``substitute``, ``series_sum``, the expansions) is
+  ``scale``, ``series_sum``, the expansions) is
   assembled in one numerator dict that already satisfies that contract —
   canonical, every monomial inside the window — and is wrapped without a
   second pass.  Each operation tests ``window.contains`` only where its
   output can leave the window: a sum whose window is smaller than an
-  operand's, a product, a monomial shift, a substitution.
+  operand's, a product, a monomial shift.
 
 Rational factors of the form v/(v - c*z) are kept unexpanded as
 ``LinearFactorTerm``.  The one expansion the program makes is in the z/v
@@ -67,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Tuple, Union
 
 __all__ = [
     "VARIABLES",
@@ -78,8 +79,6 @@ __all__ = [
     "mono",
     "series_sum",
     "series_exp",
-    "substitute",
-    "substitute_terms",
 ]
 
 VARIABLES: Tuple[str, ...] = ("Q", "T", "X", "V", "Z", "q1", "q2")
@@ -356,11 +355,6 @@ class FormalSeries:
                 out[mm] = n * p
         return _reduced(out, den, self.window)
 
-    def truncate(self, window: TruncationWindow) -> "FormalSeries":
-        if window == self.window:
-            return self  # instances are immutable
-        return _reduced(_clip(self._nums, window), self._den, window)
-
 
 _ZERO = Fraction(0)
 
@@ -481,76 +475,6 @@ def series_exp(c: RationalLike, m: Monomial, window: TruncationWindow) -> Formal
     return _from_raw(raw, window)
 
 
-Images = Mapping[str, Tuple[RationalLike, Monomial]]
-
-
-def substitute(s: FormalSeries, images: Images) -> FormalSeries:
-    """Replace each variable in ``images`` by a rational multiple of a monomial.
-
-    ``images`` maps a variable name to ``(c, m)``, read as var ↦ c·m.  A
-    variable raised to a negative power needs c != 0.  Variables not listed
-    are left alone.  Each term of ``s`` is mapped exactly, and the result is
-    re-truncated to the window of ``s``.  That makes ``substitute`` a ring
-    homomorphism only where truncation cannot drop a term the map would
-    bring back into the window, i.e. in Q, T, q1 and q2: with |X| <= 3,
-    ``substitute(X^2*X^2, {X: (-1, Q)})`` is 0 but the square of
-    ``substitute(X^2, ...)`` is Q^4.  To map the terms of an expansion before
-    expanding, use :func:`substitute_terms`.
-    """
-    image = _monomial_image(images)
-    contains = s.window.contains
-    raw: List[RawTerm] = []
-    for m, n in s._nums.items():
-        mm, p, q = image(m)
-        if p and contains(mm):
-            raw.append((mm, n * p, s._den * q))
-    return _from_raw(raw, s.window)
-
-
-def _monomial_image(images: Images) -> Callable[[Monomial], RawTerm]:
-    """m ↦ its image as (monomial, numerator, denominator); numerator 0 if the image is 0."""
-    bad = set(images) - set(VARIABLES)
-    if bad:
-        raise ValueError(f"unknown variables: {sorted(bad)}")
-    # (variable index, name, image coefficient, image monomial, cache of the
-    # image powers by exponent)
-    subs = [
-        (VARIABLES.index(name), name, _exact(ic), im, {})
-        for name, (ic, im) in images.items()
-    ]
-
-    def image(m: Monomial) -> RawTerm:
-        mm, num, den = m, 1, 1
-        for i, name, ic, im, powers in subs:
-            e = m[i]
-            if e == 0:
-                continue
-            power = powers.get(e)
-            if power is None:
-                power = powers[e] = _image_power(i, name, ic, im, e)
-            shift, p, q = power
-            if not p:
-                return ONE, 0, 1  # a zero image kills the term
-            mm, num, den = mm * shift, num * p, den * q
-        return mm, num, den
-
-    return image
-
-
-def _image_power(
-    i: int, name: str, ic: Fraction, im: Monomial, e: int
-) -> Tuple[Monomial, int, int]:
-    """var_i^e ↦ (ic·im)^e as (monomial shift consuming var_i^e, numerator, denominator)."""
-    if ic == 0:
-        if e < 0:
-            raise ValueError(f"cannot raise zero image of {name} to power {e}")
-        return ONE, 0, 1
-    c = ic**e
-    shift = list(im**e)
-    shift[i] -= e
-    return _tuple_new(Monomial, shift), c.numerator, c.denominator
-
-
 # ---------------------------------------------------------------------------
 # unexpanded linear factors  coeff * monomial * v/(v - slope*z)
 # ---------------------------------------------------------------------------
@@ -570,23 +494,3 @@ class LinearFactorTerm:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coefficient", _exact(self.coefficient))
         object.__setattr__(self, "slope", _exact(self.slope))
-
-
-def substitute_terms(
-    terms: Iterable[LinearFactorTerm], images: Images
-) -> List[LinearFactorTerm]:
-    """Each term with ``images`` applied to its coefficient·monomial, untruncated.
-
-    The map is :func:`substitute`'s, term by term; a term whose image is zero
-    is dropped.  The factor v/(v - slope·z) is kept as it is, so V and Z
-    cannot be replaced.
-    """
-    if {"V", "Z"} & set(images):
-        raise ValueError("V and Z occur in the linear factor; they cannot be substituted")
-    image = _monomial_image(images)
-    out: List[LinearFactorTerm] = []
-    for t in terms:
-        mm, p, q = image(t.monomial)
-        if p:
-            out.append(LinearFactorTerm(t.coefficient * Fraction(p, q), mm, t.slope))
-    return out

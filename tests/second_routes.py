@@ -11,6 +11,16 @@ quantities another way, and the tests assert that the two agree.
   factor into its z/v or v/z ladder.
 * ``z_slice``, ``z_coeff_split`` and ``phi_k_coeff`` are presentations of
   the surface series that only the tests read.
+* The toric surface's fixed-point data: polynomials in its torus weights
+  u1, u2 (``UPoly``), unreduced sums of their fractions
+  (``SymbolicPairing``), the ray, cone, charge, flag-weight, divisor and
+  hyperplane tables, and the fixed-point pairing, which recomputes the
+  distinguished pairing that ``rhs_assemble`` writes as 1/v.
+* The general substitution of rational multiples of monomials for
+  variables (``substitute``, and ``substitute_terms`` on unexpanded
+  terms), and ``KAEHLER``, the map that trades the surface's Kaehler
+  parameters for winding/area variables; with the pairing it rebuilds the
+  right side another way.  ``truncated`` re-truncates a series.
 * The general surface resolver reads each curve class off the divisor
   restriction tables and resolves it by partial fractions; the closed form
   of ``ocmirror.closed.surface_series_terms`` is checked against it.
@@ -19,7 +29,7 @@ quantities another way, and the tests assert that the two agree.
   its degree parts rebuilt from the closed descendant graph sums
   (``closed_descendant``, which sums each class's summand).
 * The string recursion for the psi integrals, and the equivariant pairing
-  on the line.
+  on the line with its Euler weights, hyperplane class and dual basis.
 
 The module is not named ``oracles``: pytest imports it by its bare name, and
 ``perfbench/oracles.py`` is imported the same way.
@@ -31,23 +41,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, List, Sequence, Tuple
+from numbers import Rational
+from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ocmirror.closed import bessel_first_kind
-from ocmirror.geometry import (
-    CHARGES,
-    P1_POINTS,
-    SURFACE_POINTS,
-    WIDE,
-    P1Class,
-    UPoly,
-    divisor_restriction,
-    phi_p1,
-    unit_p1,
-    v_term,
-)
+from ocmirror.geometry import P1_POINTS, WIDE, P1Class, phi_p1, unit_p1, v_term
 from ocmirror.localization import _graph_contribution, enumerate_graph_classes
 from ocmirror.series import (
+    VARIABLES,
     FormalSeries,
     LinearFactorTerm,
     Monomial,
@@ -58,6 +59,11 @@ from ocmirror.series import (
 )
 
 Pairs = List[Tuple[Monomial, Fraction]]
+
+
+def truncated(s: FormalSeries, window: TruncationWindow) -> FormalSeries:
+    """``s`` re-truncated to ``window``: its terms through the validated constructor."""
+    return FormalSeries(s.items(), window)
 
 
 def z_slice(s: FormalSeries, z_exp: int) -> FormalSeries:
@@ -229,6 +235,346 @@ def phi_k_coeff(k: int, m: int, window: TruncationWindow) -> FormalSeries:
             c = Fraction((-1) ** mu * mu**k) / (factorial(l) * factorial(d) * factorial(d + mu))
             pairs.append((mono(T=l, q1=d, q2=d + mu), c))
     return FormalSeries(pairs, window)
+
+
+# ---------------------------------------------------------------------------
+# the toric surface: polynomials in the torus weights u1, u2
+# ---------------------------------------------------------------------------
+
+
+class UPoly:
+    """Polynomial in u1, u2 with exact rational coefficients.
+
+    Stored sparsely as {(i, j): coefficient} for u1^i * u2^j.  Just enough
+    ring structure for weight tables and pairings; nothing clever.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Dict[Tuple[int, int], Fraction] | None = None) -> None:
+        self.terms = {k: Fraction(c) for k, c in (terms or {}).items() if c != 0}
+
+    @classmethod
+    def term(cls, c: Fraction | int, i: int = 0, j: int = 0) -> "UPoly":
+        return cls({(i, j): Fraction(c)})
+
+    @classmethod
+    def u1(cls) -> "UPoly":
+        return cls.term(1, 1, 0)
+
+    @classmethod
+    def u2(cls) -> "UPoly":
+        return cls.term(1, 0, 1)
+
+    def __add__(self, other: "UPoly") -> "UPoly":
+        acc = dict(self.terms)
+        for k, c in other.terms.items():
+            acc[k] = acc.get(k, Fraction(0)) + c
+        return UPoly(acc)
+
+    def __neg__(self) -> "UPoly":
+        return UPoly({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other: "UPoly") -> "UPoly":
+        return self + (-other)
+
+    def __mul__(self, other: "UPoly") -> "UPoly":
+        acc: Dict[Tuple[int, int], Fraction] = {}
+        for (i1, j1), c1 in self.terms.items():
+            for (i2, j2), c2 in other.terms.items():
+                k = (i1 + i2, j1 + j2)
+                acc[k] = acc.get(k, Fraction(0)) + c1 * c2
+        return UPoly(acc)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, UPoly):
+            return self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return self.terms == ({} if other == 0 else {(0, 0): Fraction(other)})
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def specialize(self) -> FormalSeries:
+        """Image under the circle embedding u1 -> -V, u2 -> V."""
+        return FormalSeries(
+            [(mono(V=i + j), c * (-1) ** i) for (i, j), c in self.terms.items()], WIDE
+        )
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "UPoly(0)"
+        bits = [f"({c})*u1^{i}*u2^{j}" for (i, j), c in sorted(self.terms.items())]
+        return "UPoly(" + " + ".join(bits) + ")"
+
+
+@dataclass(frozen=True)
+class SymbolicPairing:
+    """A sum of polynomial fractions num/den in u1, u2, kept unreduced.
+
+    Fixed-point pairings on the surface live here until specialized; keeping
+    the per-point addends separate is what makes the singular circle
+    embedding safe (addends whose numerator dies before specialization never
+    meet their vanishing denominator).
+    """
+
+    addends: Tuple[Tuple[UPoly, UPoly], ...]
+
+    def _over_common_denominator(self) -> Tuple[UPoly, UPoly]:
+        num = UPoly()
+        den = UPoly.term(1)
+        for n, d in self.addends:
+            num = num * d + n * den
+            den = den * d
+        return num, den
+
+    def equals(self, other: "SymbolicPairing") -> bool:
+        """Exact equality as rational functions, by cross-multiplication."""
+        n1, d1 = self._over_common_denominator()
+        n2, d2 = other._over_common_denominator()
+        return n1 * d2 == n2 * d1
+
+    def specialize(self) -> FormalSeries:
+        """Apply u1 -> -V, u2 -> V addend by addend.
+
+        Addends whose specialized numerator vanishes are dropped; a surviving
+        addend with vanishing specialized denominator is a genuine pole and
+        raises.  Denominators are products of weights, so after
+        specialization they are V-monomials and division is exact.
+        """
+        out = FormalSeries.zero(WIDE)
+        for n, d in self.addends:
+            ns = n.specialize()
+            if ns.is_zero():
+                continue
+            ds = d.specialize()
+            if ds.is_zero():
+                raise ZeroDivisionError(
+                    "pairing addend survives specialization with vanishing Euler factor"
+                )
+            if len(ds) != 1:
+                raise NotImplementedError("specialized denominator is not a monomial")
+            ((dm, dc),) = ds.items()
+            out = out + ns.scale(1 / dc, mono(V=-dm.V))
+        return out
+
+
+# ---------------------------------------------------------------------------
+# the toric surface: rays, cones, charges and fixed-point restrictions
+# ---------------------------------------------------------------------------
+#
+# A smooth toric surface with rays (0,1), (1,0), (-1,1), (1,-1) and three
+# torus-fixed points, acted on by a two-torus with weight lattice generated
+# by u1, u2.  The circle embedding u1 -> -V, u2 -> V kills the Euler classes
+# of two of the three fixed points.  Specializing a pairing is legal exactly
+# when every addend with a vanishing specialized denominator already has a
+# vanishing specialized numerator, which is what happens for the
+# distinguished pairing: the origin point class restricts to zero at the two
+# bad points before specialization.
+
+RAYS: Tuple[Tuple[int, int], ...] = ((0, 1), (1, 0), (-1, 1), (1, -1))
+
+#: maximal cones as pairs of ray indices (1-based); index 0 is the origin cone
+CONES: Tuple[Tuple[int, int], ...] = ((1, 2), (1, 3), (2, 4))
+
+#: intersection numbers of the four toric divisors with the two curve classes
+CHARGES: Tuple[Tuple[int, int], ...] = ((-1, 1), (1, -1), (1, 0), (0, 1))
+
+SURFACE_POINTS = (0, 1, 2)  # fixed points, indexed by their cone
+
+_U1 = UPoly.u1()
+_U2 = UPoly.u2()
+_MINUS_SUM = -(_U1 + _U2)
+
+_FLAG_WEIGHTS: Dict[Tuple[int, int], UPoly] = {
+    (1, 1): _U1,
+    (1, 0): -_U1,
+    (2, 2): _U2,
+    (2, 0): -_U2,
+    (3, 1): _MINUS_SUM,
+    (4, 2): _MINUS_SUM,
+}
+
+_DIVISOR_RESTRICTIONS: Dict[int, Tuple[UPoly, UPoly, UPoly]] = {
+    # index by divisor; entries ordered by fixed point (0, 1, 2)
+    1: (-_U2, _MINUS_SUM, UPoly()),
+    2: (-_U1, UPoly(), _MINUS_SUM),
+    3: (UPoly(), _U1, UPoly()),
+    4: (UPoly(), UPoly(), _U2),
+}
+
+_HYPERPLANE_RESTRICTIONS: Dict[int, Tuple[UPoly, UPoly, UPoly]] = {
+    1: (UPoly(), _U1, UPoly()),
+    2: (UPoly(), UPoly(), _U2),
+}
+
+
+def flag_weight(ray: int, cone: int) -> UPoly:
+    """Tangent weight of the invariant curve along ``ray`` at the cone's point."""
+    try:
+        return _FLAG_WEIGHTS[(ray, cone)]
+    except KeyError:
+        raise ValueError(f"ray {ray} is not a face of cone {cone}") from None
+
+
+def euler_surface(point: int) -> UPoly:
+    """Euler class of the tangent space: product of the cone's two flag weights."""
+    r1, r2 = CONES[point]
+    return flag_weight(r1, point) * flag_weight(r2, point)
+
+
+def divisor_restriction(divisor: int, point: int) -> UPoly:
+    return _DIVISOR_RESTRICTIONS[divisor][point]
+
+
+def hyperplane_restriction(index: int, point: int) -> UPoly:
+    """Restrictions of the two Kaehler-basis hyperplane classes."""
+    return _HYPERPLANE_RESTRICTIONS[index][point]
+
+
+SurfaceClass = Tuple[UPoly, UPoly, UPoly]
+
+
+def point_basis_class(point: int) -> SurfaceClass:
+    """Point class at a fixed point, divided by one of its two weights.
+
+    Normalized so the restriction at its own point is the *other* weight of
+    the cone: at the origin cone the divisor used is the full Euler class, so
+    the restriction there is exactly 1.
+    """
+    rest = [UPoly(), UPoly(), UPoly()]
+    if point == 0:
+        rest[0] = UPoly.term(1)
+    else:
+        # Euler = (own weight) * (shared weight); dividing the point class by
+        # the shared weight -(u1+u2) leaves the own weight as restriction.
+        rest[point] = _U1 if point == 1 else _U2
+    return tuple(rest)  # type: ignore[return-value]
+
+
+def pairing_surface(a: SurfaceClass, b: SurfaceClass) -> SymbolicPairing:
+    """Fixed-point pairing: sum over the three points of a*b/Euler, unreduced."""
+    return SymbolicPairing(
+        tuple((a[p] * b[p], euler_surface(p)) for p in SURFACE_POINTS)
+    )
+
+
+def distinguished_pairing_prefactor() -> FormalSeries:
+    """The scalar ⟨-, u1 * (origin point-basis class)⟩ applied to a class
+    restricting to 1 at the origin point and arbitrary elsewhere.
+
+    The origin basis class kills the two singular points symbolically, so the
+    specialization is regular; the result is the overall 1/V of the
+    correspondence, computed through the pairing machinery.
+    """
+    unit: SurfaceClass = (UPoly.term(1), UPoly.term(1), UPoly.term(1))
+    weighted = tuple(_U1 * r for r in point_basis_class(0))
+    return pairing_surface(unit, weighted).specialize()
+
+
+# ---------------------------------------------------------------------------
+# the general substitution
+# ---------------------------------------------------------------------------
+
+Images = Mapping[str, Tuple[Fraction | int, Monomial]]
+
+#: the Kaehler parameters in winding/area variables
+KAEHLER: Images = {"q1": (Fraction(-1), mono(Q=1, X=-1)), "q2": (Fraction(-1), mono(Q=1, X=1))}
+
+
+def substitute(s: FormalSeries, images: Images) -> FormalSeries:
+    """Replace each variable in ``images`` by a rational multiple of a monomial.
+
+    ``images`` maps a variable name to ``(c, m)``, read as var ↦ c·m.  A
+    variable raised to a negative power needs c != 0.  Variables not listed
+    are left alone.  Each term of ``s`` is mapped exactly, and the result is
+    re-truncated to the window of ``s``.  That makes ``substitute`` a ring
+    homomorphism only where truncation cannot drop a term the map would
+    bring back into the window, i.e. in Q, T, q1 and q2: with |X| <= 3,
+    ``substitute(X^2*X^2, {X: (-1, Q)})`` is 0 but the square of
+    ``substitute(X^2, ...)`` is Q^4.  To map the terms of an expansion before
+    expanding, use :func:`substitute_terms`.
+    """
+    image = _monomial_image(images)
+    pairs: Pairs = []
+    for m, c in s.items():
+        mm, ic = image(m)
+        if ic:
+            pairs.append((mm, c * ic))
+    return FormalSeries(pairs, s.window)
+
+
+def substitute_terms(
+    terms: Iterable[LinearFactorTerm], images: Images
+) -> List[LinearFactorTerm]:
+    """Each term with ``images`` applied to its coefficient·monomial, untruncated.
+
+    The map is :func:`substitute`'s, term by term; a term whose image is zero
+    is dropped.  The factor v/(v - slope·z) is kept as it is, so V and Z
+    cannot be replaced.
+    """
+    if {"V", "Z"} & set(images):
+        raise ValueError("V and Z occur in the linear factor; they cannot be substituted")
+    image = _monomial_image(images)
+    out: List[LinearFactorTerm] = []
+    for t in terms:
+        mm, ic = image(t.monomial)
+        if ic:
+            out.append(LinearFactorTerm(t.coefficient * ic, mm, t.slope))
+    return out
+
+
+def _rational(c: object) -> Fraction:
+    """An image coefficient as a ``Fraction``; inexact ones are refused."""
+    if not isinstance(c, Rational):
+        raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__} {c!r}")
+    return Fraction(c)
+
+
+def _monomial_image(images: Images) -> Callable[[Monomial], Tuple[Monomial, Fraction]]:
+    """m ↦ its image as (monomial, coefficient); coefficient 0 if the image is 0."""
+    bad = set(images) - set(VARIABLES)
+    if bad:
+        raise ValueError(f"unknown variables: {sorted(bad)}")
+    # (variable index, name, image coefficient, image monomial, cache of the
+    # image powers by exponent)
+    subs = [
+        (VARIABLES.index(name), name, _rational(ic), im, {})
+        for name, (ic, im) in images.items()
+    ]
+
+    def image(m: Monomial) -> Tuple[Monomial, Fraction]:
+        mm, c = m, Fraction(1)
+        for i, name, ic, im, powers in subs:
+            e = m[i]
+            if e == 0:
+                continue
+            power = powers.get(e)
+            if power is None:
+                power = powers[e] = _image_power(i, name, ic, im, e)
+            shift, pc = power
+            if not pc:
+                return Monomial(), pc  # a zero image kills the term
+            mm, c = mm * shift, c * pc
+        return mm, c
+
+    return image
+
+
+def _image_power(
+    i: int, name: str, ic: Fraction, im: Monomial, e: int
+) -> Tuple[Monomial, Fraction]:
+    """var_i^e ↦ (ic·im)^e as (monomial shift consuming var_i^e, coefficient)."""
+    if ic == 0:
+        if e < 0:
+            raise ValueError(f"cannot raise zero image of {name} to power {e}")
+        return Monomial(), ic
+    shift = list(im**e)
+    shift[i] -= e
+    return Monomial(*shift), ic**e
 
 
 # ---------------------------------------------------------------------------
@@ -529,15 +875,31 @@ def j_degree_part_from_graphs(alpha: int, d: int, window: TruncationWindow) -> F
     parts = (
         closed_descendant([(unit_p1(), 0), (phi_p1(alpha), a)], d)
         .scale(Fraction(sign), mono(Q=2 * d, V=1, Z=-a - 1))
-        .truncate(window)
         for a in range(-window.min_z)
     )
-    return series_sum(parts, window)
+    return series_sum((truncated(p, window) for p in parts), window)
 
 
 # ---------------------------------------------------------------------------
 # the string recursion and the pairing on the line
 # ---------------------------------------------------------------------------
+
+
+def euler_p1(point: int) -> FormalSeries:
+    """Euler weight of the tangent line at a fixed point: -V at 1, +V at 2."""
+    return v_term(_sign(point), 1)
+
+
+def hyperplane_p1() -> P1Class:
+    """Equivariant hyperplane class, restrictions -V/2 and +V/2."""
+    return (v_term(Fraction(-1, 2), 1), v_term(Fraction(1, 2), 1))
+
+
+def phi_dual_p1(alpha: int) -> P1Class:
+    """Pairing-dual of phi: the Euler weight concentrated at the point."""
+    e = euler_p1(alpha)
+    zero = v_term(0)
+    return (e, zero) if alpha == 1 else (zero, e)
 
 
 def psi_integral_by_string(exponents: Sequence[int]) -> Fraction:

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import re
 
 import pytest
 
 from ocmirror import cli
 from ocmirror.cli import main
-from ocmirror.geometry import distinguished_pairing_prefactor, v_term
 
 RATIONAL = re.compile(r"^-?\d+/\d+$")
 
@@ -222,6 +222,16 @@ def test_output_file_reruns_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_unwritable_output_exits_2_without_traceback(capsys, tmp_path, where):
+    target = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+    assert main(["disk", "--max-q", "2", "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
 # sha256 of stdout at one mid window, recorded before the kernel fast path
 # landed (the two check CSV tables: before check's CSV used the disk table
 # writer), and of two graph-class tables, recorded before block skipping in
@@ -334,4 +344,51 @@ def test_reused_parser_carries_nothing_between_calls(capsys, tmp_path):
     assert [code for code, *_ in shared] == [0, 0, 1, 0, 0, 0, 2, 0]
     assert [line.split(",")[0] for line in shared[1][1].splitlines()] == ["l", "200"]
     assert shared[4][1] == "" and shared[4][3] == shared[5][1] != ""
-    assert distinguished_pairing_prefactor() == v_term(1, -1)
+
+
+# ---------------------------------------------------------------------------
+# seeded request sweep
+# ---------------------------------------------------------------------------
+
+
+def _sweep_requests(seed: int, count: int):
+    """A fixed stream of small requests over every exact subcommand.
+
+    Windows are drawn small and include empty ones (--max-q 0, --max-mu 0,
+    --max-t 0); ``asymptotics`` stays out, since it prints libm floats.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        kind = rng.choice(("disk", "rhs", "check", "check-corrupt", "ifunction", "localize"))
+        fmt = ["--format", rng.choice(("csv", "json"))]
+        if kind == "localize":
+            degree, markings = rng.randint(1, 2), rng.randint(0, 2)
+            yield ["localize", "--degree", str(degree), "--markings", str(markings)] + fmt
+            continue
+        window = [
+            "--max-q", str(rng.choice((0, 1, 3, 6, 8, 10))),
+            "--max-t", str(rng.randint(0, 4)),
+            "--min-v", str(rng.randint(-10, 1)),
+        ]
+        if kind == "ifunction":
+            yield ["ifunction", "--zcoeff", str(rng.randint(-1, 4))] + window + fmt
+            continue
+        window += ["--max-mu", str(rng.choice((0, 1, 2, 3, 4, 5)))]
+        if kind == "check-corrupt":
+            yield ["check", "--corrupt-exc"] + window + fmt
+        else:
+            yield [kind] + window + fmt
+
+
+# sha256 over every request's argv, exit code and stdout, recorded before
+# the right side's Kaehler map became a fixed monomial map
+SWEEP_SHA256 = "9739911f21d901b6b5f107c50854efb3682c78675b4ef81c2871fc2283fd11fa"
+
+
+def test_seeded_request_sweep_matches_recorded_digest(capsys):
+    digest = hashlib.sha256()
+    for argv in _sweep_requests(seed=12, count=200):
+        code = main(argv)
+        out = capsys.readouterr().out
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}\n".encode())
+    assert digest.hexdigest() == SWEEP_SHA256

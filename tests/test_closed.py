@@ -8,11 +8,11 @@ from fractions import Fraction
 import pytest
 
 from ocmirror.closed import bessel_first_kind, surface_series_terms, z_coeff
-from ocmirror.geometry import UPoly
 from ocmirror.series import FormalSeries, TruncationWindow, mono, series_exp
 
 from families import by_slope_sign
 from second_routes import (
+    UPoly,
     expand_terms,
     fraction_expand_factor,
     j_bessel_form,

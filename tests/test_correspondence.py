@@ -20,13 +20,12 @@ from ocmirror.correspondence import (
     rhs_assemble,
     run_check,
 )
-from ocmirror.geometry import distinguished_pairing_prefactor
 from ocmirror.localization import open_invariant
-from ocmirror.series import FormalSeries, TruncationWindow, mono, substitute
+from ocmirror.series import FormalSeries, TruncationWindow, mono
+
+from second_routes import KAEHLER, distinguished_pairing_prefactor, substitute, truncated
 
 F = Fraction
-
-KAEHLER = {"q1": (F(-1), mono(Q=1, X=-1)), "q2": (F(-1), mono(Q=1, X=1))}
 
 WM = TruncationWindow(max_q=6, max_t=3, max_abs_x=3, min_v=-6, max_v=1)
 WS = TruncationWindow(max_q=5, max_t=2, max_abs_x=2, min_v=-5, max_v=1)
@@ -199,8 +198,8 @@ def _rhs_all_windings(window: TruncationWindow) -> FormalSeries:
     )
     slice2 = z_coeff(surface_series_terms(pre, pre.max_q), 2, pre)
     mid = replace(pre, min_v=window.min_v, max_v=max(pre.max_v, 0))
-    paired = slice2.truncate(mid) * distinguished_pairing_prefactor().truncate(mid)
-    result = substitute(paired, KAEHLER).truncate(window)
+    paired = truncated(slice2, mid) * truncated(distinguished_pairing_prefactor(), mid)
+    result = truncated(substitute(paired, KAEHLER), window)
     return result + exceptional_correction(window)
 
 

@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from ocmirror.geometry import (
+from ocmirror.geometry import phi_p1, unit_p1, v_term
+from ocmirror.series import mono
+
+from second_routes import (
     CHARGES,
     CONES,
     RAYS,
@@ -20,16 +23,12 @@ from ocmirror.geometry import (
     flag_weight,
     hyperplane_p1,
     hyperplane_restriction,
+    integral_p1,
+    pairing_p1,
     pairing_surface,
     phi_dual_p1,
-    phi_p1,
     point_basis_class,
-    unit_p1,
-    v_term,
 )
-from ocmirror.series import mono
-
-from second_routes import integral_p1, pairing_p1
 
 # ---------------------------------------------------------------------------
 # projective line

@@ -9,7 +9,7 @@ from math import factorial
 import pytest
 
 from ocmirror import localization
-from ocmirror.geometry import hyperplane_p1, phi_dual_p1, phi_p1, unit_p1, v_term
+from ocmirror.geometry import phi_p1, unit_p1, v_term
 from ocmirror.localization import (
     DecoratedGraph,
     _bipartition_labels,
@@ -31,8 +31,10 @@ from ocmirror.series import FormalSeries, TruncationWindow, mono
 
 from second_routes import (
     closed_descendant,
+    hyperplane_p1,
     j_degree_part_from_graphs,
     j_reduced_component,
+    phi_dual_p1,
     psi_integral_by_string,
 )
 

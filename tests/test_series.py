@@ -21,8 +21,6 @@ from ocmirror.series import (
     mono,
     series_exp,
     series_sum,
-    substitute,
-    substitute_terms,
 )
 
 from second_routes import (
@@ -31,6 +29,9 @@ from second_routes import (
     fraction_expand_factor,
     fraction_series_exp,
     fraction_z_coeff,
+    substitute,
+    substitute_terms,
+    truncated,
     z_slice,
 )
 
@@ -348,10 +349,11 @@ def test_kernel_results_match_validated_constructor(
         _assert_contract(
             a.scale(c, m), _validated([(mm * m, k * c) for mm, k in a_terms], a.window), a.window
         )
-    _assert_contract(a.truncate(other_window), _validated(a_terms, other_window), other_window)
+    # re-truncation through the validated constructor keeps the canonical form
+    _assert_contract(truncated(a, other_window), _validated(a_terms, other_window), other_window)
     # a Z-range that may exclude 0
     zw = replace(a.window, min_z=z_exp, max_z=z_exp + z_span)
-    _assert_contract(a.truncate(zw), _validated(a_terms, zw), zw)
+    _assert_contract(truncated(a, zw), _validated(a_terms, zw), zw)
     _assert_contract(
         series_sum([a, b], other_window),
         _validated(a_terms + b_terms, other_window.intersect(w)),
@@ -384,7 +386,7 @@ def test_z_coeff_is_the_z_slice_of_the_expanded_product(w, extra, m):
     zs = [t.monomial.Z for t in terms]
     deep = replace(w, min_z=min(-w.max_t, -m, *zs), max_z=max(0, w.max_t - m, *zs))
     product = series_exp(1, mono(T=1, Z=-1), deep) * expand_terms(terms, deep)
-    assert z_slice(product, -m).truncate(w) == z_coeff(terms, m, w)
+    assert truncated(z_slice(product, -m), w) == z_coeff(terms, m, w)
 
 
 def test_equal_values_reached_through_different_denominators():
@@ -399,7 +401,7 @@ def test_equal_values_reached_through_different_denominators():
     assert s_of((Monomial(), Fraction(1, 6))) + s_of((Monomial(), Fraction(5, 6))) == 1
     # clipping the only term over 4 leaves 2/4, which reduces to 1/2
     halves = s_of((mono(Q=1), Fraction(1, 2)), (mono(T=1), Fraction(1, 4)))
-    assert halves.truncate(replace(W, max_t=0)) == s_of((mono(Q=1), Fraction(1, 2)))
+    assert truncated(halves, replace(W, max_t=0)) == s_of((mono(Q=1), Fraction(1, 2)))
 
 
 @pytest.mark.parametrize("bad", [0.1, 1.0, "1/3", Decimal("0.1")], ids=repr)
