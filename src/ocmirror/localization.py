@@ -20,15 +20,21 @@ is the edge factor.  Values are exact V-Laurent polynomials carried as
 wide-window :class:`~ocmirror.series.FormalSeries`.
 
 Vertex moduli integrals: a vertex with F flags, marking psi-exponents a_j and
-optionally one boundary ("open") flag is stable when F + #markings + #open
->= 3, and then equals the finite sum over ladder indices k of
+optionally one boundary ("open") flag is stable when N = F + #markings +
+#open >= 3.  Every 1/(w - psi) is then expanded *inside* the integral, where
+the psi-class is nilpotent, into a finite sum over ladder indices k with
+sum k = B = N-3 - sum a_j; by the multinomial theorem, in the inverse
+weights u_f = 1/w_f of the flags (the boundary flag among them), that sum is
 
-    (N-3)! / (prod a_j! prod k!) * prod w_f^-(k_f+1),    sum k = N-3 - sum a_j,
+    sum_k (N-3)!/(prod a_j! prod k_f!) prod u_f^(k_f+1)
+        = (N-3)!/(prod a_j! B!) * prod u_f * (sum u_f)^B,
 
-i.e. every 1/(w - psi) is expanded *inside* the integral, where the psi-class
-is nilpotent.  (Expanding it outside, against a fixed descendant insertion,
-produces a divergent ladder — the tests pin this by matching ratios where the
-inside expansion terminates.)  Unstable vertices take the usual conventions:
+times v^-(B + #flags), and zero when B < 0.  The coefficient is a
+multinomial, and on a graph every u is an integer (+-d_e on an edge flag of
+degree d_e, mu on the boundary flag), so the integral is an exact integer
+with no sum over k; the tests keep the ladder as a second route.
+(Expanding 1/(w - psi) outside, against a fixed descendant insertion,
+produces a divergent ladder.)  Unstable vertices take the usual conventions:
 
     one flag                ->  w
     one boundary flag       ->  w_o
@@ -60,11 +66,12 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
+from numbers import Rational
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .geometry import WIDE, P1Class, phi_p1, unit_p1, v_term
-from .series import FormalSeries, mono, series_sum
+from .series import ONE, FormalSeries, mono, series_sum
 
 __all__ = [
     "psi_integral",
@@ -413,13 +420,15 @@ def _rooted_aut(key: tuple) -> int:
 
 def edge_factor(d: int) -> FormalSeries:
     """h(d) = (-1)^d d^(2d) / ((d!)^2 v^(2d)) as an exact V-Laurent scalar."""
-    return v_term(_edge_coefficient(d), -2 * d)
+    num, den = _edge_coefficient(d)
+    return v_term(Fraction(num, den), -2 * d)
 
 
-def _edge_coefficient(d: int) -> Fraction:
+def _edge_coefficient(d: int) -> Tuple[int, int]:
+    """The coefficient of h(d) as (numerator, denominator)."""
     if d < 1:
         raise ValueError("edge degrees are positive")
-    return Fraction((-1) ** d * d ** (2 * d), factorial(d) ** 2)
+    return (-1) ** d * d ** (2 * d), factorial(d) ** 2
 
 
 def vertex_integral(
@@ -429,45 +438,53 @@ def vertex_integral(
 ) -> FormalSeries:
     """Moduli integral at one vertex; weights are rational multiples of v.
 
-    Stable case: expand each 1/(w - psi) inside the integral (finitely many
-    terms, bounded by the moduli dimension) and integrate with the closed
-    psi-formula.  Unstable cases follow the fixed conventions in the module
-    docstring; combinations outside them raise.
+    The stable case is the closed form of the module docstring, over the
+    inverse weights; unstable cases follow the fixed conventions there, and
+    combinations outside them raise.
     """
-    return v_term(*_vertex_scalar(flag_weights, marking_exponents, open_weight))
+    weights = list(flag_weights) + ([open_weight] if open_weight is not None else [])
+    num, den, k = _vertex_scalar([_inverse(w) for w in weights], list(marking_exponents))
+    return v_term(Fraction(num, den), k)
 
 
-def _vertex_scalar(flags, exps, open_weight) -> Tuple[Fraction, int]:
-    """:func:`vertex_integral` as (c, k), meaning c * v^k."""
-    flags = [Fraction(c) for c in flags]
-    if any(c == 0 for c in flags) or (open_weight is not None and open_weight == 0):
+def _inverse(weight) -> Rational:
+    """1/weight, an ``int`` when the weight is 1/n."""
+    weight = Fraction(weight)
+    if not weight:
         raise ValueError("zero flag weight")
-    exps = list(exps)
-    ladder = flags + ([Fraction(open_weight)] if open_weight is not None else [])
-    n_special = len(ladder) + len(exps)
+    p, q = weight.numerator, weight.denominator
+    return q * p if abs(p) == 1 else Fraction(q, p)
+
+
+def _vertex_scalar(inverse: List[Rational], exps: List[int]) -> Tuple[Rational, Rational, int]:
+    """The integral at a vertex as num/den * v^k.
+
+    ``inverse`` holds u = 1/w for each flag, the boundary flag last, and
+    ``exps`` the marking psi-exponents.  Integer u give integer num and den.
+    """
+    n_special = len(inverse) + len(exps)
     if n_special >= 3:
         budget = n_special - 3 - sum(exps)
         if budget < 0:
-            return Fraction(0), 0
-        norm = Fraction(factorial(n_special - 3))
+            return 0, 1, 0
+        multinomial = factorial(n_special - 3) // factorial(budget)
         for a in exps:
-            norm /= factorial(a)
-        scalar = Fraction(0)
-        for ks in _weak_compositions(budget, len(ladder)):
-            c = norm
-            for k, w in zip(ks, ladder):
-                c /= factorial(k) * w ** (k + 1)
-            scalar += c
-        return scalar, -(budget + len(ladder))
-    if n_special == 1 and len(ladder) == 1:
-        return ladder[0], 1
+            multinomial //= factorial(a)
+        num = multinomial * prod(inverse) * sum(inverse) ** budget
+        return num, 1, -(budget + len(inverse))
+    if n_special == 1 and len(inverse) == 1:
+        return 1, inverse[0], 1
     if n_special == 2:
-        if len(ladder) == 2:
-            return 1 / (ladder[0] + ladder[1]), -1
-        if len(ladder) == 1 and len(exps) == 1:
-            return (-ladder[0]) ** exps[0], exps[0]
+        if len(inverse) == 2:
+            u1, u2 = inverse
+            if not u1 + u2:  # the weights sum to zero: 1/(w_1 + w_2) divides by it
+                raise ZeroDivisionError("Fraction(1, 0)")
+            return u1 * u2, u1 + u2, -1
+        if len(inverse) == 1 and len(exps) == 1:
+            a = exps[0]
+            return (-1) ** a, inverse[0] ** a, a
     raise ValueError(
-        f"no convention for a vertex with {len(ladder)} flags and {len(exps)} markings"
+        f"no convention for a vertex with {len(inverse)} flags and {len(exps)} markings"
     )
 
 
@@ -507,37 +524,49 @@ def _graph_contribution(
     open_vertex: Optional[int] = None,
     open_weight: Optional[Fraction] = None,
 ) -> FormalSeries:
-    # all factors but the insertion restrictions fold into c * V^k; each vertex
-    # takes its restrictions before its integral, which may raise
-    c = Fraction(1, automorphism_count(g))
+    # every factor but the restrictions of two or more terms folds into
+    # num/den * m * V^k, one Fraction at the end; each vertex takes its
+    # restrictions before its integral, which may raise
+    num, den = 1, automorphism_count(g)
     for _, _, de in g.edges:
-        c *= _edge_coefficient(de) / de
+        hn, hd = _edge_coefficient(de)
+        num *= hn // de  # h(d_e)/d_e
+        den *= hd
     k = -2 * g.degree
+    m = ONE
     restrictions: Optional[FormalSeries] = None
     adj = g.adjacency()
-    for v in range(len(g.labels)):
-        label = g.labels[v]
+    for v, label in enumerate(g.labels):
         sign = _W_SIGN[label]
-        flags = [Fraction(sign, de) for _, de in adj[v]]
+        inverse = [sign * de for _, de in adj[v]]  # a flag of weight w/d_e
         exps = []
         for i in g.markings_at(v):
             if i < len(insertions):
                 restriction, a = insertions[i]
                 exps.append(a)
                 r = restriction[label - 1]
-                restrictions = r if restrictions is None else restrictions * r
+                term = r.single_term()
+                if term is None:
+                    restrictions = r if restrictions is None else restrictions * r
+                else:
+                    rm, rn, rd = term
+                    m, num, den = m * rm, num * rn, den * rd
         # w^(valence-1), counting only edge flags
-        valence_k = len(flags) - 1
+        valence_k = len(inverse) - 1
         if sign < 0 and valence_k % 2:
-            c = -c
-        cv, kv = _vertex_scalar(flags, exps, open_weight if v == open_vertex else None)
-        c *= cv
+            num = -num
+        if v == open_vertex and open_weight is not None:
+            inverse.append(_inverse(open_weight))
+        vn, vd, kv = _vertex_scalar(inverse, exps)
+        num, den = num * vn, den * vd
         k += valence_k + kv
-        if not c or (restrictions is not None and restrictions.is_zero()):
+        if not num or (restrictions is not None and restrictions.is_zero()):
             break
+    c = Fraction(num, den)
+    m *= mono(V=k)
     if restrictions is None:
-        return v_term(c, k)
-    return restrictions.scale(c, mono(V=k))
+        return FormalSeries.of(c, m, WIDE)
+    return restrictions.scale(c, m)
 
 
 def _open_data(d_minus: int, d_plus: int) -> Tuple[int, int, int]:

@@ -28,6 +28,9 @@ quantities another way, and the tests assert that the two agree.
   and at z = c*v in three forms (products, factorial quotients, Bessel), and
   its degree parts rebuilt from the closed descendant graph sums
   (``closed_descendant``, which sums each class's summand).
+* The vertex integrals of the graph sums with each 1/(w - psi) expanded
+  in its ladder, one term per weak composition of the psi budget
+  (``vertex_integral_by_ladder``).
 * The string recursion for the psi integrals, and the equivariant pairing
   on the line with its Euler weights, hyperplane class and dual basis.
 
@@ -37,6 +40,7 @@ The module is not named ``oracles``: pytest imports it by its bare name, and
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -878,6 +882,58 @@ def j_degree_part_from_graphs(alpha: int, d: int, window: TruncationWindow) -> F
         for a in range(-window.min_z)
     )
     return series_sum((truncated(p, window) for p in parts), window)
+
+
+# ---------------------------------------------------------------------------
+# the vertex integrals by their ladder
+# ---------------------------------------------------------------------------
+
+
+def vertex_integral_by_ladder(
+    flag_weights: Sequence[Fraction],
+    marking_exponents: Sequence[int] = (),
+    open_weight: Fraction | None = None,
+) -> FormalSeries:
+    """Moduli integral at one vertex, every 1/(w - psi) expanded in its ladder.
+
+    Stable case: the sum over weak compositions k of the budget
+    B = N-3 - sum a of (N-3)!/(prod a! prod k!) * prod w_f^-(k_f+1), one
+    Fraction per term, against ``ocmirror.localization.vertex_integral``'s
+    multinomial closed form.  Unstable cases take the conventions of the
+    ``ocmirror.localization`` docstring, written in the weights themselves.
+    """
+    ladder = [Fraction(w) for w in flag_weights]
+    if open_weight is not None:
+        ladder.append(Fraction(open_weight))
+    if any(w == 0 for w in ladder):
+        raise ValueError("zero flag weight")
+    exps = list(marking_exponents)
+    n_special = len(ladder) + len(exps)
+    if n_special >= 3:
+        budget = n_special - 3 - sum(exps)
+        if budget < 0:
+            return v_term(0)
+        norm = Fraction(factorial(n_special - 3))
+        for a in exps:
+            norm /= factorial(a)
+        scalar = Fraction(0)
+        for ks in itertools.product(range(budget + 1), repeat=len(ladder)):
+            if sum(ks) == budget:
+                c = norm
+                for k, w in zip(ks, ladder):
+                    c /= factorial(k) * w ** (k + 1)
+                scalar += c
+        return v_term(scalar, -(budget + len(ladder)))
+    if n_special == 1 and len(ladder) == 1:
+        return v_term(ladder[0], 1)
+    if n_special == 2:
+        if len(ladder) == 2:
+            return v_term(1 / (ladder[0] + ladder[1]), -1)
+        if len(ladder) == 1 and len(exps) == 1:
+            return v_term((-ladder[0]) ** exps[0], exps[0])
+    raise ValueError(
+        f"no convention for a vertex with {len(ladder)} flags and {len(exps)} markings"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +165,22 @@ def test_localize_hard_caps_exit_2(capsys):
     assert main(["localize", "--degree", "0"]) == 2
     assert main(["localize", "--degree", "1", "--markings", "5"]) == 2
     capsys.readouterr()
+
+
+# the benchmark's record of every table the caps allow: the first 16 hex
+# digits of sha256(stdout), keyed "degree,markings,format"
+with open(Path(__file__).parent.parent / "perfbench" / "digests.json", encoding="utf-8") as fh:
+    LOCALIZE_DIGESTS = json.load(fh)["localize"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("markings", range(5))
+@pytest.mark.parametrize("degree", range(1, 4))
+def test_every_localize_table_matches_its_recorded_digest(capsys, degree, markings, fmt):
+    argv = ["localize", "--degree", str(degree), "--markings", str(markings), "--format", fmt]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    assert digest == LOCALIZE_DIGESTS[f"{degree},{markings},{fmt}"]
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from second_routes import (
     j_reduced_component,
     phi_dual_p1,
     psi_integral_by_string,
+    vertex_integral_by_ladder,
 )
 
 F = Fraction
@@ -278,10 +279,12 @@ def test_vertex_integral_rejects_unhandled_shapes():
 
 
 def _contribution_by_series(g, insertions, open_vertex=None, open_weight=None):
-    """Oracle: one class's summand as a running product of one-term series."""
+    """Oracle: one class's summand as a running product of one-term series,
+    with each vertex integral summed over its ladder."""
     total = v_term(F(1, automorphism_count(g)))
     for _, _, de in g.edges:
-        total = total * edge_factor(de).scale(F(1, de))
+        h = v_term(F((-1) ** de * de ** (2 * de), factorial(de) ** 2), -2 * de)
+        total = total * h.scale(F(1, de))
     adj = g.adjacency()
     for v in range(len(g.labels)):
         label = g.labels[v]
@@ -296,7 +299,7 @@ def _contribution_by_series(g, insertions, open_vertex=None, open_weight=None):
         k = len(flags) - 1
         total = total.scale(F(sign) ** k, mono(V=k))
         ow = open_weight if v == open_vertex else None
-        total = total * vertex_integral(flags, exps, ow)
+        total = total * vertex_integral_by_ladder(flags, exps, ow)
         if total.is_zero():
             return total
     return total
@@ -308,6 +311,40 @@ def _outcome(fn, *args):
         return fn(*args)
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
+
+
+# integer and non-unit rational weights of both signs; a flag of weight 1
+# or -2 beside a boundary flag of the opposite weight sums to zero
+LADDER_WEIGHTS = [F(1), F(-2), F(3), F(2, 3), F(-3, 2)]
+LADDER_OPEN_WEIGHTS = [None, F(1), F(-1), F(2), F(-2), F(1, 3)]
+
+
+def test_closed_vertex_integral_matches_the_ladder():
+    outcomes = []
+    for n_flags in range(4):
+        for flags in itertools.combinations_with_replacement(LADDER_WEIGHTS, n_flags):
+            for n_exps in range(3):
+                for exps in itertools.combinations_with_replacement(range(4), n_exps):
+                    for ow in LADDER_OPEN_WEIGHTS:
+                        args = (list(flags), list(exps), ow)
+                        want = _outcome(vertex_integral_by_ladder, *args)
+                        assert _outcome(vertex_integral, *args) == want, args
+                        outcomes.append(want)
+    # the grid reaches every branch: nonzero values, overdrawn budgets,
+    # zero sums and vertices with no convention
+    assert sum(isinstance(o, FormalSeries) and not o.is_zero() for o in outcomes) > 1000
+    assert any(isinstance(o, FormalSeries) and o.is_zero() for o in outcomes)
+    assert (ZeroDivisionError, "Fraction(1, 0)") in outcomes
+    assert any(isinstance(o, tuple) and o[0] is ValueError for o in outcomes)
+
+
+@pytest.mark.parametrize("flags, ow", [([F(2, 3), F(-2, 3)], None), ([F(-2)], F(2))])
+def test_two_flags_summing_to_zero_raise_as_the_ladder_does(flags, ow):
+    # the error of 1/(w_1 + w_2); dividing the closed form's u_1 u_2 by
+    # u_1 + u_2 would raise one naming u_1 u_2 instead of 1
+    want = (ZeroDivisionError, "Fraction(1, 0)")
+    assert _outcome(vertex_integral_by_ladder, flags, [], ow) == want
+    assert _outcome(vertex_integral, flags, [], ow) == want
 
 
 def _insertion_lists(n):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ocmirror.closed import bessel_first_kind, surface_series_terms, z_coeff
 from ocmirror.series import (
+    ONE,
     VARIABLES,
     FormalSeries,
     LinearFactorTerm,
@@ -102,6 +103,12 @@ def test_equality_ignores_window_but_not_terms():
     assert a != s_of((mono(Q=1), 3))
     assert FormalSeries.zero(W) == 0
     assert FormalSeries.one(W) == 1
+
+
+def test_single_term_reads_the_reduced_term():
+    assert s_of((mono(Q=1, V=-2), Fraction(-6, 4))).single_term() == (mono(Q=1, V=-2), -3, 2)
+    assert FormalSeries.zero(W).single_term() == (ONE, 0, 1)
+    assert s_of((mono(Q=1), 1), (mono(T=1), 1)).single_term() is None
 
 
 def test_items_sorted_lexicographically():
