@@ -524,8 +524,8 @@ def _graph_contribution(
     open_vertex: Optional[int] = None,
     open_weight: Optional[Fraction] = None,
 ) -> FormalSeries:
-    # every factor but the restrictions of two or more terms folds into
-    # num/den * m * V^k, one Fraction at the end; each vertex takes its
+    # every factor folds into num/den * m * V^k, one Fraction at the end;
+    # a restriction of more than one term raises.  Each vertex takes its
     # restrictions before its integral, which may raise
     num, den = 1, automorphism_count(g)
     for _, _, de in g.edges:
@@ -534,7 +534,6 @@ def _graph_contribution(
         den *= hd
     k = -2 * g.degree
     m = ONE
-    restrictions: Optional[FormalSeries] = None
     adj = g.adjacency()
     for v, label in enumerate(g.labels):
         sign = _W_SIGN[label]
@@ -544,13 +543,8 @@ def _graph_contribution(
             if i < len(insertions):
                 restriction, a = insertions[i]
                 exps.append(a)
-                r = restriction[label - 1]
-                term = r.single_term()
-                if term is None:
-                    restrictions = r if restrictions is None else restrictions * r
-                else:
-                    rm, rn, rd = term
-                    m, num, den = m * rm, num * rn, den * rd
+                rm, rn, rd = restriction[label - 1].single_term()
+                m, num, den = m * rm, num * rn, den * rd
         # w^(valence-1), counting only edge flags
         valence_k = len(inverse) - 1
         if sign < 0 and valence_k % 2:
@@ -560,13 +554,9 @@ def _graph_contribution(
         vn, vd, kv = _vertex_scalar(inverse, exps)
         num, den = num * vn, den * vd
         k += valence_k + kv
-        if not num or (restrictions is not None and restrictions.is_zero()):
+        if not num:
             break
-    c = Fraction(num, den)
-    m *= mono(V=k)
-    if restrictions is None:
-        return FormalSeries.of(c, m, WIDE)
-    return restrictions.scale(c, m)
+    return FormalSeries.of(Fraction(num, den), m * mono(V=k), WIDE)
 
 
 def _open_data(d_minus: int, d_plus: int) -> Tuple[int, int, int]:

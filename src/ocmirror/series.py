@@ -68,7 +68,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Tuple, Union
 
 __all__ = [
     "VARIABLES",
@@ -283,14 +283,14 @@ class FormalSeries:
     def is_zero(self) -> bool:
         return not self._nums
 
-    def single_term(self) -> Optional[Tuple[Monomial, int, int]]:
+    def single_term(self) -> Tuple[Monomial, int, int]:
         """(monomial, numerator, denominator) of a series of at most one term.
 
-        The zero series gives ``(ONE, 0, 1)``; a longer series gives None.
+        The zero series gives ``(ONE, 0, 1)``; a longer series raises.
         """
         nums = self._nums
         if len(nums) > 1:
-            return None
+            raise ValueError(f"a series of {len(nums)} terms has no single term")
         for m, n in nums.items():
             return m, n, self._den
         return ONE, 0, 1

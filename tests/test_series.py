@@ -108,7 +108,8 @@ def test_equality_ignores_window_but_not_terms():
 def test_single_term_reads_the_reduced_term():
     assert s_of((mono(Q=1, V=-2), Fraction(-6, 4))).single_term() == (mono(Q=1, V=-2), -3, 2)
     assert FormalSeries.zero(W).single_term() == (ONE, 0, 1)
-    assert s_of((mono(Q=1), 1), (mono(T=1), 1)).single_term() is None
+    with pytest.raises(ValueError):
+        s_of((mono(Q=1), 1), (mono(T=1), 1)).single_term()
 
 
 def test_items_sorted_lexicographically():
