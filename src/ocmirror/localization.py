@@ -50,11 +50,15 @@ closed-form factor
     D(mu) = (-1)^(|mu|+1)|mu|^(|mu|-2)/(|mu|! v^(|mu|-2))  for mu < 0,
 
 an overall mu/v, and a boundary flag of weight v/mu on the vertex carrying
-the disk.  Two independently coded routes evaluate the same invariant: the
-direct one sums over graphs whose disk vertex sits at the forced fixed point;
-the factored one sums over *all* graphs against an extra fixed-point-class
-insertion that kills the wrong assignments numerically.  Their agreement is
-an acceptance requirement, not an implementation shortcut.  The tests hold
+the disk.  At d = 0 the graph is a lone vertex, at either fixed point, that
+carries the boundary flag and every marking; it takes the same conventions
+(w^(valence-1) with valence 0 is 1/w, and a lone boundary flag is w_o).  Two
+independently coded routes evaluate the same invariant through one
+contribution function: the direct one sums over graphs whose disk vertex
+sits at the forced fixed point; the factored one sums over *all* graphs
+against an extra fixed-point-class insertion that kills the wrong
+assignments numerically.  Their agreement is an acceptance requirement, not
+an implementation shortcut.  The tests hold
 two more routes against these sums: the string recursion for the psi
 integrals, and the reduced curve series J~ of the projective line, which the
 one-point descendant sums rebuild degree by degree.
@@ -70,42 +74,19 @@ from math import comb, factorial, prod
 from numbers import Rational
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .geometry import WIDE, P1Class, phi_p1, unit_p1, v_term
+from .geometry import P1_POINTS, WIDE, P1Class, phi_p1, unit_p1
 from .series import ONE, FormalSeries, mono, series_sum
 
 __all__ = [
-    "psi_integral",
     "DecoratedGraph",
     "enumerate_graph_classes",
     "count_labeled_graphs",
     "automorphism_count",
-    "edge_factor",
-    "vertex_integral",
     "disk_factor",
     "open_invariant",
     "open_via_closed",
     "graph_class_rows",
 ]
-
-
-# ===========================================================================
-# psi-intersection numbers on the genus-zero moduli of pointed curves
-# ===========================================================================
-
-
-def psi_integral(exponents: Sequence[int]) -> Fraction:
-    """Closed form: (n-3)!/prod(a_i!) when the exponents fill the dimension."""
-    n = len(exponents)
-    if n < 3:
-        raise ValueError("need at least three marked points")
-    if any(a < 0 for a in exponents):
-        raise ValueError("negative psi-exponent")
-    if sum(exponents) != n - 3:
-        return Fraction(0)
-    denom = 1
-    for a in exponents:
-        denom *= factorial(a)
-    return Fraction(factorial(n - 3), denom)
 
 
 # ===========================================================================
@@ -127,46 +108,9 @@ class DecoratedGraph:
     edges: Tuple[Tuple[int, int, int], ...]
     markings: Tuple[int, ...] = ()
 
-    def validate(self) -> None:
-        V = len(self.labels)
-        if any(l not in (1, 2) for l in self.labels):
-            raise ValueError("labels must be fixed points 1 or 2")
-        if len(self.edges) != V - 1:
-            raise ValueError("a tree on V vertices has V-1 edges")
-        seen = {0} if V else set()
-        adj = self.adjacency()
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for u, _ in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        if len(seen) != V:
-            raise ValueError("graph is not connected")
-        for u, v, de in self.edges:
-            if not 0 <= u < v < V:
-                raise ValueError("edge endpoints must be ordered vertex indices")
-            if de < 1:
-                raise ValueError("edge degrees are positive")
-            if self.labels[u] == self.labels[v]:
-                raise ValueError("adjacent vertices map to the same fixed point")
-        if any(not 0 <= m < V for m in self.markings):
-            raise ValueError("marking on a missing vertex")
-
     @property
     def degree(self) -> int:
         return sum(de for _, _, de in self.edges)
-
-    def adjacency(self) -> Dict[int, List[Tuple[int, int]]]:
-        adj: Dict[int, List[Tuple[int, int]]] = {v: [] for v in range(len(self.labels))}
-        for u, v, de in self.edges:
-            adj[u].append((v, de))
-            adj[v].append((u, de))
-        return adj
-
-    def markings_at(self, v: int) -> Tuple[int, ...]:
-        return tuple(i for i, mv in enumerate(self.markings) if mv == v)
 
     # -- canonical form -----------------------------------------------------
 
@@ -375,8 +319,11 @@ def count_labeled_graphs(n: int, d: int, V: int) -> int:
 
 
 def _compositions(total: int, parts: int) -> Iterable[Tuple[int, ...]]:
-    """Positive compositions, in the lexicographic order of the weak ones."""
-    return (tuple(k + 1 for k in ks) for ks in _weak_compositions(total - parts, parts))
+    """Positive compositions in lexicographic order: stars and bars."""
+    return (
+        tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+        for cuts in itertools.combinations(range(1, total), parts - 1)
+    )
 
 
 def _n_compositions(total: int, parts: int) -> int:
@@ -418,33 +365,11 @@ def _rooted_aut(key: tuple) -> int:
 # ===========================================================================
 
 
-def edge_factor(d: int) -> FormalSeries:
-    """h(d) = (-1)^d d^(2d) / ((d!)^2 v^(2d)) as an exact V-Laurent scalar."""
-    num, den = _edge_coefficient(d)
-    return v_term(Fraction(num, den), -2 * d)
-
-
 def _edge_coefficient(d: int) -> Tuple[int, int]:
     """The coefficient of h(d) as (numerator, denominator)."""
     if d < 1:
         raise ValueError("edge degrees are positive")
     return (-1) ** d * d ** (2 * d), factorial(d) ** 2
-
-
-def vertex_integral(
-    flag_weights: Sequence[Fraction],
-    marking_exponents: Sequence[int] = (),
-    open_weight: Optional[Fraction] = None,
-) -> FormalSeries:
-    """Moduli integral at one vertex; weights are rational multiples of v.
-
-    The stable case is the closed form of the module docstring, over the
-    inverse weights; unstable cases follow the fixed conventions there, and
-    combinations outside them raise.
-    """
-    weights = list(flag_weights) + ([open_weight] if open_weight is not None else [])
-    num, den, k = _vertex_scalar([_inverse(w) for w in weights], list(marking_exponents))
-    return v_term(Fraction(num, den), k)
 
 
 def _inverse(weight) -> Rational:
@@ -488,16 +413,6 @@ def _vertex_scalar(inverse: List[Rational], exps: List[int]) -> Tuple[Rational, 
     )
 
 
-def _weak_compositions(total: int, parts: int) -> Iterable[Tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def disk_factor(mu: int) -> FormalSeries:
     """Closed-form disk multiple cover factor D(mu), mu != 0."""
     if mu == 0:
@@ -534,12 +449,14 @@ def _graph_contribution(
         den *= hd
     k = -2 * g.degree
     m = ONE
-    adj = g.adjacency()
+    V = len(g.labels)
+    adj = _edge_adjacency(V, g.edges)
+    marks = _markings_by_vertex(V, g.markings)
     for v, label in enumerate(g.labels):
         sign = _W_SIGN[label]
-        inverse = [sign * de for _, de in adj[v]]  # a flag of weight w/d_e
+        inverse = [sign * g.edges[e][2] for _, e in adj[v]]  # a flag of weight w/d_e
         exps = []
-        for i in g.markings_at(v):
+        for i in marks[v]:
             if i < len(insertions):
                 restriction, a = insertions[i]
                 exps.append(a)
@@ -574,18 +491,15 @@ def _disk_prefactor(mu: int) -> FormalSeries:
     return disk_factor(mu).scale(Fraction(mu), mono(V=-1))
 
 
-def _degree_zero_open(
-    mu: int, h: int, insertions: Sequence[Insertion], extra: Optional[P1Class]
-) -> FormalSeries:
-    """No sphere components: the bare disk against the unstable conventions."""
-    sign = _W_SIGN[h]
-    total = _disk_prefactor(mu).scale(Fraction(sign), mono(V=-1))  # w_h^-1
-    if extra is not None:
-        total = total * extra[h - 1]
-    for restriction, _ in insertions:
-        total = total * restriction[h - 1]
-    exps = [a for _, a in insertions]
-    return total * vertex_integral([], exps, Fraction(1, mu))
+def _open_classes(n: int, d: int) -> List[DecoratedGraph]:
+    """The classes carrying n insertions and, last, the disk marking.
+
+    At degree zero these are the lone vertex at either fixed point; its one
+    boundary flag and the markings take the vertex conventions.
+    """
+    if d == 0:
+        return [DecoratedGraph((label,), (), (0,) * (n + 1)) for label in P1_POINTS]
+    return enumerate_graph_classes(n + 1, d)
 
 
 def open_invariant(
@@ -593,17 +507,14 @@ def open_invariant(
 ) -> FormalSeries:
     """One-boundary invariant, direct route: disk vertex at its forced point."""
     mu, d, h = _open_data(d_minus, d_plus)
-    if d == 0:
-        return _degree_zero_open(mu, h, insertions, None)
     n = len(insertions)
-    pre = _disk_prefactor(mu)
     weight = Fraction(1, mu)
     parts = (
         _graph_contribution(g, insertions, open_vertex=g.markings[n], open_weight=weight)
-        for g in enumerate_graph_classes(n + 1, d)
+        for g in _open_classes(n, d)
         if g.labels[g.markings[n]] == h  # the disk vertex sits at its forced point
     )
-    return pre * series_sum(parts, WIDE)
+    return _disk_prefactor(mu) * series_sum(parts, WIDE)
 
 
 def open_via_closed(
@@ -620,12 +531,9 @@ def open_via_closed(
     """
     mu, d, h = _open_data(d_minus, d_plus)
     point_class = phi_p1(h)
-    if d == 0:
-        return _degree_zero_open(mu, h, insertions, point_class)
     n = len(insertions)
-    pre = _disk_prefactor(mu)
     parts = []
-    for g in enumerate_graph_classes(n + 1, d):
+    for g in _open_classes(n, d):
         disk_vertex = g.markings[n]
         weight_factor = point_class[g.labels[disk_vertex] - 1]
         if weight_factor.is_zero():
@@ -634,7 +542,7 @@ def open_via_closed(
             g, insertions, open_vertex=disk_vertex, open_weight=Fraction(1, mu)
         )
         parts.append(contribution * weight_factor)
-    return pre * series_sum(parts, WIDE)
+    return _disk_prefactor(mu) * series_sum(parts, WIDE)
 
 
 # ===========================================================================

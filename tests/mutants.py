@@ -1,0 +1,161 @@
+"""Mutation runner: each mutant is one small edit of ``src/`` that its tests
+must catch.
+
+Run it from anywhere, with pytest installed::
+
+    python tests/mutants.py
+
+Every mutant names a file under ``src/``, an exact snippet of it, the
+replacement, what the edit breaks, and the tests that should catch it.  The
+runner copies ``src/`` to a temporary directory and first runs all the named
+tests against the unedited copy, which must pass.  Then, for each mutant
+alone, it applies the edit to a fresh copy and runs that mutant's tests with
+``PYTHONPATH`` set to the copy; at least one of them must fail.  A snippet
+that does not occur exactly once in its file is an error: the list follows
+the source.  The exit status is 0 when every mutant is caught, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Iterable, NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+LOC = "ocmirror/localization.py"
+CLOSED = "ocmirror/closed.py"
+TL = "tests/test_localization.py"
+TC = "tests/test_closed.py"
+
+
+class Mutant(NamedTuple):
+    file: str  # relative to src/
+    snippet: str
+    replacement: str
+    reason: str
+    tests: Tuple[str, ...]  # pytest node ids, relative to the repo root
+
+
+MUTANTS = (
+    Mutant(
+        LOC,
+        "_W_SIGN = {1: -1, 2: 1}",
+        "_W_SIGN = {1: 1, 2: -1}",
+        "tangent weights swapped between the fixed points",
+        (f"{TL}::test_bare_disk_values",),
+    ),
+    Mutant(
+        LOC,
+        "if sign < 0 and valence_k % 2:",
+        "if sign < 0:",
+        "w^(valence-1) negated at -v whatever the valence's parity",
+        (f"{TL}::test_one_sphere_component_values",),
+    ),
+    Mutant(
+        LOC,
+        "return (-1) ** d * d ** (2 * d)",
+        "return (-1) ** (d + 1) * d ** (2 * d)",
+        "edge factor h(d) with the wrong sign",
+        (f"{TL}::test_edge_factors",),
+    ),
+    Mutant(
+        LOC,
+        "budget = n_special - 3 - sum(exps)",
+        "budget = n_special - 2 - sum(exps)",
+        "psi budget of a stable vertex off by one",
+        (f"{TL}::test_psi_closed_form_examples",),
+    ),
+    Mutant(
+        LOC,
+        "aut *= factorial(k) * _rooted_aut(child) ** k",
+        "aut *= k * _rooted_aut(child) ** k",
+        "k equal branches permuted in k ways instead of k!",
+        (f"{TL}::test_star_automorphisms",),
+    ),
+    Mutant(
+        LOC,
+        "for label in P1_POINTS]",
+        "for label in P1_POINTS[:1]]",
+        "degree-zero lone vertex only at fixed point 1",
+        (f"{TL}::test_bare_disk_values",),
+    ),
+    Mutant(
+        LOC,
+        "itertools.combinations(range(1, total), parts - 1)",
+        "itertools.combinations(range(2, total), parts - 1)",
+        "compositions whose first part is 1 dropped",
+        (f"{TL}::test_class_counts_small",),
+    ),
+    Mutant(
+        LOC,
+        "inverse = [sign * g.edges[e][2] for _, e in adj[v]]",
+        "inverse = [sign for _, e in adj[v]]",
+        "edge flags weighted w instead of w/d_e",
+        (f"{TL}::test_scalar_contribution_matches_series_oracle[2-2]",),
+    ),
+    Mutant(
+        CLOSED,
+        "min(cap - d1, d1 + max_abs_slope) + 1)",
+        "min(cap - d1, d1 + max_abs_slope + 1) + 1)",
+        "surface terms one slope beyond the bound kept",
+        (f"{TC}::test_slope_bound_keeps_exactly_the_terms_within_it",),
+    ),
+    Mutant(
+        CLOSED,
+        "if m + order >= 0:",
+        "if m + order > 0:",
+        "Bessel summand with Gamma(1) dropped",
+        (f"{TC}::test_bessel_order_zero_coefficients",),
+    ),
+)
+
+
+def _copy_src(dest: Path) -> Path:
+    shutil.copytree(ROOT / "src", dest, ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
+def _mutated(mutant: Mutant) -> str:
+    """The mutant's file with its one edit applied."""
+    text = (ROOT / "src" / mutant.file).read_text()
+    count = text.count(mutant.snippet)
+    if count != 1:
+        raise LookupError(f"{mutant.file}: {mutant.snippet!r} occurs {count} times")
+    return text.replace(mutant.snippet, mutant.replacement)
+
+
+def _pytest(src: Path, tests: Iterable[str]) -> int:
+    """pytest's exit status on ``tests`` with the package imported from ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL)
+    return done.returncode
+
+
+def main() -> int:
+    mutated = [_mutated(mutant) for mutant in MUTANTS]  # every snippet, before any run
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        every_test = sorted({t for mutant in MUTANTS for t in mutant.tests})
+        if _pytest(_copy_src(Path(tmp) / "clean"), every_test) != 0:
+            print("the unedited source fails the mutants' tests")
+            return 1
+        survived = 0
+        for i, (mutant, text) in enumerate(zip(MUTANTS, mutated)):
+            src = _copy_src(Path(tmp) / f"mutant{i}")
+            (src / mutant.file).write_text(text)
+            status = _pytest(src, mutant.tests)
+            # 1: a test failed; anything else means the tests did not run
+            verdict = {0: "SURVIVED", 1: "killed"}.get(status, f"ERROR (pytest exit {status})")
+            survived += status != 1
+            print(f"{verdict:<10} {mutant.file}: {mutant.reason}")
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -30,7 +30,10 @@ quantities another way, and the tests assert that the two agree.
   (``closed_descendant``, which sums each class's summand).
 * The vertex integrals of the graph sums with each 1/(w - psi) expanded
   in its ladder, one term per weak composition of the psi budget
-  (``vertex_integral_by_ladder``).
+  (``vertex_integral_by_ladder``), against the program's closed form read
+  in the same weights (``vertex_integral``).
+* ``validate_graph``, the shape checks of a decorated tree, which the
+  enumeration meets by construction.
 * The string recursion for the psi integrals, and the equivariant pairing
   on the line with its Euler weights, hyperplane class and dual basis.
 
@@ -50,7 +53,13 @@ from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ocmirror.closed import bessel_first_kind
 from ocmirror.geometry import P1_POINTS, WIDE, P1Class, phi_p1, unit_p1, v_term
-from ocmirror.localization import _graph_contribution, enumerate_graph_classes
+from ocmirror.localization import (
+    DecoratedGraph,
+    _graph_contribution,
+    _inverse,
+    _vertex_scalar,
+    enumerate_graph_classes,
+)
 from ocmirror.series import (
     VARIABLES,
     FormalSeries,
@@ -885,8 +894,50 @@ def j_degree_part_from_graphs(alpha: int, d: int, window: TruncationWindow) -> F
 
 
 # ---------------------------------------------------------------------------
-# the vertex integrals by their ladder
+# decorated trees and the vertex integrals by their ladder
 # ---------------------------------------------------------------------------
+
+
+def validate_graph(g: DecoratedGraph) -> None:
+    """Raise ``ValueError`` unless g is a decorated tree of the line."""
+    V = len(g.labels)
+    if any(l not in P1_POINTS for l in g.labels):
+        raise ValueError("labels must be fixed points 1 or 2")
+    if len(g.edges) != V - 1:
+        raise ValueError("a tree on V vertices has V-1 edges")
+    for u, v, de in g.edges:
+        if not 0 <= u < v < V:
+            raise ValueError("edge endpoints must be ordered vertex indices")
+        if de < 1:
+            raise ValueError("edge degrees are positive")
+        if g.labels[u] == g.labels[v]:
+            raise ValueError("adjacent vertices map to the same fixed point")
+    neighbours: Dict[int, List[int]] = {v: [] for v in range(V)}
+    for u, v, _ in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    seen = {0} if V else set()
+    frontier = [0]
+    while frontier:
+        for u in neighbours[frontier.pop()]:
+            if u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    if len(seen) != V:
+        raise ValueError("graph is not connected")
+    if any(not 0 <= m < V for m in g.markings):
+        raise ValueError("marking on a missing vertex")
+
+
+def vertex_integral(
+    flag_weights: Sequence[Fraction],
+    marking_exponents: Sequence[int] = (),
+    open_weight: Fraction | None = None,
+) -> FormalSeries:
+    """The program's closed-form vertex integral, in the ladder's signature."""
+    weights = list(flag_weights) + ([open_weight] if open_weight is not None else [])
+    num, den, k = _vertex_scalar([_inverse(w) for w in weights], list(marking_exponents))
+    return v_term(Fraction(num, den), k)
 
 
 def vertex_integral_by_ladder(
@@ -898,8 +949,8 @@ def vertex_integral_by_ladder(
 
     Stable case: the sum over weak compositions k of the budget
     B = N-3 - sum a of (N-3)!/(prod a! prod k!) * prod w_f^-(k_f+1), one
-    Fraction per term, against ``ocmirror.localization.vertex_integral``'s
-    multinomial closed form.  Unstable cases take the conventions of the
+    Fraction per term, against :func:`vertex_integral`'s multinomial closed
+    form.  Unstable cases take the conventions of the
     ``ocmirror.localization`` docstring, written in the weights themselves.
     """
     ladder = [Fraction(w) for w in flag_weights]

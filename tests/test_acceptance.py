@@ -18,7 +18,7 @@ from ocmirror.correspondence import (
     rhs_assemble,
     run_check,
 )
-from ocmirror.localization import open_invariant, open_via_closed, psi_integral
+from ocmirror.localization import _vertex_scalar, open_invariant, open_via_closed
 from ocmirror.series import FormalSeries, TruncationWindow, mono
 
 from second_routes import (
@@ -162,7 +162,7 @@ def test_criterion_6_psi_closed_form_vs_string_recursion():
     checked = 0
     for n in range(3, 9):
         for a in _exponent_vectors(n - 3, n):
-            assert psi_integral(a) == psi_integral_by_string(a), a
+            assert _vertex_scalar([], list(a)) == (psi_integral_by_string(a), 1, 0), a
             checked += 1
     _report(6, f"multinomial closed form == recursion on all {checked} vectors, n <= 8")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from fractions import Fraction
 from math import factorial
@@ -14,18 +15,17 @@ from ocmirror.localization import (
     DecoratedGraph,
     _bipartition_labels,
     _compositions,
+    _edge_coefficient,
     _graph_contribution,
     _labeled_trees,
     _shape_blocks,
+    _vertex_scalar,
     automorphism_count,
     count_labeled_graphs,
     disk_factor,
-    edge_factor,
     enumerate_graph_classes,
     open_invariant,
     open_via_closed,
-    psi_integral,
-    vertex_integral,
 )
 from ocmirror.series import FormalSeries, TruncationWindow, mono
 
@@ -36,6 +36,8 @@ from second_routes import (
     j_reduced_component,
     phi_dual_p1,
     psi_integral_by_string,
+    validate_graph,
+    vertex_integral,
     vertex_integral_by_ladder,
 )
 
@@ -46,19 +48,16 @@ F = Fraction
 # ---------------------------------------------------------------------------
 
 
+# the psi integrals are the vertex integrals with no flags: num/den * v^0
 def test_psi_closed_form_examples():
-    assert psi_integral((0, 0, 0)) == 1
-    assert psi_integral((1, 0, 0, 0)) == 1
-    assert psi_integral((2, 0, 0, 0)) == 0  # wrong total degree
-    assert psi_integral((1, 1, 0, 0, 0)) == 2
-    assert psi_integral((2, 0, 0, 0, 0)) == 1
+    assert _vertex_scalar([], [0, 0, 0]) == (1, 1, 0)
+    assert _vertex_scalar([], [1, 0, 0, 0]) == (1, 1, 0)
+    assert _vertex_scalar([], [2, 0, 0, 0]) == (0, 1, 0)  # wrong total degree
+    assert _vertex_scalar([], [1, 1, 0, 0, 0]) == (2, 1, 0)
+    assert _vertex_scalar([], [2, 0, 0, 0, 0]) == (1, 1, 0)
 
 
 def test_psi_rejects_bad_input():
-    with pytest.raises(ValueError):
-        psi_integral((0, 0))
-    with pytest.raises(ValueError):
-        psi_integral((-1, 0, 0, 1))
     with pytest.raises(ValueError):
         psi_integral_by_string((0,))
 
@@ -67,7 +66,8 @@ def test_psi_string_recursion_agrees_small():
     for n in range(3, 7):
         for exps in itertools.product(range(n - 2), repeat=n):
             if sum(exps) == n - 3:
-                assert psi_integral(exps) == psi_integral_by_string(exps), exps
+                want = psi_integral_by_string(exps)
+                assert _vertex_scalar([], list(exps)) == (want, 1, 0), exps
 
 
 # ---------------------------------------------------------------------------
@@ -77,15 +77,15 @@ def test_psi_string_recursion_agrees_small():
 
 def test_validate_rejects_malformed_graphs():
     with pytest.raises(ValueError):
-        DecoratedGraph((1, 1), ((0, 1, 1),)).validate()  # same label across edge
+        validate_graph(DecoratedGraph((1, 1), ((0, 1, 1),)))  # same label across edge
     with pytest.raises(ValueError):
-        DecoratedGraph((1, 2), ((0, 1, 0),)).validate()  # degree zero
+        validate_graph(DecoratedGraph((1, 2), ((0, 1, 0),)))  # degree zero
     with pytest.raises(ValueError):
-        DecoratedGraph((1, 2, 1), ((0, 1, 1),)).validate()  # not a tree
+        validate_graph(DecoratedGraph((1, 2, 1), ((0, 1, 1),)))  # not a tree
     with pytest.raises(ValueError):
-        DecoratedGraph((1, 2), ((0, 1, 1),), (5,)).validate()  # marking off graph
+        validate_graph(DecoratedGraph((1, 2), ((0, 1, 1),), (5,)))  # marking off graph
     with pytest.raises(ValueError):
-        DecoratedGraph((1, 3), ((0, 1, 1),)).validate()  # label out of range
+        validate_graph(DecoratedGraph((1, 3), ((0, 1, 1),)))  # label out of range
 
 
 def test_class_counts_small():
@@ -110,7 +110,7 @@ def test_automorphism_orders_degree_two():
 
 def test_star_automorphisms():
     star = DecoratedGraph((2, 1, 1, 1), ((0, 1, 1), (0, 2, 1), (0, 3, 1)))
-    star.validate()
+    validate_graph(star)
     assert automorphism_count(star) == 6
     marked = DecoratedGraph((2, 1, 1, 1), ((0, 1, 1), (0, 2, 1), (0, 3, 1)), (1,))
     assert automorphism_count(marked) == 2
@@ -165,7 +165,7 @@ def test_enumeration_matches_dedupe_oracle(n, d):
     classes = enumerate_graph_classes(n, d)
     assert classes == _enumerate_by_dedupe(n, d)
     for g in classes:
-        g.validate()
+        validate_graph(g)
         # the key read off the block's rooted tree is the graph's own key
         fresh = DecoratedGraph(g.labels, g.edges, g.markings).canonical_key()
         assert g.__dict__["_key"] == fresh, g
@@ -243,10 +243,11 @@ def test_orbit_counts_match_labeled_enumeration():
 
 
 def test_edge_factors():
-    assert edge_factor(1) == v_term(-1, -2)
-    assert edge_factor(2) == v_term(4, -4)
+    # h(d) = coefficient * v^(-2d)
+    assert F(*_edge_coefficient(1)) == -1
+    assert F(*_edge_coefficient(2)) == 4
     with pytest.raises(ValueError):
-        edge_factor(0)
+        _edge_coefficient(0)
 
 
 def test_vertex_integral_conventions():
@@ -285,14 +286,12 @@ def _contribution_by_series(g, insertions, open_vertex=None, open_weight=None):
     for _, _, de in g.edges:
         h = v_term(F((-1) ** de * de ** (2 * de), factorial(de) ** 2), -2 * de)
         total = total * h.scale(F(1, de))
-    adj = g.adjacency()
-    for v in range(len(g.labels)):
-        label = g.labels[v]
+    for v, label in enumerate(g.labels):
         sign = -1 if label == 1 else 1
-        flags = [F(sign, de) for _, de in adj[v]]
+        flags = [F(sign, de) for a, b, de in g.edges if v in (a, b)]
         exps = []
-        for i in g.markings_at(v):
-            if i < len(insertions):
+        for i, mv in enumerate(g.markings):
+            if mv == v and i < len(insertions):
                 restriction, a = insertions[i]
                 exps.append(a)
                 total = total * restriction[label - 1]
@@ -459,6 +458,37 @@ def test_winding_zero_rejected():
 )
 def test_two_open_routes_agree(dm, dp):
     assert open_invariant(dm, dp) == open_via_closed(dm, dp), (dm, dp)
+
+
+def _degree_zero_calls():
+    """Both routes at degree zero: windings +-1..+-5 against 0-3 insertions
+    of the unit, phi_1 or phi_2, each with psi-exponent 0-2."""
+    choices = [(cls, a) for cls in (unit_p1(), phi_p1(1), phi_p1(2)) for a in range(3)]
+    for mu in (1, -1, 2, -2, 3, -3, 4, -4, 5, -5):
+        for n in range(4):
+            for insertions in itertools.product(choices, repeat=n):
+                for route in (open_invariant, open_via_closed):
+                    yield route, max(0, -mu), max(0, mu), list(insertions)
+
+
+# sha256 over the value, or the exception type and message, of every call
+# of _degree_zero_calls, recorded while degree zero had a route of its own
+DEGREE_ZERO_SHA256 = "54ae542c539e04b6b2c4f5b2a73fb5684dda93cf726923c676b050bc4241e495"
+
+
+def test_degree_zero_open_invariants_match_recorded_digest():
+    digest = hashlib.sha256()
+    nonzero = 0
+    for call in _degree_zero_calls():
+        got = _outcome(*call)
+        if isinstance(got, FormalSeries):
+            nonzero += not got.is_zero()
+            got = [(str(m), str(c)) for m, c in got.items()]
+        else:
+            got = (got[0].__name__, got[1])
+        digest.update(f"{got}\n".encode())
+    assert nonzero == 860
+    assert digest.hexdigest() == DEGREE_ZERO_SHA256
 
 
 def test_open_routes_agree_with_insertions():

@@ -2,10 +2,11 @@
 
 A function, class or constant that only the tests reach belongs with the
 tests (``second_routes``), not in ``src/``.  A name counts as used when
-something outside its own definition and outside ``__all__`` refers to it:
-a load, an attribute, an import, or a string naming it (the benchmark's
-tracer wraps functions by name), anywhere in ``src/``, ``demos/`` or
-``perfbench/``.
+something outside its own definition and outside ``__all__`` refers to it
+as code: a load, an attribute or an import, anywhere in ``src/``,
+``demos/`` or ``perfbench/``.  A string naming it does not count: the
+benchmark's tracer wraps functions by name, and a name it lists that
+nothing calls is still unused.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def _defined(stmt: ast.stmt) -> List[str]:
 
 
 def _referenced(node: ast.AST) -> Set[str]:
-    """Names a piece of code refers to: loads, attributes, imports, dotted strings."""
+    """Names a piece of code refers to: loads, attributes and imports."""
     out: Set[str] = set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
@@ -42,9 +43,6 @@ def _referenced(node: ast.AST) -> Set[str]:
             out.add(n.attr)
         elif isinstance(n, ast.alias):
             out.add(n.name.rsplit(".", 1)[-1])
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            if n.value.replace(".", "").replace("_", "").isalnum():
-                out.update(n.value.split("."))
     return out
 
 
