@@ -17,7 +17,7 @@ geometry
     Equivariant fixed-point data for the line: the unit and the fixed-point
     basis classes that the graph sums insert.
 closed
-    The Bessel series of the disk side, the surface series, and exact
+    The surface series, one integer term per curve class, and exact
     extraction of descendant-slice coefficients.
 localization
     Fixed-point graph sums: decorated-tree enumeration, automorphisms,

@@ -1,4 +1,4 @@
-"""Closed-string generating series for both sides of the correspondence.
+"""Closed-string generating series for the right side of the correspondence.
 
 Curve side: the reduced genus-zero descendant potential of the projective
 line is hypergeometric,
@@ -7,9 +7,10 @@ line is hypergeometric,
 
 with D = -v at fixed point 1 and +v at fixed point 2.  At z = +v/mu (point
 2) or -v/mu (point 1) it collapses to a Bessel function of the first kind
-of integer order mu — the identity that seeds the disk potential, and the
-one curve-side series this module builds (``bessel_first_kind``).  The
-series J~ itself and its evaluation routes are test oracles.
+of integer order mu — the identity that seeds the disk potential, whose
+coefficients :mod:`ocmirror.correspondence` writes down in closed form.  The
+series J~, its evaluation routes and the Bessel series itself are test
+oracles.
 
 Surface side: the origin-cone restriction of the toric surface's
 hypergeometric series under the circle embedding u1 -> -V, u2 -> V.  At the
@@ -19,68 +20,46 @@ which the Kaehler map turns into the winding X^mu.  The tests check it
 term by term against a general resolver, which reads each class off the
 surface's divisor restriction tables and resolves it by partial fractions.
 
-Extraction: ``z_coeff`` takes the coefficient of a fixed power z^(-m) of the
-exponential-prefactored sum of linear-factor terms, expanding every factor in
-the z/v direction.  This honest extraction keeps only nonnegative expansion
-indices; the tests check it against the expanded product itself and against
-a regrouped presentation (boundary monomials such as -q1*v plus an
-unconstrained resummation).
+A term is carried as a ``FactorTerm``, ``(monomial, num, den, slope)`` for
+num/den * monomial * v/(v - slope*z), the factor kept unexpanded; slope 0
+means the factor is 1.  The one expansion the program makes is in the z/v
+direction, v/(v-cz) = sum_{k>=0} (cz/v)^k.
 
-``bessel_first_kind`` and ``z_coeff`` build their series from raw
+Extraction: ``z_coeff`` takes the coefficient of a fixed power z^(-m) of the
+exponential-prefactored sum of such terms, expanding every factor in the z/v
+direction without building the ladders.  This honest extraction keeps only
+nonnegative expansion indices; the tests check it against the expanded
+product itself and against a regrouped presentation (boundary monomials
+such as -q1*v plus an unconstrained resummation).  It reads the range of
+its loop over the T-power off the window, and builds its series from raw
 ``(monomial, numerator, denominator)`` terms through the kernel's single-lcm
-assembly, as the expansions of :mod:`ocmirror.series` do.
+assembly (``_from_raw``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
-from typing import Iterable, List, Tuple
+from itertools import accumulate
+from numbers import Rational
+from operator import mul
+from typing import List, NamedTuple, Sequence, Tuple
 
-from .series import (
-    FormalSeries,
-    LinearFactorTerm,
-    Monomial,
-    TruncationWindow,
-    _from_raw,
-    _tuple_new,
-    mono,
-)
+from .series import FormalSeries, Monomial, RawTerm, TruncationWindow, _from_raw, _tuple_new
 
-__all__ = ["bessel_first_kind", "surface_series_terms", "z_coeff"]
+__all__ = ["FactorTerm", "surface_series_terms", "z_coeff"]
 
 
-# ===========================================================================
-# Bessel functions of the first (modified) kind, integer order, exact
-# ===========================================================================
+class FactorTerm(NamedTuple):
+    """``num/den * monomial * v/(v - slope*z)``, the factor unexpanded (den > 0)."""
+
+    monomial: Monomial
+    num: int
+    den: int
+    slope: Rational  # an int for every term the program builds
 
 
-def bessel_first_kind(
-    order: int, arg_coeff: Fraction | int, arg_mono: Monomial, window: TruncationWindow
-) -> FormalSeries:
-    """I_order evaluated on the monomial argument ``arg_coeff * arg_mono``.
-
-    Implements sum_{m >= 0} (x/2)^(2m+order) / (m! * Gamma(m+order+1)) with
-    the reciprocal-Gamma convention: summands whose Gamma argument is a
-    nonpositive integer vanish.  The order symmetry I_n == I_(-n) is then a
-    consequence of the index shift, not an input (and is pinned in tests).
-    """
-    if arg_mono.bounded_mass <= 0:
-        raise ValueError("bessel argument monomial must increase the bounded grading")
-    half = Fraction(arg_coeff) / 2
-    p, q = half.numerator, half.denominator
-    raw = []
-    m = 0
-    while True:
-        e = 2 * m + order
-        if e * arg_mono.bounded_mass > window.mass_budget:
-            break
-        if m + order >= 0:  # reciprocal Gamma kills the rest
-            mm = arg_mono**e  # distinct for distinct e: arg_mono has positive mass
-            if window.contains(mm):
-                raw.append((mm, p**e, q**e * factorial(m) * factorial(m + order)))
-        m += 1
-    return _from_raw(raw, window)
+def _factorials(n: int) -> List[int]:
+    """[0!, 1!, ..., n!]."""
+    return list(accumulate(range(1, n + 1), mul, initial=1))
 
 
 # ===========================================================================
@@ -88,9 +67,7 @@ def bessel_first_kind(
 # ===========================================================================
 
 
-def surface_series_terms(
-    window: TruncationWindow, max_abs_slope: int
-) -> Tuple[LinearFactorTerm, ...]:
+def surface_series_terms(window: TruncationWindow, max_abs_slope: int) -> Tuple[FactorTerm, ...]:
     """Origin-restricted specialized surface series, window-complete.
 
     One term per curve class (d1, d2) with d1 + d2 at most the window's
@@ -101,18 +78,20 @@ def surface_series_terms(
         (-1)^|mu| / (d! (d+|mu|)!) * q1^d1 q2^d2 * z^-(d1+d2) * v/(v - mu z);
 
     balanced classes (mu = 0, the constant 1 among them) have the factor 1.
-    The Kaehler substitution sends the term to the winding X^mu, so its slope
-    is also its winding.  The identity with the general resolver term by term
-    is part of the test suite.
+    Since {d, d+|mu|} = {d1, d2}, the denominator is d1! d2!.  The Kaehler
+    substitution sends the term to the winding X^mu, so its slope is also
+    its winding.  The identity with the general resolver term by term is
+    part of the test suite.
     """
     cap = window.max_q
-    terms: List[LinearFactorTerm] = []
+    facts = _factorials(cap)
+    terms: List[FactorTerm] = []
     for d1 in range(cap + 1):
         for d2 in range(max(0, d1 - max_abs_slope), min(cap - d1, d1 + max_abs_slope) + 1):
             mu = d2 - d1
-            d = min(d1, d2)
-            c = Fraction((-1) ** abs(mu), factorial(d) * factorial(d + abs(mu)))
-            terms.append(LinearFactorTerm(c, mono(q1=d1, q2=d2, Z=-(d1 + d2)), Fraction(mu)))
+            monomial = _tuple_new(Monomial, (0, 0, 0, 0, -(d1 + d2), d1, d2))
+            sign = -1 if mu % 2 else 1
+            terms.append(_tuple_new(FactorTerm, (monomial, sign, facts[d1] * facts[d2], mu)))
     return tuple(terms)
 
 
@@ -121,32 +100,39 @@ def surface_series_terms(
 # ===========================================================================
 
 
-def z_coeff(
-    terms: Iterable[LinearFactorTerm], m: int, window: TruncationWindow
-) -> FormalSeries:
+def z_coeff(terms: Sequence[FactorTerm], m: int, window: TruncationWindow) -> FormalSeries:
     """Coefficient of z^(-m) in e^(t0/z) * sum(terms), factors expanded in z/v.
 
     The exponential prefactor is the origin restriction of the full monomial
     prefactor (the hyperplane-dependent exponent vanishes there), so each
-    term gains T^l/l! alongside z^(-l).  The expansion index
-    k = l - m - Z(term) must be >= 0; a slope-0 factor is 1, so it
-    contributes only at k = 0.
+    term gains T^l/l! alongside z^(-l), and the expansion index is
+    k = l - m - Z(term), giving slope^k V^-k.  The window coordinates that
+    do not move with l (Q, X, q1, q2 and the stripped Z) are checked once
+    per term; l then runs only where k >= 0 (k = 0 for a slope-0 factor,
+    which is 1), T <= max_t and V - k lies in [min_v, max_v].
     """
-    facts = [factorial(l) for l in range(window.max_t + 1)]
-    contains = window.contains
-    raw = []
-    for t in terms:
-        coefficient, slope = t.coefficient, t.slope
-        if not coefficient:
+    raw: List[RawTerm] = []
+    if not window.min_z <= 0 <= window.max_z:  # Z is stripped from every output
+        return _from_raw(raw, window)
+    max_q, max_t, max_x = window.max_q, window.max_t, window.max_abs_x
+    min_v, max_v = window.min_v, window.max_v
+    facts = _factorials(max_t)
+    for monomial, p, q, slope in terms:
+        Q, t0, x, v, z, q1, q2 = monomial
+        if Q > max_q or abs(x) > max_x or min(Q, q1, q2) < 0 or q1 + q2 > max_q:
             continue
-        p, q = coefficient.numerator, coefficient.denominator
+        shift = m + z  # k = l - shift
+        lo = max(0, -t0, shift, shift + v - max_v)
+        hi = min(max_t - max(t0, 0), shift + v - min_v)
         a, b = slope.numerator, slope.denominator
-        Q, t0, x, v, z, q1, q2 = t.monomial  # Z is stripped from every output
-        for l, f in enumerate(facts):
-            k = l - m - z
-            if k < 0 or (k and not a):
-                continue
-            out = _tuple_new(Monomial, (Q, t0 + l, x, v - k, 0, q1, q2))
-            if contains(out):
-                raw.append((out, p * a**k, q * f * b**k))
+        if not a:
+            hi = min(hi, shift)
+        if lo > hi:
+            continue
+        num, den = p * a ** (lo - shift), q * b ** (lo - shift)
+        for l in range(lo, hi + 1):
+            out = _tuple_new(Monomial, (Q, t0 + l, x, v + shift - l, 0, q1, q2))
+            raw.append((out, num, den * facts[l]))
+            num *= a
+            den *= b
     return _from_raw(raw, window)

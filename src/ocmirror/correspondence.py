@@ -5,8 +5,9 @@ Left side: the multiple-cover disk potential of the equivariant line —
     F = sum_{mu != 0} exp(mu*t0/v) * (v/mu^2) * I_mu(2*mu*sqrt(q)/v) * X^mu,
 
 whose coefficient of T^l Q^(2m+|mu|) X^mu V^(1-l-2m-|mu|) is
-mu^(l+2m+|mu|-2) / (l! m! (m+|mu|)!).  Built from the Bessel kernel (fast
-route) or resummed from one-boundary graph sums (independent route).
+mu^(l+2m+|mu|-2) / (l! m! (m+|mu|)!).  Written down term by term from that
+closed form (fast route) or resummed from one-boundary graph sums
+(independent route).
 
 Right side: the z^-2 slice of the origin-restricted surface series, paired
 against the distinguished origin class and written in winding/area
@@ -22,7 +23,8 @@ which sends the term to the single winding X^mu.  So only the terms with
 |mu| <= max_abs_x are built, the two maps act on these few terms as one
 fixed monomial map rather than on their expansion, and the z^-2 slice
 (factors expanded in z/v) is extracted directly in the final variables.
-Then
+Both sides collect raw integer terms, loop only over the exponents the
+window admits, and put their terms over one denominator at the end.  Then
 
     Exc = -Q*X^-1 + Q*X - T^2/(2v) - Q^2/v
 
@@ -37,46 +39,69 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List
+from itertools import chain
+from typing import Dict, Iterator, List
 
-from .closed import bessel_first_kind, surface_series_terms, z_coeff
-from .localization import open_invariant
+from .closed import FactorTerm, _factorials, surface_series_terms, z_coeff
+from .localization import _open_classes, _open_sum
 from .series import (
+    MAX_MASS_BUDGET,
     FormalSeries,
-    LinearFactorTerm,
     Monomial,
+    RawTerm,
     TruncationWindow,
+    _from_raw,
+    _tuple_new,
     mono,
     series_exp,
     series_sum,
 )
 
 
-def _winding_dressing(mu: int, window: TruncationWindow) -> FormalSeries:
-    """exp(mu * t0 / v), the area-zero dressing shared by every route."""
-    return series_exp(mu, mono(T=1, V=-1), window)
+def _disk_winding_terms(mu: int, window: TruncationWindow, facts: List[int]) -> Iterator[RawTerm]:
+    """Raw terms of the disk potential at winding ``mu`` inside ``window``.
 
-
-def _work_window(window: TruncationWindow) -> TruncationWindow:
-    # one level of V-headroom below the floor: the Bessel series is built
-    # before the V-shift by the mu^-2 * v disk normalization
-    return replace(window, min_v=window.min_v - 1, max_v=max(window.max_v, 0))
+    T^l Q^e X^mu V^(1-l-e), with e = 2m + |mu|, has the coefficient
+    mu^(l+e-2) / (l! m! (m+|mu|)!).  e runs from where l <= max_t can reach
+    the V ceiling to where l = 0 meets the V floor or e passes max_q; for
+    each e, l runs from the V ceiling to the V floor or max_t.  So every
+    step emits a term.  ``facts`` holds the factorials up to the largest
+    l and m + |mu| met.
+    """
+    a = abs(mu)
+    start = max(a, 1 - window.max_v - window.max_t)
+    start += (start - a) % 2  # e has the parity of |mu|
+    for e in range(start, min(window.max_q, 1 - window.min_v) + 1, 2):
+        m = (e - a) // 2
+        lo = max(0, 1 - e - window.max_v)
+        den = facts[m] * facts[m + a]
+        num = mu ** abs(lo + e - 2)  # the exponent is -1 only where mu^-1 = mu
+        for l in range(lo, min(window.max_t, 1 - e - window.min_v) + 1):
+            yield _tuple_new(Monomial, (e, l, mu, 1 - l - e, 0, 0, 0)), num, den * facts[l]
+            num *= mu
 
 
 def disk_potential_bessel(window: TruncationWindow) -> FormalSeries:
     """Disk potential in closed Bessel form, truncated to ``window``.
 
-    Every stored monomial has V-exponent 1 - l - 2m - |mu| <= 0.
+    Every coefficient is written down directly, winding by winding, and the
+    terms are put over one denominator at the end.  Every stored monomial
+    has V-exponent 1 - l - 2m - |mu| <= 0.  A window of mass budget
+    2*max_q + max_t beyond ``MAX_MASS_BUDGET`` is refused, as every
+    expansion refuses it.
     """
-    work = _work_window(window)
-
-    def winding(mu: int) -> FormalSeries:
-        bessel = bessel_first_kind(mu, 2 * mu, Monomial(Q=1, V=-1), work)
-        scaled = bessel.scale(Fraction(1, mu * mu), Monomial(X=mu, V=1))
-        return _winding_dressing(mu, work) * scaled
-
-    windings = range(-window.max_abs_x, window.max_abs_x + 1)
-    return series_sum((winding(mu) for mu in windings if mu != 0), window)
+    if window.max_abs_x and window.mass_budget > MAX_MASS_BUDGET:
+        raise ValueError(
+            f"window too large: 2*max_q + max_t = {window.mass_budget} exceeds {MAX_MASS_BUDGET}"
+        )
+    raw: List[RawTerm] = []
+    if window.min_z <= 0 <= window.max_z:
+        e_top = min(window.max_q, 1 - window.min_v)  # |mu| <= e <= e_top
+        facts = _factorials(max(e_top, min(window.max_t, -window.min_v)))
+        top = min(window.max_abs_x, e_top)
+        windings = (mu for mu in range(-top, top + 1) if mu)
+        raw = list(chain.from_iterable(_disk_winding_terms(mu, window, facts) for mu in windings))
+    return _from_raw(raw, window)
 
 
 def disk_potential_localized(window: TruncationWindow) -> FormalSeries:
@@ -84,19 +109,24 @@ def disk_potential_localized(window: TruncationWindow) -> FormalSeries:
 
     Each winding's sphere-degree series is an exact graph-sum value; the
     exponential dressing carries the degree-zero insertions, exactly as in
-    the closed form.  Exponentially slower than :func:`disk_potential_bessel`
-    — this is the independent oracle route, not the workhorse.
+    the closed form.  Each sphere degree's graph classes are enumerated once
+    and shared by every winding.  Exponentially slower than
+    :func:`disk_potential_bessel` — this is the independent oracle route,
+    not the workhorse.
     """
-    work = _work_window(window)
+    # the dressing lowers V, so a degree-series term above a negative V
+    # ceiling can still land below it
+    work = replace(window, max_v=max(window.max_v, 0))
+    classes = [_open_classes(0, d) for d in range((window.max_q - 1) // 2 + 1)]
 
     def contribution(mu: int, d: int) -> FormalSeries:
-        dm, dp = (d, d + mu) if mu > 0 else (d - mu, d)
-        return open_invariant(dm, dp).scale(1, Monomial(Q=2 * d + abs(mu)))
+        return _open_sum(mu, classes[d]).scale(1, Monomial(Q=2 * d + abs(mu)))
 
     def winding(mu: int) -> FormalSeries:
         top = (window.max_q - abs(mu)) // 2
         degree_series = series_sum((contribution(mu, d) for d in range(top + 1)), work)
-        return (_winding_dressing(mu, work) * degree_series).scale(1, Monomial(X=mu))
+        dressing = series_exp(mu, mono(T=1, V=-1), work)  # exp(mu * t0 / v)
+        return (dressing * degree_series).scale(1, Monomial(X=mu))
 
     windings = range(-window.max_abs_x, window.max_abs_x + 1)
     return series_sum((winding(mu) for mu in windings if mu != 0), window)
@@ -122,19 +152,17 @@ def _flip_v_floor_part(s: FormalSeries) -> FormalSeries:
     )
 
 
-def _paired_in_winding_variables(t: LinearFactorTerm) -> LinearFactorTerm:
+def _paired_in_winding_variables(t: FactorTerm) -> FactorTerm:
     """The pairing's 1/v times ``t``, with q1 -> -Q*X^-1 and q2 -> -Q*X.
 
     q1^d1 q2^d2 Z^e goes to (-1)^(d1+d2) Q^(d1+d2) X^(d2-d1) V^-1 Z^e; the
     factor v/(v - slope*z) involves neither map.  Since d1 + d2 and
     |d2 - d1| have the same parity, the sign cancels the closed form's.
     """
-    m = t.monomial
+    m, num, den, slope = t
     d1, d2 = m.q1, m.q2
-    coefficient = -t.coefficient if (d1 + d2) % 2 else t.coefficient
-    return LinearFactorTerm(
-        coefficient, Monomial(Q=d1 + d2, X=d2 - d1, V=-1, Z=m.Z), t.slope
-    )
+    mapped = _tuple_new(Monomial, (d1 + d2, 0, d2 - d1, -1, m.Z, 0, 0))
+    return _tuple_new(FactorTerm, (mapped, -num if (d1 + d2) % 2 else num, den, slope))
 
 
 def rhs_assemble(window: TruncationWindow, corrupt_correction: bool = False) -> FormalSeries:

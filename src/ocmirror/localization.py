@@ -502,19 +502,28 @@ def _open_classes(n: int, d: int) -> List[DecoratedGraph]:
     return enumerate_graph_classes(n + 1, d)
 
 
-def open_invariant(
-    d_minus: int, d_plus: int, insertions: Sequence[Insertion] = ()
+def _open_sum(
+    mu: int, classes: Sequence[DecoratedGraph], insertions: Sequence[Insertion] = ()
 ) -> FormalSeries:
-    """One-boundary invariant, direct route: disk vertex at its forced point."""
-    mu, d, h = _open_data(d_minus, d_plus)
+    """The one-boundary graph sum of winding ``mu`` over ``classes``, the
+    classes of :func:`_open_classes` for ``insertions`` at one degree."""
+    h = 1 if mu < 0 else 2  # the disk vertex's forced point
     n = len(insertions)
     weight = Fraction(1, mu)
     parts = (
         _graph_contribution(g, insertions, open_vertex=g.markings[n], open_weight=weight)
-        for g in _open_classes(n, d)
-        if g.labels[g.markings[n]] == h  # the disk vertex sits at its forced point
+        for g in classes
+        if g.labels[g.markings[n]] == h
     )
     return _disk_prefactor(mu) * series_sum(parts, WIDE)
+
+
+def open_invariant(
+    d_minus: int, d_plus: int, insertions: Sequence[Insertion] = ()
+) -> FormalSeries:
+    """One-boundary invariant, direct route: disk vertex at its forced point."""
+    mu, d, _ = _open_data(d_minus, d_plus)
+    return _open_sum(mu, _open_classes(len(insertions), d), insertions)
 
 
 def open_via_closed(

@@ -21,14 +21,13 @@ truncation window.  Conventions:
   numerator is zero, and the gcd of the denominator and all numerators is
   1 — so two series are equal exactly when their numerator dicts and
   denominators are.  ``items()`` and ``coeff()`` hand out reduced
-  ``Fraction`` values, so callers never see the storage; ``closed`` builds
-  its expansions through ``_from_raw`` below.
+  ``Fraction`` values, so callers never see the storage.
 * Sums rescale every operand to the lcm of the denominators, products
   multiply numerators and denominators, and each result is reduced with one
-  ``math.gcd`` over its denominator and numerators.  The expansions (exp, and
-  the Bessel and z-coefficient series of ``closed``)
-  collect raw ``(monomial, numerator, denominator)`` terms and put them over
-  one denominator by a single lcm (``_from_raw``).
+  ``math.gcd`` over its denominator and numerators.  Series written down
+  term by term (exp here, both sides of the correspondence, the z-slice of
+  ``closed``) collect raw ``(monomial, numerator, denominator)`` terms and
+  put them over one denominator by a single lcm (``_from_raw``).
 * A series remembers the window it was truncated to.  Arithmetic re-truncates
   to the intersection of the operand windows.  In Q, T, q1 and q2, whose
   exponents are nonnegative everywhere, operations only raise exponents, so
@@ -52,13 +51,8 @@ truncation window.  Conventions:
   canonical, every monomial inside the window — and is wrapped without a
   second pass.  Each operation tests ``window.contains`` only where its
   output can leave the window: a sum whose window is smaller than an
-  operand's, a product, a monomial shift.
-
-Rational factors of the form v/(v - c*z) are kept unexpanded as
-``LinearFactorTerm``.  The one expansion the program makes is in the z/v
-direction, v/(v-cz) = sum_{k>=0} (cz/v)^k (for c = 0 the factor is literally
-1), and it happens inside ``closed.z_coeff``, which reads off one z-power of
-the expanded sum without building the ladders.
+  operand's, a product, a monomial shift.  A series written down term by
+  term reads its loop ranges off the window instead.
 """
 
 from __future__ import annotations
@@ -75,7 +69,6 @@ __all__ = [
     "Monomial",
     "TruncationWindow",
     "FormalSeries",
-    "LinearFactorTerm",
     "mono",
     "series_sum",
     "series_exp",
@@ -88,6 +81,10 @@ RationalLike = Union[Fraction, int]
 #: bound used by :meth:`TruncationWindow.wide` — large enough that no
 #: enumerated computation ever reaches it, small enough to catch runaway loops.
 _WIDE = 1 << 20
+
+#: the largest mass budget (2*max_q + max_t) a window may have for an
+#: expansion; beyond it a request is refused, not run for minutes
+MAX_MASS_BUDGET = 4096
 
 
 class Monomial(NamedTuple):
@@ -474,7 +471,7 @@ def series_exp(c: RationalLike, m: Monomial, window: TruncationWindow) -> Formal
     """
     if m.bounded_mass <= 0:
         raise ValueError(f"series_exp argument {m} does not increase the bounded grading")
-    if window.mass_budget > 4096:
+    if window.mass_budget > MAX_MASS_BUDGET:
         raise ValueError("series_exp needs a finite window (mass budget too large)")
     c = _exact(c)
     p, q = c.numerator, c.denominator
@@ -485,24 +482,3 @@ def series_exp(c: RationalLike, m: Monomial, window: TruncationWindow) -> Formal
         n += 1
         power, num, den = power * m, num * p, den * q * n
     return _from_raw(raw, window)
-
-
-# ---------------------------------------------------------------------------
-# unexpanded linear factors  coeff * monomial * v/(v - slope*z)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LinearFactorTerm:
-    """A term ``coefficient * monomial * v/(v - slope*z)``, factor unexpanded.
-
-    ``slope == 0`` means the factor is identically 1.
-    """
-
-    coefficient: Fraction
-    monomial: Monomial
-    slope: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficient", _exact(self.coefficient))
-        object.__setattr__(self, "slope", _exact(self.slope))

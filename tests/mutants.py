@@ -29,8 +29,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 LOC = "ocmirror/localization.py"
 CLOSED = "ocmirror/closed.py"
+CORR = "ocmirror/correspondence.py"
+SERIES = "ocmirror/series.py"
 TL = "tests/test_localization.py"
 TC = "tests/test_closed.py"
+TCO = "tests/test_correspondence.py"
+TS = "tests/test_series.py"
 
 
 class Mutant(NamedTuple):
@@ -107,10 +111,94 @@ MUTANTS = (
     ),
     Mutant(
         CLOSED,
-        "if m + order >= 0:",
-        "if m + order > 0:",
-        "Bessel summand with Gamma(1) dropped",
-        (f"{TC}::test_bessel_order_zero_coefficients",),
+        "sign = -1 if mu % 2 else 1",
+        "sign = 1",
+        "surface terms of odd slope without their sign",
+        (f"{TCO}::test_check_passes_on_medium_window",),
+    ),
+    Mutant(
+        CORR,
+        "-num if (d1 + d2) % 2 else num",
+        "num",
+        "Kaehler map without the sign of (-Q)^(d1+d2)",
+        (f"{TCO}::test_check_passes_on_medium_window",),
+    ),
+    Mutant(
+        CORR,
+        "num = mu ** abs(lo + e - 2)",
+        "num = mu ** abs(lo + e - 1)",
+        "disk coefficient's power of the winding off by one",
+        (f"{TCO}::test_disk_coefficient_formula",),
+    ),
+    Mutant(
+        CORR,
+        "den = facts[m] * facts[m + a]",
+        "den = facts[m] * facts[m]",
+        "disk coefficient divided by m! m! instead of m! (m+|mu|)!",
+        (f"{TCO}::test_disk_coefficient_formula",),
+    ),
+    Mutant(
+        CORR,
+        "(e, l, mu, 1 - l - e, 0, 0, 0)",
+        "(e, l, mu, -l - e, 0, 0, 0)",
+        "disk term one V-step too low",
+        (f"{TCO}::test_disk_coefficient_formula",),
+    ),
+    Mutant(
+        CLOSED,
+        "lo = max(0, -t0, shift, shift + v - max_v)",
+        "lo = max(0, -t0, shift, shift + v - max_v - 1)",
+        "z-slice terms one V-step above the ceiling kept",
+        (f"{TCO}::test_check_passes_below_a_v_ceiling_of_minus_two",),
+    ),
+    Mutant(
+        CLOSED,
+        "hi = min(max_t - max(t0, 0), shift + v - min_v)",
+        "hi = min(max_t - max(t0, 0), shift + v - min_v - 1)",
+        "z-slice terms at the V floor dropped",
+        (f"{TCO}::test_check_passes_on_medium_window",),
+    ),
+    Mutant(
+        CLOSED,
+        "num *= a",
+        "num *= -a",
+        "expansion ladder v/(v - cz) with the sign of c flipped",
+        (f"{TC}::test_excess1_z2_closed_formula",),
+    ),
+    Mutant(
+        CLOSED,
+        "num, den = p * a ** (lo - shift), q * b ** (lo - shift)",
+        "num, den = p * a ** (lo - shift + 1), q * b ** (lo - shift)",
+        "expansion index off by one in the slope's power",
+        (f"{TC}::test_excess1_z2_closed_formula",),
+    ),
+    Mutant(
+        CLOSED,
+        "(Q, t0 + l, x, v + shift - l, 0, q1, q2)",
+        "(Q, t0 + l, x, v + shift - l - 1, 0, q1, q2)",
+        "z-slice term one V-step too low",
+        (f"{TC}::test_excess1_z2_closed_formula",),
+    ),
+    Mutant(
+        CORR,
+        "mono(Q=1, X=-1): Fraction(-1),",
+        "mono(Q=1, X=-1): Fraction(1),",
+        "exceptional correction's Q/X term with the wrong sign",
+        (f"{TCO}::test_check_passes_on_medium_window",),
+    ),
+    Mutant(
+        CORR,
+        "mono(T=2, V=-1): Fraction(-1, 2),",
+        "mono(T=2, V=-2): Fraction(-1, 2),",
+        "exceptional correction's T^2 term at the wrong V-power",
+        (f"{TCO}::test_check_passes_on_medium_window",),
+    ),
+    Mutant(
+        SERIES,
+        "acc = dict(a) if fa == 1 else {m: n * fa for m, n in a.items()}",
+        "acc = dict(a)",
+        "left operand of a sum not rescaled to the common denominator",
+        (f"{TS}::test_equal_values_reached_through_different_denominators",),
     ),
 )
 

@@ -3,6 +3,15 @@
 The program builds each quantity one way; the routes here build the same
 quantities another way, and the tests assert that the two agree.
 
+* ``LinearFactorTerm``, a term coeff * monomial * v/(v - slope*z) with one
+  ``Fraction`` coefficient, which the routes here take; ``factor_terms``
+  and ``linear_terms`` convert to and from the program's integer
+  ``FactorTerm``.
+* ``bessel_first_kind``, the modified Bessel series I_n on a monomial
+  argument, and ``disk_potential_by_product``, the disk potential as
+  exp(mu*t0/v) times the scaled Bessel series, one series product per
+  winding summed over their lcm; the program writes each coefficient down
+  directly instead.
 * The ``fraction_*`` functions are the kernel's expansions computed the
   direct way, one ``Fraction`` per coefficient, and handed to the validated
   constructor; the kernel itself stores integer numerators over one common
@@ -45,13 +54,13 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 from numbers import Rational
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from ocmirror.closed import bessel_first_kind
+from ocmirror.closed import FactorTerm
 from ocmirror.geometry import P1_POINTS, WIDE, P1Class, phi_p1, unit_p1, v_term
 from ocmirror.localization import (
     DecoratedGraph,
@@ -63,9 +72,9 @@ from ocmirror.localization import (
 from ocmirror.series import (
     VARIABLES,
     FormalSeries,
-    LinearFactorTerm,
     Monomial,
     TruncationWindow,
+    _from_raw,
     mono,
     series_exp,
     series_sum,
@@ -83,6 +92,42 @@ def z_slice(s: FormalSeries, z_exp: int) -> FormalSeries:
     """Sub-series of terms whose Z-exponent equals ``z_exp``, Z divided out."""
     shift = Monomial(Z=-z_exp)
     return FormalSeries([(m * shift, c) for m, c in s.items() if m.Z == z_exp], s.window)
+
+
+# ---------------------------------------------------------------------------
+# unexpanded linear factors with a Fraction coefficient
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LinearFactorTerm:
+    """A term ``coefficient * monomial * v/(v - slope*z)``, factor unexpanded.
+
+    ``slope == 0`` means the factor is identically 1.  The program carries
+    the same term as an integer ``ocmirror.closed.FactorTerm``;
+    :func:`factor_terms` and :func:`linear_terms` convert between the two.
+    """
+
+    coefficient: Fraction
+    monomial: Monomial
+    slope: Fraction
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coefficient", _rational(self.coefficient))
+        object.__setattr__(self, "slope", _rational(self.slope))
+
+
+def factor_terms(terms: Iterable[LinearFactorTerm]) -> List[FactorTerm]:
+    """``terms`` as the program's integer terms, for ``z_coeff``."""
+    return [
+        FactorTerm(t.monomial, t.coefficient.numerator, t.coefficient.denominator, t.slope)
+        for t in terms
+    ]
+
+
+def linear_terms(terms: Iterable[FactorTerm]) -> Tuple[LinearFactorTerm, ...]:
+    """The program's integer terms with one ``Fraction`` coefficient each."""
+    return tuple(LinearFactorTerm(Fraction(t.num, t.den), t.monomial, t.slope) for t in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +197,56 @@ def fraction_expand_factor(
 def expand_terms(terms: Iterable[LinearFactorTerm], window: TruncationWindow) -> FormalSeries:
     """Sum of the z/v expansions of ``terms``."""
     return series_sum([fraction_expand_factor(t, window) for t in terms], window)
+
+
+def bessel_first_kind(
+    order: int, arg_coeff: Fraction | int, arg_mono: Monomial, window: TruncationWindow
+) -> FormalSeries:
+    """I_order evaluated on the monomial argument ``arg_coeff * arg_mono``.
+
+    Implements sum_{m >= 0} (x/2)^(2m+order) / (m! * Gamma(m+order+1)) with
+    the reciprocal-Gamma convention: summands whose Gamma argument is a
+    nonpositive integer vanish.  The order symmetry I_n == I_(-n) is then a
+    consequence of the index shift, not an input (and is pinned in tests).
+    Built from raw terms over one lcm, as the program builds its series.
+    """
+    if arg_mono.bounded_mass <= 0:
+        raise ValueError("bessel argument monomial must increase the bounded grading")
+    half = Fraction(arg_coeff) / 2
+    p, q = half.numerator, half.denominator
+    raw = []
+    m = 0
+    while True:
+        e = 2 * m + order
+        if e * arg_mono.bounded_mass > window.mass_budget:
+            break
+        if m + order >= 0:  # reciprocal Gamma kills the rest
+            mm = arg_mono**e  # distinct for distinct e: arg_mono has positive mass
+            if window.contains(mm):
+                raw.append((mm, p**e, q**e * factorial(m) * factorial(m + order)))
+        m += 1
+    return _from_raw(raw, window)
+
+
+def disk_potential_by_product(window: TruncationWindow) -> FormalSeries:
+    """The disk potential as a sum of series products, one per winding.
+
+    Each winding mu is exp(mu*t0/v) times (v/mu^2) * I_mu(2*mu*sqrt(q)/v) *
+    X^mu, each factor a truncated series, and the windings are summed over
+    the lcm of their denominators.  The program writes every coefficient
+    down directly instead (``disk_potential_bessel``).  The factors are built
+    in a window with one more V-step below the floor and a V ceiling of at
+    least 0, since the Bessel series comes before its V-shift by v.
+    """
+    work = replace(window, min_v=window.min_v - 1, max_v=max(window.max_v, 0))
+
+    def winding(mu: int) -> FormalSeries:
+        bessel = bessel_first_kind(mu, 2 * mu, Monomial(Q=1, V=-1), work)
+        scaled = bessel.scale(Fraction(1, mu * mu), Monomial(X=mu, V=1))
+        return series_exp(mu, mono(T=1, V=-1), work) * scaled
+
+    windings = range(-window.max_abs_x, window.max_abs_x + 1)
+    return series_sum((winding(mu) for mu in windings if mu != 0), window)
 
 
 def fraction_bessel_first_kind(

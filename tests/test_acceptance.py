@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ocmirror.asymptotics import NumericParams, asym_ratio, fitted_error_constant
-from ocmirror.closed import bessel_first_kind, surface_series_terms
+from ocmirror.closed import surface_series_terms
 from ocmirror.correspondence import (
     disk_potential_bessel,
     exceptional_correction,
@@ -22,12 +22,14 @@ from ocmirror.localization import _vertex_scalar, open_invariant, open_via_close
 from ocmirror.series import FormalSeries, TruncationWindow, mono
 
 from second_routes import (
+    bessel_first_kind,
     expand_terms,
     j_bessel_form,
     j_degree_part_from_graphs,
     j_gamma_form,
     j_reduced_at,
     j_reduced_component,
+    linear_terms,
     psi_integral_by_string,
     surface_term_specialized,
 )
@@ -68,7 +70,7 @@ def test_criterion_2_surface_term_closed_forms():
         max_q=6, max_t=4, max_abs_x=0, min_v=-8, max_v=1, min_z=-24, max_z=2
     )
     by_class = {}
-    for t in surface_series_terms(window, window.max_q):
+    for t in linear_terms(surface_series_terms(window, window.max_q)):
         by_class.setdefault((t.monomial.q1, t.monomial.q2), []).append(t)
     checked = 0
     for d1 in range(7):

@@ -104,7 +104,7 @@ def _exact_I2(q: Fraction, v: Fraction) -> Fraction:
         m = term.monomial
         if m.T != 0:  # q0 = 1 kills the logarithm direction
             continue
-        total += term.coefficient * q ** (m.q1 + m.q2) * v / (v - term.slope)
+        total += F(term.num, term.den) * q ** (m.q1 + m.q2) * v / (v - term.slope)
     return total
 
 

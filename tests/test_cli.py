@@ -95,6 +95,17 @@ def test_invalid_numeric_params_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_window_beyond_the_mass_budget_exits_2(capsys):
+    # 2*max_q + max_t = 4097 is refused before anything is built; 4096 runs
+    window = ["--max-q", "2048", "--max-mu", "1", "--min-v", "-8"]
+    for command in ("check", "disk"):
+        assert main([command, *window, "--max-t", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "window too large" in err
+        assert main([command, *window, "--max-t", "0"]) == 0
+        capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------

@@ -7,18 +7,20 @@ from fractions import Fraction
 
 import pytest
 
-from ocmirror.closed import bessel_first_kind, surface_series_terms, z_coeff
+from ocmirror.closed import surface_series_terms, z_coeff
 from ocmirror.series import FormalSeries, TruncationWindow, mono, series_exp
 
 from families import by_slope_sign
 from second_routes import (
     UPoly,
+    bessel_first_kind,
     expand_terms,
     fraction_expand_factor,
     j_bessel_form,
     j_gamma_form,
     j_reduced_at,
     j_reduced_component,
+    linear_terms,
     phi_k_coeff,
     surface_term_specialized,
     surface_term_symbolic,
@@ -163,7 +165,7 @@ def test_specialized_term_vanishes_off_origin_when_numerator_dies():
 
 def test_specialized_matches_closed_family_forms():
     by_class = {}
-    for t in surface_series_terms(WQ, WQ.max_q):
+    for t in linear_terms(surface_series_terms(WQ, WQ.max_q)):
         by_class.setdefault((t.monomial.q1, t.monomial.q2), []).append(t)
     for d1 in range(5):
         for d2 in range(5):
@@ -255,13 +257,13 @@ def test_excess1_z2_closed_formula():
 def test_split_presentation_boundary_and_identity():
     terms = surface_series_terms(WQ, WQ.max_q)
     excess1, excess2, balanced = (by_slope_sign(terms, sign) for sign in (-1, 1, 0))
-    b1, r1 = z_coeff_split(excess1, 2, WQ)
+    b1, r1 = z_coeff_split(linear_terms(excess1), 2, WQ)
     assert b1 == FormalSeries({mono(q1=1, V=1): F(-1)}, WQ)
     assert b1 + r1 == z_coeff(excess1, 2, WQ)
-    b2, r2 = z_coeff_split(excess2, 2, WQ)
+    b2, r2 = z_coeff_split(linear_terms(excess2), 2, WQ)
     assert b2 == FormalSeries({mono(q2=1, V=1): F(1)}, WQ)
     assert b2 + r2 == z_coeff(excess2, 2, WQ)
-    b3, r3 = z_coeff_split(balanced, 2, WQ)
+    b3, r3 = z_coeff_split(linear_terms(balanced), 2, WQ)
     assert b3 == 0
     assert r3 == z_coeff(balanced, 2, WQ)
 
@@ -269,7 +271,7 @@ def test_split_presentation_boundary_and_identity():
 def test_large_z_direction_leading_behavior():
     # in the v/z direction the full restricted series starts 1 + t0/z + ...
     series = FormalSeries.zero(WQ)
-    for t in surface_series_terms(WQ, WQ.max_q):
+    for t in linear_terms(surface_series_terms(WQ, WQ.max_q)):
         if t.slope:
             series = series + fraction_expand_factor(t, WQ, v_over_z=True)
         else:  # the factor is 1

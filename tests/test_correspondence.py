@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ocmirror.closed import surface_series_terms, z_coeff
@@ -20,10 +20,17 @@ from ocmirror.correspondence import (
     rhs_assemble,
     run_check,
 )
+from ocmirror import localization
 from ocmirror.localization import open_invariant
 from ocmirror.series import FormalSeries, TruncationWindow, mono
 
-from second_routes import KAEHLER, distinguished_pairing_prefactor, substitute, truncated
+from second_routes import (
+    KAEHLER,
+    disk_potential_by_product,
+    distinguished_pairing_prefactor,
+    substitute,
+    truncated,
+)
 
 F = Fraction
 
@@ -82,6 +89,22 @@ def test_disk_antisymmetry_under_winding_and_weight_flip():
 
 def test_localized_route_matches_bessel_route():
     assert disk_potential_localized(WS) == disk_potential_bessel(WS)
+
+
+def test_localized_route_enumerates_each_degree_once(monkeypatch):
+    # windings share the classes of a sphere degree: degrees 1-3 are
+    # enumerated, degree 0 is the lone vertex
+    calls = []
+    enumerate_classes = localization.enumerate_graph_classes
+
+    def counted(n, d):
+        calls.append((n, d))
+        return enumerate_classes(n, d)
+
+    monkeypatch.setattr(localization, "enumerate_graph_classes", counted)
+    window = TruncationWindow(max_q=8, max_t=3, max_abs_x=3, min_v=-8, max_v=1)
+    assert disk_potential_localized(window) == disk_potential_bessel(window)
+    assert calls == [(1, 1), (1, 2), (1, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +191,10 @@ def test_rational_rendering():
 
 
 @st.composite
-def sweep_window(draw):
+def sweep_window(draw, top_v=2):
     """A window from the sweep ranges: max_q 0-8, max_t 0-4, max_abs_x 0-4,
-    min_v -10..1 (capped at max_v), max_v -4..2."""
-    max_v = draw(st.integers(-4, 2))
+    min_v -10..1 (capped at max_v), max_v -4..top_v."""
+    max_v = draw(st.integers(-4, top_v))
     return TruncationWindow(
         max_q=draw(st.integers(0, 8)),
         max_t=draw(st.integers(0, 4)),
@@ -223,6 +246,16 @@ def test_check_passes_on_random_windows(window):
     assert all(m.q1 == 0 and m.q2 == 0 for m, _ in report.rhs.items())
     # building only the window's windings loses nothing
     assert report.rhs == _rhs_all_windings(window)
+
+
+@given(sweep_window(top_v=3))
+@example(TruncationWindow(max_q=2, max_t=1, max_abs_x=2, min_v=-10, max_v=-3))
+@example(TruncationWindow(max_q=8, max_t=4, max_abs_x=4, min_v=1, max_v=3))
+@settings(max_examples=80, deadline=None)
+def test_disk_terms_match_the_series_products(window):
+    # the coefficients written down directly against exp * Bessel per
+    # winding summed over one lcm; the examples hold no term in their V range
+    assert disk_potential_bessel(window) == disk_potential_by_product(window)
 
 
 def _off_grading(s: FormalSeries):

@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocmirror.closed import bessel_first_kind, surface_series_terms, z_coeff
+from ocmirror.closed import surface_series_terms, z_coeff
 from ocmirror.series import (
     ONE,
     VARIABLES,
     FormalSeries,
-    LinearFactorTerm,
     Monomial,
     TruncationWindow,
     mono,
@@ -25,11 +24,15 @@ from ocmirror.series import (
 )
 
 from second_routes import (
+    LinearFactorTerm,
+    bessel_first_kind,
     expand_terms,
+    factor_terms,
     fraction_bessel_first_kind,
     fraction_expand_factor,
     fraction_series_exp,
     fraction_z_coeff,
+    linear_terms,
     substitute,
     substitute_terms,
     truncated,
@@ -380,7 +383,9 @@ def test_kernel_results_match_validated_constructor(
     _assert_contract(
         bessel_first_kind(order, c, arg, e), fraction_bessel_first_kind(order, c, arg, e), e
     )
-    _assert_contract(z_coeff(factors, z_index, e), fraction_z_coeff(factors, z_index, e), e)
+    _assert_contract(
+        z_coeff(factor_terms(factors), z_index, e), fraction_z_coeff(factors, z_index, e), e
+    )
 
 
 @given(random_window, st.lists(linear_factor, max_size=4), st.integers(-2, 4))
@@ -390,11 +395,11 @@ def test_z_coeff_is_the_z_slice_of_the_expanded_product(w, extra, m):
     # z-power off e^(t0/z) * sum(terms) without building the z/v ladders;
     # here they are built, in a window deep enough in Z for every rung and
     # every power of 1/z that reaches z^-m
-    terms = surface_series_terms(w, w.max_q) + tuple(extra)
+    terms = linear_terms(surface_series_terms(w, w.max_q)) + tuple(extra)
     zs = [t.monomial.Z for t in terms]
     deep = replace(w, min_z=min(-w.max_t, -m, *zs), max_z=max(0, w.max_t - m, *zs))
     product = series_exp(1, mono(T=1, Z=-1), deep) * expand_terms(terms, deep)
-    assert truncated(z_slice(product, -m), w) == z_coeff(terms, m, w)
+    assert truncated(z_slice(product, -m), w) == z_coeff(factor_terms(terms), m, w)
 
 
 def test_equal_values_reached_through_different_denominators():
