@@ -9,8 +9,9 @@ Subcommands
     Coefficient table of the assembled sphere-side series (descendant slice,
     distinguished pairing, variable substitution, exceptional correction).
 ``check``
-    Build both sides independently and compare coefficient-by-coefficient;
-    exit 0 on exact equality, 1 otherwise, with a machine-readable report.
+    Build both sides independently as raw integer terms and compare them
+    term by term; exit 0 on exact equality, 1 otherwise, with a
+    machine-readable report.
 ``localize``
     Enumerate fixed-locus graph classes at a given degree and marking count,
     with automorphism orders and exact per-class contributions.
@@ -20,12 +21,12 @@ Subcommands
 ``asymptotics``
     Floating-point large-weight ratio table for the excess component.
 
-All exact values are printed as ``num/den`` strings; series tables iterate
-in the kernel's lexicographic monomial order and graph tables in the
-deterministic enumeration order, so identical configurations produce
-byte-identical output.  Exit codes: 0 success (check passed), 1 check
-failure, 2 usage or configuration error, or an ``--output`` path that cannot
-be written.
+All exact values are printed as ``num/den`` strings, each series row in
+its own lowest terms; series tables iterate in the kernel's lexicographic
+monomial order and graph tables in the deterministic enumeration order, so
+identical configurations produce byte-identical output.  Exit codes: 0
+success (check passed), 1 check failure, 2 usage or configuration error, or
+an ``--output`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -36,18 +37,13 @@ import functools
 import io
 import json
 import sys
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .asymptotics import NumericParams, ratio_table
-from .closed import surface_series_terms, z_coeff
-from .correspondence import (
-    disk_potential_bessel,
-    rational_str,
-    rhs_assemble,
-    run_check,
-)
+from .closed import surface_series_terms, z_coeff_terms
+from .correspondence import disk_terms, rational_str, rhs_terms, run_check
 from .localization import graph_class_rows
-from .series import FormalSeries, TruncationWindow
+from .series import FormalSeries, RawTerm, TruncationWindow, lowest_terms
 
 __all__ = ["main"]
 
@@ -93,13 +89,24 @@ def _laurent_str(series: FormalSeries) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _f_table(series: FormalSeries, fmt: str) -> str:
-    rows = [(m.X, m.Q, m.T, m.V, rational_str(c)) for m, c in series.items()]
+def _series_table(
+    columns: Sequence[str], rows: Iterable[Tuple[int, int, int, int, str]], fmt: str
+) -> str:
+    """A series table of four exponent columns and a num/den value.
+
+    The CSV is written row by row; for these fields (integers and a
+    num/den string) it is byte-identical to ``csv.writer`` output.
+    """
     if fmt == "json":
-        return _json_text(
-            [dict(zip(F_COLUMNS, row)) for row in rows]
-        )
-    return _csv_text(F_COLUMNS, rows)
+        return _json_text([dict(zip(columns, row)) for row in rows])
+    lines = [f"{a},{b},{c},{d},{v}\n" for a, b, c, d, v in rows]
+    return ",".join(columns) + "\n" + "".join(lines)
+
+
+def _f_table(terms: Iterable[RawTerm], fmt: str) -> str:
+    """Rows of (monomial, num, den) terms in lowest terms, in the kernel's order."""
+    rows = ((m.X, m.Q, m.T, m.V, f"{n}/{d}") for m, n, d in terms)
+    return _series_table(F_COLUMNS, rows, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +115,11 @@ def _f_table(series: FormalSeries, fmt: str) -> str:
 
 
 def cmd_disk(args: argparse.Namespace) -> Tuple[int, str]:
-    series = disk_potential_bessel(_window_from(args))
-    return 0, _f_table(series, args.format)
+    return 0, _f_table(lowest_terms(disk_terms(_window_from(args))), args.format)
 
 
 def cmd_rhs(args: argparse.Namespace) -> Tuple[int, str]:
-    series = rhs_assemble(_window_from(args))
-    return 0, _f_table(series, args.format)
+    return 0, _f_table(lowest_terms(rhs_terms(_window_from(args))), args.format)
 
 
 def cmd_check(args: argparse.Namespace) -> Tuple[int, str]:
@@ -122,7 +127,8 @@ def cmd_check(args: argparse.Namespace) -> Tuple[int, str]:
     if args.format == "json":
         text = _json_text(report.to_json_dict())
     else:
-        text = _f_table(report.diff, "csv")
+        diff = ((m, c.numerator, c.denominator) for m, c in report.diff.items())
+        text = _f_table(diff, "csv")
     return (0 if report.passed else 1), text
 
 
@@ -163,18 +169,16 @@ def cmd_localize(args: argparse.Namespace) -> Tuple[int, str]:
 
 def cmd_ifunction(args: argparse.Namespace) -> Tuple[int, str]:
     # outputs carry no Q; the window's max_q is the joint q1+q2 cap, and
-    # the slice keeps every Kaehler excess up to it
+    # the slice keeps every Kaehler excess up to it.  A class of degree
+    # d1 + d2 lands at V <= zcoeff - (d1 + d2), so only degrees up to
+    # zcoeff - min_v reach the table.
     window = TruncationWindow(
         max_q=args.max_q, max_t=args.max_t, max_abs_x=0, min_v=args.min_v, max_v=1
     )
-    series = z_coeff(surface_series_terms(window, window.max_q), args.zcoeff, window)
-    rows = [
-        (m.T, m.q1, m.q2, m.V, rational_str(c))
-        for m, c in series.items()
-    ]
-    if args.format == "json":
-        return 0, _json_text([dict(zip(SLICE_COLUMNS, row)) for row in rows])
-    return 0, _csv_text(SLICE_COLUMNS, rows)
+    terms = surface_series_terms(window, window.max_q, args.zcoeff - args.min_v)
+    raw = z_coeff_terms(terms, args.zcoeff, window)
+    rows = ((m.T, m.q1, m.q2, m.V, f"{n}/{d}") for m, n, d in lowest_terms(raw))
+    return 0, _series_table(SLICE_COLUMNS, rows, args.format)
 
 
 def cmd_asymptotics(args: argparse.Namespace) -> Tuple[int, str]:

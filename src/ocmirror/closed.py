@@ -25,15 +25,16 @@ num/den * monomial * v/(v - slope*z), the factor kept unexpanded; slope 0
 means the factor is 1.  The one expansion the program makes is in the z/v
 direction, v/(v-cz) = sum_{k>=0} (cz/v)^k.
 
-Extraction: ``z_coeff`` takes the coefficient of a fixed power z^(-m) of the
-exponential-prefactored sum of such terms, expanding every factor in the z/v
-direction without building the ladders.  This honest extraction keeps only
-nonnegative expansion indices; the tests check it against the expanded
-product itself and against a regrouped presentation (boundary monomials
-such as -q1*v plus an unconstrained resummation).  It reads the range of
-its loop over the T-power off the window, and builds its series from raw
-``(monomial, numerator, denominator)`` terms through the kernel's single-lcm
-assembly (``_from_raw``).
+Extraction: ``z_coeff_terms`` takes the coefficient of a fixed power z^(-m)
+of the exponential-prefactored sum of such terms, expanding every factor in
+the z/v direction without building the ladders.  This honest extraction
+keeps only nonnegative expansion indices; the tests check it against the
+expanded product itself and against a regrouped presentation (boundary
+monomials such as -q1*v plus an unconstrained resummation).  It reads the
+range of its loop over the T-power off the window, and returns raw
+``(monomial, numerator, denominator)`` terms: the right side of the
+correspondence adds its correction to them, and the ``ifunction`` table
+prints them in lowest terms.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ from __future__ import annotations
 from itertools import accumulate
 from numbers import Rational
 from operator import mul
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .series import FormalSeries, Monomial, RawTerm, TruncationWindow, _from_raw, _tuple_new
+from .series import Monomial, RawTerm, TruncationWindow, _tuple_new
 
-__all__ = ["FactorTerm", "surface_series_terms", "z_coeff"]
+__all__ = ["FactorTerm", "surface_series_terms", "z_coeff_terms"]
 
 
 class FactorTerm(NamedTuple):
@@ -67,11 +68,14 @@ def _factorials(n: int) -> List[int]:
 # ===========================================================================
 
 
-def surface_series_terms(window: TruncationWindow, max_abs_slope: int) -> Tuple[FactorTerm, ...]:
+def surface_series_terms(
+    window: TruncationWindow, max_abs_slope: int, max_degree: Optional[int] = None
+) -> Tuple[FactorTerm, ...]:
     """Origin-restricted specialized surface series, window-complete.
 
     One term per curve class (d1, d2) with d1 + d2 at most the window's
-    ``max_q``, its joint q1+q2 cap, and |d2 - d1| at most ``max_abs_slope``
+    ``max_q``, its joint q1+q2 cap, and at most ``max_degree`` if given (a
+    negative one keeps no class), and |d2 - d1| at most ``max_abs_slope``
     (``max_q`` or more keeps every class).  With the signed Kaehler excess
     mu = d2 - d1 and d = min(d1, d2), the term is
 
@@ -83,7 +87,7 @@ def surface_series_terms(window: TruncationWindow, max_abs_slope: int) -> Tuple[
     its winding.  The identity with the general resolver term by term is
     part of the test suite.
     """
-    cap = window.max_q
+    cap = window.max_q if max_degree is None else min(window.max_q, max_degree)
     facts = _factorials(cap)
     terms: List[FactorTerm] = []
     for d1 in range(cap + 1):
@@ -100,8 +104,8 @@ def surface_series_terms(window: TruncationWindow, max_abs_slope: int) -> Tuple[
 # ===========================================================================
 
 
-def z_coeff(terms: Sequence[FactorTerm], m: int, window: TruncationWindow) -> FormalSeries:
-    """Coefficient of z^(-m) in e^(t0/z) * sum(terms), factors expanded in z/v.
+def z_coeff_terms(terms: Sequence[FactorTerm], m: int, window: TruncationWindow) -> List[RawTerm]:
+    """Raw terms of the z^(-m) coefficient of e^(t0/z) * sum(terms), factors expanded in z/v.
 
     The exponential prefactor is the origin restriction of the full monomial
     prefactor (the hyperplane-dependent exponent vanishes there), so each
@@ -109,11 +113,13 @@ def z_coeff(terms: Sequence[FactorTerm], m: int, window: TruncationWindow) -> Fo
     k = l - m - Z(term), giving slope^k V^-k.  The window coordinates that
     do not move with l (Q, X, q1, q2 and the stripped Z) are checked once
     per term; l then runs only where k >= 0 (k = 0 for a slope-0 factor,
-    which is 1), T <= max_t and V - k lies in [min_v, max_v].
+    which is 1), T <= max_t and V - k lies in [min_v, max_v].  So every term
+    returned lies inside ``window``; a term of the input whose z-power is
+    z^-D reaches the slice only if D <= m - min_v + V(term).
     """
     raw: List[RawTerm] = []
     if not window.min_z <= 0 <= window.max_z:  # Z is stripped from every output
-        return _from_raw(raw, window)
+        return raw
     max_q, max_t, max_x = window.max_q, window.max_t, window.max_abs_x
     min_v, max_v = window.min_v, window.max_v
     facts = _factorials(max_t)
@@ -135,4 +141,4 @@ def z_coeff(terms: Sequence[FactorTerm], m: int, window: TruncationWindow) -> Fo
             raw.append((out, num, den * facts[l]))
             num *= a
             den *= b
-    return _from_raw(raw, window)
+    return raw

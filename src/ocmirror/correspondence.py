@@ -23,26 +23,42 @@ which sends the term to the single winding X^mu.  So only the terms with
 |mu| <= max_abs_x are built, the two maps act on these few terms as one
 fixed monomial map rather than on their expansion, and the z^-2 slice
 (factors expanded in z/v) is extracted directly in the final variables.
-Both sides collect raw integer terms, loop only over the exponents the
-window admits, and put their terms over one denominator at the end.  Then
+Then
 
     Exc = -Q*X^-1 + Q*X - T^2/(2v) - Q^2/v
 
 is added.
 
-``run_check`` builds both sides and reports the per-monomial difference; the
-headline assertion is that the difference is identically zero on every
-finite window.
+Both sides are lists of raw integer terms (monomial, num, den), each
+written down by a loop over only the exponents the window admits.  The two
+lists match term for term.  The left side's monomial
+T^l Q^e X^mu V^(1-l-e), e = 2m + |mu|, comes from exactly one surface
+class, (d1, d2) = ((e-mu)/2, (e+mu)/2), at expansion index k = l + e - 2,
+with the same value mu^k / (l! m! (m+|mu|)!): the surface sign (-1)^|mu|
+and the map's sign (-1)^(d1+d2) cancel.  Only the correction's four
+monomials have no partner: Q*X^-1 and Q*X (k = -1) are on the left alone,
+and the winding-0 slice T^2/(2v) + Q^2/v on the right alone, where the
+correction cancels it.
+
+``run_check`` compares the two lists term by term: identical terms cancel,
+and whatever is left is summed per monomial by exact cross-multiplication,
+so the check does not rely on the two builders writing a value the same
+way.  The report's difference is built from the leftover terms only; the
+headline assertion is that it is identically zero on every finite window.
+The tables ``disk`` and ``rhs`` print the same lists, one row per monomial
+in lowest terms, with no common denominator; only the left side that a
+report carries is built as a series.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Tuple
 
-from .closed import FactorTerm, _factorials, surface_series_terms, z_coeff
+from .closed import FactorTerm, _factorials, surface_series_terms, z_coeff_terms
 from .localization import _open_classes, _open_sum
 from .series import (
     MAX_MASS_BUDGET,
@@ -52,6 +68,7 @@ from .series import (
     TruncationWindow,
     _from_raw,
     _tuple_new,
+    lowest_terms,
     mono,
     series_exp,
     series_sum,
@@ -81,27 +98,30 @@ def _disk_winding_terms(mu: int, window: TruncationWindow, facts: List[int]) -> 
             num *= mu
 
 
-def disk_potential_bessel(window: TruncationWindow) -> FormalSeries:
-    """Disk potential in closed Bessel form, truncated to ``window``.
+def disk_terms(window: TruncationWindow) -> List[RawTerm]:
+    """Raw terms of the disk potential in closed Bessel form inside ``window``.
 
-    Every coefficient is written down directly, winding by winding, and the
-    terms are put over one denominator at the end.  Every stored monomial
-    has V-exponent 1 - l - 2m - |mu| <= 0.  A window of mass budget
-    2*max_q + max_t beyond ``MAX_MASS_BUDGET`` is refused, as every
-    expansion refuses it.
+    Every coefficient is written down directly, winding by winding, one term
+    per monomial.  Every monomial has V-exponent 1 - l - 2m - |mu| <= 0.  A
+    window of mass budget 2*max_q + max_t beyond ``MAX_MASS_BUDGET`` is
+    refused, as every expansion refuses it.
     """
     if window.max_abs_x and window.mass_budget > MAX_MASS_BUDGET:
         raise ValueError(
             f"window too large: 2*max_q + max_t = {window.mass_budget} exceeds {MAX_MASS_BUDGET}"
         )
-    raw: List[RawTerm] = []
-    if window.min_z <= 0 <= window.max_z:
-        e_top = min(window.max_q, 1 - window.min_v)  # |mu| <= e <= e_top
-        facts = _factorials(max(e_top, min(window.max_t, -window.min_v)))
-        top = min(window.max_abs_x, e_top)
-        windings = (mu for mu in range(-top, top + 1) if mu)
-        raw = list(chain.from_iterable(_disk_winding_terms(mu, window, facts) for mu in windings))
-    return _from_raw(raw, window)
+    if not window.min_z <= 0 <= window.max_z:
+        return []
+    e_top = min(window.max_q, 1 - window.min_v)  # |mu| <= e <= e_top
+    facts = _factorials(max(e_top, min(window.max_t, -window.min_v)))
+    top = min(window.max_abs_x, e_top)
+    windings = (mu for mu in range(-top, top + 1) if mu)
+    return list(chain.from_iterable(_disk_winding_terms(mu, window, facts) for mu in windings))
+
+
+def disk_potential_bessel(window: TruncationWindow) -> FormalSeries:
+    """Disk potential in closed Bessel form, truncated to ``window``."""
+    return _from_raw(disk_terms(window), window)
 
 
 def disk_potential_localized(window: TruncationWindow) -> FormalSeries:
@@ -132,24 +152,23 @@ def disk_potential_localized(window: TruncationWindow) -> FormalSeries:
     return series_sum((winding(mu) for mu in windings if mu != 0), window)
 
 
-def exceptional_correction(window: TruncationWindow) -> FormalSeries:
-    """The four-monomial correction added to the descendant slice."""
-    return FormalSeries(
-        {
-            mono(Q=1, X=-1): Fraction(-1),
-            mono(Q=1, X=1): Fraction(1),
-            mono(T=2, V=-1): Fraction(-1, 2),
-            mono(Q=2, V=-1): Fraction(-1),
-        },
-        window,
-    )
+#: Exc = -Q*X^-1 + Q*X - T^2/(2v) - Q^2/v, as raw (monomial, num, den) terms
+_CORRECTION: Tuple[RawTerm, ...] = (
+    (mono(Q=1, X=-1), -1, 1),
+    (mono(Q=1, X=1), 1, 1),
+    (mono(T=2, V=-1), -1, 2),
+    (mono(Q=2, V=-1), -1, 1),
+)
 
 
-def _flip_v_floor_part(s: FormalSeries) -> FormalSeries:
-    """Negate the V^-1 slice only (the deliberate-corruption knob)."""
-    return FormalSeries(
-        {m: (-c if m.V == -1 else c) for m, c in s.items()}, s.window
-    )
+def correction_terms(window: TruncationWindow, corrupt: bool = False) -> List[RawTerm]:
+    """Raw terms of the four-monomial correction inside ``window``.
+
+    ``corrupt`` negates the V^-1 terms only (the deliberate-corruption knob).
+    """
+    return [
+        (m, -n if corrupt and m.V == -1 else n, d) for m, n, d in _CORRECTION if window.contains(m)
+    ]
 
 
 def _paired_in_winding_variables(t: FactorTerm) -> FactorTerm:
@@ -165,24 +184,28 @@ def _paired_in_winding_variables(t: FactorTerm) -> FactorTerm:
     return _tuple_new(FactorTerm, (mapped, -num if (d1 + d2) % 2 else num, den, slope))
 
 
-def rhs_assemble(window: TruncationWindow, corrupt_correction: bool = False) -> FormalSeries:
-    """Descendant-slice side of the identity, truncated to ``window``.
+def rhs_terms(window: TruncationWindow, corrupt_correction: bool = False) -> List[RawTerm]:
+    """Raw terms of the descendant-slice side of the identity inside ``window``.
 
     Order: take the surface terms whose slope, their winding after the
-    Kaehler map, fits the window's winding bound -> pair each with the
-    distinguished class and write it in winding/area variables, one
-    monomial map per term -> extract the z^-2 coefficient in ``window`` ->
-    add the exceptional correction.  The map sends a term to one term, so
-    nothing is truncated before the extraction.  The zeroth flat coordinate
-    is carried by the same T variable on both sides, so the log-area
-    identification is the identity map here.
+    Kaehler map, fits the window's winding bound and whose degree
+    d1 + d2 <= 1 - min_v lets them reach the V floor (the pairing's 1/v
+    and the z^-2 slice put the term at V^(1-(d1+d2)-l) at best) -> pair
+    each with the distinguished class and write it in winding/area
+    variables, one monomial map per term -> extract the z^-2 coefficient in
+    ``window`` -> append the exceptional correction.  The map sends a term
+    to one term, so nothing is truncated before the extraction.  The zeroth
+    flat coordinate is carried by the same T variable on both sides, so the
+    log-area identification is the identity map here.
     """
-    terms = surface_series_terms(window, window.max_abs_x)
+    terms = surface_series_terms(window, window.max_abs_x, 1 - window.min_v)
     mapped = [_paired_in_winding_variables(t) for t in terms]
-    correction = exceptional_correction(window)
-    if corrupt_correction:
-        correction = _flip_v_floor_part(correction)
-    return z_coeff(mapped, 2, window) + correction
+    return z_coeff_terms(mapped, 2, window) + correction_terms(window, corrupt_correction)
+
+
+def rhs_assemble(window: TruncationWindow, corrupt_correction: bool = False) -> FormalSeries:
+    """Descendant-slice side of the identity, truncated to ``window``."""
+    return _from_raw(rhs_terms(window, corrupt_correction), window)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +224,6 @@ class CorrespondenceReport:
 
     window: TruncationWindow
     lhs: FormalSeries
-    rhs: FormalSeries
     diff: FormalSeries
     passed: bool
 
@@ -226,11 +248,22 @@ class CorrespondenceReport:
         }
 
 
+def raw_difference(left: List[RawTerm], right: List[RawTerm]) -> List[RawTerm]:
+    """left - right per monomial in lowest terms, zeros dropped, in ``items()`` order.
+
+    Identical terms cancel; the terms left over, the right side's negated,
+    are summed per monomial by exact cross-multiplication.
+    """
+    unmatched = Counter(left)
+    unmatched.subtract(right)
+    return lowest_terms([(m, n * c, d) for (m, n, d), c in unmatched.items() if c])
+
+
 def run_check(
     window: TruncationWindow, corrupt_correction: bool = False
 ) -> CorrespondenceReport:
-    """Build both sides and compare exactly; see the module docstring."""
-    lhs = disk_potential_bessel(window)
-    rhs = rhs_assemble(window, corrupt_correction=corrupt_correction)
-    diff = lhs - rhs
-    return CorrespondenceReport(window, lhs, rhs, diff, diff.is_zero())
+    """Build both sides and compare them term by term; see the module docstring."""
+    lhs = disk_terms(window)
+    rhs = rhs_terms(window, corrupt_correction)
+    diff = _from_raw(raw_difference(lhs, rhs), window)
+    return CorrespondenceReport(window, _from_raw(lhs, window), diff, diff.is_zero())

@@ -26,8 +26,10 @@ truncation window.  Conventions:
   multiply numerators and denominators, and each result is reduced with one
   ``math.gcd`` over its denominator and numerators.  Series written down
   term by term (exp here, both sides of the correspondence, the z-slice of
-  ``closed``) collect raw ``(monomial, numerator, denominator)`` terms and
-  put them over one denominator by a single lcm (``_from_raw``).
+  ``closed``) collect raw ``(monomial, numerator, denominator)`` terms.  A
+  series is made of them by a single lcm (``_from_raw``); a table or a
+  comparison that needs no series takes each monomial's total in lowest
+  terms instead (``lowest_terms``), with no common denominator.
 * A series remembers the window it was truncated to.  Arithmetic re-truncates
   to the intersection of the operand windows.  In Q, T, q1 and q2, whose
   exponents are nonnegative everywhere, operations only raise exponents, so
@@ -62,6 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Tuple, Union
 
 __all__ = [
@@ -70,6 +73,7 @@ __all__ = [
     "TruncationWindow",
     "FormalSeries",
     "mono",
+    "lowest_terms",
     "series_sum",
     "series_exp",
 ]
@@ -409,6 +413,7 @@ def _clip(nums: Mapping[Monomial, int], window: TruncationWindow) -> Dict[Monomi
 
 
 RawTerm = Tuple[Monomial, int, int]
+_monomial_of = itemgetter(0)
 
 
 def _over_lcm(raw: List[RawTerm]) -> Tuple[Dict[Monomial, int], int]:
@@ -431,6 +436,25 @@ def _from_raw(raw: List[RawTerm], window: TruncationWindow) -> FormalSeries:
     """A series from raw ``(monomial, num, den)`` terms inside ``window``."""
     nums, den = _over_lcm(raw)
     return _built(nums, den, window)
+
+
+def lowest_terms(raw: Iterable[RawTerm]) -> List[RawTerm]:
+    """Each monomial's total of the raw terms as ``(monomial, num, den)`` in lowest terms.
+
+    The terms are sorted by monomial, so the result is in the lexicographic
+    order of ``items()``; repeated monomials merge by exact
+    cross-multiplication and totals that cancel drop out.  Every
+    denominator is positive; no common denominator is formed.
+    """
+    out: List[RawTerm] = []
+    for m, group in itertools.groupby(sorted(raw, key=_monomial_of), _monomial_of):
+        _, n, d = next(group)
+        for _, n1, d1 in group:
+            n, d = (n + n1, d) if d == d1 else (n * d1 + n1 * d, d * d1)
+        if n:
+            g = gcd(n, d)
+            out.append((m, n // g, d // g))
+    return out
 
 
 def series_sum(parts: Iterable[FormalSeries], window: TruncationWindow) -> FormalSeries:

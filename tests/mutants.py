@@ -181,17 +181,38 @@ MUTANTS = (
     ),
     Mutant(
         CORR,
-        "mono(Q=1, X=-1): Fraction(-1),",
-        "mono(Q=1, X=-1): Fraction(1),",
+        "(mono(Q=1, X=-1), -1, 1),",
+        "(mono(Q=1, X=-1), 1, 1),",
         "exceptional correction's Q/X term with the wrong sign",
         (f"{TCO}::test_check_passes_on_medium_window",),
     ),
     Mutant(
         CORR,
-        "mono(T=2, V=-1): Fraction(-1, 2),",
-        "mono(T=2, V=-2): Fraction(-1, 2),",
+        "(mono(T=2, V=-1), -1, 2),",
+        "(mono(T=2, V=-2), -1, 2),",
         "exceptional correction's T^2 term at the wrong V-power",
         (f"{TCO}::test_check_passes_on_medium_window",),
+    ),
+    Mutant(
+        CORR,
+        "return lowest_terms([(m, n * c, d) for (m, n, d), c in unmatched.items() if c])",
+        "return []",
+        "check without its fallback: terms that are not identical taken as equal",
+        (f"{TCO}::test_corrupted_correction_fails_at_v_floor",),
+    ),
+    Mutant(
+        SERIES,
+        "else (n * d1 + n1 * d, d * d1)",
+        "else (n + n1, d * d1)",
+        "terms at one monomial over different denominators compared by numerators only",
+        (f"{TCO}::test_raw_difference_settles_unequal_terms_by_their_values",),
+    ),
+    Mutant(
+        LOC,
+        "c = Fraction(m) ** (m - 2) / factorial(m)",
+        "c = Fraction(m) ** (m - 2) / factorial(m) * (2 if m >= 4 else 1)",
+        "disk multiple-cover factor doubled from winding 4 on",
+        (f"{TCO}::test_localized_route_matches_bessel_route_to_winding_five",),
     ),
     Mutant(
         SERIES,

@@ -18,6 +18,9 @@ quantities another way, and the tests assert that the two agree.
   denominator, so these are an independent check of its rescaling and
   reduction.  ``fraction_expand_factor`` is the only expansion of a linear
   factor into its z/v or v/z ladder.
+* ``z_coeff`` and ``exceptional_correction`` are the program's raw terms
+  (``z_coeff_terms``, ``correction_terms``) made into series, the form the
+  tests compare.
 * ``z_slice``, ``z_coeff_split`` and ``phi_k_coeff`` are presentations of
   the surface series that only the tests read.
 * The toric surface's fixed-point data: polynomials in its torus weights
@@ -60,7 +63,8 @@ from math import factorial
 from numbers import Rational
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from ocmirror.closed import FactorTerm
+from ocmirror.closed import FactorTerm, z_coeff_terms
+from ocmirror.correspondence import correction_terms
 from ocmirror.geometry import P1_POINTS, WIDE, P1Class, phi_p1, unit_p1, v_term
 from ocmirror.localization import (
     DecoratedGraph,
@@ -86,6 +90,16 @@ Pairs = List[Tuple[Monomial, Fraction]]
 def truncated(s: FormalSeries, window: TruncationWindow) -> FormalSeries:
     """``s`` re-truncated to ``window``: its terms through the validated constructor."""
     return FormalSeries(s.items(), window)
+
+
+def z_coeff(terms: Sequence[FactorTerm], m: int, window: TruncationWindow) -> FormalSeries:
+    """Coefficient of z^(-m) in e^(t0/z) * sum(terms) as a series; see ``z_coeff_terms``."""
+    return _from_raw(z_coeff_terms(terms, m, window), window)
+
+
+def exceptional_correction(window: TruncationWindow) -> FormalSeries:
+    """The four-monomial correction added to the descendant slice, as a series."""
+    return _from_raw(correction_terms(window), window)
 
 
 def z_slice(s: FormalSeries, z_exp: int) -> FormalSeries:

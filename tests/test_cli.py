@@ -207,6 +207,24 @@ def test_ifunction_slice_two_contains_the_known_rows(capsys):
     assert "0,1,1,0,1/1" in lines  # the balanced area product
 
 
+@pytest.mark.parametrize("min_v", [-5, -1, 0, 1])
+@pytest.mark.parametrize("zcoeff", range(-1, 5))
+def test_ifunction_reads_only_the_degrees_the_v_floor_admits(capsys, zcoeff, min_v):
+    # a class of degree d1 + d2 lands at V <= zcoeff - (d1 + d2), so the
+    # table at an area cap far beyond zcoeff - min_v is the table at it
+    def table(max_q):
+        argv = ["ifunction", "--zcoeff", str(zcoeff), "--max-t", "3", "--min-v", str(min_v)]
+        assert main([*argv, "--max-q", str(max_q)]) == 0
+        return capsys.readouterr().out
+
+    far = table(200)
+    top = zcoeff - min_v
+    if top < 0:
+        assert far == "t0_power,q1_power,q2_power,v_power,value\n"
+    else:
+        assert far == table(top)
+
+
 def test_ifunction_json(capsys):
     assert main(["ifunction", "--zcoeff", "2", "--max-q", "2", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ocmirror.closed import surface_series_terms, z_coeff
+from ocmirror.closed import surface_series_terms
 from ocmirror.series import FormalSeries, TruncationWindow, mono, series_exp
 
 from families import by_slope_sign
@@ -24,6 +24,7 @@ from second_routes import (
     phi_k_coeff,
     surface_term_specialized,
     surface_term_symbolic,
+    z_coeff,
     z_coeff_split,
     z_slice,
 )

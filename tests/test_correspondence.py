@@ -11,12 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ocmirror.closed import surface_series_terms, z_coeff
+from ocmirror.closed import surface_series_terms, z_coeff_terms
 from ocmirror.correspondence import (
+    _paired_in_winding_variables,
+    correction_terms,
     disk_potential_bessel,
     disk_potential_localized,
-    exceptional_correction,
+    disk_terms,
     rational_str,
+    raw_difference,
     rhs_assemble,
     run_check,
 )
@@ -28,8 +31,10 @@ from second_routes import (
     KAEHLER,
     disk_potential_by_product,
     distinguished_pairing_prefactor,
+    exceptional_correction,
     substitute,
     truncated,
+    z_coeff,
 )
 
 F = Fraction
@@ -91,6 +96,12 @@ def test_localized_route_matches_bessel_route():
     assert disk_potential_localized(WS) == disk_potential_bessel(WS)
 
 
+def test_localized_route_matches_bessel_route_to_winding_five():
+    # sphere degrees up to 5 and windings up to 5, beyond the windows above
+    window = TruncationWindow(max_q=12, max_t=3, max_abs_x=5, min_v=-12, max_v=1)
+    assert disk_potential_localized(window) == disk_potential_bessel(window)
+
+
 def test_localized_route_enumerates_each_degree_once(monkeypatch):
     # windings share the classes of a sphere degree: degrees 1-3 are
     # enumerated, degree 0 is the lone vertex
@@ -148,14 +159,14 @@ def test_check_passes_on_medium_window():
     report = run_check(WM)
     assert report.passed
     assert report.diff.is_zero()
-    assert report.lhs == report.rhs
+    assert report.lhs == rhs_assemble(WM)
 
 
 def test_check_passes_vacuously_on_empty_window():
     w = TruncationWindow(max_q=0, max_t=0, max_abs_x=0, min_v=0, max_v=0)
     report = run_check(w)
     assert report.passed
-    assert report.lhs.is_zero() and report.rhs.is_zero()
+    assert report.lhs.is_zero() and rhs_assemble(w).is_zero()
 
 
 def test_corrupted_correction_fails_at_v_floor():
@@ -163,6 +174,19 @@ def test_corrupted_correction_fails_at_v_floor():
     assert not report.passed
     assert len(report.diff) > 0
     assert all(m.V == -1 for m, _ in report.diff.items())
+
+
+def test_raw_difference_settles_unequal_terms_by_their_values():
+    q, t = mono(Q=1), mono(T=1)
+    # the same value written two ways cancels
+    assert raw_difference([(q, 1, 2)], [(q, 2, 4)]) == []
+    assert raw_difference([(q, 1, 2), (q, 1, 2)], [(q, 1, 1)]) == []
+    # equal numerators over different denominators do not
+    assert raw_difference([(q, 1, 2)], [(q, 1, 3)]) == [(q, 1, 6)]
+    # a term on one side only keeps its value, negated on the right
+    assert raw_difference([(q, 1, 2)], [(q, 1, 2), (t, 3, 9)]) == [(t, -1, 3)]
+    # a term repeated on the right counts twice
+    assert raw_difference([(t, 1, 2)], [(t, 1, 2), (t, 1, 2)]) == [(t, -1, 2)]
 
 
 def test_report_json_schema_and_determinism():
@@ -240,12 +264,36 @@ def test_surface_terms_land_at_their_slope():
 @given(sweep_window())
 @settings(max_examples=80, deadline=None)
 def test_check_passes_on_random_windows(window):
-    report = run_check(window)
-    assert report.passed
+    assert run_check(window).passed
+    rhs = rhs_assemble(window)
     # the substitution trades every Kaehler variable for winding/area ones
-    assert all(m.q1 == 0 and m.q2 == 0 for m, _ in report.rhs.items())
-    # building only the window's windings loses nothing
-    assert report.rhs == _rhs_all_windings(window)
+    assert all(m.q1 == 0 and m.q2 == 0 for m, _ in rhs.items())
+    # building only the window's windings and degrees loses nothing
+    assert rhs == _rhs_all_windings(window)
+
+
+@given(sweep_window())
+@settings(max_examples=80, deadline=None)
+def test_each_disk_term_has_one_source_class(window):
+    # T^l Q^e X^mu V^(1-l-e) comes from the class ((e-mu)/2, (e+mu)/2) alone
+    # (at expansion index k = l + e - 2, since the slice term has V = -1 - k),
+    # with the same value; every class is expanded, whatever its winding or
+    # degree
+    sources = {}
+    for t in surface_series_terms(window, window.max_q):
+        d1, d2 = t.monomial.q1, t.monomial.q2
+        for m, n, d in z_coeff_terms([_paired_in_winding_variables(t)], 2, window):
+            sources.setdefault(m, []).append((d1, d2, F(n, d)))
+    correction = {m for m, _, _ in correction_terms(window)}
+    left = disk_terms(window)
+    for m, n, d in left:
+        e, mu = m.Q, m.X
+        if m in correction:  # Q*X^-1 and Q*X, at k = -1
+            assert m not in sources
+        else:
+            assert sources[m] == [((e - mu) // 2, (e + mu) // 2, F(n, d))], m
+    # the slice terms without a partner: T^2/(2v) and Q^2/v, at winding 0
+    assert set(sources) - {m for m, _, _ in left} <= correction
 
 
 @given(sweep_window(top_v=3))
@@ -283,10 +331,10 @@ def test_check_passes_below_a_v_ceiling_of_minus_two(max_v):
     # pairing in a window of V ceiling max_v + 1 once clipped the 1/v
     # prefactor itself, which left the right side empty
     window = TruncationWindow(max_q=6, max_t=3, max_abs_x=3, min_v=-8, max_v=max_v)
-    report = run_check(window)
-    assert report.passed
-    assert not report.rhs.is_zero()
-    assert report.rhs == _rhs_all_windings(window)
+    assert run_check(window).passed
+    rhs = rhs_assemble(window)
+    assert not rhs.is_zero()
+    assert rhs == _rhs_all_windings(window)
 
 
 @pytest.mark.parametrize("max_v", [-1, 2])

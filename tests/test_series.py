@@ -8,16 +8,18 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ocmirror.closed import surface_series_terms, z_coeff
+from ocmirror.closed import surface_series_terms
 from ocmirror.series import (
     ONE,
     VARIABLES,
     FormalSeries,
     Monomial,
     TruncationWindow,
+    _from_raw,
+    lowest_terms,
     mono,
     series_exp,
     series_sum,
@@ -36,6 +38,7 @@ from second_routes import (
     substitute,
     substitute_terms,
     truncated,
+    z_coeff,
     z_slice,
 )
 
@@ -415,6 +418,35 @@ def test_equal_values_reached_through_different_denominators():
     # clipping the only term over 4 leaves 2/4, which reduces to 1/2
     halves = s_of((mono(Q=1), Fraction(1, 2)), (mono(T=1), Fraction(1, 4)))
     assert truncated(halves, replace(W, max_t=0)) == s_of((mono(Q=1), Fraction(1, 2)))
+
+
+# raw (monomial, num, den) lists over a few monomials, so that monomials
+# repeat; numerators of either sign, zero among them, and denominators built
+# from the primes 2, 3, 5, so that they share factors and terms can cancel
+raw_monomial = st.sampled_from([Monomial(), mono(Q=1), mono(T=2, V=-1), mono(X=-1, V=-3)])
+raw_denominator = st.builds(
+    lambda a, b, c: 2**a * 3**b * 5**c, st.integers(0, 3), st.integers(0, 2), st.integers(0, 1)
+)
+raw_term = st.tuples(raw_monomial, st.integers(-12, 12), raw_denominator)
+
+
+@st.composite
+def raw_lists(draw):
+    raw = draw(st.lists(raw_term, max_size=10))
+    # some terms again, negated over a tripled denominator, so that whole
+    # monomials cancel through different representations
+    again = draw(st.lists(st.sampled_from(raw), max_size=len(raw))) if raw else []
+    return raw + [(m, -3 * n, 3 * d) for m, n, d in again]
+
+
+@given(raw_lists())
+@example([(mono(Q=1), 1, 2), (mono(Q=1), -2, 4), (Monomial(), 3, 6), (Monomial(), 1, 3)])
+@settings(max_examples=300, deadline=None)
+def test_lowest_terms_are_the_series_built_from_the_same_terms(raw):
+    wide = TruncationWindow.wide()
+    expected = [(m, c.numerator, c.denominator) for m, c in _from_raw(raw, wide).items()]
+    assert lowest_terms(raw) == expected
+    assert lowest_terms(raw[::-1]) == expected
 
 
 @pytest.mark.parametrize("bad", [0.1, 1.0, "1/3", Decimal("0.1")], ids=repr)
