@@ -12,7 +12,7 @@ Run:  python3 demos/02_correspondence_check.py
 
 import json
 
-from ocmirror.correspondence import rhs_assemble, run_check
+from ocmirror.correspondence import run_check
 from ocmirror.series import TruncationWindow
 
 window = TruncationWindow(max_q=8, max_t=4, max_abs_x=4, min_v=-8, max_v=1)
@@ -22,14 +22,6 @@ report = run_check(window)
 print("honest run:")
 print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
 assert report.passed and report.diff.is_zero()
-
-# the same sphere side as a series: its lowest-order coefficients are the
-# disk potential's
-sphere_side = rhs_assemble(window)
-assert sphere_side == report.lhs
-print("\nlowest-order coefficients, sphere side = disk side:")
-for m, c in list(sphere_side.items())[:6]:
-    print(f"  X^{m.X} Q^{m.Q} T^{m.T} V^{m.V}:  {c} = {report.lhs.coeff(m)}")
 
 # the mutation run: flip the sign of the weight^-1 slice of the correction.
 # The diff is nonzero and sits entirely at weight exponent -1 — the

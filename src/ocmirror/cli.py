@@ -32,9 +32,7 @@ an ``--output`` path that cannot be written.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from typing import Iterable, Optional, Sequence, Tuple
@@ -68,12 +66,11 @@ def _window_from(args: argparse.Namespace) -> TruncationWindow:
     )
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_text(header: Sequence[str], rows: Iterable[Tuple[object, ...]]) -> str:
+    """CSV with each field written as it is: no field of any table holds a
+    comma, a quote or a line break, so none is quoted."""
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join([line % row for row in rows])
 
 
 def _json_text(obj: object) -> str:
@@ -92,15 +89,10 @@ def _laurent_str(series: FormalSeries) -> str:
 def _series_table(
     columns: Sequence[str], rows: Iterable[Tuple[int, int, int, int, str]], fmt: str
 ) -> str:
-    """A series table of four exponent columns and a num/den value.
-
-    The CSV is written row by row; for these fields (integers and a
-    num/den string) it is byte-identical to ``csv.writer`` output.
-    """
+    """A series table of four exponent columns and a num/den value."""
     if fmt == "json":
         return _json_text([dict(zip(columns, row)) for row in rows])
-    lines = [f"{a},{b},{c},{d},{v}\n" for a, b, c, d, v in rows]
-    return ",".join(columns) + "\n" + "".join(lines)
+    return _csv_text(columns, rows)
 
 
 def _f_table(terms: Iterable[RawTerm], fmt: str) -> str:

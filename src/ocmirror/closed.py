@@ -42,7 +42,7 @@ from __future__ import annotations
 from itertools import accumulate
 from numbers import Rational
 from operator import mul
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .series import Monomial, RawTerm, TruncationWindow, _tuple_new
 
@@ -69,13 +69,13 @@ def _factorials(n: int) -> List[int]:
 
 
 def surface_series_terms(
-    window: TruncationWindow, max_abs_slope: int, max_degree: Optional[int] = None
+    window: TruncationWindow, max_abs_slope: int, max_degree: int
 ) -> Tuple[FactorTerm, ...]:
     """Origin-restricted specialized surface series, window-complete.
 
     One term per curve class (d1, d2) with d1 + d2 at most the window's
-    ``max_q``, its joint q1+q2 cap, and at most ``max_degree`` if given (a
-    negative one keeps no class), and |d2 - d1| at most ``max_abs_slope``
+    ``max_q``, its joint q1+q2 cap, and at most ``max_degree`` (a negative
+    one keeps no class), and |d2 - d1| at most ``max_abs_slope``
     (``max_q`` or more keeps every class).  With the signed Kaehler excess
     mu = d2 - d1 and d = min(d1, d2), the term is
 
@@ -87,7 +87,7 @@ def surface_series_terms(
     its winding.  The identity with the general resolver term by term is
     part of the test suite.
     """
-    cap = window.max_q if max_degree is None else min(window.max_q, max_degree)
+    cap = min(window.max_q, max_degree)
     facts = _factorials(cap)
     terms: List[FactorTerm] = []
     for d1 in range(cap + 1):

@@ -203,11 +203,6 @@ def rhs_terms(window: TruncationWindow, corrupt_correction: bool = False) -> Lis
     return z_coeff_terms(mapped, 2, window) + correction_terms(window, corrupt_correction)
 
 
-def rhs_assemble(window: TruncationWindow, corrupt_correction: bool = False) -> FormalSeries:
-    """Descendant-slice side of the identity, truncated to ``window``."""
-    return _from_raw(rhs_terms(window, corrupt_correction), window)
-
-
 # ---------------------------------------------------------------------------
 # comparison report
 # ---------------------------------------------------------------------------

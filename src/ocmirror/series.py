@@ -39,7 +39,7 @@ truncation window.  Conventions:
   in.  (The right side of the correspondence once lost its 1/V prefactor so
   at max_v <= -3, pairing in a window of V ceiling max_v + 1.)  Monomial maps
   therefore go on the inputs of an expansion, as the right side's Kaehler
-  map does in ``correspondence.rhs_assemble``.
+  map does in ``correspondence.rhs_terms``.
 * Iteration over terms is in lexicographic exponent order, which makes every
   report byte-reproducible.
 * Kernel results are built once.  The public constructor

@@ -18,16 +18,16 @@ quantities another way, and the tests assert that the two agree.
   denominator, so these are an independent check of its rescaling and
   reduction.  ``fraction_expand_factor`` is the only expansion of a linear
   factor into its z/v or v/z ladder.
-* ``z_coeff`` and ``exceptional_correction`` are the program's raw terms
-  (``z_coeff_terms``, ``correction_terms``) made into series, the form the
-  tests compare.
+* ``z_coeff``, ``exceptional_correction`` and ``rhs_assemble`` are the
+  program's raw terms (``z_coeff_terms``, ``correction_terms``,
+  ``rhs_terms``) made into series, the form the tests compare.
 * ``z_slice``, ``z_coeff_split`` and ``phi_k_coeff`` are presentations of
   the surface series that only the tests read.
 * The toric surface's fixed-point data: polynomials in its torus weights
   u1, u2 (``UPoly``), unreduced sums of their fractions
   (``SymbolicPairing``), the ray, cone, charge, flag-weight, divisor and
   hyperplane tables, and the fixed-point pairing, which recomputes the
-  distinguished pairing that ``rhs_assemble`` writes as 1/v.
+  distinguished pairing that ``rhs_terms`` writes as 1/v.
 * The general substitution of rational multiples of monomials for
   variables (``substitute``, and ``substitute_terms`` on unexpanded
   terms), and ``KAEHLER``, the map that trades the surface's Kaehler
@@ -64,7 +64,7 @@ from numbers import Rational
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ocmirror.closed import FactorTerm, z_coeff_terms
-from ocmirror.correspondence import correction_terms
+from ocmirror.correspondence import correction_terms, rhs_terms
 from ocmirror.geometry import P1_POINTS, WIDE, P1Class, phi_p1, unit_p1, v_term
 from ocmirror.localization import (
     DecoratedGraph,
@@ -100,6 +100,11 @@ def z_coeff(terms: Sequence[FactorTerm], m: int, window: TruncationWindow) -> Fo
 def exceptional_correction(window: TruncationWindow) -> FormalSeries:
     """The four-monomial correction added to the descendant slice, as a series."""
     return _from_raw(correction_terms(window), window)
+
+
+def rhs_assemble(window: TruncationWindow) -> FormalSeries:
+    """The descendant-slice side of the identity as a series; see ``rhs_terms``."""
+    return _from_raw(rhs_terms(window), window)
 
 
 def z_slice(s: FormalSeries, z_exp: int) -> FormalSeries:

@@ -12,11 +12,7 @@ from fractions import Fraction
 
 from ocmirror.asymptotics import NumericParams, asym_ratio, fitted_error_constant
 from ocmirror.closed import surface_series_terms
-from ocmirror.correspondence import (
-    disk_potential_bessel,
-    rhs_assemble,
-    run_check,
-)
+from ocmirror.correspondence import disk_potential_bessel, run_check
 from ocmirror.localization import _vertex_scalar, open_invariant, open_via_closed
 from ocmirror.series import FormalSeries, TruncationWindow, mono
 
@@ -31,6 +27,7 @@ from second_routes import (
     j_reduced_component,
     linear_terms,
     psi_integral_by_string,
+    rhs_assemble,
     surface_term_specialized,
 )
 
@@ -70,7 +67,7 @@ def test_criterion_2_surface_term_closed_forms():
         max_q=6, max_t=4, max_abs_x=0, min_v=-8, max_v=1, min_z=-24, max_z=2
     )
     by_class = {}
-    for t in linear_terms(surface_series_terms(window, window.max_q)):
+    for t in linear_terms(surface_series_terms(window, window.max_q, window.max_q)):
         by_class.setdefault((t.monomial.q1, t.monomial.q2), []).append(t)
     checked = 0
     for d1 in range(7):

@@ -100,7 +100,7 @@ _PW = TruncationWindow(max_q=16, max_t=4, max_abs_x=0, min_v=0, max_v=0, min_z=0
 def _exact_I2(q: Fraction, v: Fraction) -> Fraction:
     """Exact rational value of the second excess component at z = 1, q0 = 1."""
     total = F(0)
-    for term in by_slope_sign(surface_series_terms(_XW, _XW.max_q), 1):
+    for term in by_slope_sign(surface_series_terms(_XW, _XW.max_q, _XW.max_q), 1):
         m = term.monomial
         if m.T != 0:  # q0 = 1 kills the logarithm direction
             continue

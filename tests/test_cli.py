@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import random
 import re
@@ -255,8 +257,14 @@ def test_asymptotics_multiple_rows_in_order(capsys):
         assert set(row) == {"l", "v_l", "N", "ratio", "abs_error"}
 
 
-# ---------------------------------------------------------------------------
-# determinism
+def test_asymptotics_csv_is_what_csv_writer_prints(capsys):
+    # the CSV writer quotes nothing; no digest pins this table's bytes
+    assert main(["asymptotics", "--l", "50", "--l", "400", "--N", "2", "--component", "1"]) == 0
+    out = capsys.readouterr().out
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(csv.reader(io.StringIO(out)))
+    assert buf.getvalue() == out
+
 # ---------------------------------------------------------------------------
 
 

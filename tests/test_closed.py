@@ -166,7 +166,7 @@ def test_specialized_term_vanishes_off_origin_when_numerator_dies():
 
 def test_specialized_matches_closed_family_forms():
     by_class = {}
-    for t in linear_terms(surface_series_terms(WQ, WQ.max_q)):
+    for t in linear_terms(surface_series_terms(WQ, WQ.max_q, WQ.max_q)):
         by_class.setdefault((t.monomial.q1, t.monomial.q2), []).append(t)
     for d1 in range(5):
         for d2 in range(5):
@@ -180,11 +180,11 @@ def test_specialized_matches_closed_family_forms():
 
 
 def test_slope_bound_keeps_exactly_the_terms_within_it():
-    every = surface_series_terms(WQ, WQ.max_q)
+    every = surface_series_terms(WQ, WQ.max_q, WQ.max_q)
     assert len(every) == (WQ.max_q + 1) * (WQ.max_q + 2) // 2
     for bound in range(WQ.max_q + 2):
         kept = tuple(t for t in every if abs(t.slope) <= bound)
-        assert surface_series_terms(WQ, bound) == kept, bound
+        assert surface_series_terms(WQ, bound, WQ.max_q) == kept, bound
 
 
 # --- truncated-product oracle for the factor-ratio resolution --------------
@@ -221,13 +221,13 @@ def test_truncated_ratio_stabilizes(a):
 
 
 def test_balanced_family_z2():
-    s = z_coeff(by_slope_sign(surface_series_terms(WQ, WQ.max_q), 0), 2, WQ)
+    s = z_coeff(by_slope_sign(surface_series_terms(WQ, WQ.max_q, WQ.max_q), 0), 2, WQ)
     expected = FormalSeries({mono(T=2): F(1, 2), mono(q1=1, q2=1): F(1)}, WQ)
     assert s == expected
 
 
 def test_excess_family_z2_spot_values():
-    terms = surface_series_terms(WQ, WQ.max_q)
+    terms = surface_series_terms(WQ, WQ.max_q, WQ.max_q)
     s1 = z_coeff(by_slope_sign(terms, -1), 2, WQ)
     # the would-be (l,d,mu) = (0,0,1) monomial q1*V needs expansion index -1:
     # absent from the honest extraction
@@ -244,7 +244,7 @@ def test_excess_family_z2_spot_values():
 def test_excess1_z2_closed_formula():
     # coefficient of q1^(d+mu) q2^d T^l V^(2-l-2d-mu) is
     # (-1)^l mu^(l+2d+mu-2) / (l! d! (d+mu)!)  once l+2d+mu >= 2
-    s = z_coeff(by_slope_sign(surface_series_terms(WQ, WQ.max_q), -1), 2, WQ)
+    s = z_coeff(by_slope_sign(surface_series_terms(WQ, WQ.max_q, WQ.max_q), -1), 2, WQ)
     for l in range(3):
         for d in range(3):
             for mu in range(1, 4):
@@ -256,7 +256,7 @@ def test_excess1_z2_closed_formula():
 
 
 def test_split_presentation_boundary_and_identity():
-    terms = surface_series_terms(WQ, WQ.max_q)
+    terms = surface_series_terms(WQ, WQ.max_q, WQ.max_q)
     excess1, excess2, balanced = (by_slope_sign(terms, sign) for sign in (-1, 1, 0))
     b1, r1 = z_coeff_split(linear_terms(excess1), 2, WQ)
     assert b1 == FormalSeries({mono(q1=1, V=1): F(-1)}, WQ)
@@ -272,7 +272,7 @@ def test_split_presentation_boundary_and_identity():
 def test_large_z_direction_leading_behavior():
     # in the v/z direction the full restricted series starts 1 + t0/z + ...
     series = FormalSeries.zero(WQ)
-    for t in linear_terms(surface_series_terms(WQ, WQ.max_q)):
+    for t in linear_terms(surface_series_terms(WQ, WQ.max_q, WQ.max_q)):
         if t.slope:
             series = series + fraction_expand_factor(t, WQ, v_over_z=True)
         else:  # the factor is 1
@@ -318,7 +318,7 @@ def test_phi_k_negative_slice_indices():
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_phi_sum_reassembles_excess2_extraction(m):
-    target = z_coeff(by_slope_sign(surface_series_terms(WQ, WQ.max_q), 1), m, WQ)
+    target = z_coeff(by_slope_sign(surface_series_terms(WQ, WQ.max_q, WQ.max_q), 1), m, WQ)
     acc = FormalSeries.zero(WQ)
     for k in range(-WQ.min_v + 1):
         acc = acc + phi_k_coeff(k, m, WQ).scale(1, mono(V=-k))

@@ -20,7 +20,6 @@ from ocmirror.correspondence import (
     disk_terms,
     rational_str,
     raw_difference,
-    rhs_assemble,
     run_check,
 )
 from ocmirror import localization
@@ -32,6 +31,7 @@ from second_routes import (
     disk_potential_by_product,
     distinguished_pairing_prefactor,
     exceptional_correction,
+    rhs_assemble,
     substitute,
     truncated,
     z_coeff,
@@ -243,7 +243,7 @@ def _rhs_all_windings(window: TruncationWindow) -> FormalSeries:
         min_v=window.min_v + 1,
         max_v=window.max_v + 1,
     )
-    slice2 = z_coeff(surface_series_terms(pre, pre.max_q), 2, pre)
+    slice2 = z_coeff(surface_series_terms(pre, pre.max_q, pre.max_q), 2, pre)
     mid = replace(pre, min_v=window.min_v, max_v=max(pre.max_v, 0))
     paired = truncated(slice2, mid) * truncated(distinguished_pairing_prefactor(), mid)
     result = truncated(substitute(paired, KAEHLER), window)
@@ -253,7 +253,7 @@ def _rhs_all_windings(window: TruncationWindow) -> FormalSeries:
 def test_surface_terms_land_at_their_slope():
     # q1^d1 q2^d2 -> (-Q)^(d1+d2) X^(d2-d1): a term's slope is its winding
     window = TruncationWindow(max_q=6, max_t=2, max_abs_x=6, min_v=-6, max_v=3)
-    for t in surface_series_terms(window, window.max_q):
+    for t in surface_series_terms(window, window.max_q, window.max_q):
         assert t.slope == t.monomial.q2 - t.monomial.q1
         # the slice z^Z(term), where every term has its leading coefficient
         landed = substitute(z_coeff([t], -t.monomial.Z, window), KAEHLER)
@@ -280,7 +280,7 @@ def test_each_disk_term_has_one_source_class(window):
     # with the same value; every class is expanded, whatever its winding or
     # degree
     sources = {}
-    for t in surface_series_terms(window, window.max_q):
+    for t in surface_series_terms(window, window.max_q, window.max_q):
         d1, d2 = t.monomial.q1, t.monomial.q2
         for m, n, d in z_coeff_terms([_paired_in_winding_variables(t)], 2, window):
             sources.setdefault(m, []).append((d1, d2, F(n, d)))

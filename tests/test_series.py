@@ -398,7 +398,7 @@ def test_z_coeff_is_the_z_slice_of_the_expanded_product(w, extra, m):
     # z-power off e^(t0/z) * sum(terms) without building the z/v ladders;
     # here they are built, in a window deep enough in Z for every rung and
     # every power of 1/z that reaches z^-m
-    terms = linear_terms(surface_series_terms(w, w.max_q)) + tuple(extra)
+    terms = linear_terms(surface_series_terms(w, w.max_q, w.max_q)) + tuple(extra)
     zs = [t.monomial.Z for t in terms]
     deep = replace(w, min_z=min(-w.max_t, -m, *zs), max_z=max(0, w.max_t - m, *zs))
     product = series_exp(1, mono(T=1, Z=-1), deep) * expand_terms(terms, deep)
