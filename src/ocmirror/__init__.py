@@ -12,10 +12,12 @@ Modules
 series
     Truncated multivariate Laurent series over the rationals, stored as
     integer numerators over one reduced denominator per series — the
-    arithmetic kernel everything else is written against.
+    container every series result is returned in, built once from raw
+    integer terms.
 geometry
     Equivariant fixed-point data for the line: the unit and the fixed-point
-    basis classes that the graph sums insert.
+    basis classes that the graph sums insert, each restriction an exact
+    monomial c * V^k carried as the pair (c, k).
 closed
     The surface series, one integer term per curve class, and exact
     extraction of descendant-slice coefficients.

@@ -53,7 +53,7 @@ report carries is built as a series.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Dict, Iterator, List, Tuple
@@ -70,8 +70,6 @@ from .series import (
     _tuple_new,
     lowest_terms,
     mono,
-    series_exp,
-    series_sum,
 )
 
 
@@ -127,29 +125,29 @@ def disk_potential_bessel(window: TruncationWindow) -> FormalSeries:
 def disk_potential_localized(window: TruncationWindow) -> FormalSeries:
     """Disk potential resummed from one-boundary fixed-point graph sums.
 
-    Each winding's sphere-degree series is an exact graph-sum value; the
-    exponential dressing carries the degree-zero insertions, exactly as in
-    the closed form.  Each sphere degree's graph classes are enumerated once
-    and shared by every winding.  Exponentially slower than
+    Each winding mu and sphere degree d give one exact graph-sum value
+    c * v^k.  The dressing exp(mu*t0/v) carries the degree-zero insertions,
+    exactly as in the closed form, so the value gives the raw terms
+    c * mu^l / l! * T^l Q^(2d+|mu|) X^mu V^(k-l) inside ``window``, made
+    into a series by one ``_from_raw``.  Each sphere degree's graph classes
+    are enumerated once and shared by every winding.  Exponentially slower than
     :func:`disk_potential_bessel` — this is the independent oracle route,
     not the workhorse.
     """
-    # the dressing lowers V, so a degree-series term above a negative V
-    # ceiling can still land below it
-    work = replace(window, max_v=max(window.max_v, 0))
     classes = [_open_classes(0, d) for d in range((window.max_q - 1) // 2 + 1)]
-
-    def contribution(mu: int, d: int) -> FormalSeries:
-        return _open_sum(mu, classes[d]).scale(1, Monomial(Q=2 * d + abs(mu)))
-
-    def winding(mu: int) -> FormalSeries:
-        top = (window.max_q - abs(mu)) // 2
-        degree_series = series_sum((contribution(mu, d) for d in range(top + 1)), work)
-        dressing = series_exp(mu, mono(T=1, V=-1), work)  # exp(mu * t0 / v)
-        return (dressing * degree_series).scale(1, Monomial(X=mu))
-
-    windings = range(-window.max_abs_x, window.max_abs_x + 1)
-    return series_sum((winding(mu) for mu in windings if mu != 0), window)
+    # every value has V-power k = 1 - 2d - |mu| <= 0, so l <= -min_v
+    facts = _factorials(min(window.max_t, -window.min_v))
+    raw: List[RawTerm] = []
+    windings = (mu for mu in range(-window.max_abs_x, window.max_abs_x + 1) if mu)
+    for mu in windings:
+        e = abs(mu)
+        for d in range((window.max_q - e) // 2 + 1):
+            for m, c in _open_sum(mu, classes[d]).items():
+                for l in range(min(window.max_t, m.V - window.min_v) + 1):
+                    term = Monomial(Q=2 * d + e, T=l, X=mu, V=m.V - l)
+                    if window.contains(term):
+                        raw.append((term, c.numerator * mu**l, c.denominator * facts[l]))
+    return _from_raw(raw, window)
 
 
 #: Exc = -Q*X^-1 + Q*X - T^2/(2v) - Q^2/v, as raw (monomial, num, den) terms

@@ -2,10 +2,10 @@
 
 The projective line carries the standard circle action with two fixed
 points.  An equivariant cohomology class is carried by its pair of
-fixed-point restrictions, each a Laurent polynomial in the equivariant
-weight V (a :class:`~ocmirror.series.FormalSeries` over a wide window).  The
-graph sums of :mod:`ocmirror.localization` insert the unit and the
-fixed-point basis classes.
+fixed-point restrictions.  Every class the graph sums of
+:mod:`ocmirror.localization` insert, the unit and the fixed-point basis
+classes, restricts to an exact monomial c * V^k in the equivariant weight V
+at each point, carried as the pair (c, k).
 
 The toric surface of the other side enters the program only through two
 constants of its origin fixed point: the distinguished pairing, an exact
@@ -17,33 +17,26 @@ general substitution.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from numbers import Rational
 from typing import Tuple
 
-from .series import FormalSeries, TruncationWindow, mono
-
-__all__ = ["WIDE", "v_term", "P1_POINTS", "P1Class", "unit_p1", "phi_p1"]
-
-WIDE = TruncationWindow.wide()
-
-
-def v_term(c: Fraction | int, k: int = 0) -> FormalSeries:
-    """The exact Laurent monomial c * V^k as a wide-window series."""
-    return FormalSeries.of(Fraction(c), mono(V=k), WIDE)
-
+__all__ = ["P1_POINTS", "Restriction", "P1Class", "unit_p1", "phi_p1"]
 
 P1_POINTS = (1, 2)
 
+#: a fixed-point restriction c * V^k, as (c, k)
+Restriction = Tuple[Rational, int]
+
 #: restriction pair type: (value at point 1, value at point 2)
-P1Class = Tuple[FormalSeries, FormalSeries]
+P1Class = Tuple[Restriction, Restriction]
 
 
 def unit_p1() -> P1Class:
-    return (v_term(1), v_term(1))
+    return ((1, 0), (1, 0))
 
 
 def phi_p1(alpha: int) -> P1Class:
     """Fixed-point basis class: restriction is 1 at its own point, 0 at the other."""
     if alpha not in P1_POINTS:
         raise ValueError(f"no fixed point {alpha}")
-    return (v_term(1 if alpha == 1 else 0), v_term(1 if alpha == 2 else 0))
+    return ((1 if alpha == 1 else 0, 0), (1 if alpha == 2 else 0, 0))

@@ -16,8 +16,9 @@ weight w/d_e, and
 
     h(d) = (-1)^d d^(2d) / ((d!)^2 v^(2d))
 
-is the edge factor.  Values are exact V-Laurent polynomials carried as
-wide-window :class:`~ocmirror.series.FormalSeries`.
+is the edge factor.  Every class's summand is one exact monomial c * v^k,
+carried as the pair (c, k); a sum of summands becomes a
+:class:`~ocmirror.series.FormalSeries` once, where it is returned.
 
 Vertex moduli integrals: a vertex with F flags, marking psi-exponents a_j and
 optionally one boundary ("open") flag is stable when N = F + #markings +
@@ -74,8 +75,8 @@ from math import comb, factorial, prod
 from numbers import Rational
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .geometry import P1_POINTS, WIDE, P1Class, phi_p1, unit_p1
-from .series import ONE, FormalSeries, mono, series_sum
+from .geometry import P1_POINTS, P1Class, phi_p1, unit_p1
+from .series import FormalSeries, Monomial, TruncationWindow
 
 __all__ = [
     "DecoratedGraph",
@@ -413,15 +414,15 @@ def _vertex_scalar(inverse: List[Rational], exps: List[int]) -> Tuple[Rational, 
     )
 
 
-def disk_factor(mu: int) -> FormalSeries:
-    """Closed-form disk multiple cover factor D(mu), mu != 0."""
+def disk_factor(mu: int) -> Tuple[Fraction, int]:
+    """Closed-form disk multiple cover factor D(mu) = c * v^k as (c, k), mu != 0."""
     if mu == 0:
         raise ValueError("winding zero has no disk")
     m = abs(mu)
     c = Fraction(m) ** (m - 2) / factorial(m)
     if mu < 0:
         c *= (-1) ** (m + 1)
-    return FormalSeries.of(c, mono(V=2 - m), WIDE)
+    return c, 2 - m
 
 
 # ===========================================================================
@@ -429,6 +430,9 @@ def disk_factor(mu: int) -> FormalSeries:
 # ===========================================================================
 
 Insertion = Tuple[P1Class, int]  # (restriction pair, psi exponent)
+
+#: the window of every returned series: exact V-Laurent polynomials
+WIDE = TruncationWindow.wide()
 
 _W_SIGN = {1: -1, 2: 1}
 
@@ -438,17 +442,15 @@ def _graph_contribution(
     insertions: Sequence[Insertion],
     open_vertex: Optional[int] = None,
     open_weight: Optional[Fraction] = None,
-) -> FormalSeries:
-    # every factor folds into num/den * m * V^k, one Fraction at the end;
-    # a restriction of more than one term raises.  Each vertex takes its
-    # restrictions before its integral, which may raise
+) -> Tuple[Fraction, int]:
+    # every factor folds into num/den * v^k, one Fraction at the end.  Each
+    # vertex takes its restrictions before its integral, which may raise
     num, den = 1, automorphism_count(g)
     for _, _, de in g.edges:
         hn, hd = _edge_coefficient(de)
         num *= hn // de  # h(d_e)/d_e
         den *= hd
     k = -2 * g.degree
-    m = ONE
     V = len(g.labels)
     adj = _edge_adjacency(V, g.edges)
     marks = _markings_by_vertex(V, g.markings)
@@ -460,8 +462,8 @@ def _graph_contribution(
             if i < len(insertions):
                 restriction, a = insertions[i]
                 exps.append(a)
-                rm, rn, rd = restriction[label - 1].single_term()
-                m, num, den = m * rm, num * rn, den * rd
+                c, rk = restriction[label - 1]
+                num, den, k = num * c.numerator, den * c.denominator, k + rk
         # w^(valence-1), counting only edge flags
         valence_k = len(inverse) - 1
         if sign < 0 and valence_k % 2:
@@ -473,7 +475,7 @@ def _graph_contribution(
         k += valence_k + kv
         if not num:
             break
-    return FormalSeries.of(Fraction(num, den), m * mono(V=k), WIDE)
+    return Fraction(num, den), k
 
 
 def _open_data(d_minus: int, d_plus: int) -> Tuple[int, int, int]:
@@ -487,10 +489,6 @@ def _open_data(d_minus: int, d_plus: int) -> Tuple[int, int, int]:
     return mu, d, h
 
 
-def _disk_prefactor(mu: int) -> FormalSeries:
-    return disk_factor(mu).scale(Fraction(mu), mono(V=-1))
-
-
 def _open_classes(n: int, d: int) -> List[DecoratedGraph]:
     """The classes carrying n insertions and, last, the disk marking.
 
@@ -502,6 +500,13 @@ def _open_classes(n: int, d: int) -> List[DecoratedGraph]:
     return enumerate_graph_classes(n + 1, d)
 
 
+def _open_series(mu: int, values: Iterable[Tuple[Fraction, int]]) -> FormalSeries:
+    """mu/v * D(mu) times the sum of the values c * v^k, given as (c, k), as one series."""
+    c, k = disk_factor(mu)
+    c, k = mu * c, k - 1
+    return FormalSeries([(Monomial(V=k + vk), c * vc) for vc, vk in values], WIDE)
+
+
 def _open_sum(
     mu: int, classes: Sequence[DecoratedGraph], insertions: Sequence[Insertion] = ()
 ) -> FormalSeries:
@@ -510,12 +515,12 @@ def _open_sum(
     h = 1 if mu < 0 else 2  # the disk vertex's forced point
     n = len(insertions)
     weight = Fraction(1, mu)
-    parts = (
+    values = (
         _graph_contribution(g, insertions, open_vertex=g.markings[n], open_weight=weight)
         for g in classes
         if g.labels[g.markings[n]] == h
     )
-    return _disk_prefactor(mu) * series_sum(parts, WIDE)
+    return _open_series(mu, values)
 
 
 def open_invariant(
@@ -541,17 +546,17 @@ def open_via_closed(
     mu, d, h = _open_data(d_minus, d_plus)
     point_class = phi_p1(h)
     n = len(insertions)
-    parts = []
+    values = []
     for g in _open_classes(n, d):
         disk_vertex = g.markings[n]
-        weight_factor = point_class[g.labels[disk_vertex] - 1]
-        if weight_factor.is_zero():
+        rc, rk = point_class[g.labels[disk_vertex] - 1]
+        if not rc:
             continue
-        contribution = _graph_contribution(
+        c, k = _graph_contribution(
             g, insertions, open_vertex=disk_vertex, open_weight=Fraction(1, mu)
         )
-        parts.append(contribution * weight_factor)
-    return _disk_prefactor(mu) * series_sum(parts, WIDE)
+        values.append((c * rc, k + rk))
+    return _open_series(mu, values)
 
 
 # ===========================================================================
@@ -572,7 +577,8 @@ def graph_class_rows(n: int, d: int) -> List[GraphClassRow]:
     """
     unit = unit_p1()
     insertions = [(unit, 0)] * n
-    return [
-        (g, automorphism_count(g), _graph_contribution(g, insertions))
-        for g in enumerate_graph_classes(n, d)
-    ]
+    rows = []
+    for g in enumerate_graph_classes(n, d):
+        c, k = _graph_contribution(g, insertions)
+        rows.append((g, automorphism_count(g), FormalSeries.of(c, Monomial(V=k), WIDE)))
+    return rows

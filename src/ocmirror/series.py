@@ -25,8 +25,9 @@ truncation window.  Conventions:
 * Sums rescale every operand to the lcm of the denominators, products
   multiply numerators and denominators, and each result is reduced with one
   ``math.gcd`` over its denominator and numerators.  Series written down
-  term by term (exp here, both sides of the correspondence, the z-slice of
-  ``closed``) collect raw ``(monomial, numerator, denominator)`` terms.  A
+  term by term (both sides of the correspondence, the localized disk
+  potential, the z-slice of ``closed``) collect raw
+  ``(monomial, numerator, denominator)`` terms.  A
   series is made of them by a single lcm (``_from_raw``); a table or a
   comparison that needs no series takes each monomial's total in lowest
   terms instead (``lowest_terms``), with no common denominator.
@@ -48,8 +49,8 @@ truncation window.  Conventions:
   ``numbers.Rational``; floats, strings and decimals raise ``TypeError``),
   merges repeated monomials, drops zeros and drops monomials outside the
   window.  Every result the kernel computes itself (ring operations,
-  ``scale``, ``series_sum``, the expansions) is
-  assembled in one numerator dict that already satisfies that contract —
+  ``scale``, ``_from_raw``) is assembled in one numerator dict that
+  already satisfies that contract —
   canonical, every monomial inside the window — and is wrapped without a
   second pass.  Each operation tests ``window.contains`` only where its
   output can leave the window: a sum whose window is smaller than an
@@ -74,8 +75,6 @@ __all__ = [
     "FormalSeries",
     "mono",
     "lowest_terms",
-    "series_sum",
-    "series_exp",
 ]
 
 VARIABLES: Tuple[str, ...] = ("Q", "T", "X", "V", "Z", "q1", "q2")
@@ -116,8 +115,8 @@ class Monomial(NamedTuple):
 
         Q, T, q1, q2 never carry negative exponents (no window admits them),
         so any monomial of positive mass escapes every finite window under
-        repeated powers; this is the termination certificate used by
-        :func:`series_exp` and the hypergeometric generators.
+        repeated powers; this is the termination certificate of an
+        exponential or a hypergeometric series in such a monomial.
         """
         return self.Q + self.T + self.q1 + self.q2
 
@@ -284,18 +283,6 @@ class FormalSeries:
     def is_zero(self) -> bool:
         return not self._nums
 
-    def single_term(self) -> Tuple[Monomial, int, int]:
-        """(monomial, numerator, denominator) of a series of at most one term.
-
-        The zero series gives ``(ONE, 0, 1)``; a longer series raises.
-        """
-        nums = self._nums
-        if len(nums) > 1:
-            raise ValueError(f"a series of {len(nums)} terms has no single term")
-        for m, n in nums.items():
-            return m, n, self._den
-        return ONE, 0, 1
-
     def __len__(self) -> int:
         return len(self._nums)
 
@@ -455,54 +442,3 @@ def lowest_terms(raw: Iterable[RawTerm]) -> List[RawTerm]:
             g = gcd(n, d)
             out.append((m, n // g, d // g))
     return out
-
-
-def series_sum(parts: Iterable[FormalSeries], window: TruncationWindow) -> FormalSeries:
-    """Sum of ``parts`` over the lcm of their denominators, accumulated in one dict.
-
-    Equal to folding ``+`` over ``FormalSeries.zero(window)`` and the parts:
-    the result window is the intersection of ``window`` with every part's
-    window, and a part whose window is larger is clipped to it.
-    """
-    parts = list(parts)
-    w = window
-    for p in parts:
-        w = w.intersect(p.window)
-    den = lcm(*{p._den for p in parts})
-    acc: Dict[Monomial, int] = {}
-    get = acc.get
-    for p in parts:
-        f = den // p._den
-        for m, n in p._nums.items():
-            acc[m] = get(m, 0) + n * f
-    if any(p.window != w for p in parts):
-        acc = _clip(acc, w)
-    return _reduced(acc, den, w)
-
-
-def series_exp(c: RationalLike, m: Monomial, window: TruncationWindow) -> FormalSeries:
-    """exp(c·m) = sum_n c^n/n! · m^n in ``window``, for m of positive bounded mass.
-
-    The mass condition (m strictly increases the jointly bounded-above
-    grading Q + T + q1 + q2) guarantees that m^n leaves the window once n
-    exceeds the window's mass budget, so the exponential is a finite sum.
-    Every exponent of m^n moves linearly in n, so when the window holds
-    1 = m^0 a power that leaves it never comes back, and the sum stops at
-    the first power outside; a window without 1 gives zero, as repeated
-    truncated multiplication does.  A monomial violating the mass condition
-    — the constant 1, or a pure V/Z/X monomial whose powers could wander
-    inside the window forever — is rejected.
-    """
-    if m.bounded_mass <= 0:
-        raise ValueError(f"series_exp argument {m} does not increase the bounded grading")
-    if window.mass_budget > MAX_MASS_BUDGET:
-        raise ValueError("series_exp needs a finite window (mass budget too large)")
-    c = _exact(c)
-    p, q = c.numerator, c.denominator
-    raw: List[RawTerm] = []
-    power, num, den, n = ONE, 1, 1, 0
-    while num and window.contains(power):
-        raw.append((power, num, den))
-        n += 1
-        power, num, den = power * m, num * p, den * q * n
-    return _from_raw(raw, window)

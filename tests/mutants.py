@@ -215,6 +215,20 @@ MUTANTS = (
         (f"{TCO}::test_localized_route_matches_bessel_route_to_winding_five",),
     ),
     Mutant(
+        CORR,
+        "mu**l",
+        "abs(mu)**l",
+        "localized route's dressing exp(mu*t0/v) with |mu| for mu",
+        (f"{TCO}::test_localized_route_matches_bessel_route_to_winding_five",),
+    ),
+    Mutant(
+        LOC,
+        "den * c.denominator, k + rk",
+        "den * c.denominator, k",
+        "an insertion's restriction c * v^k taken as c",
+        (f"{TL}::test_scalar_contribution_matches_series_oracle[1-1]",),
+    ),
+    Mutant(
         SERIES,
         "acc = dict(a) if fa == 1 else {m: n * fa for m, n in a.items()}",
         "acc = dict(a)",

@@ -3,6 +3,11 @@
 The program builds each quantity one way; the routes here build the same
 quantities another way, and the tests assert that the two agree.
 
+* ``series_sum`` and ``series_exp``, the sum of many series over one lcm
+  and the exponential of a monomial, which the routes here build on; the
+  program writes its series down as raw terms instead.  ``v_term`` and
+  ``v_series`` turn the graph sums' exact values c * V^k, which the
+  program carries as pairs (c, k), into wide-window series.
 * ``LinearFactorTerm``, a term coeff * monomial * v/(v - slope*z) with one
   ``Fraction`` coefficient, which the routes here take; ``factor_terms``
   and ``linear_terms`` convert to and from the program's integer
@@ -59,13 +64,13 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from numbers import Rational
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from ocmirror.closed import FactorTerm, z_coeff_terms
 from ocmirror.correspondence import correction_terms, rhs_terms
-from ocmirror.geometry import P1_POINTS, WIDE, P1Class, phi_p1, unit_p1, v_term
+from ocmirror.geometry import P1_POINTS, P1Class, Restriction, phi_p1, unit_p1
 from ocmirror.localization import (
     DecoratedGraph,
     _graph_contribution,
@@ -74,17 +79,94 @@ from ocmirror.localization import (
     enumerate_graph_classes,
 )
 from ocmirror.series import (
+    MAX_MASS_BUDGET,
+    ONE,
     VARIABLES,
     FormalSeries,
     Monomial,
+    RawTerm,
     TruncationWindow,
+    _clip,
+    _exact,
     _from_raw,
+    _reduced,
     mono,
-    series_exp,
-    series_sum,
 )
 
 Pairs = List[Tuple[Monomial, Fraction]]
+
+WIDE = TruncationWindow.wide()
+
+
+def v_term(c, k: int = 0) -> FormalSeries:
+    """The exact Laurent monomial c * V^k as a wide-window series."""
+    return FormalSeries.of(Fraction(c), mono(V=k), WIDE)
+
+
+def v_series(values: Iterable[Tuple[Rational, int]]) -> FormalSeries:
+    """The sum of the monomials c * V^k, given as (c, k) pairs, as a wide-window series."""
+    return FormalSeries([(mono(V=k), c) for c, k in values], WIDE)
+
+
+# ---------------------------------------------------------------------------
+# the sum and the exponential of series
+# ---------------------------------------------------------------------------
+
+
+def series_sum(parts: Iterable[FormalSeries], window: TruncationWindow) -> FormalSeries:
+    """Sum of ``parts`` over the lcm of their denominators, accumulated in one dict.
+
+    Equal to folding ``+`` over ``FormalSeries.zero(window)`` and the parts:
+    the result window is the intersection of ``window`` with every part's
+    window, and a part whose window is larger is clipped to it.
+    """
+    parts = list(parts)
+    w = window
+    for p in parts:
+        w = w.intersect(p.window)
+    den = lcm(*{p._den for p in parts})
+    acc: Dict[Monomial, int] = {}
+    get = acc.get
+    for p in parts:
+        f = den // p._den
+        for m, n in p._nums.items():
+            acc[m] = get(m, 0) + n * f
+    if any(p.window != w for p in parts):
+        acc = _clip(acc, w)
+    return _reduced(acc, den, w)
+
+
+def series_exp(c: Rational, m: Monomial, window: TruncationWindow) -> FormalSeries:
+    """exp(c·m) = sum_n c^n/n! · m^n in ``window``, for m of positive bounded mass.
+
+    The mass condition (m strictly increases the jointly bounded-above
+    grading Q + T + q1 + q2) guarantees that m^n leaves the window once n
+    exceeds the window's mass budget, so the exponential is a finite sum.
+    Every exponent of m^n moves linearly in n, so when the window holds
+    1 = m^0 a power that leaves it never comes back, and the sum stops at
+    the first power outside; a window without 1 gives zero, as repeated
+    truncated multiplication does.  A monomial violating the mass condition
+    — the constant 1, or a pure V/Z/X monomial whose powers could wander
+    inside the window forever — is rejected.
+    """
+    if m.bounded_mass <= 0:
+        raise ValueError(f"series_exp argument {m} does not increase the bounded grading")
+    if window.mass_budget > MAX_MASS_BUDGET:
+        raise ValueError("series_exp needs a finite window (mass budget too large)")
+    c = _exact(c)
+    p, q = c.numerator, c.denominator
+    raw: List[RawTerm] = []
+    power, num, den, n = ONE, 1, 1, 0
+    while num and window.contains(power):
+        raw.append((power, num, den))
+        n += 1
+        power, num, den = power * m, num * p, den * q * n
+    return _from_raw(raw, window)
+
+
+# ---------------------------------------------------------------------------
+# re-truncation, and the program's raw terms as series
+# ---------------------------------------------------------------------------
 
 
 def truncated(s: FormalSeries, window: TruncationWindow) -> FormalSeries:
@@ -984,10 +1066,10 @@ def closed_descendant(insertions: Sequence[Tuple[P1Class, int]], d: int) -> Form
     """Equivariant genus-zero descendant invariant of degree d >= 1.
 
     ``insertions`` lists (restriction pair, psi exponent) per marking; the
-    result is an exact V-Laurent scalar, the sum of each class's summand.
+    result is an exact V-Laurent polynomial, the sum of each class's summand.
     """
     graphs = enumerate_graph_classes(len(insertions), d)
-    return series_sum((_graph_contribution(g, insertions) for g in graphs), WIDE)
+    return v_series(_graph_contribution(g, insertions) for g in graphs)
 
 
 def j_degree_part_from_graphs(alpha: int, d: int, window: TruncationWindow) -> FormalSeries:
@@ -1106,20 +1188,20 @@ def vertex_integral_by_ladder(
 # ---------------------------------------------------------------------------
 
 
-def euler_p1(point: int) -> FormalSeries:
+def euler_p1(point: int) -> Restriction:
     """Euler weight of the tangent line at a fixed point: -V at 1, +V at 2."""
-    return v_term(_sign(point), 1)
+    return _sign(point), 1
 
 
 def hyperplane_p1() -> P1Class:
     """Equivariant hyperplane class, restrictions -V/2 and +V/2."""
-    return (v_term(Fraction(-1, 2), 1), v_term(Fraction(1, 2), 1))
+    return (Fraction(-1, 2), 1), (Fraction(1, 2), 1)
 
 
 def phi_dual_p1(alpha: int) -> P1Class:
     """Pairing-dual of phi: the Euler weight concentrated at the point."""
     e = euler_p1(alpha)
-    zero = v_term(0)
+    zero = (0, 0)
     return (e, zero) if alpha == 1 else (zero, e)
 
 
@@ -1144,10 +1226,10 @@ def psi_integral_by_string(exponents: Sequence[int]) -> Fraction:
 
 def pairing_p1(a: P1Class, b: P1Class) -> FormalSeries:
     """Equivariant intersection pairing: sum over fixed points of a*b/Euler."""
-    out = FormalSeries.zero(WIDE)
-    for alpha in P1_POINTS:
-        out = out + a[alpha - 1] * b[alpha - 1] * v_term(_sign(alpha), -1)
-    return out
+    return v_series(
+        (ca * cb * _sign(alpha), ka + kb - 1)  # 1/(+-v) = +-v^-1
+        for alpha, (ca, ka), (cb, kb) in zip(P1_POINTS, a, b)
+    )
 
 
 def integral_p1(a: P1Class) -> FormalSeries:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from ocmirror.closed import surface_series_terms
-from ocmirror.series import FormalSeries, TruncationWindow, mono, series_exp
+from ocmirror.series import FormalSeries, TruncationWindow, mono
 
 from families import by_slope_sign
 from second_routes import (
@@ -22,6 +22,7 @@ from second_routes import (
     j_reduced_component,
     linear_terms,
     phi_k_coeff,
+    series_exp,
     surface_term_specialized,
     surface_term_symbolic,
     z_coeff,

@@ -306,6 +306,16 @@ def test_disk_terms_match_the_series_products(window):
     assert disk_potential_bessel(window) == disk_potential_by_product(window)
 
 
+@given(sweep_window(top_v=3))
+@example(TruncationWindow(max_q=6, max_t=3, max_abs_x=3, min_v=-8, max_v=1, min_z=1, max_z=2))
+@settings(max_examples=80, deadline=None)
+def test_localized_route_matches_bessel_route_on_random_windows(window):
+    # V ceilings from -4 to 3: the dressing lowers V, so a graph-sum value
+    # above a negative ceiling still reaches the window; the example's Z
+    # range leaves both routes empty
+    assert disk_potential_localized(window) == disk_potential_bessel(window)
+
+
 def _off_grading(s: FormalSeries):
     """The monomials of s off the grading V + T + Q = 1."""
     return [m for m, _ in s.items() if m.V + m.T + m.Q != 1]

@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ocmirror.geometry import phi_p1, unit_p1, v_term
-from ocmirror.series import mono
+from ocmirror.geometry import phi_p1, unit_p1
 
 from second_routes import (
     CHARGES,
@@ -28,6 +27,7 @@ from second_routes import (
     pairing_surface,
     phi_dual_p1,
     point_basis_class,
+    v_term,
 )
 
 # ---------------------------------------------------------------------------
@@ -48,9 +48,9 @@ def test_p1_pairing_table():
 def test_p1_basis_resolves_hyperplane():
     # H = (-v/2) phi_1 + (v/2) phi_2, checked restriction-wise
     h = hyperplane_p1()
-    lhs1 = phi_p1(1)[0].scale(Fraction(-1, 2), mono(V=1))
-    lhs2 = phi_p1(2)[1].scale(Fraction(1, 2), mono(V=1))
-    assert lhs1 == h[0] and lhs2 == h[1]
+    (c1, k1), (c2, k2) = phi_p1(1)[0], phi_p1(2)[1]
+    assert (c1 * Fraction(-1, 2), k1 + 1) == h[0]
+    assert (c2 * Fraction(1, 2), k2 + 1) == h[1]
 
 
 def test_p1_duals_pair_to_identity():
@@ -64,8 +64,8 @@ def test_p1_integral_localizes():
     # pushforward of phi_alpha is 1/Euler-weight at its own point
     assert integral_p1(phi_p1(1)) == v_term(-1, -1)
     assert integral_p1(phi_p1(2)) == v_term(1, -1)
-    assert euler_p1(1) == v_term(-1, 1)
-    assert euler_p1(2) == v_term(1, 1)
+    assert euler_p1(1) == (-1, 1)
+    assert euler_p1(2) == (1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from math import factorial
 import pytest
 
 from ocmirror import localization
-from ocmirror.geometry import phi_p1, unit_p1, v_term
+from ocmirror.geometry import phi_p1, unit_p1
 from ocmirror.localization import (
     DecoratedGraph,
     _bipartition_labels,
@@ -36,6 +36,7 @@ from second_routes import (
     j_reduced_component,
     phi_dual_p1,
     psi_integral_by_string,
+    v_term,
     validate_graph,
     vertex_integral,
     vertex_integral_by_ladder,
@@ -294,7 +295,7 @@ def _contribution_by_series(g, insertions, open_vertex=None, open_weight=None):
             if mv == v and i < len(insertions):
                 restriction, a = insertions[i]
                 exps.append(a)
-                total = total * restriction[label - 1]
+                total = total * v_term(*restriction[label - 1])
         k = len(flags) - 1
         total = total.scale(F(sign) ** k, mono(V=k))
         ow = open_weight if v == open_vertex else None
@@ -302,6 +303,11 @@ def _contribution_by_series(g, insertions, open_vertex=None, open_weight=None):
         if total.is_zero():
             return total
     return total
+
+
+def _contribution(*args):
+    """The program's summand c * v^k as a series, for the oracle to compare."""
+    return v_term(*_graph_contribution(*args))
 
 
 def _outcome(fn, *args):
@@ -351,7 +357,7 @@ def _insertion_lists(n):
 def test_scalar_contribution_matches_series_oracle(n, d):
     for g in enumerate_graph_classes(n, d):
         for insertions in _insertion_lists(n):
-            got = _graph_contribution(g, insertions)
+            got = _contribution(g, insertions)
             assert got == _contribution_by_series(g, insertions), (g, insertions)
 
 
@@ -366,7 +372,7 @@ def test_scalar_contribution_matches_series_oracle_with_open_vertex(n, d):
         for mu in (1, -1, 2, -2):
             args = (g, lists[j % len(lists)], g.markings[n - 1], F(1, mu))
             want = _outcome(_contribution_by_series, *args)
-            assert _outcome(_graph_contribution, *args) == want, args
+            assert _outcome(_contribution, *args) == want, args
             raised += isinstance(want, tuple)
     assert raised > 0
 
@@ -383,16 +389,17 @@ def test_vertex_integral_raises_before_a_vanishing_restriction_returns():
     for args in cases:
         want = _outcome(_contribution_by_series, *args)
         assert isinstance(want, tuple), args
-        assert _outcome(_graph_contribution, *args) == want, args
+        assert _outcome(_contribution, *args) == want, args
 
 
 def test_disk_factors():
-    assert disk_factor(1) == v_term(1, 1)
-    assert disk_factor(-1) == v_term(1, 1)
-    assert disk_factor(2) == v_term(F(1, 2))
-    assert disk_factor(-2) == v_term(F(-1, 2))
-    assert disk_factor(3) == v_term(F(1, 2), -1)
-    assert disk_factor(-3) == v_term(F(1, 2), -1)
+    # D(mu) = c * v^k as (c, k)
+    assert disk_factor(1) == (1, 1)
+    assert disk_factor(-1) == (1, 1)
+    assert disk_factor(2) == (F(1, 2), 0)
+    assert disk_factor(-2) == (F(-1, 2), 0)
+    assert disk_factor(3) == (F(1, 2), -1)
+    assert disk_factor(-3) == (F(1, 2), -1)
     with pytest.raises(ValueError):
         disk_factor(0)
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from ocmirror.closed import surface_series_terms
 from ocmirror.series import (
-    ONE,
     VARIABLES,
     FormalSeries,
     Monomial,
@@ -21,8 +20,6 @@ from ocmirror.series import (
     _from_raw,
     lowest_terms,
     mono,
-    series_exp,
-    series_sum,
 )
 
 from second_routes import (
@@ -35,6 +32,8 @@ from second_routes import (
     fraction_series_exp,
     fraction_z_coeff,
     linear_terms,
+    series_exp,
+    series_sum,
     substitute,
     substitute_terms,
     truncated,
@@ -109,13 +108,6 @@ def test_equality_ignores_window_but_not_terms():
     assert a != s_of((mono(Q=1), 3))
     assert FormalSeries.zero(W) == 0
     assert FormalSeries.one(W) == 1
-
-
-def test_single_term_reads_the_reduced_term():
-    assert s_of((mono(Q=1, V=-2), Fraction(-6, 4))).single_term() == (mono(Q=1, V=-2), -3, 2)
-    assert FormalSeries.zero(W).single_term() == (ONE, 0, 1)
-    with pytest.raises(ValueError):
-        s_of((mono(Q=1), 1), (mono(T=1), 1)).single_term()
 
 
 def test_items_sorted_lexicographically():
