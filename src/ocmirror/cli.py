@@ -10,8 +10,8 @@ Subcommands
     distinguished pairing, variable substitution, exceptional correction).
 ``check``
     Build both sides independently as raw integer terms and compare them
-    term by term; exit 0 on exact equality, 1 otherwise, with a
-    machine-readable report.
+    one Q-power slice at a time; exit 0 on exact equality, 1 otherwise,
+    with a machine-readable report.
 ``localize``
     Enumerate fixed-locus graph classes at a given degree and marking count,
     with automorphism orders and exact per-class contributions.
@@ -24,9 +24,11 @@ Subcommands
 All exact values are printed as ``num/den`` strings, each series row in
 its own lowest terms; series tables iterate in the kernel's lexicographic
 monomial order and graph tables in the deterministic enumeration order, so
-identical configurations produce byte-identical output.  Exit codes: 0
-success (check passed), 1 check failure, 2 usage or configuration error, or
-an ``--output`` path that cannot be written.
+identical configurations produce byte-identical output.  ``disk`` and
+``rhs`` write each Q-power slice as it is built, already in that order, so
+their memory does not grow with the table; every refusal comes before the
+first byte.  Exit codes: 0 success (check passed), 1 check failure, 2 usage
+or configuration error, or an ``--output`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -35,11 +37,13 @@ import argparse
 import functools
 import json
 import sys
-from typing import Iterable, Optional, Sequence, Tuple
+from math import gcd
+from operator import itemgetter
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .asymptotics import NumericParams, ratio_table
 from .closed import surface_series_terms, z_coeff_terms
-from .correspondence import disk_terms, rational_str, rhs_terms, run_check
+from .correspondence import disk_slices, rational_str, rhs_slices, run_check
 from .localization import graph_class_rows
 from .series import FormalSeries, RawTerm, TruncationWindow, lowest_terms
 
@@ -57,20 +61,7 @@ RATIO_COLUMNS = ("l", "v_l", "N", "ratio", "abs_error")
 
 
 def _window_from(args: argparse.Namespace) -> TruncationWindow:
-    return TruncationWindow(
-        max_q=args.max_q,
-        max_t=args.max_t,
-        max_abs_x=args.max_mu,
-        min_v=args.min_v,
-        max_v=1,
-    )
-
-
-def _csv_text(header: Sequence[str], rows: Iterable[Tuple[object, ...]]) -> str:
-    """CSV with each field written as it is: no field of any table holds a
-    comma, a quote or a line break, so none is quoted."""
-    line = ",".join(["%s"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + "".join([line % row for row in rows])
+    return TruncationWindow(args.max_q, args.max_t, args.max_mu, args.min_v, max_v=1)
 
 
 def _json_text(obj: object) -> str:
@@ -86,45 +77,61 @@ def _laurent_str(series: FormalSeries) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _series_table(
-    columns: Sequence[str], rows: Iterable[Tuple[int, int, int, int, str]], fmt: str
-) -> str:
-    """A series table of four exponent columns and a num/den value."""
-    if fmt == "json":
-        return _json_text([dict(zip(columns, row)) for row in rows])
-    return _csv_text(columns, rows)
+def _table(columns: Sequence[str], chunks: Iterable[Iterable[tuple]], fmt: str) -> Iterator[str]:
+    """A table's text: its header, then one string per chunk of rows.
+
+    CSV fields are written as they are: no field of any table holds a comma,
+    a quote or a line break.  JSON, for series tables (four ints and a
+    num/den value), is ``_json_text`` of the rows as dicts byte for byte,
+    from a row template with the keys sorted: with an indent, ``json``
+    encodes in pure Python, several times slower.
+    """
+    if fmt == "csv":
+        line = ",".join(["%s"] * len(columns)) + "\n"
+        yield ",".join(columns) + "\n"
+        yield from ("".join([line % row for row in rows]) for rows in chunks)
+        return
+    keys = sorted(columns)
+    fields = (f'    "{k}": ' + ('"%s"' if k == "value" else "%s") for k in keys)
+    template = "  {\n" + ",\n".join(fields) + "\n  }"
+    pick = itemgetter(*map(columns.index, keys))
+    texts = (",\n".join([template % pick(row) for row in rows]) for rows in chunks)
+    sep = "[\n"  # then each nonempty chunk after the first starts with a comma
+    for text in filter(None, texts):
+        yield sep + text
+        sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
 
 
-def _f_table(terms: Iterable[RawTerm], fmt: str) -> str:
-    """Rows of (monomial, num, den) terms in lowest terms, in the kernel's order."""
-    rows = ((m.X, m.Q, m.T, m.V, f"{n}/{d}") for m, n, d in terms)
-    return _series_table(F_COLUMNS, rows, fmt)
+def _f_rows(terms: Iterable[RawTerm]) -> List[tuple]:
+    """Rows of (monomial, num, den) terms, each reduced by its own gcd."""
+    return [
+        (X, Q, T, V, f"{n // g}/{d // g}")
+        for (Q, T, X, V, _, _, _), n, d in terms
+        for g in (gcd(n, d),)
+    ]
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (exit code, output text)
+# subcommand handlers: each returns (exit code, output text in chunks)
 # ---------------------------------------------------------------------------
 
 
-def cmd_disk(args: argparse.Namespace) -> Tuple[int, str]:
-    return 0, _f_table(lowest_terms(disk_terms(_window_from(args))), args.format)
+def cmd_side(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
+    """``disk`` or ``rhs``: the side's rows, one chunk per Q-power slice."""
+    return 0, _table(F_COLUMNS, map(_f_rows, args.slices(_window_from(args))), args.format)
 
 
-def cmd_rhs(args: argparse.Namespace) -> Tuple[int, str]:
-    return 0, _f_table(lowest_terms(rhs_terms(_window_from(args))), args.format)
-
-
-def cmd_check(args: argparse.Namespace) -> Tuple[int, str]:
+def cmd_check(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
     report = run_check(_window_from(args), corrupt_correction=args.corrupt_exc)
+    code = 0 if report.passed else 1
     if args.format == "json":
-        text = _json_text(report.to_json_dict())
-    else:
-        diff = ((m, c.numerator, c.denominator) for m, c in report.diff.items())
-        text = _f_table(diff, "csv")
-    return (0 if report.passed else 1), text
+        return code, [_json_text(report.to_json_dict())]
+    diff = ((m, c.numerator, c.denominator) for m, c in report.diff.items())
+    return code, _table(F_COLUMNS, [_f_rows(diff)], "csv")
 
 
-def cmd_localize(args: argparse.Namespace) -> Tuple[int, str]:
+def cmd_localize(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
     if not 1 <= args.degree <= MAX_LOCALIZE_DEGREE:
         raise ValueError(
             f"degree must lie in [1, {MAX_LOCALIZE_DEGREE}] "
@@ -134,18 +141,17 @@ def cmd_localize(args: argparse.Namespace) -> Tuple[int, str]:
         raise ValueError(f"markings must lie in [0, {MAX_LOCALIZE_MARKINGS}]")
     table = graph_class_rows(args.markings, args.degree)
     if args.format == "json":
-        return 0, _json_text(
-            [
-                {
-                    "labels": list(g.labels),
-                    "edges": [[u, v, de] for u, v, de in g.edges],
-                    "markings": list(g.markings),
-                    "aut": aut,
-                    "contribution": _laurent_str(contribution),
-                }
-                for g, aut, contribution in table
-            ]
-        )
+        rows = [
+            {
+                "labels": list(g.labels),
+                "edges": [[u, v, de] for u, v, de in g.edges],
+                "markings": list(g.markings),
+                "aut": aut,
+                "contribution": _laurent_str(contribution),
+            }
+            for g, aut, contribution in table
+        ]
+        return 0, [_json_text(rows)]
     rows = [
         (
             "|".join(str(l) for l in g.labels),
@@ -156,10 +162,10 @@ def cmd_localize(args: argparse.Namespace) -> Tuple[int, str]:
         )
         for g, aut, contribution in table
     ]
-    return 0, _csv_text(GRAPH_COLUMNS, rows)
+    return 0, _table(GRAPH_COLUMNS, [rows], "csv")
 
 
-def cmd_ifunction(args: argparse.Namespace) -> Tuple[int, str]:
+def cmd_ifunction(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
     # outputs carry no Q; the window's max_q is the joint q1+q2 cap, and
     # the slice keeps every Kaehler excess up to it.  A class of degree
     # d1 + d2 lands at V <= zcoeff - (d1 + d2), so only degrees up to
@@ -169,17 +175,17 @@ def cmd_ifunction(args: argparse.Namespace) -> Tuple[int, str]:
     )
     terms = surface_series_terms(window, window.max_q, args.zcoeff - args.min_v)
     raw = z_coeff_terms(terms, args.zcoeff, window)
-    rows = ((m.T, m.q1, m.q2, m.V, f"{n}/{d}") for m, n, d in lowest_terms(raw))
-    return 0, _series_table(SLICE_COLUMNS, rows, args.format)
+    rows = [(m.T, m.q1, m.q2, m.V, f"{n}/{d}") for m, n, d in lowest_terms(raw)]
+    return 0, _table(SLICE_COLUMNS, [rows], args.format)
 
 
-def cmd_asymptotics(args: argparse.Namespace) -> Tuple[int, str]:
+def cmd_asymptotics(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
     params = NumericParams(q0=args.q0, q1=args.q1, q2=args.q2, z=args.z)
     ls = args.l if args.l else [200]
     rows = ratio_table(params, args.N, ls, component=args.component)
     if args.format == "json":
-        return 0, _json_text([dict(zip(RATIO_COLUMNS, row)) for row in rows])
-    return 0, _csv_text(RATIO_COLUMNS, [tuple(map(repr, row)) for row in rows])
+        return 0, [_json_text([dict(zip(RATIO_COLUMNS, row)) for row in rows])]
+    return 0, _table(RATIO_COLUMNS, [[tuple(map(repr, row)) for row in rows]], "csv")
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +216,12 @@ def _build_parser() -> argparse.ArgumentParser:
     disk = subs.add_parser("disk", help="disk potential coefficient table")
     _add_window_flags(disk)
     _add_format_flags(disk, "csv")
-    disk.set_defaults(handler=cmd_disk)
+    disk.set_defaults(handler=cmd_side, slices=disk_slices)
 
     rhs = subs.add_parser("rhs", help="assembled sphere-side coefficient table")
     _add_window_flags(rhs)
     _add_format_flags(rhs, "csv")
-    rhs.set_defaults(handler=cmd_rhs)
+    rhs.set_defaults(handler=cmd_side, slices=rhs_slices)
 
     check = subs.add_parser("check", help="compare both sides exactly")
     _add_window_flags(check)
@@ -263,19 +269,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code, text = args.handler(args)
+        code, chunks = args.handler(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return code
 
 

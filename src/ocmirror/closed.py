@@ -84,16 +84,19 @@ def surface_series_terms(
     balanced classes (mu = 0, the constant 1 among them) have the factor 1.
     Since {d, d+|mu|} = {d1, d2}, the denominator is d1! d2!.  The Kaehler
     substitution sends the term to the winding X^mu, so its slope is also
-    its winding.  The identity with the general resolver term by term is
+    its winding.  The terms come by degree d1 + d2, and within a degree by
+    slope upwards.  The identity with the general resolver term by term is
     part of the test suite.
     """
     cap = min(window.max_q, max_degree)
     facts = _factorials(cap)
     terms: List[FactorTerm] = []
-    for d1 in range(cap + 1):
-        for d2 in range(max(0, d1 - max_abs_slope), min(cap - d1, d1 + max_abs_slope) + 1):
-            mu = d2 - d1
-            monomial = _tuple_new(Monomial, (0, 0, 0, 0, -(d1 + d2), d1, d2))
+    for e in range(cap + 1):
+        top = min(max_abs_slope, e)
+        top -= (e - top) % 2  # mu has the parity of d1 + d2 = e
+        for mu in range(-top, top + 1, 2):
+            d1, d2 = (e - mu) // 2, (e + mu) // 2
+            monomial = _tuple_new(Monomial, (0, 0, 0, 0, -e, d1, d2))
             sign = -1 if mu % 2 else 1
             terms.append(_tuple_new(FactorTerm, (monomial, sign, facts[d1] * facts[d2], mu)))
     return tuple(terms)
@@ -115,14 +118,17 @@ def z_coeff_terms(terms: Sequence[FactorTerm], m: int, window: TruncationWindow)
     per term; l then runs only where k >= 0 (k = 0 for a slope-0 factor,
     which is 1), T <= max_t and V - k lies in [min_v, max_v].  So every term
     returned lies inside ``window``; a term of the input whose z-power is
-    z^-D reaches the slice only if D <= m - min_v + V(term).
+    z^-D reaches the slice only if D <= m - min_v + V(term).  The loop over
+    l is the outer one, the terms inside it in their input order with their
+    running powers: one degree's classes, mapped to winding variables, come
+    out in the kernel's order (T, then X).
     """
     raw: List[RawTerm] = []
     if not window.min_z <= 0 <= window.max_z:  # Z is stripped from every output
         return raw
     max_q, max_t, max_x = window.max_q, window.max_t, window.max_abs_x
     min_v, max_v = window.min_v, window.max_v
-    facts = _factorials(max_t)
+    ladders = []  # the running [num, den], lo, hi, slope, the output's parts at l = 0
     for monomial, p, q, slope in terms:
         Q, t0, x, v, z, q1, q2 = monomial
         if Q > max_q or abs(x) > max_x or min(Q, q1, q2) < 0 or q1 + q2 > max_q:
@@ -133,12 +139,17 @@ def z_coeff_terms(terms: Sequence[FactorTerm], m: int, window: TruncationWindow)
         a, b = slope.numerator, slope.denominator
         if not a:
             hi = min(hi, shift)
-        if lo > hi:
-            continue
-        num, den = p * a ** (lo - shift), q * b ** (lo - shift)
-        for l in range(lo, hi + 1):
-            out = _tuple_new(Monomial, (Q, t0 + l, x, v + shift - l, 0, q1, q2))
-            raw.append((out, num, den * facts[l]))
-            num *= a
-            den *= b
+        if lo <= hi:
+            state = [p * a ** (lo - shift), q * b ** (lo - shift)]
+            ladders.append((state, lo, hi, a, b, Q, t0, x, v + shift, q1, q2))
+    top = max((s[2] for s in ladders), default=-1)  # every ladder's l lies in [0, top]
+    facts = _factorials(top)
+    for l in range(top + 1):
+        f = facts[l]
+        for state, lo, hi, a, b, Q, t0, x, v, q1, q2 in ladders:
+            if lo <= l <= hi:
+                num, den = state
+                raw.append((_tuple_new(Monomial, (Q, t0 + l, x, v - l, 0, q1, q2)), num, den * f))
+                state[0] = num * a
+                state[1] = den * b
     return raw

@@ -29,9 +29,10 @@ Then
 
 is added.
 
-Both sides are lists of raw integer terms (monomial, num, den), each
-written down by a loop over only the exponents the window admits.  The two
-lists match term for term.  The left side's monomial
+Both sides are written as raw integer terms (monomial, num, den), one list
+per Q-power slice e, each by loops over only the exponents the window
+admits and in the kernel's order: T, then X, with V = 1 - T - e.  The two
+sides match term for term.  The left side's monomial
 T^l Q^e X^mu V^(1-l-e), e = 2m + |mu|, comes from exactly one surface
 class, (d1, d2) = ((e-mu)/2, (e+mu)/2), at expansion index k = l + e - 2,
 with the same value mu^k / (l! m! (m+|mu|)!): the surface sign (-1)^|mu|
@@ -40,14 +41,16 @@ monomials have no partner: Q*X^-1 and Q*X (k = -1) are on the left alone,
 and the winding-0 slice T^2/(2v) + Q^2/v on the right alone, where the
 correction cancels it.
 
-``run_check`` compares the two lists term by term: identical terms cancel,
-and whatever is left is summed per monomial by exact cross-multiplication,
-so the check does not rely on the two builders writing a value the same
-way.  The report's difference is built from the leftover terms only; the
-headline assertion is that it is identically zero on every finite window.
-The tables ``disk`` and ``rhs`` print the same lists, one row per monomial
-in lowest terms, with no common denominator; only the left side that a
-report carries is built as a series.
+``run_check`` walks the two sides slice by slice, so the right side is
+never held whole.  Two equal lists add nothing; in any other slice (Q^2,
+where the correction meets the winding-0 term), identical terms cancel and
+the rest is summed per monomial by exact cross-multiplication, so the
+check does not rely on the two builders writing a value the same way.  The
+report's difference is built from the leftover terms only; the headline
+assertion is that it is identically zero on every finite window.  The
+tables ``disk`` and ``rhs`` write each slice as it is built, one row per
+monomial reduced on its own; only the left side a report carries is built
+as a series.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Dict, Iterator, List, Tuple
 
 from .closed import FactorTerm, _factorials, surface_series_terms, z_coeff_terms
@@ -73,53 +75,55 @@ from .series import (
 )
 
 
-def _disk_winding_terms(mu: int, window: TruncationWindow, facts: List[int]) -> Iterator[RawTerm]:
-    """Raw terms of the disk potential at winding ``mu`` inside ``window``.
-
-    T^l Q^e X^mu V^(1-l-e), with e = 2m + |mu|, has the coefficient
-    mu^(l+e-2) / (l! m! (m+|mu|)!).  e runs from where l <= max_t can reach
-    the V ceiling to where l = 0 meets the V floor or e passes max_q; for
-    each e, l runs from the V ceiling to the V floor or max_t.  So every
-    step emits a term.  ``facts`` holds the factorials up to the largest
-    l and m + |mu| met.
-    """
-    a = abs(mu)
-    start = max(a, 1 - window.max_v - window.max_t)
-    start += (start - a) % 2  # e has the parity of |mu|
-    for e in range(start, min(window.max_q, 1 - window.min_v) + 1, 2):
-        m = (e - a) // 2
-        lo = max(0, 1 - e - window.max_v)
-        den = facts[m] * facts[m + a]
-        num = mu ** abs(lo + e - 2)  # the exponent is -1 only where mu^-1 = mu
-        for l in range(lo, min(window.max_t, 1 - e - window.min_v) + 1):
-            yield _tuple_new(Monomial, (e, l, mu, 1 - l - e, 0, 0, 0)), num, den * facts[l]
-            num *= mu
+def _degrees(window: TruncationWindow) -> range:
+    """The Q-powers e of both sides' slices: each term has V = 1 - T - e and no Z."""
+    top = min(window.max_q, 1 - window.min_v) if window.min_z <= 0 <= window.max_z else -1
+    return range(top + 1)
 
 
-def disk_terms(window: TruncationWindow) -> List[RawTerm]:
-    """Raw terms of the disk potential in closed Bessel form inside ``window``.
+def _disk_slice(e: int, window: TruncationWindow, facts: List[int]) -> List[RawTerm]:
+    """Raw terms of the disk potential at Q^e inside ``window``, in the kernel's order.
 
-    Every coefficient is written down directly, winding by winding, one term
-    per monomial.  Every monomial has V-exponent 1 - l - 2m - |mu| <= 0.  A
-    window of mass budget 2*max_q + max_t beyond ``MAX_MASS_BUDGET`` is
-    refused, as every expansion refuses it.
+    l runs from the V ceiling to the V floor or max_t, and for each l, mu
+    upwards over the windings of the parity of e, each with its running
+    power mu^(l+e-2): every step emits a term.  ``facts`` reaches e and l."""
+    top = min(window.max_abs_x, e)
+    top -= (e - top) % 2  # |mu| has the parity of e
+    windings = [mu for mu in range(-top, top + 1, 2) if mu]
+    if not windings:
+        return []
+    lo = max(0, 1 - e - window.max_v)
+    dens = [facts[(e - abs(mu)) // 2] * facts[(e + abs(mu)) // 2] for mu in windings]
+    nums = [mu ** abs(lo + e - 2) for mu in windings]  # exponent -1 only where mu^-1 = mu
+    out: List[RawTerm] = []
+    for l in range(lo, min(window.max_t, 1 - e - window.min_v) + 1):
+        f = facts[l]
+        for i, mu in enumerate(windings):
+            n = nums[i]
+            out.append((_tuple_new(Monomial, (e, l, mu, 1 - l - e, 0, 0, 0)), n, dens[i] * f))
+            nums[i] = n * mu
+    return out
+
+
+def disk_slices(window: TruncationWindow) -> Iterator[List[RawTerm]]:
+    """The disk potential's raw terms in closed Bessel form inside ``window``, by Q-power.
+
+    Every monomial has V-exponent 1 - l - 2m - |mu| <= 0.  A window of mass
+    budget 2*max_q + max_t beyond ``MAX_MASS_BUDGET`` is refused before any
+    slice is built, as every expansion refuses it.
     """
     if window.max_abs_x and window.mass_budget > MAX_MASS_BUDGET:
         raise ValueError(
             f"window too large: 2*max_q + max_t = {window.mass_budget} exceeds {MAX_MASS_BUDGET}"
         )
-    if not window.min_z <= 0 <= window.max_z:
-        return []
-    e_top = min(window.max_q, 1 - window.min_v)  # |mu| <= e <= e_top
-    facts = _factorials(max(e_top, min(window.max_t, -window.min_v)))
-    top = min(window.max_abs_x, e_top)
-    windings = (mu for mu in range(-top, top + 1) if mu)
-    return list(chain.from_iterable(_disk_winding_terms(mu, window, facts) for mu in windings))
+    degrees = _degrees(window)
+    facts = _factorials(max(len(degrees) - 1, min(window.max_t, -window.min_v)))  # l <= -min_v
+    return (_disk_slice(e, window, facts) for e in degrees)
 
 
 def disk_potential_bessel(window: TruncationWindow) -> FormalSeries:
     """Disk potential in closed Bessel form, truncated to ``window``."""
-    return _from_raw(disk_terms(window), window)
+    return _from_raw([t for s in disk_slices(window) for t in s], window)
 
 
 def disk_potential_localized(window: TruncationWindow) -> FormalSeries:
@@ -182,23 +186,30 @@ def _paired_in_winding_variables(t: FactorTerm) -> FactorTerm:
     return _tuple_new(FactorTerm, (mapped, -num if (d1 + d2) % 2 else num, den, slope))
 
 
-def rhs_terms(window: TruncationWindow, corrupt_correction: bool = False) -> List[RawTerm]:
-    """Raw terms of the descendant-slice side of the identity inside ``window``.
+def rhs_slices(
+    window: TruncationWindow, corrupt_correction: bool = False
+) -> Iterator[List[RawTerm]]:
+    """Raw terms of the descendant-slice side of the identity inside ``window``, by Q-power.
 
-    Order: take the surface terms whose slope, their winding after the
-    Kaehler map, fits the window's winding bound and whose degree
-    d1 + d2 <= 1 - min_v lets them reach the V floor (the pairing's 1/v
-    and the z^-2 slice put the term at V^(1-(d1+d2)-l) at best) -> pair
-    each with the distinguished class and write it in winding/area
-    variables, one monomial map per term -> extract the z^-2 coefficient in
-    ``window`` -> append the exceptional correction.  The map sends a term
-    to one term, so nothing is truncated before the extraction.  The zeroth
-    flat coordinate is carried by the same T variable on both sides, so the
-    log-area identification is the identity map here.
+    Take the surface terms whose slope (their winding) fits the winding
+    bound and whose degree d1 + d2 <= 1 - min_v can reach the V floor,
+    pair them and map them to winding variables term by term, then per
+    degree e extract the z^-2 slice and add the correction's terms at Q^e.
+    A degree's classes come by slope and the extraction walks l outside
+    them, so a slice is in the kernel's order; the three slices the
+    correction joins are put in lowest terms, which merges the monomials
+    it repeats at Q^0 and Q^2.  The zeroth flat coordinate is carried by
+    the same T variable on both sides, so the log-area identification is
+    the identity map here.
     """
-    terms = surface_series_terms(window, window.max_abs_x, 1 - window.min_v)
-    mapped = [_paired_in_winding_variables(t) for t in terms]
-    return z_coeff_terms(mapped, 2, window) + correction_terms(window, corrupt_correction)
+    classes: Dict[int, List[FactorTerm]] = {}
+    for t in surface_series_terms(window, window.max_abs_x, 1 - window.min_v):
+        classes.setdefault(-t.monomial.Z, []).append(_paired_in_winding_variables(t))
+    correction = correction_terms(window, corrupt_correction)
+    for e in _degrees(window):
+        terms = z_coeff_terms(classes.get(e, []), 2, window)
+        extra = [c for c in correction if c[0].Q == e]
+        yield lowest_terms(terms + extra) if extra else terms
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +266,13 @@ def raw_difference(left: List[RawTerm], right: List[RawTerm]) -> List[RawTerm]:
 def run_check(
     window: TruncationWindow, corrupt_correction: bool = False
 ) -> CorrespondenceReport:
-    """Build both sides and compare them term by term; see the module docstring."""
-    lhs = disk_terms(window)
-    rhs = rhs_terms(window, corrupt_correction)
-    diff = _from_raw(raw_difference(lhs, rhs), window)
+    """Walk both sides one Q-power slice at a time and compare; see the module docstring."""
+    lhs: List[RawTerm] = []
+    leftover: List[RawTerm] = []
+    sides = zip(disk_slices(window), rhs_slices(window, corrupt_correction), strict=True)
+    for left, right in sides:
+        lhs += left
+        if left != right:
+            leftover += raw_difference(left, right)
+    diff = _from_raw(leftover, window)
     return CorrespondenceReport(window, _from_raw(lhs, window), diff, diff.is_zero())

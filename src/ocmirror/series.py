@@ -27,10 +27,13 @@ truncation window.  Conventions:
   ``math.gcd`` over its denominator and numerators.  Series written down
   term by term (both sides of the correspondence, the localized disk
   potential, the z-slice of ``closed``) collect raw
-  ``(monomial, numerator, denominator)`` terms.  A
-  series is made of them by a single lcm (``_from_raw``); a table or a
-  comparison that needs no series takes each monomial's total in lowest
-  terms instead (``lowest_terms``), with no common denominator.
+  ``(monomial, numerator, denominator)`` terms; a series is made of them by
+  a single lcm (``_from_raw``).  A table or a comparison needs none: the
+  two sides of the correspondence come one Q-power slice at a time, each
+  already in the order of ``items()`` with one term per monomial, and each
+  row is reduced on its own.  Where terms can repeat a monomial or come
+  out of order, ``lowest_terms`` sums and sorts them per monomial, with no
+  common denominator.
 * A series remembers the window it was truncated to.  Arithmetic re-truncates
   to the intersection of the operand windows.  In Q, T, q1 and q2, whose
   exponents are nonnegative everywhere, operations only raise exponents, so
@@ -40,7 +43,7 @@ truncation window.  Conventions:
   in.  (The right side of the correspondence once lost its 1/V prefactor so
   at max_v <= -3, pairing in a window of V ceiling max_v + 1.)  Monomial maps
   therefore go on the inputs of an expansion, as the right side's Kaehler
-  map does in ``correspondence.rhs_terms``.
+  map does in ``correspondence.rhs_slices``.
 * Iteration over terms is in lexicographic exponent order, which makes every
   report byte-reproducible.
 * Kernel results are built once.  The public constructor
@@ -49,13 +52,12 @@ truncation window.  Conventions:
   ``numbers.Rational``; floats, strings and decimals raise ``TypeError``),
   merges repeated monomials, drops zeros and drops monomials outside the
   window.  Every result the kernel computes itself (ring operations,
-  ``scale``, ``_from_raw``) is assembled in one numerator dict that
-  already satisfies that contract —
-  canonical, every monomial inside the window — and is wrapped without a
-  second pass.  Each operation tests ``window.contains`` only where its
-  output can leave the window: a sum whose window is smaller than an
-  operand's, a product, a monomial shift.  A series written down term by
-  term reads its loop ranges off the window instead.
+  ``_from_raw``) is assembled in one numerator dict that already satisfies
+  that contract — canonical, every monomial inside the window — and is
+  wrapped without a second pass.  Each operation tests ``window.contains``
+  only where its output can leave the window: a sum whose window is smaller
+  than an operand's, a product, a monomial shift.  A series written down
+  term by term reads its loop ranges off the window instead.
 """
 
 from __future__ import annotations
@@ -105,20 +107,6 @@ class Monomial(NamedTuple):
         a, b, c, d, e, f, g = self
         A, B, C, D, E, F, G = other
         return _tuple_new(Monomial, (a + A, b + B, c + C, d + D, e + E, f + F, g + G))
-
-    def __pow__(self, n: int) -> "Monomial":
-        return Monomial(*(a * n for a in self))
-
-    @property
-    def bounded_mass(self) -> int:
-        """Total exponent in the directions every window bounds from above.
-
-        Q, T, q1, q2 never carry negative exponents (no window admits them),
-        so any monomial of positive mass escapes every finite window under
-        repeated powers; this is the termination certificate of an
-        exponential or a hypergeometric series in such a monomial.
-        """
-        return self.Q + self.T + self.q1 + self.q2
 
     def __str__(self) -> str:
         parts = []
@@ -218,7 +206,8 @@ class TruncationWindow:
 
     @property
     def mass_budget(self) -> int:
-        """Upper bound for :attr:`Monomial.bounded_mass` inside the window."""
+        """Upper bound of Q + T + q1 + q2 inside the window: the exponents
+        every window bounds from above."""
         return 2 * self.max_q + self.max_t
 
 
@@ -255,14 +244,6 @@ class FormalSeries:
         self.window = window
 
     # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def zero(cls, window: TruncationWindow) -> "FormalSeries":
-        return cls({}, window)
-
-    @classmethod
-    def one(cls, window: TruncationWindow) -> "FormalSeries":
-        return cls({ONE: 1}, window)
 
     @classmethod
     def of(cls, c: RationalLike, m: Monomial, window: TruncationWindow) -> "FormalSeries":
@@ -340,20 +321,6 @@ class FormalSeries:
                 if contains(m):
                     acc[m] = get(m, 0) + n1 * n2
         return _reduced(acc, self._den * other._den, w)
-
-    def scale(self, c: RationalLike, m: Monomial = ONE) -> "FormalSeries":
-        """Multiply by the single term c·m (cheaper than a full ``__mul__``)."""
-        c = _exact(c)
-        p, den = c.numerator, self._den * c.denominator
-        if m == ONE:
-            return _reduced({mm: n * p for mm, n in self._nums.items()}, den, self.window)
-        contains = self.window.contains
-        out: Dict[Monomial, int] = {}
-        for mm, n in self._nums.items():
-            mm = mm * m
-            if contains(mm):
-                out[mm] = n * p
-        return _reduced(out, den, self.window)
 
 
 _ZERO = Fraction(0)

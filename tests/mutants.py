@@ -104,8 +104,8 @@ MUTANTS = (
     ),
     Mutant(
         CLOSED,
-        "min(cap - d1, d1 + max_abs_slope) + 1)",
-        "min(cap - d1, d1 + max_abs_slope + 1) + 1)",
+        "top = min(max_abs_slope, e)",
+        "top = min(max_abs_slope + 1, e)",
         "surface terms one slope beyond the bound kept",
         (f"{TC}::test_slope_bound_keeps_exactly_the_terms_within_it",),
     ),
@@ -125,15 +125,15 @@ MUTANTS = (
     ),
     Mutant(
         CORR,
-        "num = mu ** abs(lo + e - 2)",
-        "num = mu ** abs(lo + e - 1)",
+        "mu ** abs(lo + e - 2)",
+        "mu ** abs(lo + e - 1)",
         "disk coefficient's power of the winding off by one",
         (f"{TCO}::test_disk_coefficient_formula",),
     ),
     Mutant(
         CORR,
-        "den = facts[m] * facts[m + a]",
-        "den = facts[m] * facts[m]",
+        "facts[(e - abs(mu)) // 2] * facts[(e + abs(mu)) // 2]",
+        "facts[(e - abs(mu)) // 2] * facts[(e - abs(mu)) // 2]",
         "disk coefficient divided by m! m! instead of m! (m+|mu|)!",
         (f"{TCO}::test_disk_coefficient_formula",),
     ),
@@ -160,22 +160,22 @@ MUTANTS = (
     ),
     Mutant(
         CLOSED,
-        "num *= a",
-        "num *= -a",
+        "state[0] = num * a",
+        "state[0] = num * -a",
         "expansion ladder v/(v - cz) with the sign of c flipped",
         (f"{TC}::test_excess1_z2_closed_formula",),
     ),
     Mutant(
         CLOSED,
-        "num, den = p * a ** (lo - shift), q * b ** (lo - shift)",
-        "num, den = p * a ** (lo - shift + 1), q * b ** (lo - shift)",
+        "p * a ** (lo - shift)",
+        "p * a ** (lo - shift + 1)",
         "expansion index off by one in the slope's power",
         (f"{TC}::test_excess1_z2_closed_formula",),
     ),
     Mutant(
         CLOSED,
-        "(Q, t0 + l, x, v + shift - l, 0, q1, q2)",
-        "(Q, t0 + l, x, v + shift - l - 1, 0, q1, q2)",
+        "(Q, t0 + l, x, v - l, 0, q1, q2)",
+        "(Q, t0 + l, x, v - l - 1, 0, q1, q2)",
         "z-slice term one V-step too low",
         (f"{TC}::test_excess1_z2_closed_formula",),
     ),
@@ -197,15 +197,38 @@ MUTANTS = (
         CORR,
         "return lowest_terms([(m, n * c, d) for (m, n, d), c in unmatched.items() if c])",
         "return []",
-        "check without its fallback: terms that are not identical taken as equal",
-        (f"{TCO}::test_corrupted_correction_fails_at_v_floor",),
+        "slice fallback dropped: terms of a slice that are not identical taken as equal",
+        (
+            f"{TCO}::test_corrupted_correction_fails_at_v_floor",
+            f"{TCO}::test_check_settles_each_slice_by_value",
+        ),
     ),
     Mutant(
         SERIES,
         "else (n * d1 + n1 * d, d * d1)",
         "else (n + n1, d * d1)",
-        "terms at one monomial over different denominators compared by numerators only",
-        (f"{TCO}::test_raw_difference_settles_unequal_terms_by_their_values",),
+        "a slice's terms at one monomial over different denominators compared by numerators only",
+        (
+            f"{TCO}::test_raw_difference_settles_unequal_terms_by_their_values",
+            f"{TCO}::test_check_settles_each_slice_by_value",
+        ),
+    ),
+    Mutant(
+        CORR,
+        "if left != right:",
+        "if len(left) != len(right):",
+        "slices compared by length only",
+        (f"{TCO}::test_check_settles_each_slice_by_value",),
+    ),
+    Mutant(
+        CORR,
+        "leftover += raw_difference(left, right)",
+        "pass",
+        "a slice that is not equal skipped instead of settled",
+        (
+            f"{TCO}::test_corrupted_correction_fails_at_v_floor",
+            f"{TCO}::test_check_settles_each_slice_by_value",
+        ),
     ),
     Mutant(
         LOC,

@@ -7,7 +7,9 @@ quantities another way, and the tests assert that the two agree.
   and the exponential of a monomial, which the routes here build on; the
   program writes its series down as raw terms instead.  ``v_term`` and
   ``v_series`` turn the graph sums' exact values c * V^k, which the
-  program carries as pairs (c, k), into wide-window series.
+  program carries as pairs (c, k), into wide-window series.  The kernel
+  helpers the program does not use live here too: ``bounded_mass``,
+  ``monomial_power``, ``zero_series``, ``one_series`` and ``scale``.
 * ``LinearFactorTerm``, a term coeff * monomial * v/(v - slope*z) with one
   ``Fraction`` coefficient, which the routes here take; ``factor_terms``
   and ``linear_terms`` convert to and from the program's integer
@@ -23,6 +25,13 @@ quantities another way, and the tests assert that the two agree.
   denominator, so these are an independent check of its rescaling and
   reduction.  ``fraction_expand_factor`` is the only expansion of a linear
   factor into its z/v or v/z ladder.
+* ``disk_terms`` and ``rhs_terms``, both sides of the identity in one list
+  each; the program walks them one Q-power slice at a time, and
+  ``rhs_terms`` builds the right side whole, every class in one
+  extraction.  ``whole_table`` prints a ``disk`` or ``rhs`` table from such
+  a list the way the command line did before it streamed: summed per
+  monomial and sorted by ``lowest_terms``, then one ``json.dumps`` or CSV
+  text of the whole table.
 * ``z_coeff``, ``exceptional_correction`` and ``rhs_assemble`` are the
   program's raw terms (``z_coeff_terms``, ``correction_terms``,
   ``rhs_terms``) made into series, the form the tests compare.
@@ -61,6 +70,7 @@ The module is not named ``oracles``: pytest imports it by its bare name, and
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -68,8 +78,13 @@ from math import factorial, lcm
 from numbers import Rational
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from ocmirror.closed import FactorTerm, z_coeff_terms
-from ocmirror.correspondence import correction_terms, rhs_terms
+from ocmirror.cli import F_COLUMNS
+from ocmirror.closed import FactorTerm, surface_series_terms, z_coeff_terms
+from ocmirror.correspondence import (
+    _paired_in_winding_variables,
+    correction_terms,
+    disk_slices,
+)
 from ocmirror.geometry import P1_POINTS, P1Class, Restriction, phi_p1, unit_p1
 from ocmirror.localization import (
     DecoratedGraph,
@@ -90,6 +105,7 @@ from ocmirror.series import (
     _exact,
     _from_raw,
     _reduced,
+    lowest_terms,
     mono,
 )
 
@@ -109,6 +125,48 @@ def v_series(values: Iterable[Tuple[Rational, int]]) -> FormalSeries:
 
 
 # ---------------------------------------------------------------------------
+# series and monomial helpers the program does not use
+# ---------------------------------------------------------------------------
+
+
+def bounded_mass(m: Monomial) -> int:
+    """Total exponent in the directions every window bounds from above.
+
+    Q, T, q1, q2 never carry negative exponents (no window admits them),
+    so any monomial of positive mass escapes every finite window under
+    repeated powers; this is the termination certificate of an
+    exponential or a hypergeometric series in such a monomial.
+    """
+    return m.Q + m.T + m.q1 + m.q2
+
+
+def monomial_power(m: Monomial, n: int) -> Monomial:
+    """m^n: every exponent times n."""
+    return Monomial(*(a * n for a in m))
+
+
+def zero_series(window: TruncationWindow) -> FormalSeries:
+    return FormalSeries({}, window)
+
+
+def one_series(window: TruncationWindow) -> FormalSeries:
+    return FormalSeries({ONE: 1}, window)
+
+
+def scale(s: FormalSeries, c: Rational, m: Monomial = ONE) -> FormalSeries:
+    """s times the single term c·m (cheaper than a full ``*``)."""
+    c = _exact(c)
+    p, den = c.numerator, s._den * c.denominator
+    contains = s.window.contains
+    out: Dict[Monomial, int] = {}
+    for mm, n in s._nums.items():
+        mm = mm * m
+        if contains(mm):
+            out[mm] = n * p
+    return _reduced(out, den, s.window)
+
+
+# ---------------------------------------------------------------------------
 # the sum and the exponential of series
 # ---------------------------------------------------------------------------
 
@@ -116,7 +174,7 @@ def v_series(values: Iterable[Tuple[Rational, int]]) -> FormalSeries:
 def series_sum(parts: Iterable[FormalSeries], window: TruncationWindow) -> FormalSeries:
     """Sum of ``parts`` over the lcm of their denominators, accumulated in one dict.
 
-    Equal to folding ``+`` over ``FormalSeries.zero(window)`` and the parts:
+    Equal to folding ``+`` over ``zero_series(window)`` and the parts:
     the result window is the intersection of ``window`` with every part's
     window, and a part whose window is larger is clipped to it.
     """
@@ -149,7 +207,7 @@ def series_exp(c: Rational, m: Monomial, window: TruncationWindow) -> FormalSeri
     — the constant 1, or a pure V/Z/X monomial whose powers could wander
     inside the window forever — is rejected.
     """
-    if m.bounded_mass <= 0:
+    if bounded_mass(m) <= 0:
         raise ValueError(f"series_exp argument {m} does not increase the bounded grading")
     if window.mass_budget > MAX_MASS_BUDGET:
         raise ValueError("series_exp needs a finite window (mass budget too large)")
@@ -162,6 +220,41 @@ def series_exp(c: Rational, m: Monomial, window: TruncationWindow) -> FormalSeri
         n += 1
         power, num, den = power * m, num * p, den * q * n
     return _from_raw(raw, window)
+
+
+# ---------------------------------------------------------------------------
+# both sides of the identity whole, and the tables printed whole
+# ---------------------------------------------------------------------------
+
+
+def disk_terms(window: TruncationWindow) -> List[RawTerm]:
+    """The disk potential's raw terms, every Q-power slice in one list."""
+    return [t for s in disk_slices(window) for t in s]
+
+
+def rhs_terms(window: TruncationWindow, corrupt_correction: bool = False) -> List[RawTerm]:
+    """The right side's raw terms in one list, built whole.
+
+    Every class through one ``z_coeff_terms`` call, then the correction
+    appended: the route before the right side was walked one Q-power slice
+    at a time, so its terms are in no particular order and the correction
+    repeats monomials of the slice.
+    """
+    classes = surface_series_terms(window, window.max_abs_x, 1 - window.min_v)
+    mapped = [_paired_in_winding_variables(t) for t in classes]
+    return z_coeff_terms(mapped, 2, window) + correction_terms(window, corrupt_correction)
+
+
+def whole_table(raw: Iterable[RawTerm], fmt: str) -> str:
+    """A ``disk`` or ``rhs`` table printed whole, as before it streamed.
+
+    The raw terms summed per monomial in lowest terms, which sorts them,
+    then ``json.dumps`` of all the rows as dicts, or their CSV lines.
+    """
+    rows = [(m.X, m.Q, m.T, m.V, f"{n}/{d}") for m, n, d in lowest_terms(raw)]
+    if fmt == "json":
+        return json.dumps([dict(zip(F_COLUMNS, r)) for r in rows], sort_keys=True, indent=2) + "\n"
+    return "".join(",".join(map(str, r)) + "\n" for r in [F_COLUMNS, *rows])
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +404,7 @@ def bessel_first_kind(
     consequence of the index shift, not an input (and is pinned in tests).
     Built from raw terms over one lcm, as the program builds its series.
     """
-    if arg_mono.bounded_mass <= 0:
+    if bounded_mass(arg_mono) <= 0:
         raise ValueError("bessel argument monomial must increase the bounded grading")
     half = Fraction(arg_coeff) / 2
     p, q = half.numerator, half.denominator
@@ -319,10 +412,10 @@ def bessel_first_kind(
     m = 0
     while True:
         e = 2 * m + order
-        if e * arg_mono.bounded_mass > window.mass_budget:
+        if e * bounded_mass(arg_mono) > window.mass_budget:
             break
         if m + order >= 0:  # reciprocal Gamma kills the rest
-            mm = arg_mono**e  # distinct for distinct e: arg_mono has positive mass
+            mm = monomial_power(arg_mono, e)  # distinct for distinct e: arg_mono has positive mass
             if window.contains(mm):
                 raw.append((mm, p**e, q**e * factorial(m) * factorial(m + order)))
         m += 1
@@ -343,7 +436,7 @@ def disk_potential_by_product(window: TruncationWindow) -> FormalSeries:
 
     def winding(mu: int) -> FormalSeries:
         bessel = bessel_first_kind(mu, 2 * mu, Monomial(Q=1, V=-1), work)
-        scaled = bessel.scale(Fraction(1, mu * mu), Monomial(X=mu, V=1))
+        scaled = scale(bessel, Fraction(1, mu * mu), Monomial(X=mu, V=1))
         return series_exp(mu, mono(T=1, V=-1), work) * scaled
 
     windings = range(-window.max_abs_x, window.max_abs_x + 1)
@@ -359,10 +452,11 @@ def fraction_bessel_first_kind(
     m = 0
     while True:
         e = 2 * m + order
-        if e * arg_mono.bounded_mass > window.mass_budget:
+        if e * bounded_mass(arg_mono) > window.mass_budget:
             break
         if m + order >= 0:
-            pairs.append((arg_mono**e, half**e / (factorial(m) * factorial(m + order))))
+            power = monomial_power(arg_mono, e)
+            pairs.append((power, half**e / (factorial(m) * factorial(m + order))))
         m += 1
     return FormalSeries(pairs, window)
 
@@ -554,7 +648,7 @@ class SymbolicPairing:
         raises.  Denominators are products of weights, so after
         specialization they are V-monomials and division is exact.
         """
-        out = FormalSeries.zero(WIDE)
+        out = zero_series(WIDE)
         for n, d in self.addends:
             ns = n.specialize()
             if ns.is_zero():
@@ -567,7 +661,7 @@ class SymbolicPairing:
             if len(ds) != 1:
                 raise NotImplementedError("specialized denominator is not a monomial")
             ((dm, dc),) = ds.items()
-            out = out + ns.scale(1 / dc, mono(V=-dm.V))
+            out = out + scale(ns, 1 / dc, mono(V=-dm.V))
         return out
 
 
@@ -781,7 +875,7 @@ def _image_power(
         if e < 0:
             raise ValueError(f"cannot raise zero image of {name} to power {e}")
         return Monomial(), ic
-    shift = list(im**e)
+    shift = list(monomial_power(im, e))
     shift[i] -= e
     return Monomial(*shift), ic**e
 
@@ -982,7 +1076,7 @@ def j_reduced_component(alpha: int, window: TruncationWindow) -> FormalSeries:
     """
     eps = _sign(alpha)
     prefactor = series_exp(1, mono(T=1, Z=-1), window)
-    total = FormalSeries.zero(window)
+    total = zero_series(window)
     d_max = window.max_q // 2
     for d in range(d_max + 1):
         part = FormalSeries.of(Fraction(1, factorial(d)), mono(Q=2 * d, Z=-d), window)
@@ -1010,7 +1104,7 @@ def j_reduced_at(alpha: int, c: Fraction, window: TruncationWindow) -> FormalSer
         if eps + m * c == 0:
             raise ValueError(f"z = ({c})*v hits the pole at degree factor m={m}")
     prefactor = series_exp(1 / c, mono(T=1, V=-1), window)
-    total = FormalSeries.zero(window)
+    total = zero_series(window)
     for d in range(d_max + 1):
         denom = Fraction(factorial(d)) * c**d
         for m in range(1, d + 1):
@@ -1057,9 +1151,9 @@ def j_bessel_form(alpha: int, mu: int, window: TruncationWindow) -> FormalSeries
         raise ValueError("winding order must be positive here")
     eps = _sign(alpha)
     prefactor = series_exp(eps * mu, mono(T=1, V=-1), window)
-    scale = Fraction(eps, mu) ** mu * factorial(mu)
+    c = Fraction(eps, mu) ** mu * factorial(mu)
     bess = bessel_first_kind(mu, 2 * eps * mu, mono(Q=1, V=-1), window)
-    return (prefactor * bess).scale(scale, mono(V=mu))
+    return scale(prefactor * bess, c, mono(V=mu))
 
 
 def closed_descendant(insertions: Sequence[Tuple[P1Class, int]], d: int) -> FormalSeries:
@@ -1082,8 +1176,11 @@ def j_degree_part_from_graphs(alpha: int, d: int, window: TruncationWindow) -> F
     """
     sign = _sign(alpha)
     parts = (
-        closed_descendant([(unit_p1(), 0), (phi_p1(alpha), a)], d)
-        .scale(Fraction(sign), mono(Q=2 * d, V=1, Z=-a - 1))
+        scale(
+            closed_descendant([(unit_p1(), 0), (phi_p1(alpha), a)], d),
+            Fraction(sign),
+            mono(Q=2 * d, V=1, Z=-a - 1),
+        )
         for a in range(-window.min_z)
     )
     return series_sum((truncated(p, window) for p in parts), window)

@@ -28,6 +28,7 @@ from second_routes import (
     linear_terms,
     psi_integral_by_string,
     rhs_assemble,
+    scale,
     surface_term_specialized,
 )
 
@@ -135,7 +136,7 @@ def test_criterion_5_bessel_symmetry_and_three_forms():
     forms = 0
     for alpha, eps in ((1, -1), (2, 1)):
         for mu in range(1, 7):
-            products = j_reduced_at(alpha, F(eps, mu), window).scale(1, mono(Q=mu))
+            products = scale(j_reduced_at(alpha, F(eps, mu), window), 1, mono(Q=mu))
             quotients = j_gamma_form(alpha, mu, window)
             bessel = j_bessel_form(alpha, mu, window)
             assert products == quotients == bessel, (alpha, mu)

@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocmirror import cli
 from ocmirror.cli import main
+
+from families import sweep_window
+from second_routes import disk_terms, rhs_terms, whole_table
 
 RATIONAL = re.compile(r"^-?\d+/\d+$")
 
@@ -38,6 +45,30 @@ def test_disk_csv_header_and_leading_row(capsys):
 def test_disk_empty_window_is_header_only(capsys):
     assert main(["disk", "--max-q", "0"]) == 0
     assert _lines(capsys) == ["mu,q_power,t0_power,v_power,value"]
+
+
+@pytest.mark.parametrize("command", ["disk", "rhs"])
+def test_empty_table_is_header_only_or_an_empty_list(capsys, command):
+    # at Q^0 the right side's T^2/(2v) and the correction's cancel
+    assert main([command, "--max-q", "0"]) == 0
+    assert capsys.readouterr().out == "mu,q_power,t0_power,v_power,value\n"
+    assert main([command, "--max-q", "0", "--format", "json"]) == 0
+    assert capsys.readouterr().out == "[]\n"
+
+
+@given(sweep_window(), st.sampled_from(["csv", "json"]))
+@settings(max_examples=60, deadline=None)
+def test_streamed_tables_match_the_whole_table_oracle(window, fmt):
+    # slices written as they are built, each row reduced on its own, against
+    # the whole side summed per monomial, sorted and printed in one piece
+    flags = ["--max-q", str(window.max_q), "--max-t", str(window.max_t)]
+    flags += ["--max-mu", str(window.max_abs_x), "--min-v", str(window.min_v)]
+    for command, raw in (("disk", disk_terms), ("rhs", rhs_terms)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([command, *flags, "--format", fmt]) == 0
+        # the command line fixes the V ceiling at 1
+        assert out.getvalue() == whole_table(raw(replace(window, max_v=1)), fmt), command
 
 
 def test_disk_json_rows_are_schema_shaped(capsys):
@@ -274,6 +305,22 @@ def test_output_file_reruns_are_byte_identical(tmp_path):
     assert main(argv + [str(a)]) == 0
     assert main(argv + [str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["disk", "--max-q", "2048", "--max-t", "1", "--max-mu", "1"],  # mass budget 4097
+        ["rhs", "--min-v", "2"],  # empty V range
+        ["localize", "--degree", "4"],
+    ],
+)
+def test_refusal_writes_no_output_file(capsys, tmp_path, argv):
+    # every refusal comes before the first byte: no file is created
+    target = tmp_path / "table.txt"
+    assert main([*argv, "--output", str(target)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])

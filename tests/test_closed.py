@@ -22,12 +22,14 @@ from second_routes import (
     j_reduced_component,
     linear_terms,
     phi_k_coeff,
+    scale,
     series_exp,
     surface_term_specialized,
     surface_term_symbolic,
     z_coeff,
     z_coeff_split,
     z_slice,
+    zero_series,
 )
 
 F = Fraction
@@ -59,7 +61,7 @@ def test_bessel_symmetry_under_order_negation():
 def test_bessel_parity_in_the_argument():
     for n in range(1, 5):
         direct = bessel_first_kind(n, -2, mono(Q=1, V=-1), WJ)
-        flipped = bessel_first_kind(n, 2, mono(Q=1, V=-1), WJ).scale(F((-1) ** n))
+        flipped = scale(bessel_first_kind(n, 2, mono(Q=1, V=-1), WJ), F((-1) ** n))
         assert direct == flipped
 
 
@@ -114,7 +116,7 @@ def test_bessel_identity_for_both_components():
     # Q^mu * J~(alpha) at z = (eps/mu) v equals the Bessel closed form
     for alpha, eps in ((1, -1), (2, 1)):
         for mu in range(1, 5):
-            lhs = j_reduced_at(alpha, F(eps, mu), WJ).scale(1, mono(Q=mu))
+            lhs = scale(j_reduced_at(alpha, F(eps, mu), WJ), 1, mono(Q=mu))
             rhs = j_bessel_form(alpha, mu, WJ)
             assert lhs == rhs, (alpha, mu)
 
@@ -130,7 +132,7 @@ def test_three_evaluation_routes_agree():
     # per-degree rational products, factorial-quotient form, Bessel machinery
     for alpha, eps in ((1, -1), (2, 1)):
         for mu in range(1, 5):
-            products = j_reduced_at(alpha, F(eps, mu), WJ).scale(1, mono(Q=mu))
+            products = scale(j_reduced_at(alpha, F(eps, mu), WJ), 1, mono(Q=mu))
             quotients = j_gamma_form(alpha, mu, WJ)
             bessel = j_bessel_form(alpha, mu, WJ)
             assert products == quotients == bessel, (alpha, mu)
@@ -272,7 +274,7 @@ def test_split_presentation_boundary_and_identity():
 
 def test_large_z_direction_leading_behavior():
     # in the v/z direction the full restricted series starts 1 + t0/z + ...
-    series = FormalSeries.zero(WQ)
+    series = zero_series(WQ)
     for t in linear_terms(surface_series_terms(WQ, WQ.max_q, WQ.max_q)):
         if t.slope:
             series = series + fraction_expand_factor(t, WQ, v_over_z=True)
@@ -320,9 +322,9 @@ def test_phi_k_negative_slice_indices():
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_phi_sum_reassembles_excess2_extraction(m):
     target = z_coeff(by_slope_sign(surface_series_terms(WQ, WQ.max_q, WQ.max_q), 1), m, WQ)
-    acc = FormalSeries.zero(WQ)
+    acc = zero_series(WQ)
     for k in range(-WQ.min_v + 1):
-        acc = acc + phi_k_coeff(k, m, WQ).scale(1, mono(V=-k))
+        acc = acc + scale(phi_k_coeff(k, m, WQ), 1, mono(V=-k))
     assert acc == target
 
 

@@ -17,21 +17,23 @@ from ocmirror.correspondence import (
     correction_terms,
     disk_potential_bessel,
     disk_potential_localized,
-    disk_terms,
     rational_str,
     raw_difference,
     run_check,
 )
-from ocmirror import localization
+from ocmirror import correspondence, localization
 from ocmirror.localization import open_invariant
 from ocmirror.series import FormalSeries, TruncationWindow, mono
 
+from families import sweep_window
 from second_routes import (
     KAEHLER,
     disk_potential_by_product,
+    disk_terms,
     distinguished_pairing_prefactor,
     exceptional_correction,
     rhs_assemble,
+    rhs_terms,
     substitute,
     truncated,
     z_coeff,
@@ -189,6 +191,31 @@ def test_raw_difference_settles_unequal_terms_by_their_values():
     assert raw_difference([(t, 1, 2)], [(t, 1, 2), (t, 1, 2)]) == [(t, -1, 2)]
 
 
+def test_check_settles_each_slice_by_value(monkeypatch):
+    # slices equal as lists add nothing; any other slice is settled by the
+    # values of its terms, whatever their lengths or representations
+    q, t = mono(Q=1, V=0), mono(Q=2, V=-1)
+    left = [[], [(q, 1, 2)], [(t, 1, 2)]]
+    right = [[], [(q, 2, 4)], [(t, 1, 3)]]
+    monkeypatch.setattr(correspondence, "disk_slices", lambda window: iter(left))
+    monkeypatch.setattr(correspondence, "rhs_slices", lambda window, corrupt: iter(right))
+    report = run_check(WS)
+    assert not report.passed
+    assert list(report.diff.items()) == [(t, F(1, 6))]
+    assert dict(report.lhs.items()) == {q: F(1, 2), t: F(1, 2)}
+
+
+@given(sweep_window(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_slice_walk_diff_is_the_whole_sides_difference(window, corrupt):
+    # the check walks Q-power slices; its difference is the one of the two
+    # sides taken whole, the right side built in one extraction
+    whole = raw_difference(disk_terms(window), rhs_terms(window, corrupt))
+    report = run_check(window, corrupt)
+    assert list(report.diff.items()) == [(m, F(n, d)) for m, n, d in whole]
+    assert report.passed == (not whole)
+
+
 def test_report_json_schema_and_determinism():
     report = run_check(WS, corrupt_correction=True)
     payload = report.to_json_dict()
@@ -212,20 +239,6 @@ def test_report_json_schema_and_determinism():
 def test_rational_rendering():
     assert rational_str(F(-3, 4)) == "-3/4"
     assert rational_str(F(5)) == "5/1"
-
-
-@st.composite
-def sweep_window(draw, top_v=2):
-    """A window from the sweep ranges: max_q 0-8, max_t 0-4, max_abs_x 0-4,
-    min_v -10..1 (capped at max_v), max_v -4..top_v."""
-    max_v = draw(st.integers(-4, top_v))
-    return TruncationWindow(
-        max_q=draw(st.integers(0, 8)),
-        max_t=draw(st.integers(0, 4)),
-        max_abs_x=draw(st.integers(0, 4)),
-        min_v=draw(st.integers(-10, min(1, max_v))),
-        max_v=max_v,
-    )
 
 
 def _rhs_all_windings(window: TruncationWindow) -> FormalSeries:

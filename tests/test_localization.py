@@ -36,6 +36,7 @@ from second_routes import (
     j_reduced_component,
     phi_dual_p1,
     psi_integral_by_string,
+    scale,
     v_term,
     validate_graph,
     vertex_integral,
@@ -286,7 +287,7 @@ def _contribution_by_series(g, insertions, open_vertex=None, open_weight=None):
     total = v_term(F(1, automorphism_count(g)))
     for _, _, de in g.edges:
         h = v_term(F((-1) ** de * de ** (2 * de), factorial(de) ** 2), -2 * de)
-        total = total * h.scale(F(1, de))
+        total = total * scale(h, F(1, de))
     for v, label in enumerate(g.labels):
         sign = -1 if label == 1 else 1
         flags = [F(sign, de) for a, b, de in g.edges if v in (a, b)]
@@ -297,7 +298,7 @@ def _contribution_by_series(g, insertions, open_vertex=None, open_weight=None):
                 exps.append(a)
                 total = total * v_term(*restriction[label - 1])
         k = len(flags) - 1
-        total = total.scale(F(sign) ** k, mono(V=k))
+        total = scale(total, F(sign) ** k, mono(V=k))
         ow = open_weight if v == open_vertex else None
         total = total * vertex_integral_by_ladder(flags, exps, ow)
         if total.is_zero():

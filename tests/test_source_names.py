@@ -1,12 +1,14 @@
-"""Every top-level name of the package is used by the program itself.
+"""Every top-level name of the package, and every method of its classes,
+is used by the program itself.
 
-A function, class or constant that only the tests reach belongs with the
-tests (``second_routes``), not in ``src/``.  A name counts as used when
-something outside its own definition and outside ``__all__`` refers to it
-as code: a load, an attribute or an import, anywhere in ``src/``,
+A function, class, constant or method that only the tests reach belongs
+with the tests (``second_routes``), not in ``src/``.  A name counts as used
+when something outside its own definition and outside ``__all__`` refers to
+it as code: a load, an attribute or an import, anywhere in ``src/``,
 ``demos/`` or ``perfbench/``.  A string naming it does not count: the
 benchmark's tracer wraps functions by name, and a name it lists that
-nothing calls is still unused.
+nothing calls is still unused.  Dunder names are exempt: the language
+calls them.
 """
 
 from __future__ import annotations
@@ -60,22 +62,44 @@ def _is_all(stmt: ast.stmt) -> bool:
     )
 
 
-def unused_names() -> List[str]:
-    """``module.name`` for every top-level package name nothing else refers to."""
-    statements = [(path, stmt, _referenced(stmt)) for path, stmt in _statements()]
+def _attributes(node: ast.AST) -> Set[str]:
+    """Attribute names a piece of code reads: the only way to reach a method."""
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _unused_members(cls: ast.ClassDef, reads: List[Set[str]]) -> List[str]:
+    """The methods, properties and classmethods of ``cls`` that nothing reads
+    as an attribute, neither in ``reads`` nor in the rest of the class."""
+    body = [(s, _attributes(s)) for s in cls.body]
     unused = []
-    for path, stmt, _ in statements:
+    for member, _ in body:
+        if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) or _is_dunder(member.name):
+            continue
+        siblings = [attrs for s, attrs in body if s is not member]
+        if not any(member.name in attrs for attrs in reads + siblings):
+            unused.append(f"{cls.name}.{member.name}")
+    return unused
+
+
+def unused_names() -> List[str]:
+    """``module.name`` for every top-level package name nothing else refers to,
+    and ``module.Class.name`` for every such method of a package class."""
+    statements = [(path, stmt, _referenced(stmt), _attributes(stmt)) for path, stmt in _statements()]
+    unused = []
+    for path, stmt, _, _ in statements:
         if path.parent != PACKAGE:
             continue
+        others = [(refs, attrs) for _, o, refs, attrs in statements if o is not stmt and not _is_all(o)]
         for name in _defined(stmt):
-            if name.startswith("__") and name.endswith("__"):
-                continue
-            if not any(
-                name in refs
-                for _, other, refs in statements
-                if other is not stmt and not _is_all(other)
-            ):
+            if not _is_dunder(name) and not any(name in refs for refs, _ in others):
                 unused.append(f"{path.stem}.{name}")
+        if isinstance(stmt, ast.ClassDef):
+            reads = [attrs for _, attrs in others]
+            unused += [f"{path.stem}.{name}" for name in _unused_members(stmt, reads)]
     return unused
 
 
