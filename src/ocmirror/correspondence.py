@@ -105,6 +105,14 @@ def _disk_slice(e: int, window: TruncationWindow, facts: List[int]) -> List[RawT
     return out
 
 
+def _refuse_over_budget(window: TruncationWindow) -> None:
+    """Refuse a window with windings beyond the mass budget, as every expansion does."""
+    if window.max_abs_x and window.mass_budget > MAX_MASS_BUDGET:
+        raise ValueError(
+            f"window too large: 2*max_q + max_t = {window.mass_budget} exceeds {MAX_MASS_BUDGET}"
+        )
+
+
 def disk_slices(window: TruncationWindow) -> Iterator[List[RawTerm]]:
     """The disk potential's raw terms in closed Bessel form inside ``window``, by Q-power.
 
@@ -112,12 +120,12 @@ def disk_slices(window: TruncationWindow) -> Iterator[List[RawTerm]]:
     budget 2*max_q + max_t beyond ``MAX_MASS_BUDGET`` is refused before any
     slice is built, as every expansion refuses it.
     """
-    if window.max_abs_x and window.mass_budget > MAX_MASS_BUDGET:
-        raise ValueError(
-            f"window too large: 2*max_q + max_t = {window.mass_budget} exceeds {MAX_MASS_BUDGET}"
-        )
+    _refuse_over_budget(window)
     degrees = _degrees(window)
-    facts = _factorials(max(len(degrees) - 1, min(window.max_t, -window.min_v)))  # l <= -min_v
+    # a slice with a winding has e >= 1, so l <= min(max_t, -min_v); with
+    # none, no term reads a factorial
+    winding = window.max_abs_x and len(degrees) > 1
+    facts = _factorials(max(degrees[-1], min(window.max_t, -window.min_v))) if winding else []
     return (_disk_slice(e, window, facts) for e in degrees)
 
 
@@ -200,16 +208,21 @@ def rhs_slices(
     correction joins are put in lowest terms, which merges the monomials
     it repeats at Q^0 and Q^2.  The zeroth flat coordinate is carried by
     the same T variable on both sides, so the log-area identification is
-    the identity map here.
+    the identity map here.  The window is refused as :func:`disk_slices`
+    refuses it, and the classes are built, before any slice is.
     """
+    _refuse_over_budget(window)
     classes: Dict[int, List[FactorTerm]] = {}
     for t in surface_series_terms(window, window.max_abs_x, 1 - window.min_v):
         classes.setdefault(-t.monomial.Z, []).append(_paired_in_winding_variables(t))
     correction = correction_terms(window, corrupt_correction)
-    for e in _degrees(window):
+
+    def slice_at(e: int) -> List[RawTerm]:
         terms = z_coeff_terms(classes.get(e, []), 2, window)
         extra = [c for c in correction if c[0].Q == e]
-        yield lowest_terms(terms + extra) if extra else terms
+        return lowest_terms(terms + extra) if extra else terms
+
+    return map(slice_at, _degrees(window))
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,15 @@ an implementation shortcut.  The tests hold
 two more routes against these sums: the string recursion for the psi
 integrals, and the reduced curve series J~ of the projective line, which the
 one-point descendant sums rebuild degree by degree.
+
+The graph classes are decorations of bare 2-coloured tree shapes, which
+depend on the vertex count V alone: each V's shapes are found by one walk
+over Pruefer trees, once per process, and every enumeration reads them.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -278,6 +283,16 @@ def _shape_blocks(V: int) -> Iterator[Tuple[List[Tuple[int, int]], tuple, list, 
                 return
 
 
+@functools.cache  # the shapes depend on V alone; the walk runs once per V
+def _shape_catalogue(V: int) -> Tuple[Tuple[tuple, tuple, tuple, tuple], ...]:
+    """The blocks :func:`_shape_blocks` yields for V, as tuples all through,
+    so every caller shares one copy that none can change."""
+    return tuple(
+        (tuple(tree), labels, tuple(order), shape)
+        for tree, labels, order, shape in _shape_blocks(V)
+    )
+
+
 def enumerate_graph_classes(n: int, d: int) -> List[DecoratedGraph]:
     """Isomorphism classes of decorated trees: n markings, total degree d >= 1.
 
@@ -289,7 +304,9 @@ def enumerate_graph_classes(n: int, d: int) -> List[DecoratedGraph]:
     class: the isomorphism carries each of its decorations onto one of the
     earlier block.  So each V's walk stops once the shapes found account for
     all 2*V^(V-2) blocks by orbit-stabiliser, and the classes, their order
-    and their representatives are those of the full walk.  A decoration's
+    and their representatives are those of the full walk.  The shapes depend
+    on V alone, so each V is walked once per process and later calls read
+    its blocks from :func:`_shape_catalogue`.  A decoration's
     key is read off its block's rooted tree, and each kept representative
     carries its key.  Every graph is a valid decorated tree by construction
     (a Pruefer tree, a bipartition labeling, positive degrees); the tests
@@ -299,7 +316,7 @@ def enumerate_graph_classes(n: int, d: int) -> List[DecoratedGraph]:
         raise ValueError("graph sums need positive total degree")
     found: Dict[tuple, DecoratedGraph] = {}
     for V in range(2, d + 2):
-        for tree, labels, order, _ in _shape_blocks(V):
+        for tree, labels, order, _ in _shape_catalogue(V):
             for degs in _compositions(d, V - 1):
                 for marks in itertools.product(range(V), repeat=n):
                     key = _rooted_key(labels, order, degs, _markings_by_vertex(V, marks))

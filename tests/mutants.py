@@ -34,6 +34,7 @@ SERIES = "ocmirror/series.py"
 TL = "tests/test_localization.py"
 TC = "tests/test_closed.py"
 TCO = "tests/test_correspondence.py"
+TCL = "tests/test_cli.py"
 TS = "tests/test_series.py"
 
 
@@ -257,6 +258,20 @@ MUTANTS = (
         "acc = dict(a)",
         "left operand of a sum not rescaled to the common denominator",
         (f"{TS}::test_equal_values_reached_through_different_denominators",),
+    ),
+    Mutant(
+        CORR,
+        "    _refuse_over_budget(window)\n    classes:",
+        "    classes:",
+        "right-side table answers a window beyond the mass budget",
+        (f"{TCL}::test_window_beyond_the_mass_budget_exits_2",),
+    ),
+    Mutant(
+        LOC,
+        "for tree, labels, order, shape in _shape_blocks(V)\n    )",
+        "for tree, labels, order, shape in _shape_blocks(V)\n    )[::-1]",
+        "shape catalogue in reverse walk order",
+        (f"{TL}::test_enumeration_matches_dedupe_oracle[0-3]",),
     ),
 )
 

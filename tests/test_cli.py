@@ -129,14 +129,17 @@ def test_invalid_numeric_params_exit_2(capsys):
 
 
 def test_window_beyond_the_mass_budget_exits_2(capsys):
-    # 2*max_q + max_t = 4097 is refused before anything is built; 4096 runs
+    # 2*max_q + max_t = 4097 is refused before anything is built, by all
+    # three commands alike; 4096 runs, and the two sides' tables agree
     window = ["--max-q", "2048", "--max-mu", "1", "--min-v", "-8"]
-    for command in ("check", "disk"):
+    refusal = "error: window too large: 2*max_q + max_t = 4097 exceeds 4096\n"
+    tables = {}
+    for command in ("check", "disk", "rhs"):
         assert main([command, *window, "--max-t", "1"]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and "window too large" in err
+        assert capsys.readouterr() == ("", refusal)
         assert main([command, *window, "--max-t", "0"]) == 0
-        capsys.readouterr()
+        tables[command] = capsys.readouterr().out
+    assert tables["rhs"] == tables["disk"]
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +316,7 @@ def test_output_file_reruns_are_byte_identical(tmp_path):
         ["disk", "--max-q", "2048", "--max-t", "1", "--max-mu", "1"],  # mass budget 4097
         ["rhs", "--min-v", "2"],  # empty V range
         ["localize", "--degree", "4"],
+        ["rhs", "--max-q", "2048", "--max-t", "1", "--max-mu", "1"],  # mass budget 4097
     ],
 )
 def test_refusal_writes_no_output_file(capsys, tmp_path, argv):

@@ -16,6 +16,7 @@ from ocmirror.correspondence import (
     _paired_in_winding_variables,
     correction_terms,
     disk_potential_bessel,
+    disk_slices,
     disk_potential_localized,
     rational_str,
     raw_difference,
@@ -92,6 +93,34 @@ def test_disk_antisymmetry_under_winding_and_weight_flip():
         mirrored = mono(Q=m.Q, T=m.T, X=-m.X, V=m.V)
         # F(-1)**V stays exact for negative V (int**negative would go float)
         assert c == -f.coeff(mirrored) * F(-1) ** m.V, m
+
+
+def test_disk_slices_build_only_the_factorials_a_term_reads(monkeypatch):
+    sizes = []
+    factorials = correspondence._factorials
+
+    def recorded(n):
+        sizes.append(n)
+        return factorials(n)
+
+    monkeypatch.setattr(correspondence, "_factorials", recorded)
+    # no slice holds a winding: no factorial, however far max_t and min_v reach
+    far = TruncationWindow(max_q=0, max_t=8000, max_abs_x=0, min_v=-8000, max_v=1)
+    for window in (
+        far,
+        replace(far, max_abs_x=3, max_t=4096),  # at the mass budget
+        replace(far, max_q=5),
+        replace(far, max_q=5, max_abs_x=3, max_t=4, min_z=1, max_z=2),
+    ):
+        assert not any(disk_slices(window))
+    assert sizes == []
+    # Q^1 reaches l = min(max_t, -min_v); the slices reach e = max_q
+    for window, top in [
+        (TruncationWindow(max_q=3, max_t=9, max_abs_x=2, min_v=-5, max_v=1), 5),
+        (TruncationWindow(max_q=7, max_t=2, max_abs_x=1, min_v=-9, max_v=1), 7),
+    ]:
+        assert any(disk_slices(window))
+        assert sizes.pop() == top
 
 
 def test_localized_route_matches_bessel_route():

@@ -19,6 +19,7 @@ from ocmirror.localization import (
     _graph_contribution,
     _labeled_trees,
     _shape_blocks,
+    _shape_catalogue,
     _vertex_scalar,
     automorphism_count,
     count_labeled_graphs,
@@ -208,6 +209,42 @@ def test_shape_walk_stops_with_every_shape_found(V, count, monkeypatch):
         shape = DecoratedGraph(labels, tuple((u, v, 1) for u, v in tree))
         orbits += F(factorial(V), _aut_brute(shape))
     assert orbits == 2 * V ** (V - 2)
+
+
+def test_shape_catalogue_walks_each_vertex_count_once(monkeypatch):
+    walks, trees = [], []
+
+    def counted_trees(V):
+        walks.append(V)
+        for tree in _labeled_trees(V):
+            trees.append(tree)
+            yield tree
+
+    monkeypatch.setattr(localization, "_labeled_trees", counted_trees)
+    _shape_catalogue.cache_clear()  # earlier tests filled it
+    enumerate_graph_classes(1, 4)
+    assert walks == [2, 3, 4, 5]
+    walked = len(trees)
+    # other markings, the same vertex counts: no tree is walked again
+    enumerate_graph_classes(2, 4)
+    enumerate_graph_classes(0, 4)
+    assert walks == [2, 3, 4, 5]
+    assert len(trees) == walked
+
+
+def _made_of_tuples(x) -> bool:
+    return not isinstance(x, list) and (not isinstance(x, tuple) or all(map(_made_of_tuples, x)))
+
+
+@pytest.mark.parametrize("V", range(2, 8))
+def test_shape_catalogue_is_the_walk_as_tuples(V):
+    catalogue = _shape_catalogue(V)
+    walk = [
+        (tuple(tree), labels, tuple(order), shape)
+        for tree, labels, order, shape in _shape_blocks(V)
+    ]
+    assert list(catalogue) == walk
+    assert isinstance(catalogue, tuple) and _made_of_tuples(catalogue)
 
 
 @pytest.mark.parametrize("n,d", ORACLE_GRID)
