@@ -81,10 +81,11 @@ def _table(columns: Sequence[str], chunks: Iterable[Iterable[tuple]], fmt: str) 
     """A table's text: its header, then one string per chunk of rows.
 
     CSV fields are written as they are: no field of any table holds a comma,
-    a quote or a line break.  JSON, for series tables (four ints and a
-    num/den value), is ``_json_text`` of the rows as dicts byte for byte,
-    from a row template with the keys sorted: with an indent, ``json``
-    encodes in pure Python, several times slower.
+    a quote or a line break.  JSON is ``_json_text`` of the rows as dicts
+    byte for byte, from a row template with the keys sorted: with an indent,
+    ``json`` encodes in pure Python, several times slower.  A ``value`` is
+    quoted; every other field must already be JSON text laid out at a row
+    field's depth (see :func:`_json_array`).
     """
     if fmt == "csv":
         line = ",".join(["%s"] * len(columns)) + "\n"
@@ -101,6 +102,13 @@ def _table(columns: Sequence[str], chunks: Iterable[Iterable[tuple]], fmt: str) 
         yield sep + text
         sep = ",\n"
     yield "[]\n" if sep == "[\n" else "\n]\n"
+
+
+def _json_array(items: Iterable[str], depth: int = 2) -> str:
+    """Nonempty JSON texts as one array laid out by ``_json_text`` at ``depth``."""
+    pad = "\n" + "  " * (depth + 1)
+    body = ("," + pad).join(items)
+    return "[" + pad + body + "\n" + "  " * depth + "]" if body else "[]"
 
 
 def _f_rows(terms: Iterable[RawTerm]) -> List[tuple]:
@@ -142,27 +150,27 @@ def cmd_localize(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
     table = graph_class_rows(args.markings, args.degree)
     if args.format == "json":
         rows = [
-            {
-                "labels": list(g.labels),
-                "edges": [[u, v, de] for u, v, de in g.edges],
-                "markings": list(g.markings),
-                "aut": aut,
-                "contribution": _laurent_str(contribution),
-            }
+            (
+                _json_array(map(str, g.labels)),
+                _json_array(_json_array(map(str, edge), 3) for edge in g.edges),
+                _json_array(map(str, g.markings)),
+                aut,
+                f'"{_laurent_str(contribution)}"',
+            )
             for g, aut, contribution in table
         ]
-        return 0, [_json_text(rows)]
-    rows = [
-        (
-            "|".join(str(l) for l in g.labels),
-            "|".join(f"{u}-{v}:{de}" for u, v, de in g.edges),
-            "|".join(str(m) for m in g.markings),
-            aut,
-            _laurent_str(contribution),
-        )
-        for g, aut, contribution in table
-    ]
-    return 0, _table(GRAPH_COLUMNS, [rows], "csv")
+    else:
+        rows = [
+            (
+                "|".join(str(l) for l in g.labels),
+                "|".join(f"{u}-{v}:{de}" for u, v, de in g.edges),
+                "|".join(str(m) for m in g.markings),
+                aut,
+                _laurent_str(contribution),
+            )
+            for g, aut, contribution in table
+        ]
+    return 0, _table(GRAPH_COLUMNS, [rows], args.format)
 
 
 def cmd_ifunction(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:

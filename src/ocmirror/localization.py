@@ -66,7 +66,8 @@ one-point descendant sums rebuild degree by degree.
 
 The graph classes are decorations of bare 2-coloured tree shapes, which
 depend on the vertex count V alone: each V's shapes are found by one walk
-over Pruefer trees, once per process, and every enumeration reads them.
+over Pruefer trees, once per process, and every enumeration decorates each
+shape once, up to its automorphisms.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 from numbers import Rational
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .geometry import P1_POINTS, P1Class, phi_p1, unit_p1
 from .series import FormalSeries, Monomial, TruncationWindow
@@ -128,14 +129,15 @@ class DecoratedGraph:
         underlying tree.  Of two centers, the root is the one at fixed point
         1: two centers are adjacent, so their labels differ, and every
         isomorphism carries this root to the other tree's root.  Kept on the
-        instance once computed: the fields are immutable tuples.
+        instance with its automorphism order: the fields are immutable tuples.
         """
         if "_key" not in self.__dict__:
             V = len(self.labels)
             order = _rooted_order(self.labels, _edge_adjacency(V, self.edges))
             degrees = [de for _, _, de in self.edges]
-            key = _rooted_key(self.labels, order, degrees, _markings_by_vertex(V, self.markings))
-            object.__setattr__(self, "_key", key)
+            marks = _markings_by_vertex(V, self.markings)
+            key, aut, _ = _rooted_key(self.labels, order, degrees, marks)
+            self.__dict__.update(_key=key, _aut=aut)
         return self.__dict__["_key"]
 
 
@@ -166,17 +168,60 @@ def _rooted_order(labels: Sequence[int], adj) -> List[Tuple[int, tuple]]:
     return order
 
 
-def _rooted_key(labels, order, degrees, markings_by_vertex) -> tuple:
-    """The rooted encoding of :meth:`DecoratedGraph.canonical_key`.
+def _rooted_key(labels, order, degrees, markings_by_vertex) -> Tuple[tuple, int, List[tuple]]:
+    """The rooted encoding of :meth:`DecoratedGraph.canonical_key`, the
+    automorphism order, and the encoding of the subtree below each vertex.
 
     ``order`` comes from :func:`_rooted_order`, ``degrees[e]`` is the degree
-    of edge e, and ``markings_by_vertex[v]`` the markings on vertex v.
+    of edge e, and ``markings_by_vertex[v]`` the markings on vertex v.  Every
+    isomorphism fixes the root, so a run of k equal (edge degree, child)
+    branches contributes k! * aut(child)^k: the product of k! over all runs.
     """
     key: List[tuple] = [()] * len(labels)
+    aut = 1
     for v, branches in order:
-        children = tuple(sorted((degrees[e], key[u]) for u, e in branches))
+        children = tuple(sorted([(degrees[e], key[u]) for u, e in branches])) if branches else ()
         key[v] = (labels[v], markings_by_vertex[v], children)
-    return key[order[-1][0]]
+        for _, run in itertools.groupby(children):
+            aut *= factorial(len(list(run)))
+    return key[order[-1][0]], aut, key
+
+
+def _sibling_swaps(order, degrees, below) -> List[List[int]]:
+    """Generators of the automorphism group of the tree :func:`_rooted_key`
+    gave ``below``: for neighbours in each run of equal sibling branches, the
+    vertex permutation swapping their subtrees in canonical child order."""
+    ranked: List[list] = [[] for _ in below]  # children in canonical order
+    swaps = []
+    for v, branches in order:
+        ranked[v] = sorted(((degrees[e], below[u]), u) for u, e in branches)
+        for (a, x), (b, y) in zip(ranked[v], ranked[v][1:]):
+            if a == b:
+                perm = list(range(len(below)))
+                pairs = [(x, y)]  # grows as the walk descends both subtrees
+                for p, q in pairs:
+                    perm[p], perm[q] = q, p
+                    pairs.extend((s, t) for (_, s), (_, t) in zip(ranked[p], ranked[q]))
+                swaps.append(perm)
+    return swaps
+
+
+def _placement_representatives(V: int, n: int, swaps) -> Iterator[Tuple[int, ...]]:
+    """The first placement of n markings on V vertices, in product order, of
+    each orbit under the ``swaps``, whose orbit is closed as it is yielded."""
+    seen = set()
+    for marks in itertools.product(range(V), repeat=n):
+        if marks in seen:
+            continue
+        yield marks
+        stack = [marks]
+        while stack:
+            m = stack.pop()
+            for perm in swaps:
+                image = tuple([perm[v] for v in m])
+                if image not in seen:
+                    seen.add(image)
+                    stack.append(image)
 
 
 def _markings_by_vertex(V: int, markings: Sequence[int]) -> List[Tuple[int, ...]]:
@@ -273,12 +318,12 @@ def _shape_blocks(V: int) -> Iterator[Tuple[List[Tuple[int, int]], tuple, list, 
         for root_label in (1, 2):
             labels = _bipartition_labels(V, tree, root_label)
             order = _rooted_order(labels, adj)
-            shape = _rooted_key(labels, order, unit, unmarked)
+            shape, aut, _ = _rooted_key(labels, order, unit, unmarked)
             if shape in shapes:
                 continue
             shapes.add(shape)
             yield tree, labels, order, shape
-            unaccounted -= factorial(V) // _rooted_aut(shape)
+            unaccounted -= factorial(V) // aut
             if not unaccounted:
                 return
 
@@ -296,36 +341,36 @@ def _shape_catalogue(V: int) -> Tuple[Tuple[tuple, tuple, tuple, tuple], ...]:
 def enumerate_graph_classes(n: int, d: int) -> List[DecoratedGraph]:
     """Isomorphism classes of decorated trees: n markings, total degree d >= 1.
 
-    Walks labeled blocks — one Pruefer tree with one bipartition labeling —
-    and decorates the first block of each bare shape (see
-    :func:`_shape_blocks`) with every degree composition and marking
-    placement, keeping the first graph of each canonical key; the output
-    order is this discovery order.  A later block of a known shape adds no
-    class: the isomorphism carries each of its decorations onto one of the
-    earlier block.  So each V's walk stops once the shapes found account for
-    all 2*V^(V-2) blocks by orbit-stabiliser, and the classes, their order
-    and their representatives are those of the full walk.  The shapes depend
-    on V alone, so each V is walked once per process and later calls read
-    its blocks from :func:`_shape_catalogue`.  A decoration's
-    key is read off its block's rooted tree, and each kept representative
-    carries its key.  Every graph is a valid decorated tree by construction
-    (a Pruefer tree, a bipartition labeling, positive degrees); the tests
-    validate each class.
+    Returns the first decoration of each class in (block, degree
+    composition, marking placement) order, as deduplicating every labeled
+    decoration by canonical key would.  Only the first block (one Pruefer
+    tree with one bipartition labeling) of each shape in
+    :func:`_shape_catalogue` is decorated: two of its decorations are
+    isomorphic exactly when an automorphism of the block carries one onto
+    the other.  So a composition whose unmarked key an earlier one had is
+    skipped, and placements are walked up to the :func:`_sibling_swaps` of
+    the degree-decorated block.  Only representatives are keyed, each kept
+    with its automorphism order.  The tests validate every class.
     """
     if d < 1:
         raise ValueError("graph sums need positive total degree")
-    found: Dict[tuple, DecoratedGraph] = {}
+    classes: List[DecoratedGraph] = []
     for V in range(2, d + 2):
         for tree, labels, order, _ in _shape_catalogue(V):
+            seen = set()
             for degs in _compositions(d, V - 1):
-                for marks in itertools.product(range(V), repeat=n):
-                    key = _rooted_key(labels, order, degs, _markings_by_vertex(V, marks))
-                    if key not in found:
-                        edges = tuple((u, v, de) for (u, v), de in zip(tree, degs))
-                        g = DecoratedGraph(labels, edges, marks)
-                        object.__setattr__(g, "_key", key)
-                        found[key] = g
-    return list(found.values())
+                key, aut, below = _rooted_key(labels, order, degs, [()] * V)
+                if key in seen:
+                    continue
+                seen.add(key)
+                swaps = _sibling_swaps(order, degs, below) if n and aut > 1 else ()
+                edges = tuple((u, v, de) for (u, v), de in zip(tree, degs))
+                for marks in _placement_representatives(V, n, swaps):
+                    g = DecoratedGraph(labels, edges, marks)
+                    key, aut, _ = _rooted_key(labels, order, degs, _markings_by_vertex(V, marks))
+                    g.__dict__.update(_key=key, _aut=aut)
+                    classes.append(g)
+    return classes
 
 
 def count_labeled_graphs(n: int, d: int, V: int) -> int:
@@ -358,24 +403,11 @@ def _n_compositions(total: int, parts: int) -> int:
 
 
 def automorphism_count(g: DecoratedGraph) -> int:
-    """Order of the decoration-preserving automorphism group.
-
-    Read off :meth:`DecoratedGraph.canonical_key`: every isomorphism fixes its
-    root, so the group acts on rooted branches, and each run of k equal
-    (edge degree, child subtree) branches below a vertex contributes
-    k! * aut(child)^k.  The tests check the count against a brute-force
-    permutation search.
-    """
-    return _rooted_aut(g.canonical_key())
-
-
-def _rooted_aut(key: tuple) -> int:
-    """Automorphism order of the rooted tree a canonical key encodes."""
-    aut = 1
-    for (_, child), run in itertools.groupby(key[2]):
-        k = len(list(run))
-        aut *= factorial(k) * _rooted_aut(child) ** k
-    return aut
+    """Order of the decoration-preserving automorphism group, counted and
+    kept with :meth:`DecoratedGraph.canonical_key` (see :func:`_rooted_key`);
+    the tests check it against a brute-force permutation search."""
+    g.canonical_key()
+    return g.__dict__["_aut"]
 
 
 # ===========================================================================

@@ -77,10 +77,24 @@ MUTANTS = (
     ),
     Mutant(
         LOC,
-        "aut *= factorial(k) * _rooted_aut(child) ** k",
-        "aut *= k * _rooted_aut(child) ** k",
+        "aut *= factorial(len(list(run)))",
+        "aut *= len(list(run))",
         "k equal branches permuted in k ways instead of k!",
         (f"{TL}::test_star_automorphisms",),
+    ),
+    Mutant(
+        LOC,
+        "for perm in swaps:",
+        "for perm in swaps[:1]:",
+        "placement orbits closed under the first sibling swap only",
+        (f"{TL}::test_enumeration_matches_dedupe_oracle[1-3]",),
+    ),
+    Mutant(
+        LOC,
+        "                if key in seen:\n                    continue\n",
+        "",
+        "a composition isomorphic to an earlier one of its block decorated again",
+        (f"{TL}::test_enumeration_matches_dedupe_oracle[0-3]",),
     ),
     Mutant(
         LOC,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -18,8 +18,10 @@ from ocmirror.localization import (
     _edge_coefficient,
     _graph_contribution,
     _labeled_trees,
+    _rooted_key,
     _shape_blocks,
     _shape_catalogue,
+    _sibling_swaps,
     _vertex_scalar,
     automorphism_count,
     count_labeled_graphs,
@@ -159,7 +161,7 @@ def _aut_brute(g):
 
 ORACLE_GRID = [(n, d) for n in range(3) for d in range(1, 5)] + [(0, 5), (3, 3), (4, 3)]
 # the first points where the stopped walk leaves over 90% of the blocks unvisited
-BEYOND_ORACLE_GRID = [(1, 5), (0, 6)]
+BEYOND_ORACLE_GRID = [(1, 5), (0, 6), (5, 3)]
 
 
 @pytest.mark.parametrize("n,d", ORACLE_GRID + BEYOND_ORACLE_GRID)
@@ -230,6 +232,57 @@ def test_shape_catalogue_walks_each_vertex_count_once(monkeypatch):
     enumerate_graph_classes(0, 4)
     assert walks == [2, 3, 4, 5]
     assert len(trees) == walked
+
+
+def _closure(V, swaps):
+    """Every vertex permutation the swaps generate, the identity included."""
+    group = {tuple(range(V))}
+    stack = list(group)
+    while stack:
+        perm = stack.pop()
+        for swap in swaps:
+            composed = tuple(swap[v] for v in perm)
+            if composed not in group:
+                group.add(composed)
+                stack.append(composed)
+    return group
+
+
+@pytest.mark.parametrize("V", range(2, 7))
+def test_sibling_swaps_generate_the_automorphism_group(V):
+    # every block of every shape, degree-decorated with each composition of
+    # V-1 to V+1 into V-1 parts, and no markings
+    unmarked = [()] * V
+    for tree, labels, order, _ in _shape_catalogue(V):
+        for d in range(V - 1, V + 2):
+            for degs in _compositions(d, V - 1):
+                _, aut, below = _rooted_key(labels, order, degs, unmarked)
+                swaps = _sibling_swaps(order, degs, below)
+                edges = {frozenset((u, v)): de for (u, v), de in zip(tree, degs)}
+                for swap in swaps:
+                    assert sorted(swap) == list(range(V))
+                    assert [labels[u] for u in swap] == list(labels)
+                    moved = {frozenset((swap[u], swap[v])): de for (u, v), de in zip(tree, degs)}
+                    assert moved == edges
+                g = DecoratedGraph(labels, tuple((u, v, de) for (u, v), de in zip(tree, degs)))
+                assert len(_closure(V, swaps)) == _aut_brute(g) == aut, g
+
+
+def test_enumeration_keys_each_composition_and_class_once(monkeypatch):
+    for V in range(2, 5):
+        _shape_catalogue(V)  # the shape walk's own keys are not counted
+    calls = []
+
+    def counted_key(*args):
+        calls.append(args)
+        return _rooted_key(*args)
+
+    monkeypatch.setattr(localization, "_rooted_key", counted_key)
+    classes = enumerate_graph_classes(4, 3)
+    # one unmarked key per (block, composition), one marked key per class
+    pairs = sum(len(_shape_catalogue(V)) * comb(2, V - 2) for V in range(2, 5))
+    assert (pairs, len(classes)) == (8, 536)
+    assert len(calls) == pairs + len(classes)
 
 
 def _made_of_tuples(x) -> bool:
