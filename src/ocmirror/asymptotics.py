@@ -24,15 +24,18 @@ and the headline ratio
 
 tends to 1 along the sequence, with |ratio - 1| = O(1/v_l).  Everything here
 is double precision; the exact modules cross-check the small-parameter
-regime to 1e-10 in the tests.  The first-excess component is the mirror
-story under q1 <-> q2 and v/(v + mu z); it is exposed through the
-``component`` flag and validated by the same ratio property.
+regime to 1e-10 in the tests.  The first-excess component is the same sum
+under q1 <-> q2, with pole factor v/(v + mu z) and scale weight (-mu z)^k.
+As v/(v + mu z) = (-v)/((-v) - mu z) and rounding commutes with negation,
+it is the second component of the swapped parameters at weight -v, exactly
+in floating point; the evaluators compute it that way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+import math
+from dataclasses import dataclass, replace
+from typing import Iterator, List, Sequence, Tuple
 
 # tail controls of every double sum: the envelope a sum stops below, and the
 # most terms it may take before it is declared divergent
@@ -50,6 +53,8 @@ class NumericParams:
     z: float = 1.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.q0, self.q1, self.q2, self.z))):
+            raise ValueError("q0, q1, q2 and z must be finite")
         if self.q0 <= 0:
             raise ValueError("q0 must be positive (its logarithm is a coordinate)")
         if self.q1 < 0 or self.q2 < 0:
@@ -58,47 +63,37 @@ class NumericParams:
             raise ValueError("z must be positive")
 
 
-def _check_component(component: int) -> None:
-    if component not in (1, 2):
-        raise ValueError("component must be 1 or 2")
+def _mirror(params: NumericParams, component: int) -> Tuple[NumericParams, int]:
+    """(p, sign): the component at weight v is p's second at sign * v."""
+    if component == 2:
+        return params, 1
+    if component == 1:
+        return replace(params, q1=params.q2, q2=params.q1), -1
+    raise ValueError("component must be 1 or 2")
 
 
-def _sides(params: NumericParams, component: int) -> Tuple[float, float]:
-    """(heavy, light) area parameters: heavy carries the excess exponent."""
-    return (params.q2, params.q1) if component == 2 else (params.q1, params.q2)
-
-
-def _inner_sum_from(lead: float, params: NumericParams, mu: int, component: int) -> float:
-    """sum_d light^d heavy^(d+mu) / (d! (d+mu)! z^(2d+mu)) given the d=0 term.
+def _mu_walk(params: NumericParams) -> Iterator[Tuple[int, float]]:
+    """(mu, inner_mu) for mu = 1, 2, ... of the second component, where
+    inner_mu = sum_d q1^d q2^(d+mu) / (d! (d+mu)! z^(2d+mu)).
 
     Terms are nonnegative and updated by running ratios, so nothing large is
     ever materialized; past the break point consecutive terms shrink by much
     better than a factor of two at any admissible parameters.
     """
-    heavy, light = _sides(params, component)
-    total = 0.0
-    term = lead
-    d = 0
-    while d <= _MAX_TERMS:
-        total += term
-        if d >= 1 and term < _TAIL_TOLERANCE * 1e-3:
-            return total
-        term *= light * heavy / ((d + 1) * (d + mu + 1) * params.z**2)
-        d += 1
-    raise ArithmeticError("inner degree sum did not converge within max_terms")
-
-
-def _pole_gap(params: NumericParams, v: float, component: int) -> float:
-    """Distance from ``v`` to the excluded weight set of the component."""
-    target = v / params.z if component == 2 else -v / params.z
-    candidates = {1, max(1, int(target)), max(1, int(target) + 1)}
-    if component == 2:
-        return min(abs(v - mu * params.z) for mu in candidates)
-    return min(abs(v + mu * params.z) for mu in candidates)
-
-
-def _prefactor(params: NumericParams) -> float:
-    return params.q0 ** (1.0 / params.z)
+    q1, q2, z = params.q1, params.q2, params.z
+    lead = 1.0
+    for mu in range(1, _MAX_TERMS + 1):
+        lead *= q2 / (mu * z)
+        inner = 0.0
+        term = lead
+        for d in range(_MAX_TERMS + 1):
+            inner += term
+            if d >= 1 and term < _TAIL_TOLERANCE * 1e-3:
+                break
+            term *= q1 * q2 / ((d + 1) * (d + mu + 1) * z**2)
+        else:
+            raise ArithmeticError("inner degree sum did not converge within max_terms")
+        yield mu, inner
 
 
 def eval_I2(params: NumericParams, v: float, component: int = 2) -> float:
@@ -110,71 +105,43 @@ def eval_I2(params: NumericParams, v: float, component: int = 2) -> float:
     gap the distance to the whole excluded set, so the stopping rule needs
     only the factorial envelope.
     """
-    _check_component(component)
-    gap = _pole_gap(params, v, component)
-    if gap < 1e-9 * max(abs(v), params.z):
+    p, sign = _mirror(params, component)
+    w = sign * v
+    # the excluded weight nearest to w is mu z at an integer mu next to w / z
+    near = int(w / p.z)
+    gap = min(abs(w - mu * p.z) for mu in {1, max(1, near), max(1, near + 1)})
+    if gap < 1e-9 * max(abs(w), p.z):
         raise ValueError(
             f"weight {v} lies within the machine guard of the excluded pole set"
         )
-    pole_bound = abs(v) / gap
-    heavy, _ = _sides(params, component)
+    pole_bound = abs(w) / gap
     total = 0.0
-    lead = 1.0
-    mu = 1
-    while mu <= _MAX_TERMS:
-        lead *= heavy / (mu * params.z)
-        denom = v - mu * params.z if component == 2 else v + mu * params.z
-        pole = v / denom
-        inner = _inner_sum_from(lead, params, mu, component)
+    for mu, inner in _mu_walk(p):
+        pole = w / (w - mu * p.z)
         total += (-1) ** mu * pole * inner
-        if inner * pole_bound < _TAIL_TOLERANCE and (mu + 1) * params.z > 2 * heavy:
-            return _prefactor(params) * total
-        mu += 1
+        if inner * pole_bound < _TAIL_TOLERANCE and (mu + 1) * p.z > 2 * p.q2:
+            return p.q0 ** (1.0 / p.z) * total
     raise ArithmeticError("excess sum did not meet the tail tolerance within max_terms")
 
 
 def eval_phi_k(params: NumericParams, k: int, component: int = 2) -> float:
     """Float value of the k-th asymptotic scale coefficient."""
-    _check_component(component)
+    p, sign = _mirror(params, component)
     if k < 0:
         raise ValueError("scale index must be nonnegative")
-    eps = 1 if component == 2 else -1
-    heavy, _ = _sides(params, component)
     total = 0.0
-    lead = 1.0
-    mu = 1
-    while mu <= _MAX_TERMS:
-        lead *= heavy / (mu * params.z)
-        weight = float(eps * mu * params.z) ** k
-        inner = _inner_sum_from(lead, params, mu, component)
+    for mu, inner in _mu_walk(p):
+        weight = float(sign * mu * p.z) ** k
         total += (-1) ** mu * weight * inner
         # beyond mu >= k the polynomial growth of the weight is dominated;
         # require the envelope small and the factorial ratio safely below 1
         if (
             abs(weight) * inner < _TAIL_TOLERANCE
             and mu >= k + 2
-            and (mu + 1) * params.z > 6 * heavy
+            and (mu + 1) * p.z > 6 * p.q2
         ):
-            return _prefactor(params) * total
-        mu += 1
+            return p.q0 ** (1.0 / p.z) * total
     raise ArithmeticError("scale sum did not meet the tail tolerance within max_terms")
-
-
-def asym_ratio(params: NumericParams, N: int, l: int, component: int = 2) -> float:
-    """(I2(v_l) - sum_{k<N} phi_k v_l^-k) / (phi_N v_l^-N) at v_l = (l+1/2) z."""
-    if N < 0 or l < 0:
-        raise ValueError("N and l must be nonnegative")
-    v_l = (l + 0.5) * params.z
-    value = eval_I2(params, v_l, component)
-    for k in range(N):
-        value -= eval_phi_k(params, k, component) * v_l**-k
-    scale = eval_phi_k(params, N, component) * v_l**-N
-    if scale == 0.0:
-        raise ZeroDivisionError(
-            "the order-N scale coefficient vanishes at these parameters; "
-            "choose a different N or nonzero q1, q2"
-        )
-    return value / scale
 
 
 RatioRow = Tuple[int, float, int, float, float]
@@ -183,16 +150,33 @@ RatioRow = Tuple[int, float, int, float, float]
 def ratio_table(
     params: NumericParams, N: int, ls: Sequence[int], component: int = 2
 ) -> List[RatioRow]:
-    """Rows (l, v_l, N, ratio, abs_error) for each requested l, in order.
-
-    abs_error is |ratio - 1|.
+    """Rows (l, v_l, N, ratio, abs_error) for each requested l, in order, with
+    ratio = (I2(v_l) - sum_{k<N} phi_k v_l^-k) / (phi_N v_l^-N) at v_l = (l+1/2) z
+    and abs_error = |ratio - 1|; phi_0 .. phi_N are summed once per table.
     """
+    if N < 0 or any(l < 0 for l in ls):
+        raise ValueError("N and l must be nonnegative")
+    phis = [eval_phi_k(params, k, component) for k in range(N + 1)] if ls else []
+    rows = []
+    for l in ls:
+        v_l = (l + 0.5) * params.z
+        value = eval_I2(params, v_l, component)
+        for k in range(N):
+            value -= phis[k] * v_l**-k
+        scale = phis[N] * v_l**-N
+        if scale == 0.0:
+            raise ZeroDivisionError(
+                "the order-N scale coefficient vanishes at these parameters; "
+                "choose a different N or nonzero q1, q2"
+            )
+        ratio = value / scale
+        rows.append((l, v_l, N, ratio, abs(ratio - 1.0)))
+    return rows
 
-    def row(l: int) -> RatioRow:
-        ratio = asym_ratio(params, N, l, component)
-        return (l, (l + 0.5) * params.z, N, ratio, abs(ratio - 1.0))
 
-    return [row(l) for l in ls]
+def asym_ratio(params: NumericParams, N: int, l: int, component: int = 2) -> float:
+    """The ratio of the one-row table at l."""
+    return ratio_table(params, N, [l], component)[0][3]
 
 
 def fitted_error_constant(
@@ -205,6 +189,6 @@ def fitted_error_constant(
     if not fit_ls:
         raise ValueError("need at least one fit point")
     return max(
-        abs(asym_ratio(params, N, l, component) - 1.0) * (l + 0.5) * params.z
-        for l in fit_ls
+        abs(ratio - 1.0) * (l + 0.5) * params.z
+        for l, _, _, ratio, _ in ratio_table(params, N, fit_ls, component)
     )

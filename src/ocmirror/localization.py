@@ -82,7 +82,7 @@ from numbers import Rational
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .geometry import P1_POINTS, P1Class, phi_p1, unit_p1
-from .series import FormalSeries, Monomial, TruncationWindow
+from .series import FormalSeries, Monomial, TruncationWindow, _from_raw
 
 __all__ = [
     "DecoratedGraph",
@@ -629,5 +629,6 @@ def graph_class_rows(n: int, d: int) -> List[GraphClassRow]:
     rows = []
     for g in enumerate_graph_classes(n, d):
         c, k = _graph_contribution(g, insertions)
-        rows.append((g, automorphism_count(g), FormalSeries.of(c, Monomial(V=k), WIDE)))
+        series = _from_raw([(Monomial(V=k), c.numerator, c.denominator)], WIDE)
+        rows.append((g, automorphism_count(g), series))
     return rows

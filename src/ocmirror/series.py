@@ -243,12 +243,6 @@ class FormalSeries:
         self._nums, self._den = _over_lcm(raw)
         self.window = window
 
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def of(cls, c: RationalLike, m: Monomial, window: TruncationWindow) -> "FormalSeries":
-        return cls({m: c}, window)
-
     # -- inspection -----------------------------------------------------------
 
     def items(self) -> Iterator[Tuple[Monomial, Fraction]]:

@@ -31,11 +31,13 @@ LOC = "ocmirror/localization.py"
 CLOSED = "ocmirror/closed.py"
 CORR = "ocmirror/correspondence.py"
 SERIES = "ocmirror/series.py"
+ASYM = "ocmirror/asymptotics.py"
 TL = "tests/test_localization.py"
 TC = "tests/test_closed.py"
 TCO = "tests/test_correspondence.py"
 TCL = "tests/test_cli.py"
 TS = "tests/test_series.py"
+TA = "tests/test_asymptotics.py"
 
 
 class Mutant(NamedTuple):
@@ -286,6 +288,20 @@ MUTANTS = (
         "for tree, labels, order, shape in _shape_blocks(V)\n    )[::-1]",
         "shape catalogue in reverse walk order",
         (f"{TL}::test_enumeration_matches_dedupe_oracle[0-3]",),
+    ),
+    Mutant(
+        ASYM,
+        "return replace(params, q1=params.q2, q2=params.q1), -1",
+        "return params, -1",
+        "first component mirrored without swapping q1 and q2",
+        (f"{TA}::test_component_mirror_is_exact",),
+    ),
+    Mutant(
+        ASYM,
+        "value -= phis[k] * v_l**-k",
+        "value -= phis[N] * v_l**-k",
+        "ratio subtracts phi_N where it should subtract phi_k",
+        (f"{TA}::test_frozen_ratio_values",),
     ),
 )
 

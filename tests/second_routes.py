@@ -116,7 +116,7 @@ WIDE = TruncationWindow.wide()
 
 def v_term(c, k: int = 0) -> FormalSeries:
     """The exact Laurent monomial c * V^k as a wide-window series."""
-    return FormalSeries.of(Fraction(c), mono(V=k), WIDE)
+    return FormalSeries({mono(V=k): Fraction(c)}, WIDE)
 
 
 def v_series(values: Iterable[Tuple[Rational, int]]) -> FormalSeries:
@@ -1079,7 +1079,7 @@ def j_reduced_component(alpha: int, window: TruncationWindow) -> FormalSeries:
     total = zero_series(window)
     d_max = window.max_q // 2
     for d in range(d_max + 1):
-        part = FormalSeries.of(Fraction(1, factorial(d)), mono(Q=2 * d, Z=-d), window)
+        part = FormalSeries({mono(Q=2 * d, Z=-d): Fraction(1, factorial(d))}, window)
         for m in range(1, d + 1):
             # 1/(eps*v + m*z) = eps * v^-1 * [v / (v - (-eps*m) z)]
             factor = LinearFactorTerm(Fraction(eps), mono(V=-1), Fraction(-eps * m))
@@ -1109,7 +1109,7 @@ def j_reduced_at(alpha: int, c: Fraction, window: TruncationWindow) -> FormalSer
         denom = Fraction(factorial(d)) * c**d
         for m in range(1, d + 1):
             denom *= eps + m * c
-        total = total + FormalSeries.of(1 / denom, mono(Q=2 * d, V=-2 * d), window)
+        total = total + FormalSeries({mono(Q=2 * d, V=-2 * d): 1 / denom}, window)
     return prefactor * total
 
 

@@ -42,6 +42,12 @@ def test_default_parameters():
         {"q2": -0.1},
         {"z": 0.0},
         {"z": -1.0},
+        {"q0": math.nan},
+        {"q0": math.inf},
+        {"q1": math.nan},
+        {"q2": math.inf},
+        {"z": math.nan},
+        {"z": math.inf},
     ],
 )
 def test_invalid_parameters_rejected(kwargs):
@@ -85,7 +91,7 @@ def test_pole_set_is_guarded():
         eval_I2(p, 3.0)
     # the first component's excluded set sits at negative weights instead
     eval_I2(p, 3.0, component=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="-3.0"):  # the weight the caller passed
         eval_I2(p, -3.0, component=1)
 
 
@@ -144,6 +150,13 @@ def test_component_mirror_is_exact():
         lhs = eval_phi_k(NumericParams(q1=0.1, q2=0.4), k, component=1)
         rhs = (-1) ** k * eval_phi_k(NumericParams(q1=0.4, q2=0.1), k, component=2)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_vanishing_first_component_scale_is_positive_zero(k):
+    # the sign of (-mu z)^k sits inside the sum: a sum of zero terms is +0.0,
+    # where negating a finished sum would give -0.0 at odd k
+    assert math.copysign(1.0, eval_phi_k(NumericParams(q1=0.0), k, component=1)) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,7 @@ def test_large_z_direction_leading_behavior():
         if t.slope:
             series = series + fraction_expand_factor(t, WQ, v_over_z=True)
         else:  # the factor is 1
-            series = series + FormalSeries.of(t.coefficient, t.monomial, WQ)
+            series = series + FormalSeries({t.monomial: t.coefficient}, WQ)
     series = series * series_exp(1, mono(T=1, Z=-1), WQ)
     assert z_slice(series, 0) == 1
     assert z_slice(series, 1) == 0  # no positive powers

@@ -453,7 +453,7 @@ def test_inexact_coefficients_are_refused(bad):
     with pytest.raises(TypeError):
         FormalSeries([(mono(Q=1), bad)], W)
     with pytest.raises(TypeError):
-        FormalSeries.of(bad, mono(Q=1), W)
+        FormalSeries({mono(Q=1): bad}, W)
     with pytest.raises(TypeError):
         scale(one_series(W), bad)
     with pytest.raises(TypeError):
@@ -504,8 +504,8 @@ def test_substitute_terms_maps_each_term_as_substitute_does():
     # the zero image of T kills the second term; the others keep their slope
     assert [t.slope for t in out] == [1, 0]
     for t, image in zip((terms[0], terms[2]), out):
-        assert FormalSeries.of(image.coefficient, image.monomial, wide) == substitute(
-            FormalSeries.of(t.coefficient, t.monomial, wide), images
+        assert FormalSeries({image.monomial: image.coefficient}, wide) == substitute(
+            FormalSeries({t.monomial: t.coefficient}, wide), images
         )
     for variable in ("V", "Z"):
         with pytest.raises(ValueError):
@@ -566,7 +566,7 @@ def test_exp_matches_repeated_products(args):
     # shifted windows may exclude V^0 or Z^0, where both routes give zero
     window, m, c = args
     got = series_exp(c, m, window)
-    _assert_contract(got, _exp_by_products(FormalSeries.of(c, m, window)), window)
+    _assert_contract(got, _exp_by_products(FormalSeries({m: c}, window)), window)
 
 
 def test_exp_rejects_constant_and_massless_terms():
