@@ -61,6 +61,12 @@ class NumericParams:
             raise ValueError("q1 and q2 must be nonnegative")
         if self.z <= 0:
             raise ValueError("z must be positive")
+        try:  # the sums' prefactor: cancels in the ratio, but a subnormal one rounds both
+            prefactor = self.q0 ** (1.0 / self.z)
+        except OverflowError:
+            prefactor = math.inf
+        if not 2.0**-1022 <= prefactor < math.inf:  # the normal doubles
+            raise ValueError(f"q0^(1/z) = {self.q0!r}^(1/{self.z!r}) is not a normal double")
 
 
 def _mirror(params: NumericParams, component: int) -> Tuple[NumericParams, int]:

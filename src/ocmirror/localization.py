@@ -67,7 +67,8 @@ one-point descendant sums rebuild degree by degree.
 The graph classes are decorations of bare 2-coloured tree shapes, which
 depend on the vertex count V alone: each V's shapes are found by one walk
 over Pruefer trees, once per process, and every enumeration decorates each
-shape once, up to its automorphisms.
+shape once, up to its automorphisms, with no marked graph keyed; a
+summand's factors that depend on the tree alone are computed once per tree.
 """
 
 from __future__ import annotations
@@ -115,10 +116,6 @@ class DecoratedGraph:
     edges: Tuple[Tuple[int, int, int], ...]
     markings: Tuple[int, ...] = ()
 
-    @property
-    def degree(self) -> int:
-        return sum(de for _, _, de in self.edges)
-
     # -- canonical form -----------------------------------------------------
 
     def canonical_key(self) -> tuple:
@@ -128,8 +125,8 @@ class DecoratedGraph:
         branches) of the tree's center, found by leaf stripping on the
         underlying tree.  Of two centers, the root is the one at fixed point
         1: two centers are adjacent, so their labels differ, and every
-        isomorphism carries this root to the other tree's root.  Kept on the
-        instance with its automorphism order: the fields are immutable tuples.
+        isomorphism carries this root to the other tree's root.  Computed on
+        first use, kept with the automorphism order: the fields are tuples.
         """
         if "_key" not in self.__dict__:
             V = len(self.labels)
@@ -206,14 +203,15 @@ def _sibling_swaps(order, degrees, below) -> List[List[int]]:
     return swaps
 
 
-def _placement_representatives(V: int, n: int, swaps) -> Iterator[Tuple[int, ...]]:
+def _placement_representatives(V: int, n: int, swaps) -> Iterator[Tuple[Tuple[int, ...], int]]:
     """The first placement of n markings on V vertices, in product order, of
-    each orbit under the ``swaps``, whose orbit is closed as it is yielded."""
+    each orbit under the ``swaps``, with its orbit's size, closed beforehand."""
     seen = set()
     for marks in itertools.product(range(V), repeat=n):
         if marks in seen:
             continue
-        yield marks
+        before = len(seen)
+        seen.add(marks)
         stack = [marks]
         while stack:
             m = stack.pop()
@@ -222,6 +220,7 @@ def _placement_representatives(V: int, n: int, swaps) -> Iterator[Tuple[int, ...
                 if image not in seen:
                     seen.add(image)
                     stack.append(image)
+        yield marks, len(seen) - before
 
 
 def _markings_by_vertex(V: int, markings: Sequence[int]) -> List[Tuple[int, ...]]:
@@ -349,8 +348,9 @@ def enumerate_graph_classes(n: int, d: int) -> List[DecoratedGraph]:
     isomorphic exactly when an automorphism of the block carries one onto
     the other.  So a composition whose unmarked key an earlier one had is
     skipped, and placements are walked up to the :func:`_sibling_swaps` of
-    the degree-decorated block.  Only representatives are keyed, each kept
-    with its automorphism order.  The tests validate every class.
+    the degree-decorated block, which generate its automorphism group.  A
+    placement's stabiliser is the class's group, so each class keeps the
+    block's order over its orbit size, unkeyed.  The tests validate every class.
     """
     if d < 1:
         raise ValueError("graph sums need positive total degree")
@@ -365,10 +365,9 @@ def enumerate_graph_classes(n: int, d: int) -> List[DecoratedGraph]:
                 seen.add(key)
                 swaps = _sibling_swaps(order, degs, below) if n and aut > 1 else ()
                 edges = tuple((u, v, de) for (u, v), de in zip(tree, degs))
-                for marks in _placement_representatives(V, n, swaps):
+                for marks, size in _placement_representatives(V, n, swaps):
                     g = DecoratedGraph(labels, edges, marks)
-                    key, aut, _ = _rooted_key(labels, order, degs, _markings_by_vertex(V, marks))
-                    g.__dict__.update(_key=key, _aut=aut)
+                    g.__dict__["_aut"] = aut // size  # orbit-stabiliser
                     classes.append(g)
     return classes
 
@@ -403,10 +402,11 @@ def _n_compositions(total: int, parts: int) -> int:
 
 
 def automorphism_count(g: DecoratedGraph) -> int:
-    """Order of the decoration-preserving automorphism group, counted and
-    kept with :meth:`DecoratedGraph.canonical_key` (see :func:`_rooted_key`);
-    the tests check it against a brute-force permutation search."""
-    g.canonical_key()
+    """Order of the decoration-preserving automorphism group: the one an
+    enumerated class holds from its orbit size, or else the canonical key's
+    (:func:`_rooted_key`); the tests check it against a brute-force search."""
+    if "_aut" not in g.__dict__:
+        g.canonical_key()
     return g.__dict__["_aut"]
 
 
@@ -486,26 +486,38 @@ WIDE = TruncationWindow.wide()
 _W_SIGN = {1: -1, 2: 1}
 
 
+def _block_factors(labels: Sequence[int], edges) -> Tuple[int, int, int, List[List[int]]]:
+    """The factors of a summand that depend on its decorated tree alone, as
+    (num, den, k, inverses): every h(d_e)/d_e and w^(valence-1) folded into
+    num/den * v^k, and ``inverses[v]`` the u = 1/w of vertex v's edge flags."""
+    num, den, k = 1, 1, 0
+    inverses: List[List[int]] = [[] for _ in labels]
+    for u, v, de in edges:
+        hn, hd = _edge_coefficient(de)
+        num, den, k = num * (hn // de), den * hd, k - 2 * de  # h(d_e)/d_e
+        for x in (u, v):
+            inverses[x].append(_W_SIGN[labels[x]] * de)  # a flag of weight w/d_e
+    for label, inverse in zip(labels, inverses):
+        valence_k = len(inverse) - 1  # w^(valence-1), counting only edge flags
+        if _W_SIGN[label] < 0 and valence_k % 2:
+            num = -num
+        k += valence_k
+    return num, den, k, inverses
+
+
 def _graph_contribution(
     g: DecoratedGraph,
     insertions: Sequence[Insertion],
     open_vertex: Optional[int] = None,
     open_weight: Optional[Fraction] = None,
+    factors: Optional[tuple] = None,
 ) -> Tuple[Fraction, int]:
-    # every factor folds into num/den * v^k, one Fraction at the end.  Each
-    # vertex takes its restrictions before its integral, which may raise
-    num, den = 1, automorphism_count(g)
-    for _, _, de in g.edges:
-        hn, hd = _edge_coefficient(de)
-        num *= hn // de  # h(d_e)/d_e
-        den *= hd
-    k = -2 * g.degree
-    V = len(g.labels)
-    adj = _edge_adjacency(V, g.edges)
-    marks = _markings_by_vertex(V, g.markings)
+    # the class's factors fold into its tree's num/den * v^k, one Fraction at
+    # the end.  Each vertex takes its restrictions before its integral, which may raise
+    num, den, k, inverses = factors or _block_factors(g.labels, g.edges)
+    den *= automorphism_count(g)
+    marks = _markings_by_vertex(len(g.labels), g.markings)
     for v, label in enumerate(g.labels):
-        sign = _W_SIGN[label]
-        inverse = [sign * g.edges[e][2] for _, e in adj[v]]  # a flag of weight w/d_e
         exps = []
         for i in marks[v]:
             if i < len(insertions):
@@ -513,18 +525,22 @@ def _graph_contribution(
                 exps.append(a)
                 c, rk = restriction[label - 1]
                 num, den, k = num * c.numerator, den * c.denominator, k + rk
-        # w^(valence-1), counting only edge flags
-        valence_k = len(inverse) - 1
-        if sign < 0 and valence_k % 2:
-            num = -num
+        inverse = inverses[v]
         if v == open_vertex and open_weight is not None:
-            inverse.append(_inverse(open_weight))
+            inverse = inverse + [_inverse(open_weight)]
         vn, vd, kv = _vertex_scalar(inverse, exps)
         num, den = num * vn, den * vd
-        k += valence_k + kv
+        k += kv
         if not num:
             break
     return Fraction(num, den), k
+
+
+def _with_factors(classes: Iterable[DecoratedGraph]) -> Iterator[Tuple[DecoratedGraph, tuple]]:
+    """Each class with its tree's :func:`_block_factors`, computed once per
+    run of classes on one tree: enumeration emits a block's classes together."""
+    for tree, run in itertools.groupby(classes, lambda g: (g.labels, g.edges)):
+        yield from zip(run, itertools.repeat(_block_factors(*tree)))
 
 
 def _open_data(d_minus: int, d_plus: int) -> Tuple[int, int, int]:
@@ -565,8 +581,8 @@ def _open_sum(
     n = len(insertions)
     weight = Fraction(1, mu)
     values = (
-        _graph_contribution(g, insertions, open_vertex=g.markings[n], open_weight=weight)
-        for g in classes
+        _graph_contribution(g, insertions, g.markings[n], weight, factors)
+        for g, factors in _with_factors(classes)
         if g.labels[g.markings[n]] == h
     )
     return _open_series(mu, values)
@@ -596,14 +612,12 @@ def open_via_closed(
     point_class = phi_p1(h)
     n = len(insertions)
     values = []
-    for g in _open_classes(n, d):
+    for g, factors in _with_factors(_open_classes(n, d)):
         disk_vertex = g.markings[n]
         rc, rk = point_class[g.labels[disk_vertex] - 1]
         if not rc:
             continue
-        c, k = _graph_contribution(
-            g, insertions, open_vertex=disk_vertex, open_weight=Fraction(1, mu)
-        )
+        c, k = _graph_contribution(g, insertions, disk_vertex, Fraction(1, mu), factors)
         values.append((c * rc, k + rk))
     return _open_series(mu, values)
 
@@ -627,8 +641,8 @@ def graph_class_rows(n: int, d: int) -> List[GraphClassRow]:
     unit = unit_p1()
     insertions = [(unit, 0)] * n
     rows = []
-    for g in enumerate_graph_classes(n, d):
-        c, k = _graph_contribution(g, insertions)
+    for g, factors in _with_factors(enumerate_graph_classes(n, d)):
+        c, k = _graph_contribution(g, insertions, factors=factors)
         series = _from_raw([(Monomial(V=k), c.numerator, c.denominator)], WIDE)
         rows.append((g, automorphism_count(g), series))
     return rows

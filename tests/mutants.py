@@ -58,8 +58,8 @@ MUTANTS = (
     ),
     Mutant(
         LOC,
-        "if sign < 0 and valence_k % 2:",
-        "if sign < 0:",
+        "if _W_SIGN[label] < 0 and valence_k % 2:",
+        "if _W_SIGN[label] < 0:",
         "w^(valence-1) negated at -v whatever the valence's parity",
         (f"{TL}::test_one_sphere_component_values",),
     ),
@@ -93,6 +93,20 @@ MUTANTS = (
     ),
     Mutant(
         LOC,
+        'g.__dict__["_aut"] = aut // size',
+        'g.__dict__["_aut"] = aut',
+        "a class's automorphism order taken as its block's, not divided by its orbit size",
+        (f"{TL}::test_enumeration_matches_dedupe_oracle[1-3]",),
+    ),
+    Mutant(
+        LOC,
+        "        before = len(seen)\n        seen.add(marks)\n",
+        "        seen.add(marks)\n        before = len(seen)\n",
+        "each placement orbit counted one short",
+        (f"{TL}::test_orbit_counts_match_labeled_enumeration",),
+    ),
+    Mutant(
+        LOC,
         "                if key in seen:\n                    continue\n",
         "",
         "a composition isomorphic to an earlier one of its block decorated again",
@@ -114,8 +128,8 @@ MUTANTS = (
     ),
     Mutant(
         LOC,
-        "inverse = [sign * g.edges[e][2] for _, e in adj[v]]",
-        "inverse = [sign for _, e in adj[v]]",
+        "inverses[x].append(_W_SIGN[labels[x]] * de)",
+        "inverses[x].append(_W_SIGN[labels[x]])",
         "edge flags weighted w instead of w/d_e",
         (f"{TL}::test_scalar_contribution_matches_series_oracle[2-2]",),
     ),

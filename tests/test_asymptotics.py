@@ -48,6 +48,11 @@ def test_default_parameters():
         {"q2": math.inf},
         {"z": math.nan},
         {"z": math.inf},
+        # q0^(1/z) subnormal, zero, overflowing, infinite
+        {"q0": 1e-320},
+        {"q0": 1e-300, "z": 0.5},
+        {"q0": 1e300, "z": 0.01},
+        {"q0": 2.0, "z": 1e-320},
     ],
 )
 def test_invalid_parameters_rejected(kwargs):

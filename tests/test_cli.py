@@ -132,6 +132,21 @@ def test_invalid_numeric_params_exit_2(capsys):
         assert capsys.readouterr() == ("", "error: q0, q1, q2 and z must be finite\n")
 
 
+def test_prefactor_that_is_not_a_normal_double_exits_2(capsys):
+    # q0^(1/z) multiplies both sums and cancels in the ratio; a subnormal,
+    # zero or overflowing prefactor is refused, never printed as ratio 1.0
+    for q0, z in (("1e-320", "1"), ("1e-300", "0.5"), ("1e300", "0.01")):
+        assert main(["asymptotics", "--q0", q0, "--z", z]) == 2, (q0, z)
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: q0^(1/z) = {float(q0)!r}^(1/"), err
+        assert err.endswith(" is not a normal double\n"), err
+    # a small q0 whose prefactor stays normal keeps the ratio's digits
+    assert main(["asymptotics", "--q0", "1e-300"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "200,200.5,1,1.0037630445288999,0.0037630445288998615"
+    )
+
+
 def test_window_beyond_the_mass_budget_exits_2(capsys):
     # 2*max_q + max_t = 4097 is refused before anything is built, by all
     # three commands alike; 4096 runs, and the two sides' tables agree

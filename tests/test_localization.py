@@ -27,6 +27,7 @@ from ocmirror.localization import (
     count_labeled_graphs,
     disk_factor,
     enumerate_graph_classes,
+    graph_class_rows,
     open_invariant,
     open_via_closed,
 )
@@ -171,9 +172,12 @@ def test_enumeration_matches_dedupe_oracle(n, d):
     assert classes == _enumerate_by_dedupe(n, d)
     for g in classes:
         validate_graph(g)
-        # the key read off the block's rooted tree is the graph's own key
-        fresh = DecoratedGraph(g.labels, g.edges, g.markings).canonical_key()
-        assert g.__dict__["_key"] == fresh, g
+        # the order read off the placement's orbit is the order the graph's
+        # own canonical key counts; enumeration keys no class
+        assert "_key" not in g.__dict__, g
+        fresh = DecoratedGraph(g.labels, g.edges, g.markings)
+        fresh.canonical_key()
+        assert g.__dict__["_aut"] == fresh.__dict__["_aut"], g
 
 
 def _full_walk_shapes(V):
@@ -268,7 +272,7 @@ def test_sibling_swaps_generate_the_automorphism_group(V):
                 assert len(_closure(V, swaps)) == _aut_brute(g) == aut, g
 
 
-def test_enumeration_keys_each_composition_and_class_once(monkeypatch):
+def test_enumeration_keys_each_composition_once(monkeypatch):
     for V in range(2, 5):
         _shape_catalogue(V)  # the shape walk's own keys are not counted
     calls = []
@@ -279,10 +283,11 @@ def test_enumeration_keys_each_composition_and_class_once(monkeypatch):
 
     monkeypatch.setattr(localization, "_rooted_key", counted_key)
     classes = enumerate_graph_classes(4, 3)
-    # one unmarked key per (block, composition), one marked key per class
+    # one unmarked key per (block, composition) and none per class: each
+    # class's order comes from its placement's orbit size
     pairs = sum(len(_shape_catalogue(V)) * comb(2, V - 2) for V in range(2, 5))
     assert (pairs, len(classes)) == (8, 536)
-    assert len(calls) == pairs + len(classes)
+    assert len(calls) == pairs
 
 
 def _made_of_tuples(x) -> bool:
@@ -466,6 +471,18 @@ def test_scalar_contribution_matches_series_oracle_with_open_vertex(n, d):
             assert _outcome(_contribution, *args) == want, args
             raised += isinstance(want, tuple)
     assert raised > 0
+
+
+@pytest.mark.parametrize("n,d", ORACLE_GRID)
+def test_class_rows_match_series_oracle_on_fresh_graphs(n, d):
+    # each row's order and summand, built from its tree's shared factors and
+    # its orbit size, against a fresh copy of its graph that keys itself
+    insertions = [(unit_p1(), 0)] * n
+    for g, aut, contribution in graph_class_rows(n, d):
+        fresh = DecoratedGraph(g.labels, g.edges, g.markings)
+        assert "_aut" not in fresh.__dict__
+        assert contribution == _contribution_by_series(fresh, insertions), g
+        assert aut == fresh.__dict__["_aut"], g
 
 
 def test_vertex_integral_raises_before_a_vanishing_restriction_returns():
