@@ -33,14 +33,17 @@ in floating point; the evaluators compute it that way.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 # tail controls of every double sum: the envelope a sum stops below, and the
 # most terms it may take before it is declared divergent
 _TAIL_TOLERANCE = 1e-14
 _MAX_TERMS = 10000
+
+Walk = Iterator[Tuple[int, float]]  # the (mu, inner_mu) of :func:`_mu_walk`
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,7 @@ def _mirror(params: NumericParams, component: int) -> Tuple[NumericParams, int]:
     raise ValueError("component must be 1 or 2")
 
 
-def _mu_walk(params: NumericParams) -> Iterator[Tuple[int, float]]:
+def _mu_walk(params: NumericParams) -> Walk:
     """(mu, inner_mu) for mu = 1, 2, ... of the second component, where
     inner_mu = sum_d q1^d q2^(d+mu) / (d! (d+mu)! z^(2d+mu)).
 
@@ -102,14 +105,17 @@ def _mu_walk(params: NumericParams) -> Iterator[Tuple[int, float]]:
         yield mu, inner
 
 
-def eval_I2(params: NumericParams, v: float, component: int = 2) -> float:
+def eval_I2(
+    params: NumericParams, v: float, component: int = 2, walk: Optional[Walk] = None
+) -> float:
     """Direct float value of the excess component at weight ``v``.
 
     Raises ValueError within a machine guard of the excluded pole set
     (component 2: {mu z, mu >= 1}; component 1 mirrors it at negative
     weights).  Every pole factor in the tail is bounded by |v| / gap with
     gap the distance to the whole excluded set, so the stopping rule needs
-    only the factorial envelope.
+    only the factorial envelope.  ``walk``, when given, is :func:`_mu_walk`
+    of the component's mirrored parameters, shared with other evaluators.
     """
     p, sign = _mirror(params, component)
     w = sign * v
@@ -122,7 +128,7 @@ def eval_I2(params: NumericParams, v: float, component: int = 2) -> float:
         )
     pole_bound = abs(w) / gap
     total = 0.0
-    for mu, inner in _mu_walk(p):
+    for mu, inner in _mu_walk(p) if walk is None else walk:
         pole = w / (w - mu * p.z)
         total += (-1) ** mu * pole * inner
         if inner * pole_bound < _TAIL_TOLERANCE and (mu + 1) * p.z > 2 * p.q2:
@@ -130,13 +136,16 @@ def eval_I2(params: NumericParams, v: float, component: int = 2) -> float:
     raise ArithmeticError("excess sum did not meet the tail tolerance within max_terms")
 
 
-def eval_phi_k(params: NumericParams, k: int, component: int = 2) -> float:
-    """Float value of the k-th asymptotic scale coefficient."""
+def eval_phi_k(
+    params: NumericParams, k: int, component: int = 2, walk: Optional[Walk] = None
+) -> float:
+    """Float value of the k-th asymptotic scale coefficient; ``walk`` as for
+    :func:`eval_I2`."""
     p, sign = _mirror(params, component)
     if k < 0:
         raise ValueError("scale index must be nonnegative")
     total = 0.0
-    for mu, inner in _mu_walk(p):
+    for mu, inner in _mu_walk(p) if walk is None else walk:
         weight = float(sign * mu * p.z) ** k
         total += (-1) ** mu * weight * inner
         # beyond mu >= k the polynomial growth of the weight is dominated;
@@ -158,15 +167,22 @@ def ratio_table(
 ) -> List[RatioRow]:
     """Rows (l, v_l, N, ratio, abs_error) for each requested l, in order, with
     ratio = (I2(v_l) - sum_{k<N} phi_k v_l^-k) / (phi_N v_l^-N) at v_l = (l+1/2) z
-    and abs_error = |ratio - 1|; phi_0 .. phi_N are summed once per table.
+    and abs_error = |ratio - 1|; phi_0 .. phi_N are summed once per table, all
+    sums read one walk over mu, and q0^(1/z) cancels, so they are taken at q0 = 1.
     """
     if N < 0 or any(l < 0 for l in ls):
         raise ValueError("N and l must be nonnegative")
-    phis = [eval_phi_k(params, k, component) for k in range(N + 1)] if ls else []
+    if any(l >= 2**52 for l in ls):
+        raise ValueError("l must be below 2**52: v_l = (l + 1/2) z loses its half in a double")
+    if not ls:
+        return []
+    unit = replace(params, q0=1.0)
+    walks = iter(itertools.tee(_mu_walk(_mirror(unit, component)[0]), N + 1 + len(ls)))
+    phis = [eval_phi_k(unit, k, component, next(walks)) for k in range(N + 1)]
     rows = []
     for l in ls:
         v_l = (l + 0.5) * params.z
-        value = eval_I2(params, v_l, component)
+        value = eval_I2(unit, v_l, component, next(walks))
         for k in range(N):
             value -= phis[k] * v_l**-k
         scale = phis[N] * v_l**-N

@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .asymptotics import NumericParams, ratio_table
 from .closed import surface_series_terms, z_coeff_terms
@@ -148,28 +149,22 @@ def cmd_localize(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
     if not 0 <= args.markings <= MAX_LOCALIZE_MARKINGS:
         raise ValueError(f"markings must lie in [0, {MAX_LOCALIZE_MARKINGS}]")
     table = graph_class_rows(args.markings, args.degree)
-    if args.format == "json":
-        rows = [
-            (
-                _json_array(map(str, g.labels)),
-                _json_array(_json_array(map(str, edge), 3) for edge in g.edges),
-                _json_array(map(str, g.markings)),
-                aut,
-                f'"{_laurent_str(contribution)}"',
+    rows = []  # enumeration emits a tree's classes together: its text is made once
+    for (labels, edges), run in itertools.groupby(table, lambda r: (r[0].labels, r[0].edges)):
+        if args.format == "json":
+            tree = (
+                _json_array(map(str, labels)),
+                _json_array(_json_array(map(str, edge), 3) for edge in edges),
             )
-            for g, aut, contribution in table
-        ]
-    else:
-        rows = [
-            (
-                "|".join(str(l) for l in g.labels),
-                "|".join(f"{u}-{v}:{de}" for u, v, de in g.edges),
-                "|".join(str(m) for m in g.markings),
-                aut,
-                _laurent_str(contribution),
-            )
-            for g, aut, contribution in table
-        ]
+            rows += [
+                (*tree, _json_array(map(str, g.markings)), aut, f'"{_laurent_str(c)}"')
+                for g, aut, c in run
+            ]
+        else:
+            tree = ("|".join(map(str, labels)), "|".join(f"{u}-{v}:{de}" for u, v, de in edges))
+            rows += [
+                (*tree, "|".join(map(str, g.markings)), aut, _laurent_str(c)) for g, aut, c in run
+            ]
     return 0, _table(GRAPH_COLUMNS, [rows], args.format)
 
 
@@ -214,7 +209,8 @@ def _add_format_flags(sub: argparse.ArgumentParser, default: str) -> None:
 
 
 @functools.cache  # built on the first call; parsing leaves it unchanged
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, by name."""
     parser = argparse.ArgumentParser(
         prog="ocmirror",
         description="Exact disk-potential / sphere-series correspondence tools.",
@@ -270,12 +266,24 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format_flags(asym, "csv")
     asym.set_defaults(handler=cmd_asymptotics)
 
-    return parser
+    return parser, dict(subs.choices)  # the subparsers action's choices: name -> parser
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The arguments as the top-level parser reads them, parsed once by the
+    named subcommand's parser; a request it cannot finish, or that names no
+    subcommand, goes to the top-level parser, whose messages then stand."""
+    parser, subparsers = _build_parser()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         code, chunks = args.handler(args)
     except (ValueError, ArithmeticError) as exc:

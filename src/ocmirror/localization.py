@@ -68,7 +68,8 @@ The graph classes are decorations of bare 2-coloured tree shapes, which
 depend on the vertex count V alone: each V's shapes are found by one walk
 over Pruefer trees, once per process, and every enumeration decorates each
 shape once, up to its automorphisms, with no marked graph keyed; a
-summand's factors that depend on the tree alone are computed once per tree.
+summand's factors that depend on the tree alone, its vertex integrals among
+them, are computed once per tree.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ from numbers import Rational
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .geometry import P1_POINTS, P1Class, phi_p1, unit_p1
-from .series import FormalSeries, Monomial, TruncationWindow, _from_raw
+from .series import FormalSeries, Monomial, TruncationWindow, _built
 
 __all__ = [
     "DecoratedGraph",
@@ -206,6 +207,9 @@ def _sibling_swaps(order, degrees, below) -> List[List[int]]:
 def _placement_representatives(V: int, n: int, swaps) -> Iterator[Tuple[Tuple[int, ...], int]]:
     """The first placement of n markings on V vertices, in product order, of
     each orbit under the ``swaps``, with its orbit's size, closed beforehand."""
+    if not swaps:  # every orbit is one placement
+        yield from zip(itertools.product(range(V), repeat=n), itertools.repeat(1))
+        return
     seen = set()
     for marks in itertools.product(range(V), repeat=n):
         if marks in seen:
@@ -486,10 +490,12 @@ WIDE = TruncationWindow.wide()
 _W_SIGN = {1: -1, 2: 1}
 
 
-def _block_factors(labels: Sequence[int], edges) -> Tuple[int, int, int, List[List[int]]]:
+def _block_factors(labels: Sequence[int], edges) -> Tuple[int, int, int, List[List[int]], dict]:
     """The factors of a summand that depend on its decorated tree alone, as
-    (num, den, k, inverses): every h(d_e)/d_e and w^(valence-1) folded into
-    num/den * v^k, and ``inverses[v]`` the u = 1/w of vertex v's edge flags."""
+    (num, den, k, inverses, memo): every h(d_e)/d_e and w^(valence-1) folded
+    into num/den * v^k, ``inverses[v]`` the u = 1/w of vertex v's edge flags,
+    and ``memo`` an empty store for the tree's vertex integrals, keyed by
+    (vertex, psi exponents, open weight)."""
     num, den, k = 1, 1, 0
     inverses: List[List[int]] = [[] for _ in labels]
     for u, v, de in edges:
@@ -502,7 +508,7 @@ def _block_factors(labels: Sequence[int], edges) -> Tuple[int, int, int, List[Li
         if _W_SIGN[label] < 0 and valence_k % 2:
             num = -num
         k += valence_k
-    return num, den, k, inverses
+    return num, den, k, inverses, {}
 
 
 def _graph_contribution(
@@ -513,8 +519,9 @@ def _graph_contribution(
     factors: Optional[tuple] = None,
 ) -> Tuple[Fraction, int]:
     # the class's factors fold into its tree's num/den * v^k, one Fraction at
-    # the end.  Each vertex takes its restrictions before its integral, which may raise
-    num, den, k, inverses = factors or _block_factors(g.labels, g.edges)
+    # the end.  Each vertex takes its restrictions before its integral, which
+    # may raise; an integral is computed once per tree and stored in its memo
+    num, den, k, inverses, memo = factors or _block_factors(g.labels, g.edges)
     den *= automorphism_count(g)
     marks = _markings_by_vertex(len(g.labels), g.markings)
     for v, label in enumerate(g.labels):
@@ -525,10 +532,12 @@ def _graph_contribution(
                 exps.append(a)
                 c, rk = restriction[label - 1]
                 num, den, k = num * c.numerator, den * c.denominator, k + rk
-        inverse = inverses[v]
-        if v == open_vertex and open_weight is not None:
-            inverse = inverse + [_inverse(open_weight)]
-        vn, vd, kv = _vertex_scalar(inverse, exps)
+        weight = open_weight if v == open_vertex else None
+        key = (v, tuple(exps), weight)
+        if key not in memo:
+            inverse = inverses[v] if weight is None else inverses[v] + [_inverse(weight)]
+            memo[key] = _vertex_scalar(inverse, exps)
+        vn, vd, kv = memo[key]
         num, den = num * vn, den * vd
         k += kv
         if not num:
@@ -636,13 +645,15 @@ def graph_class_rows(n: int, d: int) -> List[GraphClassRow]:
     Each row is (graph, |Aut|, contribution) where the contribution is the
     class's exact summand — including its 1/|Aut| weight — in the graph sum
     for n unit-class markings with no cotangent powers.  Rows keep the
-    deterministic enumeration order, so the table is snapshot-stable.
+    deterministic enumeration order, so the table is snapshot-stable.  No
+    contribution is zero (a unit class restricts to 1, and the flags at a
+    vertex share one weight sign), so each is built as its one reduced term.
     """
     unit = unit_p1()
     insertions = [(unit, 0)] * n
     rows = []
     for g, factors in _with_factors(enumerate_graph_classes(n, d)):
         c, k = _graph_contribution(g, insertions, factors=factors)
-        series = _from_raw([(Monomial(V=k), c.numerator, c.denominator)], WIDE)
+        series = _built({Monomial(V=k): c.numerator}, c.denominator, WIDE)
         rows.append((g, automorphism_count(g), series))
     return rows

@@ -32,6 +32,7 @@ CLOSED = "ocmirror/closed.py"
 CORR = "ocmirror/correspondence.py"
 SERIES = "ocmirror/series.py"
 ASYM = "ocmirror/asymptotics.py"
+CLI = "ocmirror/cli.py"
 TL = "tests/test_localization.py"
 TC = "tests/test_closed.py"
 TCO = "tests/test_correspondence.py"
@@ -316,6 +317,27 @@ MUTANTS = (
         "value -= phis[N] * v_l**-k",
         "ratio subtracts phi_N where it should subtract phi_k",
         (f"{TA}::test_frozen_ratio_values",),
+    ),
+    Mutant(
+        ASYM,
+        "_mu_walk(_mirror(unit, component)[0])",
+        "_mu_walk(unit)",
+        "a table's shared walk over mu taken from the unmirrored parameters",
+        (f"{TA}::test_shared_walk_matches_independent_sums[1]",),
+    ),
+    Mutant(
+        LOC,
+        "key = (v, tuple(exps), weight)",
+        "key = (v, len(exps), weight)",
+        "a tree's vertex integrals memoized without their psi exponents",
+        (f"{TL}::test_scalar_contribution_matches_series_oracle[1-1]",),
+    ),
+    Mutant(
+        CLI,
+        "        if not rest:\n            return args\n",
+        "        return args\n",
+        "a subcommand's leftover arguments ignored instead of refused",
+        (f"{TCL}::test_dispatch_matches_the_top_level_parser[check --bogus]",),
     ),
 )
 

@@ -229,3 +229,18 @@ def test_ratio_table_rows_and_order():
 
 def test_ratio_table_empty_input():
     assert ratio_table(NumericParams(), 1, []) == []
+
+
+@pytest.mark.parametrize("component", [1, 2])
+def test_shared_walk_matches_independent_sums(component):
+    # a table reads all its sums off one walk over mu; each evaluator walking
+    # on its own must give the same floats.  q1 != q2 tells the mirror apart
+    p = NumericParams(q1=0.1, q2=0.4, z=0.75)
+    ls = [3, 40, 1000]
+    for N in range(4):
+        phis = [eval_phi_k(p, k, component) for k in range(N + 1)]
+        for l, v_l, _, ratio, _ in ratio_table(p, N, ls, component):
+            value = eval_I2(p, v_l, component)
+            for k in range(N):
+                value -= phis[k] * v_l**-k
+            assert ratio == value / (phis[N] * v_l**-N), (N, l)

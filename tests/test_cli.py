@@ -7,8 +7,11 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -140,10 +143,33 @@ def test_prefactor_that_is_not_a_normal_double_exits_2(capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith(f"error: q0^(1/z) = {float(q0)!r}^(1/"), err
         assert err.endswith(" is not a normal double\n"), err
-    # a small q0 whose prefactor stays normal keeps the ratio's digits
+    # a small q0 whose prefactor stays normal cancels in the ratio exactly
     assert main(["asymptotics", "--q0", "1e-300"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == (
-        "200,200.5,1,1.0037630445288999,0.0037630445288998615"
+        "200,200.5,1,1.003763044528902,0.003763044528902082"
+    )
+
+
+@pytest.mark.parametrize("q0", ["3e-308", "1e-300", "7.5"])
+def test_ratio_rows_do_not_depend_on_q0(capsys, q0):
+    # q0^(1/z) cancels in the ratio, so the sums are taken without it: a
+    # tiny prefactor can neither underflow the order-N scale nor round it
+    for N in range(4):
+        for component in ("1", "2"):
+            argv = ["asymptotics", "--N", str(N), "--l", "100", "--l", "100000"]
+            argv += ["--component", component]
+            assert main(argv) == 0
+            want = capsys.readouterr().out
+            assert main(argv + ["--q0", q0]) == 0, (N, component)
+            assert capsys.readouterr() == (want, ""), (N, component)
+
+
+@pytest.mark.parametrize("l", [2**52, 10**20])
+def test_index_whose_half_a_double_loses_exits_2(capsys, l):
+    assert main(["asymptotics", "--N", "40", "--l", str(l)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: l must be below 2**52: v_l = (l + 1/2) z loses its half in a double\n",
     )
 
 
@@ -498,6 +524,54 @@ def test_reused_parser_carries_nothing_between_calls(capsys, tmp_path):
     assert [code for code, *_ in shared] == [0, 0, 1, 0, 0, 0, 2, 0]
     assert [line.split(",")[0] for line in shared[1][1].splitlines()] == ["l", "200"]
     assert shared[4][1] == "" and shared[4][3] == shared[5][1] != ""
+
+
+# one parse per request, with the top-level parser's outcome on every input
+DISPATCH_CASES = [
+    ["disk", "--max-q", "2", "--format", "json"],
+    ["rhs", "--max-q", "2"],
+    ["check", "--max-q", "2", "--format", "csv"],
+    ["localize", "--degree", "2", "--markings", "1"],
+    ["ifunction", "--max-q", "3"],
+    ["asymptotics", "--l", "100", "--l", "316"],
+    [],
+    ["--help"],
+    ["check", "--help"],
+    ["frobnicate"],
+    ["check", "--bogus"],
+    ["disk", "--max-q", "x"],
+    ["localize"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CASES, ids=lambda argv: " ".join(argv) or "none")
+def test_dispatch_matches_the_top_level_parser(capsys, monkeypatch, argv):
+    one_pass = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser()[0].parse_args(argv))
+    assert _outcome(capsys, argv) == one_pass
+
+
+def test_a_valid_request_skips_the_top_level_parser(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(cli._build_parser()[0], "parse_args", refuse)
+    assert main(["localize", "--degree", "1"]) == 0
+    assert capsys.readouterr().out.startswith("labels,edges,markings,aut,contribution\n")
+
+
+def test_module_entry_reads_sys_argv(capsys):
+    # python -m ocmirror.cli: main() parses sys.argv, as no in-process call does
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for argv in (["localize", "--degree", "2", "--markings", "1"], ["check", "--max-q", "x"]):
+        done = subprocess.run(
+            [sys.executable, "-m", "ocmirror.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == _outcome(capsys, argv)[:3], argv
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from ocmirror.localization import (
     _shape_catalogue,
     _sibling_swaps,
     _vertex_scalar,
+    _with_factors,
     automorphism_count,
     count_labeled_graphs,
     disk_factor,
@@ -451,10 +452,13 @@ def _insertion_lists(n):
 
 @pytest.mark.parametrize("n,d", ORACLE_GRID)
 def test_scalar_contribution_matches_series_oracle(n, d):
-    for g in enumerate_graph_classes(n, d):
+    # each class alone, and with its tree's factors, whose memo of vertex
+    # integrals all the tree's classes and insertion lists share
+    for g, factors in _with_factors(enumerate_graph_classes(n, d)):
         for insertions in _insertion_lists(n):
-            got = _contribution(g, insertions)
-            assert got == _contribution_by_series(g, insertions), (g, insertions)
+            want = _contribution_by_series(g, insertions)
+            assert _contribution(g, insertions) == want, (g, insertions)
+            assert _contribution(g, insertions, None, None, factors) == want, (g, insertions)
 
 
 @pytest.mark.parametrize("n,d", [(n, d) for n, d in ORACLE_GRID if n >= 1])
