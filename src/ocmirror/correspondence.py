@@ -61,7 +61,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Tuple
 
 from .closed import FactorTerm, _factorials, surface_series_terms, z_coeff_terms
-from .localization import _open_classes, _open_sum
+from .localization import _open_classes, _open_sum, _with_factors
 from .series import (
     MAX_MASS_BUDGET,
     FormalSeries,
@@ -138,15 +138,18 @@ def disk_potential_localized(window: TruncationWindow) -> FormalSeries:
     """Disk potential resummed from one-boundary fixed-point graph sums.
 
     Each winding mu and sphere degree d give one exact graph-sum value
-    c * v^k.  The dressing exp(mu*t0/v) carries the degree-zero insertions,
-    exactly as in the closed form, so the value gives the raw terms
-    c * mu^l / l! * T^l Q^(2d+|mu|) X^mu V^(k-l) inside ``window``, made
-    into a series by one ``_from_raw``.  Each sphere degree's graph classes
-    are enumerated once and shared by every winding.  Exponentially slower than
+    num/den * v^k, as a raw term.  The dressing exp(mu*t0/v) carries the
+    degree-zero insertions, exactly as in the closed form, so the value
+    gives the raw terms num * mu^l / (den * l!) * T^l Q^(2d+|mu|) X^mu V^(k-l)
+    inside ``window``, made into a series by one ``_from_raw``.  Each
+    sphere degree's graph classes, and their trees' factors, are computed
+    once and shared by every winding.  Exponentially slower than
     :func:`disk_potential_bessel` — this is the independent oracle route,
     not the workhorse.
     """
-    classes = [_open_classes(0, d) for d in range((window.max_q - 1) // 2 + 1)]
+    classes = [
+        list(_with_factors(_open_classes(0, d))) for d in range((window.max_q - 1) // 2 + 1)
+    ]
     # every value has V-power k = 1 - 2d - |mu| <= 0, so l <= -min_v
     facts = _factorials(min(window.max_t, -window.min_v))
     raw: List[RawTerm] = []
@@ -154,11 +157,11 @@ def disk_potential_localized(window: TruncationWindow) -> FormalSeries:
     for mu in windings:
         e = abs(mu)
         for d in range((window.max_q - e) // 2 + 1):
-            for m, c in _open_sum(mu, classes[d]).items():
+            for m, num, den in _open_sum(mu, classes[d]):
                 for l in range(min(window.max_t, m.V - window.min_v) + 1):
                     term = Monomial(Q=2 * d + e, T=l, X=mu, V=m.V - l)
                     if window.contains(term):
-                        raw.append((term, c.numerator * mu**l, c.denominator * facts[l]))
+                        raw.append((term, num * mu**l, den * facts[l]))
     return _from_raw(raw, window)
 
 

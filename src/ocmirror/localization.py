@@ -16,9 +16,10 @@ weight w/d_e, and
 
     h(d) = (-1)^d d^(2d) / ((d!)^2 v^(2d))
 
-is the edge factor.  Every class's summand is one exact monomial c * v^k,
-carried as the pair (c, k); a sum of summands becomes a
-:class:`~ocmirror.series.FormalSeries` once, where it is returned.
+is the edge factor.  Every class's summand is one exact monomial
+num/den * v^k, carried as the integer triple (num, den, k) with den > 0;
+the summands of a sum are merged per V-power in lowest terms, and become a
+:class:`~ocmirror.series.FormalSeries` once, where a sum is returned.
 
 Vertex moduli integrals: a vertex with F flags, marking psi-exponents a_j and
 optionally one boundary ("open") flag is stable when N = F + #markings +
@@ -66,10 +67,13 @@ one-point descendant sums rebuild degree by degree.
 
 The graph classes are decorations of bare 2-coloured tree shapes, which
 depend on the vertex count V alone: each V's shapes are found by one walk
-over Pruefer trees, once per process, and every enumeration decorates each
-shape once, up to its automorphisms, with no marked graph keyed; a
-summand's factors that depend on the tree alone, its vertex integrals among
-them, are computed once per tree.
+over Pruefer trees, once per process, and stored with their automorphism
+orders and the swaps that generate their groups.  Every enumeration walks a
+shape's degree compositions, and then a tree's marking placements, up to
+those automorphisms, reading each class's order off its orbit sizes
+(orbit-stabiliser); a tree is keyed only when it has markings to place and
+automorphisms to place them up to.  A summand's factors that depend on the
+tree alone, its vertex integrals among them, are computed once per tree.
 """
 
 from __future__ import annotations
@@ -79,12 +83,20 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 from numbers import Rational
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .geometry import P1_POINTS, P1Class, phi_p1, unit_p1
-from .series import FormalSeries, Monomial, TruncationWindow, _built
+from .series import (
+    FormalSeries,
+    Monomial,
+    RawTerm,
+    TruncationWindow,
+    _built,
+    _from_raw,
+    lowest_terms,
+)
 
 __all__ = [
     "DecoratedGraph",
@@ -204,27 +216,38 @@ def _sibling_swaps(order, degrees, below) -> List[List[int]]:
     return swaps
 
 
-def _placement_representatives(V: int, n: int, swaps) -> Iterator[Tuple[Tuple[int, ...], int]]:
-    """The first placement of n markings on V vertices, in product order, of
-    each orbit under the ``swaps``, with its orbit's size, closed beforehand."""
-    if not swaps:  # every orbit is one placement
-        yield from zip(itertools.product(range(V), repeat=n), itertools.repeat(1))
+def _orbit_representatives(points: Iterable[tuple], swaps, act) -> Iterator[Tuple[tuple, int]]:
+    """The first of ``points``, in their order, of each orbit under the group
+    the ``swaps`` generate, with its orbit's size, closed beforehand;
+    ``act(point, swap)`` is the point's image under one swap."""
+    if not swaps:  # every orbit is one point
+        yield from zip(points, itertools.repeat(1))
         return
     seen = set()
-    for marks in itertools.product(range(V), repeat=n):
-        if marks in seen:
+    for point in points:
+        if point in seen:
             continue
         before = len(seen)
-        seen.add(marks)
-        stack = [marks]
+        seen.add(point)
+        stack = [point]
         while stack:
-            m = stack.pop()
+            x = stack.pop()
             for perm in swaps:
-                image = tuple([perm[v] for v in m])
+                image = act(x, perm)
                 if image not in seen:
                     seen.add(image)
                     stack.append(image)
-        yield marks, len(seen) - before
+        yield point, len(seen) - before
+
+
+def _on_edges(degrees: tuple, perm: tuple) -> tuple:
+    """A composition moved by an edge involution: edge e takes perm[e]'s degree."""
+    return tuple([degrees[e] for e in perm])
+
+
+def _on_vertices(marks: tuple, perm) -> tuple:
+    """A placement moved by a vertex permutation: each marking follows its vertex."""
+    return tuple([perm[v] for v in marks])
 
 
 def _markings_by_vertex(V: int, markings: Sequence[int]) -> List[Tuple[int, ...]]:
@@ -332,13 +355,27 @@ def _shape_blocks(V: int) -> Iterator[Tuple[List[Tuple[int, int]], tuple, list, 
 
 
 @functools.cache  # the shapes depend on V alone; the walk runs once per V
-def _shape_catalogue(V: int) -> Tuple[Tuple[tuple, tuple, tuple, tuple], ...]:
+def _shape_catalogue(V: int) -> Tuple[Tuple[tuple, tuple, tuple, tuple, int, tuple], ...]:
     """The blocks :func:`_shape_blocks` yields for V, as tuples all through,
-    so every caller shares one copy that none can change."""
-    return tuple(
-        (tuple(tree), labels, tuple(order), shape)
-        for tree, labels, order, shape in _shape_blocks(V)
-    )
+    so every caller shares one copy that none can change.
+
+    Each record is (tree, labels, rooted order, shape key, automorphism
+    order, edge swaps): the order of the bare shape, and the
+    :func:`_sibling_swaps` that generate its automorphism group, each
+    written as the edge involution it induces (``swap[e]`` is the index of
+    the edge that edge e goes to).
+    """
+    unit, unmarked = [1] * (V - 1), [()] * V
+    catalogue = []
+    for tree, labels, order, shape in _shape_blocks(V):
+        _, aut, below = _rooted_key(labels, order, unit, unmarked)
+        index = {edge: e for e, edge in enumerate(tree)}
+        swaps = tuple(
+            tuple(index[min(perm[u], perm[v]), max(perm[u], perm[v])] for u, v in tree)
+            for perm in _sibling_swaps(order, unit, below)
+        )
+        catalogue.append((tuple(tree), labels, tuple(order), shape, aut, swaps))
+    return tuple(catalogue)
 
 
 def enumerate_graph_classes(n: int, d: int) -> List[DecoratedGraph]:
@@ -350,30 +387,40 @@ def enumerate_graph_classes(n: int, d: int) -> List[DecoratedGraph]:
     tree with one bipartition labeling) of each shape in
     :func:`_shape_catalogue` is decorated: two of its decorations are
     isomorphic exactly when an automorphism of the block carries one onto
-    the other.  So a composition whose unmarked key an earlier one had is
-    skipped, and placements are walked up to the :func:`_sibling_swaps` of
-    the degree-decorated block, which generate its automorphism group.  A
-    placement's stabiliser is the class's group, so each class keeps the
-    block's order over its orbit size, unkeyed.  The tests validate every class.
+    the other.  So compositions are walked up to the shape's edge swaps,
+    which generate its automorphism group, and each kept composition's tree
+    has the shape's order over its orbit size (orbit-stabiliser).
+    Placements are walked the same way, up to the :func:`_sibling_swaps` of
+    the degree-decorated tree, keyed only when n > 0 and the tree has
+    automorphisms; each class keeps its tree's order over its placement's
+    orbit size, unkeyed.  The tests validate every class.
     """
     if d < 1:
         raise ValueError("graph sums need positive total degree")
     classes: List[DecoratedGraph] = []
     for V in range(2, d + 2):
-        for tree, labels, order, _ in _shape_catalogue(V):
-            seen = set()
-            for degs in _compositions(d, V - 1):
-                key, aut, below = _rooted_key(labels, order, degs, [()] * V)
-                if key in seen:
-                    continue
-                seen.add(key)
-                swaps = _sibling_swaps(order, degs, below) if n and aut > 1 else ()
+        unmarked = [()] * V
+        for tree, labels, order, _, shape_aut, edge_swaps in _shape_catalogue(V):
+            compositions = _compositions(d, V - 1)
+            for degs, orbit in _orbit_representatives(compositions, edge_swaps, _on_edges):
+                aut = shape_aut // orbit
+                swaps = ()
+                if n and aut > 1:
+                    _, _, below = _rooted_key(labels, order, degs, unmarked)
+                    swaps = _sibling_swaps(order, degs, below)
                 edges = tuple((u, v, de) for (u, v), de in zip(tree, degs))
-                for marks, size in _placement_representatives(V, n, swaps):
-                    g = DecoratedGraph(labels, edges, marks)
-                    g.__dict__["_aut"] = aut // size  # orbit-stabiliser
-                    classes.append(g)
+                placements = itertools.product(range(V), repeat=n)
+                for marks, size in _orbit_representatives(placements, swaps, _on_vertices):
+                    classes.append(_graph(labels, edges, marks, aut // size))
     return classes
+
+
+def _graph(labels: tuple, edges: tuple, markings: tuple, aut: int) -> DecoratedGraph:
+    """A class the enumeration built, with its automorphism order, unchecked
+    and unkeyed: the caller guarantees tuples that form a decorated tree."""
+    g = object.__new__(DecoratedGraph)
+    g.__dict__.update(labels=labels, edges=edges, markings=markings, _aut=aut)
+    return g
 
 
 def count_labeled_graphs(n: int, d: int, V: int) -> int:
@@ -426,12 +473,11 @@ def _edge_coefficient(d: int) -> Tuple[int, int]:
     return (-1) ** d * d ** (2 * d), factorial(d) ** 2
 
 
-def _inverse(weight) -> Rational:
+def _inverse(weight: Rational) -> Rational:
     """1/weight, an ``int`` when the weight is 1/n."""
-    weight = Fraction(weight)
-    if not weight:
-        raise ValueError("zero flag weight")
     p, q = weight.numerator, weight.denominator
+    if not p:
+        raise ValueError("zero flag weight")
     return q * p if abs(p) == 1 else Fraction(q, p)
 
 
@@ -515,14 +561,16 @@ def _graph_contribution(
     g: DecoratedGraph,
     insertions: Sequence[Insertion],
     open_vertex: Optional[int] = None,
-    open_weight: Optional[Fraction] = None,
+    open_weight: Optional[Rational] = None,
     factors: Optional[tuple] = None,
-) -> Tuple[Fraction, int]:
-    # the class's factors fold into its tree's num/den * v^k, one Fraction at
-    # the end.  Each vertex takes its restrictions before its integral, which
-    # may raise; an integral is computed once per tree and stored in its memo
+) -> Tuple[int, int, int]:
+    # the class's factors fold into its tree's num/den * v^k, returned as the
+    # integers (num, den, k) with den > 0.  The boundary flag's weight is
+    # inverted once; each vertex takes its restrictions before its integral,
+    # which may raise; an integral is computed once per tree and stored in its memo
     num, den, k, inverses, memo = factors or _block_factors(g.labels, g.edges)
     den *= automorphism_count(g)
+    open_inverse = None if open_vertex is None else _inverse(open_weight)
     marks = _markings_by_vertex(len(g.labels), g.markings)
     for v, label in enumerate(g.labels):
         exps = []
@@ -532,17 +580,16 @@ def _graph_contribution(
                 exps.append(a)
                 c, rk = restriction[label - 1]
                 num, den, k = num * c.numerator, den * c.denominator, k + rk
-        weight = open_weight if v == open_vertex else None
-        key = (v, tuple(exps), weight)
+        u = open_inverse if v == open_vertex else None
+        key = (v, tuple(exps), u)
         if key not in memo:
-            inverse = inverses[v] if weight is None else inverses[v] + [_inverse(weight)]
-            memo[key] = _vertex_scalar(inverse, exps)
+            memo[key] = _vertex_scalar(inverses[v] if u is None else inverses[v] + [u], exps)
         vn, vd, kv = memo[key]
         num, den = num * vn, den * vd
         k += kv
         if not num:
             break
-    return Fraction(num, den), k
+    return (-num, -den, k) if den < 0 else (num, den, k)
 
 
 def _with_factors(classes: Iterable[DecoratedGraph]) -> Iterator[Tuple[DecoratedGraph, tuple]]:
@@ -574,27 +621,31 @@ def _open_classes(n: int, d: int) -> List[DecoratedGraph]:
     return enumerate_graph_classes(n + 1, d)
 
 
-def _open_series(mu: int, values: Iterable[Tuple[Fraction, int]]) -> FormalSeries:
-    """mu/v * D(mu) times the sum of the values c * v^k, given as (c, k), as one series."""
+def _open_terms(mu: int, summands: Iterable[Tuple[int, int, int]]) -> List[RawTerm]:
+    """mu/v * D(mu) times the sum of the summands num/den * v^k, given as
+    (num, den, k), as raw (V^k, num, den) terms, one per V-power."""
     c, k = disk_factor(mu)
-    c, k = mu * c, k - 1
-    return FormalSeries([(Monomial(V=k + vk), c * vc) for vc, vk in values], WIDE)
+    cn, cd, k = mu * c.numerator, c.denominator, k - 1
+    merged = lowest_terms((vk, vn, vd) for vn, vd, vk in summands)
+    return [(Monomial(V=k + vk), cn * vn, cd * vd) for vk, vn, vd in merged]
 
 
 def _open_sum(
-    mu: int, classes: Sequence[DecoratedGraph], insertions: Sequence[Insertion] = ()
-) -> FormalSeries:
-    """The one-boundary graph sum of winding ``mu`` over ``classes``, the
-    classes of :func:`_open_classes` for ``insertions`` at one degree."""
+    mu: int, classes: Iterable[Tuple[DecoratedGraph, tuple]], insertions: Sequence[Insertion] = ()
+) -> List[RawTerm]:
+    """The one-boundary graph sum of winding ``mu`` as :func:`_open_terms`,
+    over ``classes``: those of :func:`_open_classes` for ``insertions``
+    at one degree, each with its tree's factors, as :func:`_with_factors`
+    pairs them."""
     h = 1 if mu < 0 else 2  # the disk vertex's forced point
     n = len(insertions)
     weight = Fraction(1, mu)
-    values = (
+    summands = (
         _graph_contribution(g, insertions, g.markings[n], weight, factors)
-        for g, factors in _with_factors(classes)
+        for g, factors in classes
         if g.labels[g.markings[n]] == h
     )
-    return _open_series(mu, values)
+    return _open_terms(mu, summands)
 
 
 def open_invariant(
@@ -602,7 +653,8 @@ def open_invariant(
 ) -> FormalSeries:
     """One-boundary invariant, direct route: disk vertex at its forced point."""
     mu, d, _ = _open_data(d_minus, d_plus)
-    return _open_sum(mu, _open_classes(len(insertions), d), insertions)
+    classes = _with_factors(_open_classes(len(insertions), d))
+    return _from_raw(_open_sum(mu, classes, insertions), WIDE)
 
 
 def open_via_closed(
@@ -620,15 +672,16 @@ def open_via_closed(
     mu, d, h = _open_data(d_minus, d_plus)
     point_class = phi_p1(h)
     n = len(insertions)
-    values = []
+    weight = Fraction(1, mu)
+    summands = []
     for g, factors in _with_factors(_open_classes(n, d)):
         disk_vertex = g.markings[n]
         rc, rk = point_class[g.labels[disk_vertex] - 1]
         if not rc:
             continue
-        c, k = _graph_contribution(g, insertions, disk_vertex, Fraction(1, mu), factors)
-        values.append((c * rc, k + rk))
-    return _open_series(mu, values)
+        num, den, k = _graph_contribution(g, insertions, disk_vertex, weight, factors)
+        summands.append((num * rc.numerator, den * rc.denominator, k + rk))
+    return _from_raw(_open_terms(mu, summands), WIDE)
 
 
 # ===========================================================================
@@ -653,7 +706,8 @@ def graph_class_rows(n: int, d: int) -> List[GraphClassRow]:
     insertions = [(unit, 0)] * n
     rows = []
     for g, factors in _with_factors(enumerate_graph_classes(n, d)):
-        c, k = _graph_contribution(g, insertions, factors=factors)
-        series = _built({Monomial(V=k): c.numerator}, c.denominator, WIDE)
+        num, den, k = _graph_contribution(g, insertions, factors=factors)
+        common = gcd(num, den)
+        series = _built({Monomial(V=k): num // common}, den // common, WIDE)
         rows.append((g, automorphism_count(g), series))
     return rows

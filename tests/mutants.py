@@ -87,29 +87,36 @@ MUTANTS = (
     ),
     Mutant(
         LOC,
-        "for perm in swaps:",
-        "for perm in swaps[:1]:",
+        "swaps = _sibling_swaps(order, degs, below)",
+        "swaps = _sibling_swaps(order, degs, below)[:1]",
         "placement orbits closed under the first sibling swap only",
         (f"{TL}::test_enumeration_matches_dedupe_oracle[1-3]",),
     ),
     Mutant(
         LOC,
-        'g.__dict__["_aut"] = aut // size',
-        'g.__dict__["_aut"] = aut',
-        "a class's automorphism order taken as its block's, not divided by its orbit size",
+        "for perm in _sibling_swaps(order, unit, below)",
+        "for perm in _sibling_swaps(order, unit, below)[:1]",
+        "composition orbits closed under the first edge swap only",
+        (f"{TL}::test_enumeration_matches_dedupe_oracle[0-5]",),
+    ),
+    Mutant(
+        LOC,
+        "classes.append(_graph(labels, edges, marks, aut // size))",
+        "classes.append(_graph(labels, edges, marks, aut))",
+        "a class's automorphism order taken as its tree's, not divided by its orbit size",
         (f"{TL}::test_enumeration_matches_dedupe_oracle[1-3]",),
     ),
     Mutant(
         LOC,
-        "        before = len(seen)\n        seen.add(marks)\n",
-        "        seen.add(marks)\n        before = len(seen)\n",
-        "each placement orbit counted one short",
+        "        before = len(seen)\n        seen.add(point)\n",
+        "        seen.add(point)\n        before = len(seen)\n",
+        "each orbit counted one short",
         (f"{TL}::test_orbit_counts_match_labeled_enumeration",),
     ),
     Mutant(
         LOC,
-        "                if key in seen:\n                    continue\n",
-        "",
+        "_orbit_representatives(compositions, edge_swaps, _on_edges)",
+        "_orbit_representatives(compositions, (), _on_edges)",
         "a composition isomorphic to an earlier one of its block decorated again",
         (f"{TL}::test_enumeration_matches_dedupe_oracle[0-3]",),
     ),
@@ -284,6 +291,13 @@ MUTANTS = (
         (f"{TL}::test_scalar_contribution_matches_series_oracle[1-1]",),
     ),
     Mutant(
+        LOC,
+        "return (-num, -den, k) if den < 0 else (num, den, k)",
+        "return num, den, k",
+        "a summand's negative denominator left unnormalised",
+        (f"{TL}::test_scalar_contribution_matches_series_oracle[1-1]",),
+    ),
+    Mutant(
         SERIES,
         "acc = dict(a) if fa == 1 else {m: n * fa for m, n in a.items()}",
         "acc = dict(a)",
@@ -299,8 +313,8 @@ MUTANTS = (
     ),
     Mutant(
         LOC,
-        "for tree, labels, order, shape in _shape_blocks(V)\n    )",
-        "for tree, labels, order, shape in _shape_blocks(V)\n    )[::-1]",
+        "return tuple(catalogue)",
+        "return tuple(catalogue[::-1])",
         "shape catalogue in reverse walk order",
         (f"{TL}::test_enumeration_matches_dedupe_oracle[0-3]",),
     ),
@@ -327,8 +341,8 @@ MUTANTS = (
     ),
     Mutant(
         LOC,
-        "key = (v, tuple(exps), weight)",
-        "key = (v, len(exps), weight)",
+        "key = (v, tuple(exps), u)",
+        "key = (v, len(exps), u)",
         "a tree's vertex integrals memoized without their psi exponents",
         (f"{TL}::test_scalar_contribution_matches_series_oracle[1-1]",),
     ),

@@ -1163,7 +1163,8 @@ def closed_descendant(insertions: Sequence[Tuple[P1Class, int]], d: int) -> Form
     result is an exact V-Laurent polynomial, the sum of each class's summand.
     """
     graphs = enumerate_graph_classes(len(insertions), d)
-    return v_series(_graph_contribution(g, insertions) for g in graphs)
+    summands = (_graph_contribution(g, insertions) for g in graphs)
+    return v_series((Fraction(num, den), k) for num, den, k in summands)
 
 
 def j_degree_part_from_graphs(alpha: int, d: int, window: TruncationWindow) -> FormalSeries:

@@ -134,19 +134,35 @@ def test_localized_route_matches_bessel_route_to_winding_five():
 
 
 def test_localized_route_enumerates_each_degree_once(monkeypatch):
-    # windings share the classes of a sphere degree: degrees 1-3 are
-    # enumerated, degree 0 is the lone vertex
-    calls = []
+    # windings share the classes of a sphere degree, and their trees'
+    # factors: degrees 1-3 are enumerated, degree 0 is the lone vertex at
+    # either point, and each tree's factors are computed once, not once per
+    # winding
+    calls, factored = [], []
     enumerate_classes = localization.enumerate_graph_classes
+    block_factors = localization._block_factors
 
     def counted(n, d):
         calls.append((n, d))
         return enumerate_classes(n, d)
 
+    def counted_factors(labels, edges):
+        factored.append((labels, edges))
+        return block_factors(labels, edges)
+
     monkeypatch.setattr(localization, "enumerate_graph_classes", counted)
+    monkeypatch.setattr(localization, "_block_factors", counted_factors)
     window = TruncationWindow(max_q=8, max_t=3, max_abs_x=3, min_v=-8, max_v=1)
     assert disk_potential_localized(window) == disk_potential_bessel(window)
     assert calls == [(1, 1), (1, 2), (1, 3)]
+    trees = [
+        (g.labels, g.edges)
+        for d in range(4)
+        for g in localization._open_classes(0, d)
+    ]
+    once_per_tree = list(dict.fromkeys(trees))
+    assert len(once_per_tree) == 2 + 1 + 3 + 6
+    assert factored == once_per_tree
 
 
 # ---------------------------------------------------------------------------

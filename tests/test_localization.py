@@ -18,6 +18,8 @@ from ocmirror.localization import (
     _edge_coefficient,
     _graph_contribution,
     _labeled_trees,
+    _on_edges,
+    _orbit_representatives,
     _rooted_key,
     _shape_blocks,
     _shape_catalogue,
@@ -258,7 +260,7 @@ def test_sibling_swaps_generate_the_automorphism_group(V):
     # every block of every shape, degree-decorated with each composition of
     # V-1 to V+1 into V-1 parts, and no markings
     unmarked = [()] * V
-    for tree, labels, order, _ in _shape_catalogue(V):
+    for tree, labels, order, *_ in _shape_catalogue(V):
         for d in range(V - 1, V + 2):
             for degs in _compositions(d, V - 1):
                 _, aut, below = _rooted_key(labels, order, degs, unmarked)
@@ -274,7 +276,7 @@ def test_sibling_swaps_generate_the_automorphism_group(V):
 
 
 def test_enumeration_keys_each_composition_once(monkeypatch):
-    for V in range(2, 5):
+    for V in range(2, 7):
         _shape_catalogue(V)  # the shape walk's own keys are not counted
     calls = []
 
@@ -283,12 +285,39 @@ def test_enumeration_keys_each_composition_once(monkeypatch):
         return _rooted_key(*args)
 
     monkeypatch.setattr(localization, "_rooted_key", counted_key)
+    # compositions are walked up to the shape's edge swaps, so with no
+    # markings nothing is keyed
+    assert len(enumerate_graph_classes(0, 5)) == 37
+    assert calls == []
+    # with markings, only a kept composition whose tree has automorphisms is
+    # keyed, for the sibling swaps its placements are walked up to; none per class
     classes = enumerate_graph_classes(4, 3)
-    # one unmarked key per (block, composition) and none per class: each
-    # class's order comes from its placement's orbit size
-    pairs = sum(len(_shape_catalogue(V)) * comb(2, V - 2) for V in range(2, 5))
-    assert (pairs, len(classes)) == (8, 536)
-    assert len(calls) == pairs
+    trees = list(dict.fromkeys((g.labels, g.edges) for g in classes))
+    symmetric = [
+        (labels, tuple(de for *_, de in edges))
+        for labels, edges in trees
+        if _aut_brute(DecoratedGraph(labels, edges)) > 1
+    ]
+    assert (len(trees), len(symmetric), len(classes)) == (6, 2, 536)
+    assert [(labels, degs) for labels, _, degs, _ in calls] == symmetric
+
+
+@pytest.mark.parametrize("V", range(2, 8))
+def test_compositions_walked_up_to_the_shape_automorphisms(V):
+    # the kept compositions of each shape are the first of their orbits under
+    # its edge swaps: the orbits cover every composition once, and each kept
+    # tree's order, the shape's over its orbit size, is the one its key counts
+    unmarked = [()] * V
+    for tree, labels, order, _, aut, edge_swaps in _shape_catalogue(V):
+        for d in range(V - 1, V + 3):
+            kept = list(_orbit_representatives(_compositions(d, V - 1), edge_swaps, _on_edges))
+            assert sum(size for _, size in kept) == comb(d - 1, V - 2), (labels, d)
+            keys = set()
+            for degs, size in kept:
+                key, tree_aut, _ = _rooted_key(labels, order, degs, unmarked)
+                assert aut % size == 0 and aut // size == tree_aut, (labels, degs)
+                keys.add(key)
+            assert len(keys) == len(kept)  # no two kept compositions isomorphic
 
 
 def _made_of_tuples(x) -> bool:
@@ -302,8 +331,24 @@ def test_shape_catalogue_is_the_walk_as_tuples(V):
         (tuple(tree), labels, tuple(order), shape)
         for tree, labels, order, shape in _shape_blocks(V)
     ]
-    assert list(catalogue) == walk
+    assert [record[:4] for record in catalogue] == walk
     assert isinstance(catalogue, tuple) and _made_of_tuples(catalogue)
+    # each shape's order and edge swaps: involutions of the edges that keep
+    # which edges meet, and at which fixed point, and generate a group of
+    # the brute-force order
+    for tree, labels, _, _, aut, edge_swaps in catalogue:
+        shape = DecoratedGraph(labels, tuple((u, v, 1) for u, v in tree))
+
+        def meeting(e, f):
+            common = set(tree[e]) & set(tree[f])
+            return labels[common.pop()] if common else None
+
+        pairs = list(itertools.permutations(range(V - 1), 2))
+        for swap in edge_swaps:
+            assert sorted(swap) == list(range(V - 1))
+            assert all(swap[swap[e]] == e for e in range(V - 1))
+            assert all(meeting(e, f) == meeting(swap[e], swap[f]) for e, f in pairs)
+        assert len(_closure(V - 1, edge_swaps)) == aut == _aut_brute(shape)
 
 
 @pytest.mark.parametrize("n,d", ORACLE_GRID)
@@ -403,8 +448,11 @@ def _contribution_by_series(g, insertions, open_vertex=None, open_weight=None):
 
 
 def _contribution(*args):
-    """The program's summand c * v^k as a series, for the oracle to compare."""
-    return v_term(*_graph_contribution(*args))
+    """The program's summand num/den * v^k as a series, for the oracle to
+    compare; its denominator must be positive."""
+    num, den, k = _graph_contribution(*args)
+    assert den > 0, (num, den, k)
+    return v_term(F(num, den), k)
 
 
 def _outcome(fn, *args):
