@@ -141,27 +141,27 @@ def disk_potential_localized(window: TruncationWindow) -> FormalSeries:
     num/den * v^k, as a raw term.  The dressing exp(mu*t0/v) carries the
     degree-zero insertions, exactly as in the closed form, so the value
     gives the raw terms num * mu^l / (den * l!) * T^l Q^(2d+|mu|) X^mu V^(k-l)
-    inside ``window``, made into a series by one ``_from_raw``.  Each
-    sphere degree's graph classes, and their trees' factors, are computed
-    once and shared by every winding.  Exponentially slower than
-    :func:`disk_potential_bessel` — this is the independent oracle route,
-    not the workhorse.
+    inside ``window``, made into a series by one ``_from_raw``; the Q-powers
+    are those of :func:`_degrees`, and each l runs over the T-powers whose
+    V-power the window admits.  Each sphere degree's graph classes, and
+    their trees' factors, are computed once and shared by every winding.
+    Exponentially slower than :func:`disk_potential_bessel` — this is the
+    independent oracle route, not the workhorse.
     """
-    classes = [
-        list(_with_factors(_open_classes(0, d))) for d in range((window.max_q - 1) // 2 + 1)
-    ]
+    top = len(_degrees(window)) - 1  # -1 when the window excludes Z = 0
+    classes = [list(_with_factors(_open_classes(0, d))) for d in range((top - 1) // 2 + 1)]
     # every value has V-power k = 1 - 2d - |mu| <= 0, so l <= -min_v
     facts = _factorials(min(window.max_t, -window.min_v))
     raw: List[RawTerm] = []
     windings = (mu for mu in range(-window.max_abs_x, window.max_abs_x + 1) if mu)
     for mu in windings:
         e = abs(mu)
-        for d in range((window.max_q - e) // 2 + 1):
+        for d in range((top - e) // 2 + 1):
             for m, num, den in _open_sum(mu, classes[d]):
-                for l in range(min(window.max_t, m.V - window.min_v) + 1):
+                lo, hi = max(0, m.V - window.max_v), min(window.max_t, m.V - window.min_v)
+                for l in range(lo, hi + 1):
                     term = Monomial(Q=2 * d + e, T=l, X=mu, V=m.V - l)
-                    if window.contains(term):
-                        raw.append((term, num * mu**l, den * facts[l]))
+                    raw.append((term, num * mu**l, den * facts[l]))
     return _from_raw(raw, window)
 
 

@@ -52,28 +52,30 @@ closed-form factor
     D(mu) = (-1)^(|mu|+1)|mu|^(|mu|-2)/(|mu|! v^(|mu|-2))  for mu < 0,
 
 an overall mu/v, and a boundary flag of weight v/mu on the vertex carrying
-the disk.  At d = 0 the graph is a lone vertex, at either fixed point, that
-carries the boundary flag and every marking; it takes the same conventions
-(w^(valence-1) with valence 0 is 1/w, and a lone boundary flag is w_o).  Two
-independently coded routes evaluate the same invariant through one
-contribution function: the direct one sums over graphs whose disk vertex
-sits at the forced fixed point; the factored one sums over *all* graphs
-against an extra fixed-point-class insertion that kills the wrong
-assignments numerically.  Their agreement is an acceptance requirement, not
-an implementation shortcut.  The tests hold
-two more routes against these sums: the string recursion for the psi
-integrals, and the reduced curve series J~ of the projective line, which the
-one-point descendant sums rebuild degree by degree.
+the disk, which the sums carry as its integer inverse mu.  At d = 0 the
+graph is a lone vertex, at either fixed point, that carries the boundary
+flag and every marking; it takes the same conventions (w^(valence-1) with
+valence 0 is 1/w, and a lone boundary flag is w_o).  Two independently
+coded routes evaluate the same invariant through one contribution
+function: the direct one sums over graphs whose disk vertex sits at the
+forced fixed point; the factored one sums over *all* graphs against an
+extra fixed-point-class insertion that kills the wrong assignments
+numerically.  Their agreement is an acceptance requirement, not an
+implementation shortcut.  The tests hold two more routes against these
+sums: the string recursion for the psi integrals, and the reduced curve
+series J~ of the projective line, which the one-point descendant sums
+rebuild degree by degree.
 
 The graph classes are decorations of bare 2-coloured tree shapes, which
-depend on the vertex count V alone: each V's shapes are found by one walk
-over Pruefer trees, once per process, and stored with their automorphism
-orders and the swaps that generate their groups.  Every enumeration walks a
-shape's degree compositions, and then a tree's marking placements, up to
-those automorphisms, reading each class's order off its orbit sizes
-(orbit-stabiliser); a tree is keyed only when it has markings to place and
-automorphisms to place them up to.  A summand's factors that depend on the
-tree alone, its vertex integrals among them, are computed once per tree.
+depend on the vertex count V alone: one function walks each V's Pruefer
+trees, once per process, keys each block once, and stores each shape with
+its automorphism order and the swaps that generate its group.  Every
+enumeration walks a shape's degree compositions, and then a tree's marking
+placements, up to those automorphisms, so every class the program builds
+carries its order, read off its orbit sizes (orbit-stabiliser); a tree is
+keyed only when it has markings to place and automorphisms to place them
+up to.  A summand's factors that depend on the tree alone, its vertex
+integrals among them, are computed once per tree.
 """
 
 from __future__ import annotations
@@ -82,9 +84,7 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial, gcd, prod
-from numbers import Rational
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .geometry import P1_POINTS, P1Class, phi_p1, unit_p1
@@ -129,27 +129,6 @@ class DecoratedGraph:
     edges: Tuple[Tuple[int, int, int], ...]
     markings: Tuple[int, ...] = ()
 
-    # -- canonical form -----------------------------------------------------
-
-    def canonical_key(self) -> tuple:
-        """Isomorphism-class invariant, complete for decorated trees.
-
-        The rooted encoding (label, markings, sorted (edge degree, child)
-        branches) of the tree's center, found by leaf stripping on the
-        underlying tree.  Of two centers, the root is the one at fixed point
-        1: two centers are adjacent, so their labels differ, and every
-        isomorphism carries this root to the other tree's root.  Computed on
-        first use, kept with the automorphism order: the fields are tuples.
-        """
-        if "_key" not in self.__dict__:
-            V = len(self.labels)
-            order = _rooted_order(self.labels, _edge_adjacency(V, self.edges))
-            degrees = [de for _, _, de in self.edges]
-            marks = _markings_by_vertex(V, self.markings)
-            key, aut, _ = _rooted_key(self.labels, order, degrees, marks)
-            self.__dict__.update(_key=key, _aut=aut)
-        return self.__dict__["_key"]
-
 
 def _edge_adjacency(V: int, edges) -> List[List[Tuple[int, int]]]:
     """(neighbour, edge index) pairs per vertex; edges start with (u, v)."""
@@ -163,8 +142,10 @@ def _edge_adjacency(V: int, edges) -> List[List[Tuple[int, int]]]:
 def _rooted_order(labels: Sequence[int], adj) -> List[Tuple[int, tuple]]:
     """Each vertex with its (child, edge index) branches, children first.
 
-    The root, last in the list, is the tree center at fixed point 1 when
-    there are two centers (see :meth:`DecoratedGraph.canonical_key`).
+    The root, last in the list, is the center of the underlying tree, found
+    by leaf stripping; of two centers, the one at fixed point 1.  Two
+    centers are adjacent, so their labels differ, and every isomorphism of
+    decorated trees carries this root to the other tree's root.
     """
     root = min(_tree_centers(len(labels), adj), key=labels.__getitem__)
     order = []
@@ -179,13 +160,18 @@ def _rooted_order(labels: Sequence[int], adj) -> List[Tuple[int, tuple]]:
 
 
 def _rooted_key(labels, order, degrees, markings_by_vertex) -> Tuple[tuple, int, List[tuple]]:
-    """The rooted encoding of :meth:`DecoratedGraph.canonical_key`, the
-    automorphism order, and the encoding of the subtree below each vertex.
+    """The tree's key, its automorphism order, and the key of the subtree
+    below each vertex.
 
     ``order`` comes from :func:`_rooted_order`, ``degrees[e]`` is the degree
-    of edge e, and ``markings_by_vertex[v]`` the markings on vertex v.  Every
-    isomorphism fixes the root, so a run of k equal (edge degree, child)
-    branches contributes k! * aut(child)^k: the product of k! over all runs.
+    of edge e, and ``markings_by_vertex[v]`` the markings on vertex v.  A
+    subtree's key is (label, markings, sorted (edge degree, child key)
+    branches), and the tree's is its root's.  Since every isomorphism
+    carries root to root, the key is an isomorphism-class invariant, and
+    complete: two decorated trees are isomorphic exactly when their keys
+    are equal.  Every automorphism fixes the root, so a run of k equal
+    (edge degree, child) branches contributes k! * aut(child)^k: the
+    product of k! over all runs.
     """
     key: List[tuple] = [()] * len(labels)
     aut = 1
@@ -259,11 +245,9 @@ def _markings_by_vertex(V: int, markings: Sequence[int]) -> List[Tuple[int, ...]
 
 def _tree_centers(V: int, adj) -> List[int]:
     """Central vertices of the underlying tree, by repeated leaf removal."""
-    if V <= 2:
-        return list(range(V))
     degree = [len(adj[v]) for v in range(V)]
     removed = [False] * V
-    layer = [v for v in range(V) if degree[v] == 1]
+    layer = [v for v in range(V) if degree[v] <= 1]  # a lone vertex is its own center
     remaining = V
     while remaining > 2:
         remaining -= len(layer)
@@ -292,19 +276,13 @@ def _pruefer_to_edges(seq: Sequence[int], V: int) -> List[Tuple[int, int]]:
         degree[x] -= 1
         if degree[x] == 1:
             heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
+    edges.append(tuple(sorted(leaves)))  # the two vertices left
     return edges
 
 
 def _labeled_trees(V: int) -> Iterator[List[Tuple[int, int]]]:
-    """Every labeled tree on V vertices, in the order of its Pruefer sequence."""
-    if V == 1:
-        yield []
-        return
-    for seq in itertools.product(range(V), repeat=V - 2):
-        yield _pruefer_to_edges(seq, V)
+    """Every labeled tree on V >= 2 vertices, in the order of its Pruefer sequence."""
+    return (_pruefer_to_edges(seq, V) for seq in itertools.product(range(V), repeat=V - 2))
 
 
 def _bipartition_labels(V: int, edges: Sequence[Tuple[int, int]], root_label: int):
@@ -326,55 +304,42 @@ def _labeled_blocks(V: int) -> int:
     return 2 * (V ** (V - 2) if V >= 2 else 1)
 
 
-def _shape_blocks(V: int) -> Iterator[Tuple[List[Tuple[int, int]], tuple, list, tuple]]:
-    """The first block of each bare shape on V >= 2 vertices, in walk order.
+@functools.cache  # the shapes depend on V alone; the walk runs once per V
+def _shape_catalogue(V: int) -> Tuple[Tuple[tuple, tuple, tuple, int, tuple], ...]:
+    """The first block of each bare shape on V >= 2 vertices, in walk order,
+    as tuples all through, so every caller shares one copy that none can
+    change.
 
     A block is one Pruefer tree with one bipartition labeling; its shape is
-    its 2-coloured tree up to isomorphism (unit degrees, no markings).  Yields
-    (tree, labels, rooted order, shape key) and stops once the shapes found
-    account for every block: a shape of automorphism order a is the shape of
-    V!/a labeled blocks (orbit-stabiliser), and there are 2*V^(V-2) blocks.
-    """
-    unaccounted = _labeled_blocks(V)
-    unit = [1] * (V - 1)
-    unmarked = [()] * V
-    shapes = set()
-    for tree in _labeled_trees(V):
-        adj = _edge_adjacency(V, tree)
-        for root_label in (1, 2):
-            labels = _bipartition_labels(V, tree, root_label)
-            order = _rooted_order(labels, adj)
-            shape, aut, _ = _rooted_key(labels, order, unit, unmarked)
-            if shape in shapes:
-                continue
-            shapes.add(shape)
-            yield tree, labels, order, shape
-            unaccounted -= factorial(V) // aut
-            if not unaccounted:
-                return
-
-
-@functools.cache  # the shapes depend on V alone; the walk runs once per V
-def _shape_catalogue(V: int) -> Tuple[Tuple[tuple, tuple, tuple, tuple, int, tuple], ...]:
-    """The blocks :func:`_shape_blocks` yields for V, as tuples all through,
-    so every caller shares one copy that none can change.
-
-    Each record is (tree, labels, rooted order, shape key, automorphism
-    order, edge swaps): the order of the bare shape, and the
-    :func:`_sibling_swaps` that generate its automorphism group, each
-    written as the edge involution it induces (``swap[e]`` is the index of
-    the edge that edge e goes to).
+    its 2-coloured tree up to isomorphism (unit degrees, no markings).  Each
+    record is (tree, labels, rooted order, automorphism order, edge swaps):
+    the order of the bare shape, and the :func:`_sibling_swaps` that
+    generate its automorphism group, each written as the edge involution it
+    induces (``swap[e]`` is the index of the edge that edge e goes to).  The
+    walk keys each block once and stops once the shapes found account for
+    every block: a shape of automorphism order a is the shape of V!/a
+    labeled blocks (orbit-stabiliser), and there are 2*V^(V-2) blocks.
     """
     unit, unmarked = [1] * (V - 1), [()] * V
-    catalogue = []
-    for tree, labels, order, shape in _shape_blocks(V):
-        _, aut, below = _rooted_key(labels, order, unit, unmarked)
+    unaccounted = _labeled_blocks(V)
+    shapes, catalogue = set(), []
+    blocks = ((tree, root_label) for tree in _labeled_trees(V) for root_label in (1, 2))
+    for tree, root_label in blocks:
+        labels = _bipartition_labels(V, tree, root_label)
+        order = _rooted_order(labels, _edge_adjacency(V, tree))
+        shape, aut, below = _rooted_key(labels, order, unit, unmarked)
+        if shape in shapes:
+            continue
+        shapes.add(shape)
         index = {edge: e for e, edge in enumerate(tree)}
         swaps = tuple(
             tuple(index[min(perm[u], perm[v]), max(perm[u], perm[v])] for u, v in tree)
             for perm in _sibling_swaps(order, unit, below)
         )
-        catalogue.append((tuple(tree), labels, tuple(order), shape, aut, swaps))
+        catalogue.append((tuple(tree), labels, tuple(order), aut, swaps))
+        unaccounted -= factorial(V) // aut
+        if not unaccounted:
+            break
     return tuple(catalogue)
 
 
@@ -383,8 +348,8 @@ def enumerate_graph_classes(n: int, d: int) -> List[DecoratedGraph]:
 
     Returns the first decoration of each class in (block, degree
     composition, marking placement) order, as deduplicating every labeled
-    decoration by canonical key would.  Only the first block (one Pruefer
-    tree with one bipartition labeling) of each shape in
+    decoration by its :func:`_rooted_key` would.  Only the first block (one
+    Pruefer tree with one bipartition labeling) of each shape in
     :func:`_shape_catalogue` is decorated: two of its decorations are
     isomorphic exactly when an automorphism of the block carries one onto
     the other.  So compositions are walked up to the shape's edge swaps,
@@ -400,7 +365,7 @@ def enumerate_graph_classes(n: int, d: int) -> List[DecoratedGraph]:
     classes: List[DecoratedGraph] = []
     for V in range(2, d + 2):
         unmarked = [()] * V
-        for tree, labels, order, _, shape_aut, edge_swaps in _shape_catalogue(V):
+        for tree, labels, order, shape_aut, edge_swaps in _shape_catalogue(V):
             compositions = _compositions(d, V - 1)
             for degs, orbit in _orbit_representatives(compositions, edge_swaps, _on_edges):
                 aut = shape_aut // orbit
@@ -416,7 +381,7 @@ def enumerate_graph_classes(n: int, d: int) -> List[DecoratedGraph]:
 
 
 def _graph(labels: tuple, edges: tuple, markings: tuple, aut: int) -> DecoratedGraph:
-    """A class the enumeration built, with its automorphism order, unchecked
+    """A class the program built, with its automorphism order, unchecked
     and unkeyed: the caller guarantees tuples that form a decorated tree."""
     g = object.__new__(DecoratedGraph)
     g.__dict__.update(labels=labels, edges=edges, markings=markings, _aut=aut)
@@ -453,12 +418,16 @@ def _n_compositions(total: int, parts: int) -> int:
 
 
 def automorphism_count(g: DecoratedGraph) -> int:
-    """Order of the decoration-preserving automorphism group: the one an
-    enumerated class holds from its orbit size, or else the canonical key's
-    (:func:`_rooted_key`); the tests check it against a brute-force search."""
-    if "_aut" not in g.__dict__:
-        g.canonical_key()
-    return g.__dict__["_aut"]
+    """Order of the decoration-preserving automorphism group: the order
+    every class the program builds carries, or else, for a graph built by
+    hand, the one :func:`_rooted_key` counts; the tests check it against a
+    brute-force search."""
+    if "_aut" in g.__dict__:
+        return g.__dict__["_aut"]
+    V = len(g.labels)
+    order = _rooted_order(g.labels, _edge_adjacency(V, g.edges))
+    degrees = [de for *_, de in g.edges]
+    return _rooted_key(g.labels, order, degrees, _markings_by_vertex(V, g.markings))[1]
 
 
 # ===========================================================================
@@ -473,19 +442,12 @@ def _edge_coefficient(d: int) -> Tuple[int, int]:
     return (-1) ** d * d ** (2 * d), factorial(d) ** 2
 
 
-def _inverse(weight: Rational) -> Rational:
-    """1/weight, an ``int`` when the weight is 1/n."""
-    p, q = weight.numerator, weight.denominator
-    if not p:
-        raise ValueError("zero flag weight")
-    return q * p if abs(p) == 1 else Fraction(q, p)
-
-
-def _vertex_scalar(inverse: List[Rational], exps: List[int]) -> Tuple[Rational, Rational, int]:
+def _vertex_scalar(inverse: List[int], exps: List[int]) -> Tuple[int, int, int]:
     """The integral at a vertex as num/den * v^k.
 
     ``inverse`` holds u = 1/w for each flag, the boundary flag last, and
-    ``exps`` the marking psi-exponents.  Integer u give integer num and den.
+    ``exps`` the marking psi-exponents.  On a graph every u is an integer,
+    and so are num and den.
     """
     n_special = len(inverse) + len(exps)
     if n_special >= 3:
@@ -513,15 +475,17 @@ def _vertex_scalar(inverse: List[Rational], exps: List[int]) -> Tuple[Rational, 
     )
 
 
-def disk_factor(mu: int) -> Tuple[Fraction, int]:
-    """Closed-form disk multiple cover factor D(mu) = c * v^k as (c, k), mu != 0."""
+def disk_factor(mu: int) -> Tuple[int, int, int]:
+    """Closed-form disk multiple cover factor D(mu) = num/den * v^k, mu != 0,
+    as the integer triple (num, den, k) in lowest terms with den > 0."""
     if mu == 0:
         raise ValueError("winding zero has no disk")
     m = abs(mu)
-    c = Fraction(m) ** (m - 2) / factorial(m)
+    num, den = m ** max(m - 2, 0), factorial(m)  # m^(m-2) is 1 at m = 1
     if mu < 0:
-        c *= (-1) ** (m + 1)
-    return c, 2 - m
+        num *= (-1) ** (m + 1)
+    common = gcd(num, den)
+    return num // common, den // common, 2 - m
 
 
 # ===========================================================================
@@ -541,7 +505,7 @@ def _block_factors(labels: Sequence[int], edges) -> Tuple[int, int, int, List[Li
     (num, den, k, inverses, memo): every h(d_e)/d_e and w^(valence-1) folded
     into num/den * v^k, ``inverses[v]`` the u = 1/w of vertex v's edge flags,
     and ``memo`` an empty store for the tree's vertex integrals, keyed by
-    (vertex, psi exponents, open weight)."""
+    (vertex, psi exponents, boundary flag's inverse)."""
     num, den, k = 1, 1, 0
     inverses: List[List[int]] = [[] for _ in labels]
     for u, v, de in edges:
@@ -560,17 +524,17 @@ def _block_factors(labels: Sequence[int], edges) -> Tuple[int, int, int, List[Li
 def _graph_contribution(
     g: DecoratedGraph,
     insertions: Sequence[Insertion],
+    factors: tuple,
     open_vertex: Optional[int] = None,
-    open_weight: Optional[Rational] = None,
-    factors: Optional[tuple] = None,
+    open_inverse: Optional[int] = None,
 ) -> Tuple[int, int, int]:
-    # the class's factors fold into its tree's num/den * v^k, returned as the
-    # integers (num, den, k) with den > 0.  The boundary flag's weight is
-    # inverted once; each vertex takes its restrictions before its integral,
-    # which may raise; an integral is computed once per tree and stored in its memo
-    num, den, k, inverses, memo = factors or _block_factors(g.labels, g.edges)
+    # the class's factors fold into its tree's ``_block_factors``
+    # num/den * v^k, returned as the integers (num, den, k) with den > 0.  A
+    # boundary flag on ``open_vertex`` has weight v/mu, given as its inverse
+    # mu; each vertex takes its restrictions before its integral, which may
+    # raise; an integral is computed once per tree and stored in its memo
+    num, den, k, inverses, memo = factors
     den *= automorphism_count(g)
-    open_inverse = None if open_vertex is None else _inverse(open_weight)
     marks = _markings_by_vertex(len(g.labels), g.markings)
     for v, label in enumerate(g.labels):
         exps = []
@@ -599,15 +563,14 @@ def _with_factors(classes: Iterable[DecoratedGraph]) -> Iterator[Tuple[Decorated
         yield from zip(run, itertools.repeat(_block_factors(*tree)))
 
 
-def _open_data(d_minus: int, d_plus: int) -> Tuple[int, int, int]:
+def _open_data(d_minus: int, d_plus: int) -> Tuple[int, int]:
     mu = d_plus - d_minus
     if mu == 0:
         raise ValueError("winding zero has no boundary disk")
     d = min(d_minus, d_plus)
     if d < 0:
         raise ValueError("degrees must be nonnegative")
-    h = 1 if mu < 0 else 2
-    return mu, d, h
+    return mu, d
 
 
 def _open_classes(n: int, d: int) -> List[DecoratedGraph]:
@@ -617,17 +580,16 @@ def _open_classes(n: int, d: int) -> List[DecoratedGraph]:
     boundary flag and the markings take the vertex conventions.
     """
     if d == 0:
-        return [DecoratedGraph((label,), (), (0,) * (n + 1)) for label in P1_POINTS]
+        return [_graph((label,), (), (0,) * (n + 1), 1) for label in P1_POINTS]
     return enumerate_graph_classes(n + 1, d)
 
 
 def _open_terms(mu: int, summands: Iterable[Tuple[int, int, int]]) -> List[RawTerm]:
     """mu/v * D(mu) times the sum of the summands num/den * v^k, given as
     (num, den, k), as raw (V^k, num, den) terms, one per V-power."""
-    c, k = disk_factor(mu)
-    cn, cd, k = mu * c.numerator, c.denominator, k - 1
+    cn, cd, k = disk_factor(mu)
     merged = lowest_terms((vk, vn, vd) for vn, vd, vk in summands)
-    return [(Monomial(V=k + vk), cn * vn, cd * vd) for vk, vn, vd in merged]
+    return [(Monomial(V=k - 1 + vk), mu * cn * vn, cd * vd) for vk, vn, vd in merged]
 
 
 def _open_sum(
@@ -639,9 +601,8 @@ def _open_sum(
     pairs them."""
     h = 1 if mu < 0 else 2  # the disk vertex's forced point
     n = len(insertions)
-    weight = Fraction(1, mu)
     summands = (
-        _graph_contribution(g, insertions, g.markings[n], weight, factors)
+        _graph_contribution(g, insertions, factors, g.markings[n], mu)
         for g, factors in classes
         if g.labels[g.markings[n]] == h
     )
@@ -652,7 +613,7 @@ def open_invariant(
     d_minus: int, d_plus: int, insertions: Sequence[Insertion] = ()
 ) -> FormalSeries:
     """One-boundary invariant, direct route: disk vertex at its forced point."""
-    mu, d, _ = _open_data(d_minus, d_plus)
+    mu, d = _open_data(d_minus, d_plus)
     classes = _with_factors(_open_classes(len(insertions), d))
     return _from_raw(_open_sum(mu, classes, insertions), WIDE)
 
@@ -669,17 +630,16 @@ def open_via_closed(
     boundary weight cannot collide with an opposite edge weight on a graph
     that contributes nothing.
     """
-    mu, d, h = _open_data(d_minus, d_plus)
-    point_class = phi_p1(h)
+    mu, d = _open_data(d_minus, d_plus)
+    point_class = phi_p1(1 if mu < 0 else 2)  # the disk vertex's forced point
     n = len(insertions)
-    weight = Fraction(1, mu)
     summands = []
     for g, factors in _with_factors(_open_classes(n, d)):
         disk_vertex = g.markings[n]
         rc, rk = point_class[g.labels[disk_vertex] - 1]
         if not rc:
             continue
-        num, den, k = _graph_contribution(g, insertions, disk_vertex, weight, factors)
+        num, den, k = _graph_contribution(g, insertions, factors, disk_vertex, mu)
         summands.append((num * rc.numerator, den * rc.denominator, k + rk))
     return _from_raw(_open_terms(mu, summands), WIDE)
 
@@ -706,7 +666,7 @@ def graph_class_rows(n: int, d: int) -> List[GraphClassRow]:
     insertions = [(unit, 0)] * n
     rows = []
     for g, factors in _with_factors(enumerate_graph_classes(n, d)):
-        num, den, k = _graph_contribution(g, insertions, factors=factors)
+        num, den, k = _graph_contribution(g, insertions, factors)
         common = gcd(num, den)
         series = _built({Monomial(V=k): num // common}, den // common, WIDE)
         rows.append((g, automorphism_count(g), series))

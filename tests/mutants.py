@@ -271,8 +271,8 @@ MUTANTS = (
     ),
     Mutant(
         LOC,
-        "c = Fraction(m) ** (m - 2) / factorial(m)",
-        "c = Fraction(m) ** (m - 2) / factorial(m) * (2 if m >= 4 else 1)",
+        "num, den = m ** max(m - 2, 0), factorial(m)",
+        "num, den = m ** max(m - 2, 0) * (2 if m >= 4 else 1), factorial(m)",
         "disk multiple-cover factor doubled from winding 4 on",
         (f"{TCO}::test_localized_route_matches_bessel_route_to_winding_five",),
     ),
@@ -317,6 +317,20 @@ MUTANTS = (
         "return tuple(catalogue[::-1])",
         "shape catalogue in reverse walk order",
         (f"{TL}::test_enumeration_matches_dedupe_oracle[0-3]",),
+    ),
+    Mutant(
+        LOC,
+        "return tuple(catalogue)",
+        "return tuple(catalogue[:-1])",
+        "shape walk stopped one shape early: the last shape it finds left out",
+        (f"{TL}::test_shape_walk_stops_with_every_shape_found[5-6]",),
+    ),
+    Mutant(
+        LOC,
+        "u = open_inverse if v == open_vertex else None",
+        "u = -open_inverse if v == open_vertex else None",
+        "boundary flag's inverse weight negated",
+        (f"{TL}::test_bare_disk_values",),
     ),
     Mutant(
         ASYM,

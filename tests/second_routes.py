@@ -59,7 +59,9 @@ quantities another way, and the tests assert that the two agree.
   (``vertex_integral_by_ladder``), against the program's closed form read
   in the same weights (``vertex_integral``).
 * ``validate_graph``, the shape checks of a decorated tree, which the
-  enumeration meets by construction.
+  enumeration meets by construction, and ``canonical_key``, the complete
+  isomorphism invariant the dedupe oracle sorts every labeled decoration
+  by; the program keys only the trees it walks up to their automorphisms.
 * The string recursion for the psi integrals, and the equivariant pairing
   on the line with its Euler weights, hyperplane class and dual basis.
 
@@ -88,9 +90,13 @@ from ocmirror.correspondence import (
 from ocmirror.geometry import P1_POINTS, P1Class, Restriction, phi_p1, unit_p1
 from ocmirror.localization import (
     DecoratedGraph,
+    _edge_adjacency,
     _graph_contribution,
-    _inverse,
+    _markings_by_vertex,
+    _rooted_key,
+    _rooted_order,
     _vertex_scalar,
+    _with_factors,
     enumerate_graph_classes,
 )
 from ocmirror.series import (
@@ -1162,8 +1168,8 @@ def closed_descendant(insertions: Sequence[Tuple[P1Class, int]], d: int) -> Form
     ``insertions`` lists (restriction pair, psi exponent) per marking; the
     result is an exact V-Laurent polynomial, the sum of each class's summand.
     """
-    graphs = enumerate_graph_classes(len(insertions), d)
-    summands = (_graph_contribution(g, insertions) for g in graphs)
+    graphs = _with_factors(enumerate_graph_classes(len(insertions), d))
+    summands = (_graph_contribution(g, insertions, factors) for g, factors in graphs)
     return v_series((Fraction(num, den), k) for num, den, k in summands)
 
 
@@ -1223,12 +1229,30 @@ def validate_graph(g: DecoratedGraph) -> None:
         raise ValueError("marking on a missing vertex")
 
 
+def canonical_key(g: DecoratedGraph) -> tuple:
+    """Isomorphism-class invariant of a decorated tree, complete: the key
+    ``_rooted_key`` gives the tree rooted as ``_rooted_order`` roots it,
+    at its center."""
+    V = len(g.labels)
+    order = _rooted_order(g.labels, _edge_adjacency(V, g.edges))
+    degrees = [de for *_, de in g.edges]
+    return _rooted_key(g.labels, order, degrees, _markings_by_vertex(V, g.markings))[0]
+
+
+def _inverse(weight: Rational) -> Fraction:
+    """1/weight, refused at zero as the ladder refuses it."""
+    if not weight:
+        raise ValueError("zero flag weight")
+    return 1 / Fraction(weight)
+
+
 def vertex_integral(
     flag_weights: Sequence[Fraction],
     marking_exponents: Sequence[int] = (),
     open_weight: Fraction | None = None,
 ) -> FormalSeries:
-    """The program's closed-form vertex integral, in the ladder's signature."""
+    """The program's closed-form vertex integral, in the ladder's signature:
+    each weight inverted, as the graph sums carry their flags."""
     weights = list(flag_weights) + ([open_weight] if open_weight is not None else [])
     num, den, k = _vertex_scalar([_inverse(w) for w in weights], list(marking_exponents))
     return v_term(Fraction(num, den), k)

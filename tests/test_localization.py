@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from fractions import Fraction
@@ -10,18 +11,21 @@ from math import comb, factorial
 import pytest
 
 from ocmirror import localization
+from ocmirror.correspondence import disk_potential_bessel, disk_potential_localized
 from ocmirror.geometry import phi_p1, unit_p1
 from ocmirror.localization import (
     DecoratedGraph,
     _bipartition_labels,
+    _block_factors,
     _compositions,
+    _edge_adjacency,
     _edge_coefficient,
     _graph_contribution,
     _labeled_trees,
     _on_edges,
     _orbit_representatives,
     _rooted_key,
-    _shape_blocks,
+    _rooted_order,
     _shape_catalogue,
     _sibling_swaps,
     _vertex_scalar,
@@ -37,6 +41,7 @@ from ocmirror.localization import (
 from ocmirror.series import FormalSeries, TruncationWindow, mono
 
 from second_routes import (
+    canonical_key,
     closed_descendant,
     hyperplane_p1,
     j_degree_part_from_graphs,
@@ -141,7 +146,7 @@ def _enumerate_by_dedupe(n, d):
                     edges = tuple((u, v, de) for (u, v), de in zip(tree, degs))
                     for marks in itertools.product(range(V), repeat=n):
                         g = DecoratedGraph(labels, edges, tuple(marks))
-                        found.setdefault(g.canonical_key(), g)
+                        found.setdefault(canonical_key(g), g)
     return list(found.values())
 
 
@@ -175,24 +180,23 @@ def test_enumeration_matches_dedupe_oracle(n, d):
     assert classes == _enumerate_by_dedupe(n, d)
     for g in classes:
         validate_graph(g)
-        # the order read off the placement's orbit is the order the graph's
-        # own canonical key counts; enumeration keys no class
-        assert "_key" not in g.__dict__, g
+        # the order read off the placement's orbit is the order a fresh copy
+        # of the graph counts from its key
         fresh = DecoratedGraph(g.labels, g.edges, g.markings)
-        fresh.canonical_key()
-        assert g.__dict__["_aut"] == fresh.__dict__["_aut"], g
+        assert g.__dict__["_aut"] == automorphism_count(fresh), g
 
 
+@functools.cache  # two tests read it; the walk to V = 7 takes seconds
 def _full_walk_shapes(V):
-    """Oracle: each bare shape with the index of the first tree that has it,
-    in walk order, with no early stop."""
+    """Oracle: the first block of each bare shape, in walk order, with no
+    early stop, as (shape key, index of the block's tree, block labels)."""
     shapes = {}
     for i, tree in enumerate(_labeled_trees(V)):
         unit_edges = tuple((u, v, 1) for u, v in tree)
         for root_label in (1, 2):
-            g = DecoratedGraph(_bipartition_labels(V, tree, root_label), unit_edges)
-            shapes.setdefault(g.canonical_key(), i)
-    return list(shapes.items())
+            labels = _bipartition_labels(V, tree, root_label)
+            shapes.setdefault(canonical_key(DecoratedGraph(labels, unit_edges)), (i, labels))
+    return tuple((key, i, labels) for key, (i, labels) in shapes.items())
 
 
 @pytest.mark.parametrize("V,count", zip(range(2, 8), [1, 2, 3, 6, 10, 22]))
@@ -205,16 +209,21 @@ def test_shape_walk_stops_with_every_shape_found(V, count, monkeypatch):
             yield tree
 
     monkeypatch.setattr(localization, "_labeled_trees", counted_trees)
-    blocks = list(_shape_blocks(V))
+    _shape_catalogue.cache_clear()  # earlier tests filled it
+    catalogue = _shape_catalogue(V)
     full = _full_walk_shapes(V)
-    assert [shape for *_, shape in blocks] == [shape for shape, _ in full]
-    assert len(blocks) == count
+    keys = [
+        canonical_key(DecoratedGraph(labels, tuple((u, v, 1) for u, v in tree)))
+        for tree, labels, *_ in catalogue
+    ]
+    assert keys == [key for key, *_ in full]
+    assert len(catalogue) == count
     # the walk ends at the tree where the last shape turns up
     assert len(walked) == full[-1][1] + 1
     # the shapes' orbits cover all 2 * V^(V-2) labeled blocks; the orders
     # come from the brute-force search, not the key the stop rule reads
     orbits = 0
-    for tree, labels, _, _ in blocks:
+    for tree, labels, *_ in catalogue:
         shape = DecoratedGraph(labels, tuple((u, v, 1) for u, v in tree))
         orbits += F(factorial(V), _aut_brute(shape))
     assert orbits == 2 * V ** (V - 2)
@@ -308,7 +317,7 @@ def test_compositions_walked_up_to_the_shape_automorphisms(V):
     # its edge swaps: the orbits cover every composition once, and each kept
     # tree's order, the shape's over its orbit size, is the one its key counts
     unmarked = [()] * V
-    for tree, labels, order, _, aut, edge_swaps in _shape_catalogue(V):
+    for tree, labels, order, aut, edge_swaps in _shape_catalogue(V):
         for d in range(V - 1, V + 3):
             kept = list(_orbit_representatives(_compositions(d, V - 1), edge_swaps, _on_edges))
             assert sum(size for _, size in kept) == comb(d - 1, V - 2), (labels, d)
@@ -326,17 +335,20 @@ def _made_of_tuples(x) -> bool:
 
 @pytest.mark.parametrize("V", range(2, 8))
 def test_shape_catalogue_is_the_walk_as_tuples(V):
+    # each record holds the first block of its shape in the unstopped walk:
+    # its tree, labels and rooted order, as tuples all through
     catalogue = _shape_catalogue(V)
+    trees = list(_labeled_trees(V))
     walk = [
-        (tuple(tree), labels, tuple(order), shape)
-        for tree, labels, order, shape in _shape_blocks(V)
+        (tuple(trees[i]), labels, tuple(_rooted_order(labels, _edge_adjacency(V, trees[i]))))
+        for _, i, labels in _full_walk_shapes(V)
     ]
-    assert [record[:4] for record in catalogue] == walk
+    assert [record[:3] for record in catalogue] == walk
     assert isinstance(catalogue, tuple) and _made_of_tuples(catalogue)
     # each shape's order and edge swaps: involutions of the edges that keep
     # which edges meet, and at which fixed point, and generate a group of
     # the brute-force order
-    for tree, labels, _, _, aut, edge_swaps in catalogue:
+    for tree, labels, _, aut, edge_swaps in catalogue:
         shape = DecoratedGraph(labels, tuple((u, v, 1) for u, v in tree))
 
         def meeting(e, f):
@@ -422,9 +434,10 @@ def test_vertex_integral_rejects_unhandled_shapes():
         vertex_integral([], [1, 1])
 
 
-def _contribution_by_series(g, insertions, open_vertex=None, open_weight=None):
+def _contribution_by_series(g, insertions, open_vertex=None, mu=None):
     """Oracle: one class's summand as a running product of one-term series,
-    with each vertex integral summed over its ladder."""
+    with each vertex integral summed over its ladder; a boundary flag on
+    ``open_vertex`` has weight v/mu."""
     total = v_term(F(1, automorphism_count(g)))
     for _, _, de in g.edges:
         h = v_term(F((-1) ** de * de ** (2 * de), factorial(de) ** 2), -2 * de)
@@ -440,17 +453,19 @@ def _contribution_by_series(g, insertions, open_vertex=None, open_weight=None):
                 total = total * v_term(*restriction[label - 1])
         k = len(flags) - 1
         total = scale(total, F(sign) ** k, mono(V=k))
-        ow = open_weight if v == open_vertex else None
+        ow = F(1, mu) if v == open_vertex else None
         total = total * vertex_integral_by_ladder(flags, exps, ow)
         if total.is_zero():
             return total
     return total
 
 
-def _contribution(*args):
+def _contribution(g, insertions, open_vertex=None, mu=None, factors=None):
     """The program's summand num/den * v^k as a series, for the oracle to
-    compare; its denominator must be positive."""
-    num, den, k = _graph_contribution(*args)
+    compare, from its tree's factors, fresh ones unless given; its
+    denominator must be positive."""
+    factors = factors or _block_factors(g.labels, g.edges)
+    num, den, k = _graph_contribution(g, insertions, factors, open_vertex, mu)
     assert den > 0, (num, den, k)
     return v_term(F(num, den), k)
 
@@ -518,7 +533,7 @@ def test_scalar_contribution_matches_series_oracle_with_open_vertex(n, d):
     raised = 0
     for j, g in enumerate(enumerate_graph_classes(n, d)):
         for mu in (1, -1, 2, -2):
-            args = (g, lists[j % len(lists)], g.markings[n - 1], F(1, mu))
+            args = (g, lists[j % len(lists)], g.markings[n - 1], mu)
             want = _outcome(_contribution_by_series, *args)
             assert _outcome(_contribution, *args) == want, args
             raised += isinstance(want, tuple)
@@ -534,32 +549,29 @@ def test_class_rows_match_series_oracle_on_fresh_graphs(n, d):
         fresh = DecoratedGraph(g.labels, g.edges, g.markings)
         assert "_aut" not in fresh.__dict__
         assert contribution == _contribution_by_series(fresh, insertions), g
-        assert aut == fresh.__dict__["_aut"], g
+        assert aut == automorphism_count(fresh), g
 
 
 def test_vertex_integral_raises_before_a_vanishing_restriction_returns():
     # the restriction is zero at the vertex whose integral raises: the
     # integral comes first, so the call raises instead of returning zero
-    point2 = [(phi_p1(2), 0)]
-    edge = DecoratedGraph((1, 2), ((0, 1, 1),), (0,))
-    cases = [
-        (DecoratedGraph((1,), (), (0, 0)), point2 * 2),  # no convention
-        (edge, point2, 0, F(0)),  # zero boundary weight
-    ]
-    for args in cases:
-        want = _outcome(_contribution_by_series, *args)
-        assert isinstance(want, tuple), args
-        assert _outcome(_contribution, *args) == want, args
+    args = (DecoratedGraph((1,), (), (0, 0)), [(phi_p1(2), 0)] * 2)  # no convention
+    want = _outcome(_contribution_by_series, *args)
+    assert isinstance(want, tuple), args
+    assert _outcome(_contribution, *args) == want, args
 
 
 def test_disk_factors():
-    # D(mu) = c * v^k as (c, k)
-    assert disk_factor(1) == (1, 1)
-    assert disk_factor(-1) == (1, 1)
-    assert disk_factor(2) == (F(1, 2), 0)
-    assert disk_factor(-2) == (F(-1, 2), 0)
-    assert disk_factor(3) == (F(1, 2), -1)
-    assert disk_factor(-3) == (F(1, 2), -1)
+    # D(mu) = num/den * v^k as (num, den, k), in lowest terms with den > 0
+    assert disk_factor(1) == (1, 1, 1)
+    assert disk_factor(-1) == (1, 1, 1)
+    assert disk_factor(2) == (1, 2, 0)
+    assert disk_factor(-2) == (-1, 2, 0)
+    assert disk_factor(3) == (1, 2, -1)
+    assert disk_factor(-3) == (1, 2, -1)
+    assert disk_factor(4) == (2, 3, -2)
+    assert disk_factor(-4) == (-2, 3, -2)
+    assert disk_factor(5) == (25, 24, -3)
     with pytest.raises(ValueError):
         disk_factor(0)
 
@@ -598,6 +610,25 @@ def test_graph_sums_rebuild_curve_series(alpha, d):
 # ---------------------------------------------------------------------------
 # open invariants
 # ---------------------------------------------------------------------------
+
+
+def test_graph_sums_compute_no_key(monkeypatch):
+    # every class the program builds carries its order, and each vertex
+    # count's shapes are walked once per process: with the catalogue warm,
+    # no graph sum roots a tree to key it
+    for V in range(2, 6):
+        _shape_catalogue(V)
+
+    def refused(*args):
+        raise AssertionError("a graph sum keyed a tree")
+
+    monkeypatch.setattr(localization, "_rooted_order", refused)
+    assert len(graph_class_rows(2, 3)) == 48
+    assert open_invariant(0, 1) == v_term(1)
+    assert open_invariant(2, 0) == v_term(F(1, 2), -1)
+    assert open_via_closed(1, 3) == open_invariant(1, 3)
+    window = TruncationWindow(max_q=8, max_t=3, max_abs_x=3, min_v=-8, max_v=1)
+    assert disk_potential_localized(window) == disk_potential_bessel(window)
 
 
 def test_bare_disk_values():
