@@ -64,6 +64,8 @@ class NumericParams:
             raise ValueError("q1 and q2 must be nonnegative")
         if self.z <= 0:
             raise ValueError("z must be positive")
+        if not 2.0**-1022 <= self.z * self.z < math.inf:  # the degree sums divide by z^2
+            raise ValueError(f"z = {self.z!r} is out of range: z^2 is not a normal double")
         try:  # the sums' prefactor: cancels in the ratio, but a subnormal one rounds both
             prefactor = self.q0 ** (1.0 / self.z)
         except OverflowError:
@@ -178,21 +180,26 @@ def ratio_table(
         return []
     unit = replace(params, q0=1.0)
     walks = iter(itertools.tee(_mu_walk(_mirror(unit, component)[0]), N + 1 + len(ls)))
-    phis = [eval_phi_k(unit, k, component, next(walks)) for k in range(N + 1)]
     rows = []
-    for l in ls:
-        v_l = (l + 0.5) * params.z
-        value = eval_I2(unit, v_l, component, next(walks))
-        for k in range(N):
-            value -= phis[k] * v_l**-k
-        scale = phis[N] * v_l**-N
-        if scale == 0.0:
-            raise ZeroDivisionError(
-                "the order-N scale coefficient vanishes at these parameters; "
-                "choose a different N or nonzero q1, q2"
-            )
-        ratio = value / scale
-        rows.append((l, v_l, N, ratio, abs(ratio - 1.0)))
+    try:  # z^2 is a normal double, so only the powers of order N can overflow
+        phis = [eval_phi_k(unit, k, component, next(walks)) for k in range(N + 1)]
+        for l in ls:
+            v_l = (l + 0.5) * params.z
+            value = eval_I2(unit, v_l, component, next(walks))
+            for k in range(N):
+                value -= phis[k] * v_l**-k
+            scale = phis[N] * v_l**-N
+            if scale == 0.0:
+                raise ZeroDivisionError(
+                    "the order-N scale coefficient vanishes at these parameters; "
+                    "choose a different N or nonzero q1, q2"
+                )
+            ratio = value / scale
+            rows.append((l, v_l, N, ratio, abs(ratio - 1.0)))
+    except OverflowError:
+        raise ValueError(
+            f"N = {N} is out of range: a scale weight (mu z)^N or a power v_l^-N overflows a double"
+        ) from None
     return rows
 
 

@@ -21,10 +21,11 @@ Subcommands
 ``asymptotics``
     Floating-point large-weight ratio table for the excess component.
 
-All exact values are printed as ``num/den`` strings, each series row in
-its own lowest terms; series tables iterate in the kernel's lexicographic
-monomial order and graph tables in the deterministic enumeration order, so
-identical configurations produce byte-identical output.  ``disk`` and
+All exact values are printed whole, however many digits they have, as
+``num/den`` strings, each series row in its own lowest terms; series tables
+iterate in the kernel's lexicographic monomial order and graph tables in
+the deterministic enumeration order, so identical configurations produce
+byte-identical output.  ``disk`` and
 ``rhs`` write each Q-power slice as it is built, already in that order, so
 their memory does not grow with the table; every refusal comes before the
 first byte.  Exit codes: 0 success (check passed), 1 check failure, 2 usage
@@ -34,6 +35,7 @@ or configuration error, or an ``--output`` path that cannot be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -282,22 +284,40 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+@contextlib.contextmanager
+def _all_int_digits() -> Iterator[None]:
+    """Lift CPython's limit on the digits of an int written as text, and
+    restore it after: an exact value may pass its 4,300 digits.  Pythons
+    without the limit have no ``set_int_max_str_digits``."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        yield
+        return
+    saved = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
-    try:
-        code, chunks = args.handler(args)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.output:
+    with _all_int_digits():
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            code, chunks = args.handler(args)
+        except (ValueError, ArithmeticError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
-    else:
-        sys.stdout.writelines(chunks)
+        if args.output:
+            try:
+                with open(args.output, "w", encoding="utf-8") as fh:
+                    fh.writelines(chunks)
+            except OSError as exc:
+                print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+                return 2
+        else:
+            sys.stdout.writelines(chunks)
     return code
 
 

@@ -5,9 +5,9 @@ Left side: the multiple-cover disk potential of the equivariant line —
     F = sum_{mu != 0} exp(mu*t0/v) * (v/mu^2) * I_mu(2*mu*sqrt(q)/v) * X^mu,
 
 whose coefficient of T^l Q^(2m+|mu|) X^mu V^(1-l-2m-|mu|) is
-mu^(l+2m+|mu|-2) / (l! m! (m+|mu|)!).  Written down term by term from that
-closed form (fast route) or resummed from one-boundary graph sums
-(independent route).
+mu^(l+2m+|mu|-2) / (l! m! (m+|mu|)!).  One slice walk writes it down, the
+dressing exp(mu*t0/v) giving mu^l / l! and each (mu, m) the rest: from that
+closed form (fast route) or from one-boundary graph sums (independent route).
 
 Right side: the z^-2 slice of the origin-restricted surface series, paired
 against the distinguished origin class and written in winding/area
@@ -30,16 +30,15 @@ Then
 is added.
 
 Both sides are written as raw integer terms (monomial, num, den), one list
-per Q-power slice e, each by loops over only the exponents the window
-admits and in the kernel's order: T, then X, with V = 1 - T - e.  The two
-sides match term for term.  The left side's monomial
-T^l Q^e X^mu V^(1-l-e), e = 2m + |mu|, comes from exactly one surface
-class, (d1, d2) = ((e-mu)/2, (e+mu)/2), at expansion index k = l + e - 2,
-with the same value mu^k / (l! m! (m+|mu|)!): the surface sign (-1)^|mu|
-and the map's sign (-1)^(d1+d2) cancel.  Only the correction's four
-monomials have no partner: Q*X^-1 and Q*X (k = -1) are on the left alone,
-and the winding-0 slice T^2/(2v) + Q^2/v on the right alone, where the
-correction cancels it.
+per Q-power slice e, over only the exponents the window admits and in the
+kernel's order: T, then X, with V = 1 - T - e.  The two sides match term
+for term.  The left side's monomial T^l Q^e X^mu V^(1-l-e), e = 2m + |mu|,
+comes from exactly one surface class, (d1, d2) = ((e-mu)/2, (e+mu)/2), at
+expansion index k = l + e - 2, with the same value mu^k / (l! m! (m+|mu|)!):
+the surface sign (-1)^|mu| and the map's sign (-1)^(d1+d2) cancel.  Only
+the correction's four monomials have no partner: Q*X^-1 and Q*X (k = -1)
+are on the left alone, and the winding-0 slice T^2/(2v) + Q^2/v on the
+right alone, where the correction cancels it.
 
 ``run_check`` walks the two sides slice by slice, so the right side is
 never held whole.  Two equal lists add nothing; in any other slice (Q^2,
@@ -58,7 +57,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from .closed import FactorTerm, _factorials, surface_series_terms, z_coeff_terms
 from .localization import _open_classes, _open_sum, _with_factors
@@ -81,28 +80,9 @@ def _degrees(window: TruncationWindow) -> range:
     return range(top + 1)
 
 
-def _disk_slice(e: int, window: TruncationWindow, facts: List[int]) -> List[RawTerm]:
-    """Raw terms of the disk potential at Q^e inside ``window``, in the kernel's order.
-
-    l runs from the V ceiling to the V floor or max_t, and for each l, mu
-    upwards over the windings of the parity of e, each with its running
-    power mu^(l+e-2): every step emits a term.  ``facts`` reaches e and l."""
-    top = min(window.max_abs_x, e)
-    top -= (e - top) % 2  # |mu| has the parity of e
-    windings = [mu for mu in range(-top, top + 1, 2) if mu]
-    if not windings:
-        return []
-    lo = max(0, 1 - e - window.max_v)
-    dens = [facts[(e - abs(mu)) // 2] * facts[(e + abs(mu)) // 2] for mu in windings]
-    nums = [mu ** abs(lo + e - 2) for mu in windings]  # exponent -1 only where mu^-1 = mu
-    out: List[RawTerm] = []
-    for l in range(lo, min(window.max_t, 1 - e - window.min_v) + 1):
-        f = facts[l]
-        for i, mu in enumerate(windings):
-            n = nums[i]
-            out.append((_tuple_new(Monomial, (e, l, mu, 1 - l - e, 0, 0, 0)), n, dens[i] * f))
-            nums[i] = n * mu
-    return out
+def _bessel_value(mu: int, m: int, facts: List[int]) -> Tuple[int, int]:
+    """mu^(2m+|mu|-2) / (m! (m+|mu|)!) as (num, den); the power is -1 only at mu^-1 = mu."""
+    return mu ** abs(2 * m + abs(mu) - 2), facts[m] * facts[m + abs(mu)]
 
 
 def _refuse_over_budget(window: TruncationWindow) -> None:
@@ -113,20 +93,48 @@ def _refuse_over_budget(window: TruncationWindow) -> None:
         )
 
 
-def disk_slices(window: TruncationWindow) -> Iterator[List[RawTerm]]:
-    """The disk potential's raw terms in closed Bessel form inside ``window``, by Q-power.
+def _disk_walk(window: TruncationWindow, value: Callable) -> Iterator[List[RawTerm]]:
+    """Raw terms of the disk potential inside ``window``, by Q-power, each in the kernel's order.
 
-    Every monomial has V-exponent 1 - l - 2m - |mu| <= 0.  A window of mass
-    budget 2*max_q + max_t beyond ``MAX_MASS_BUDGET`` is refused before any
-    slice is built, as every expansion refuses it.
-    """
+    ``value(mu, m, facts)`` is the (num, den) of the T^0 coefficient of Q^e
+    X^mu V^(1-e), m = (e - |mu|)/2, and exp(mu*t0/v) dresses it: l runs from
+    the V ceiling to the V floor or max_t, and for each l, mu upwards over
+    the windings of the parity of e, each with its running power mu^l, over
+    l!.  A window beyond the mass budget is refused before any slice is."""
     _refuse_over_budget(window)
     degrees = _degrees(window)
     # a slice with a winding has e >= 1, so l <= min(max_t, -min_v); with
     # none, no term reads a factorial
     winding = window.max_abs_x and len(degrees) > 1
     facts = _factorials(max(degrees[-1], min(window.max_t, -window.min_v))) if winding else []
-    return (_disk_slice(e, window, facts) for e in degrees)
+
+    def slice_at(e: int) -> List[RawTerm]:
+        top = min(window.max_abs_x, e)
+        top -= (e - top) % 2  # |mu| has the parity of e
+        windings = [mu for mu in range(-top, top + 1, 2) if mu]
+        lo, hi = max(0, 1 - e - window.max_v), min(window.max_t, 1 - e - window.min_v)
+        if not windings or lo > hi:
+            return []
+        heads, dens = zip(*[value(mu, (e - abs(mu)) // 2, facts) for mu in windings])
+        nums = [num * mu**lo for num, mu in zip(heads, windings)]
+        out: List[RawTerm] = []
+        for l in range(lo, hi + 1):
+            f = facts[l]
+            for i, mu in enumerate(windings):
+                n = nums[i]
+                out.append((_tuple_new(Monomial, (e, l, mu, 1 - l - e, 0, 0, 0)), n, dens[i] * f))
+                nums[i] = n * mu
+        return out
+
+    return map(slice_at, degrees)
+
+
+def disk_slices(window: TruncationWindow) -> Iterator[List[RawTerm]]:
+    """The disk potential's raw terms in closed Bessel form inside ``window``, by Q-power.
+
+    Every monomial has V-exponent 1 - l - 2m - |mu| <= 0.  A window of mass
+    budget 2*max_q + max_t beyond ``MAX_MASS_BUDGET`` is refused."""
+    return _disk_walk(window, _bessel_value)
 
 
 def disk_potential_bessel(window: TruncationWindow) -> FormalSeries:
@@ -137,32 +145,23 @@ def disk_potential_bessel(window: TruncationWindow) -> FormalSeries:
 def disk_potential_localized(window: TruncationWindow) -> FormalSeries:
     """Disk potential resummed from one-boundary fixed-point graph sums.
 
-    Each winding mu and sphere degree d give one exact graph-sum value
-    num/den * v^k, as a raw term.  The dressing exp(mu*t0/v) carries the
-    degree-zero insertions, exactly as in the closed form, so the value
-    gives the raw terms num * mu^l / (den * l!) * T^l Q^(2d+|mu|) X^mu V^(k-l)
-    inside ``window``, made into a series by one ``_from_raw``; the Q-powers
-    are those of :func:`_degrees`, and each l runs over the T-powers whose
-    V-power the window admits.  Each sphere degree's graph classes, and
-    their trees' factors, are computed once and shared by every winding.
-    Exponentially slower than :func:`disk_potential_bessel` — this is the
-    independent oracle route, not the workhorse.
+    The closed form's slice walk with each value from the graph sum of
+    winding mu at sphere degree m, which must be one term at V^(1-2m-|mu|).
+    Each degree's classes and their trees' factors are built once, in
+    increasing degree, and shared by every winding.  Exponentially slower
+    than :func:`disk_potential_bessel`: the independent oracle route.
     """
-    top = len(_degrees(window)) - 1  # -1 when the window excludes Z = 0
-    classes = [list(_with_factors(_open_classes(0, d))) for d in range((top - 1) // 2 + 1)]
-    # every value has V-power k = 1 - 2d - |mu| <= 0, so l <= -min_v
-    facts = _factorials(min(window.max_t, -window.min_v))
-    raw: List[RawTerm] = []
-    windings = (mu for mu in range(-window.max_abs_x, window.max_abs_x + 1) if mu)
-    for mu in windings:
-        e = abs(mu)
-        for d in range((top - e) // 2 + 1):
-            for m, num, den in _open_sum(mu, classes[d]):
-                lo, hi = max(0, m.V - window.max_v), min(window.max_t, m.V - window.min_v)
-                for l in range(lo, hi + 1):
-                    term = Monomial(Q=2 * d + e, T=l, X=mu, V=m.V - l)
-                    raw.append((term, num * mu**l, den * facts[l]))
-    return _from_raw(raw, window)
+    classes: List[list] = []  # by sphere degree, the classes with their factors
+
+    def graph_value(mu: int, m: int, facts: List[int]) -> Tuple[int, int]:
+        while len(classes) <= m:
+            classes.append(list(_with_factors(_open_classes(0, len(classes)))))
+        terms = _open_sum(mu, classes[m])
+        if [t[0] for t in terms] != [mono(V=1 - 2 * m - abs(mu))]:
+            raise ArithmeticError(f"graph sum at winding {mu}, degree {m} off its grading: {terms}")
+        return terms[0][1], terms[0][2]
+
+    return _from_raw([t for s in _disk_walk(window, graph_value) for t in s], window)
 
 
 #: Exc = -Q*X^-1 + Q*X - T^2/(2v) - Q^2/v, as raw (monomial, num, den) terms

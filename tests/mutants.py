@@ -164,15 +164,15 @@ MUTANTS = (
     ),
     Mutant(
         CORR,
-        "mu ** abs(lo + e - 2)",
-        "mu ** abs(lo + e - 1)",
+        "mu ** abs(2 * m + abs(mu) - 2)",
+        "mu ** abs(2 * m + abs(mu) - 1)",
         "disk coefficient's power of the winding off by one",
         (f"{TCO}::test_disk_coefficient_formula",),
     ),
     Mutant(
         CORR,
-        "facts[(e - abs(mu)) // 2] * facts[(e + abs(mu)) // 2]",
-        "facts[(e - abs(mu)) // 2] * facts[(e - abs(mu)) // 2]",
+        "facts[m] * facts[m + abs(mu)]",
+        "facts[m] * facts[m]",
         "disk coefficient divided by m! m! instead of m! (m+|mu|)!",
         (f"{TCO}::test_disk_coefficient_formula",),
     ),
@@ -278,10 +278,27 @@ MUTANTS = (
     ),
     Mutant(
         CORR,
-        "mu**l",
-        "abs(mu)**l",
-        "localized route's dressing exp(mu*t0/v) with |mu| for mu",
+        "nums[i] = n * mu",
+        "nums[i] = n * abs(mu)",
+        "the slice walk's dressing exp(mu*t0/v) with |mu| for mu",
+        (
+            f"{TCO}::test_disk_terms_match_the_series_products",
+            f"{TCO}::test_check_passes_on_medium_window",
+        ),
+    ),
+    Mutant(
+        CORR,
+        "_open_sum(mu, classes[m])",
+        "_open_sum(mu, classes[max(m - 1, 0)])",
+        "localized route reads each graph value one sphere degree low",
         (f"{TCO}::test_localized_route_matches_bessel_route_to_winding_five",),
+    ),
+    Mutant(
+        CORR,
+        "if [t[0] for t in terms] != [mono(V=1 - 2 * m - abs(mu))]:",
+        "if len(terms) != 1:",
+        "localized route places a graph sum at the walk's V-power whatever its own",
+        (f"{TCO}::test_localized_route_certifies_the_grading_of_each_graph_sum",),
     ),
     Mutant(
         LOC,
@@ -359,6 +376,27 @@ MUTANTS = (
         "key = (v, len(exps), u)",
         "a tree's vertex integrals memoized without their psi exponents",
         (f"{TL}::test_scalar_contribution_matches_series_oracle[1-1]",),
+    ),
+    Mutant(
+        CLI,
+        "    sys.set_int_max_str_digits(0)\n",
+        "",
+        "tables written under the default limit on an int's digits",
+        (f"{TCL}::test_tables_past_the_int_digit_limit",),
+    ),
+    Mutant(
+        ASYM,
+        "if not 2.0**-1022 <= self.z * self.z < math.inf:",
+        "if False:",
+        "a z whose square is not a normal double let through to the sums",
+        (f"{TCL}::test_asymptotics_out_of_double_range_exits_2_naming_its_parameter",),
+    ),
+    Mutant(
+        ASYM,
+        "except OverflowError:\n        raise ValueError(",
+        "except ZeroDivisionError:\n        raise ValueError(",
+        "an overflowing order-N power escapes as a raw floating-point error",
+        (f"{TCL}::test_asymptotics_out_of_double_range_exits_2_naming_its_parameter",),
     ),
     Mutant(
         CLI,

@@ -173,6 +173,52 @@ def test_index_whose_half_a_double_loses_exits_2(capsys, l):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--z", "1e-300"], "z = 1e-300 is out of range: z^2 is not a normal double"),
+        (["--z", "1e300"], "z = 1e+300 is out of range: z^2 is not a normal double"),
+        (["--z", "1e-160"], "z = 1e-160 is out of range: z^2 is not a normal double"),
+        (["--N", "150"], "N = 150 is out of range: a scale weight (mu z)^N or a power v_l^-N"),
+        (["--N", "1000"], "N = 1000 is out of range: a scale weight (mu z)^N or a power v_l^-N"),
+        # v_l = 0.5e-150 at l = 0, so v_l^-3 overflows though every sum converges
+        (
+            ["--z", "1e-150", "--q1", "1e-160", "--q2", "1e-160", "--N", "3", "--l", "0"],
+            "N = 3 is out of range: a scale weight (mu z)^N or a power v_l^-N",
+        ),
+    ],
+)
+def test_asymptotics_out_of_double_range_exits_2_naming_its_parameter(capsys, argv, message):
+    # z^2 underflowing or overflowing, and the order-N powers overflowing,
+    # are refused by name, never as a raw floating-point exception's text
+    assert main(["asymptotics", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}"), err
+
+
+def test_tables_past_the_int_digit_limit(capsys, tmp_path):
+    # values of up to 4,540 digits, past the 4,300 a Python int writes by
+    # default; the limit is lifted only while the CLI writes, and a file
+    # gets the whole table
+    window = ["--max-q", "1800", "--max-t", "0", "--max-mu", "1", "--min-v", "-1800"]
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)  # absent before 3.10.7
+    limit = digits()
+    tables = {}
+    for command in ("disk", "rhs"):
+        assert main([command, *window]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        tables[command] = out
+        assert digits() == limit
+    lines = tables["disk"].splitlines()
+    assert len(lines) == 1801
+    assert max(len(line.rsplit(",", 1)[1]) for line in lines) == 4540
+    assert tables["rhs"] == tables["disk"]
+    path = tmp_path / "disk.csv"
+    assert main(["disk", *window, "--output", str(path)]) == 0
+    assert path.read_text(encoding="utf-8") == tables["disk"]
+
+
 def test_window_beyond_the_mass_budget_exits_2(capsys):
     # 2*max_q + max_t = 4097 is refused before anything is built, by all
     # three commands alike; 4096 runs, and the two sides' tables agree

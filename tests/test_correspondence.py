@@ -133,6 +133,38 @@ def test_localized_route_matches_bessel_route_to_winding_five():
     assert disk_potential_localized(window) == disk_potential_bessel(window)
 
 
+def test_localized_route_refuses_what_the_closed_form_refuses(monkeypatch):
+    # 2*max_q + max_t = 4097: refused with the closed form's message before
+    # any graph class is built
+    built = []
+    monkeypatch.setattr(correspondence, "_open_classes", lambda n, d: built.append(d))
+    window = TruncationWindow(max_q=2048, max_t=1, max_abs_x=1, min_v=-8, max_v=1)
+    with pytest.raises(ValueError) as closed:
+        disk_slices(window)
+    with pytest.raises(ValueError) as graphs:
+        disk_potential_localized(window)
+    assert str(graphs.value) == str(closed.value)
+    assert str(closed.value) == "window too large: 2*max_q + max_t = 4097 exceeds 4096"
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "off_grading",
+    [
+        lambda terms: [(mono(V=m.V - 1), n, d) for m, n, d in terms],  # one V-step low
+        lambda terms: terms + [(mono(V=m.V - 1), n, d) for m, n, d in terms],  # two terms
+        lambda terms: [],  # no term
+    ],
+)
+def test_localized_route_certifies_the_grading_of_each_graph_sum(monkeypatch, off_grading):
+    # the walk places a value at V^(1-2m-|mu|); a graph sum elsewhere, or of
+    # more or fewer than one term, raises instead of being re-placed there
+    open_sum = correspondence._open_sum
+    monkeypatch.setattr(correspondence, "_open_sum", lambda mu, c: off_grading(open_sum(mu, c)))
+    with pytest.raises(ArithmeticError, match="off its grading"):
+        disk_potential_localized(WS)
+
+
 def test_localized_route_enumerates_each_degree_once(monkeypatch):
     # windings share the classes of a sphere degree, and their trees'
     # factors: degrees 1-3 are enumerated, degree 0 is the lone vertex at
