@@ -103,6 +103,10 @@ def _mu_walk(params: NumericParams) -> Walk:
                 break
             term *= q1 * q2 / ((d + 1) * (d + mu + 1) * z**2)
         else:
+            if not math.isfinite(inner):  # an inf term never falls below the tolerance
+                raise ValueError(
+                    f"z = {z!r} is out of range: the terms of the sums overflow a double"
+                )
             raise ArithmeticError("inner degree sum did not converge within max_terms")
         yield mu, inner
 

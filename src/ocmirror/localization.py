@@ -67,15 +67,16 @@ series J~ of the projective line, which the one-point descendant sums
 rebuild degree by degree.
 
 The graph classes are decorations of bare 2-coloured tree shapes, which
-depend on the vertex count V alone: one function walks each V's Pruefer
-trees, once per process, keys each block once, and stores each shape with
-its automorphism order and the swaps that generate its group.  Every
-enumeration walks a shape's degree compositions, and then a tree's marking
-placements, up to those automorphisms, so every class the program builds
-carries its order, read off its orbit sizes (orbit-stabiliser); a tree is
-keyed only when it has markings to place and automorphisms to place them
-up to.  A summand's factors that depend on the tree alone, its vertex
-integrals among them, are computed once per tree.
+depend on the vertex count V alone: one function grows each V's shapes,
+once per process, from those on V - 1 by attaching a leaf to each vertex,
+and stores each shape with its automorphism order and the swaps that
+generate its group.  Every enumeration walks a shape's degree
+compositions, and then a tree's marking placements, up to those
+automorphisms, so every class the program builds carries its order, read
+off its orbit sizes (orbit-stabiliser); a tree is keyed only when it has
+markings to place and automorphisms to place them up to.  A summand's
+factors that depend on the tree alone, its vertex integrals among them,
+are computed once per tree.
 """
 
 from __future__ import annotations
@@ -263,98 +264,83 @@ def _tree_centers(V: int, adj) -> List[int]:
     return sorted(layer)
 
 
-def _pruefer_to_edges(seq: Sequence[int], V: int) -> List[Tuple[int, int]]:
-    degree = [1] * V
-    for x in seq:
-        degree[x] += 1
-    leaves = [v for v in range(V) if degree[v] == 1]
+def _leaf_order(V: int, edges: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
+    """A tree's edges, each as (u, v) with u < v, in the order its Pruefer
+    sequence lists them: the smallest leaf's edge, stripped, each time, and
+    last the edge joining the two vertices left."""
+    adj = [set() for _ in range(V)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    leaves = [v for v in range(V) if len(adj[v]) == 1]
     heapq.heapify(leaves)
-    edges = []
-    for x in seq:
+    order = []
+    for _ in range(V - 2):
         leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, x), max(leaf, x)))
-        degree[x] -= 1
-        if degree[x] == 1:
+        (x,) = adj[leaf]
+        adj[x].remove(leaf)
+        order.append((min(leaf, x), max(leaf, x)))
+        if len(adj[x]) == 1:
             heapq.heappush(leaves, x)
-    edges.append(tuple(sorted(leaves)))  # the two vertices left
-    return edges
+    order.append(tuple(sorted(leaves)))
+    return tuple(order)
 
 
-def _labeled_trees(V: int) -> Iterator[List[Tuple[int, int]]]:
-    """Every labeled tree on V >= 2 vertices, in the order of its Pruefer sequence."""
-    return (_pruefer_to_edges(seq, V) for seq in itertools.product(range(V), repeat=V - 2))
-
-
-def _bipartition_labels(V: int, edges: Sequence[Tuple[int, int]], root_label: int):
-    labels = [0] * V
-    labels[0] = root_label
-    adj = _edge_adjacency(V, edges)
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for u, _ in adj[v]:
-            if labels[u] == 0:
-                labels[u] = 3 - labels[v]
-                frontier.append(u)
-    return tuple(labels)
-
-
-def _labeled_blocks(V: int) -> int:
-    """Labeled 2-coloured trees on V vertices: Cayley's V^(V-2), twice."""
-    return 2 * (V ** (V - 2) if V >= 2 else 1)
-
-
-@functools.cache  # the shapes depend on V alone; the walk runs once per V
+@functools.cache  # the shapes depend on V alone; each V is grown once
 def _shape_catalogue(V: int) -> Tuple[Tuple[tuple, tuple, tuple, int, tuple], ...]:
-    """The first block of each bare shape on V >= 2 vertices, in walk order,
-    as tuples all through, so every caller shares one copy that none can
-    change.
+    """The first tree of each bare shape on V >= 2 vertices, grown from the
+    shapes on V - 1, as tuples all through, so every caller shares one copy
+    that none can change.
 
-    A block is one Pruefer tree with one bipartition labeling; its shape is
-    its 2-coloured tree up to isomorphism (unit degrees, no markings).  Each
-    record is (tree, labels, rooted order, automorphism order, edge swaps):
-    the order of the bare shape, and the :func:`_sibling_swaps` that
-    generate its automorphism group, each written as the edge involution it
-    induces (``swap[e]`` is the index of the edge that edge e goes to).  The
-    walk keys each block once and stops once the shapes found account for
-    every block: a shape of automorphism order a is the shape of V!/a
-    labeled blocks (orbit-stabiliser), and there are 2*V^(V-2) blocks.
+    A shape is a 2-coloured tree up to isomorphism (unit degrees, no
+    markings).  Each has a leaf, and the tree left without it is a shape on
+    V - 1 vertices, so attaching a leaf of the other colour to each vertex
+    of each smaller shape grows every shape.  The parents are taken in
+    catalogue order (a lone vertex at point 1 for V = 2), each vertex in
+    turn, each with the parent's colouring and then with its swap; a
+    tree's edges are numbered by :func:`_leaf_order`, and the first tree of
+    each shape is kept.  For V <= 4 these are the first trees of the shapes
+    in the Pruefer walk of the labeled trees.  Each record is (tree,
+    labels, rooted order, automorphism order, edge swaps): the order of the
+    bare shape, and the :func:`_sibling_swaps` that generate its
+    automorphism group, each written as the edge involution it induces
+    (``swap[e]`` is the index of the edge that edge e goes to).
     """
     unit, unmarked = [1] * (V - 1), [()] * V
-    unaccounted = _labeled_blocks(V)
+    parents = _shape_catalogue(V - 1) if V > 2 else [((), (1,))]
     shapes, catalogue = set(), []
-    blocks = ((tree, root_label) for tree in _labeled_trees(V) for root_label in (1, 2))
-    for tree, root_label in blocks:
-        labels = _bipartition_labels(V, tree, root_label)
-        order = _rooted_order(labels, _edge_adjacency(V, tree))
-        shape, aut, below = _rooted_key(labels, order, unit, unmarked)
-        if shape in shapes:
-            continue
-        shapes.add(shape)
-        index = {edge: e for e, edge in enumerate(tree)}
-        swaps = tuple(
-            tuple(index[min(perm[u], perm[v]), max(perm[u], perm[v])] for u, v in tree)
-            for perm in _sibling_swaps(order, unit, below)
-        )
-        catalogue.append((tuple(tree), labels, tuple(order), aut, swaps))
-        unaccounted -= factorial(V) // aut
-        if not unaccounted:
-            break
+    for parent, colours, *_ in parents:
+        swapped = tuple(3 - c for c in colours)
+        for stem in range(V - 1):
+            tree = _leaf_order(V, parent + ((stem, V - 1),))
+            for labels in (colours, swapped):
+                grown = labels + (3 - labels[stem],)
+                order = _rooted_order(grown, _edge_adjacency(V, tree))
+                shape, aut, below = _rooted_key(grown, order, unit, unmarked)
+                if shape in shapes:
+                    continue
+                shapes.add(shape)
+                index = {edge: e for e, edge in enumerate(tree)}
+                swaps = tuple(
+                    tuple(index[min(perm[u], perm[v]), max(perm[u], perm[v])] for u, v in tree)
+                    for perm in _sibling_swaps(order, unit, below)
+                )
+                catalogue.append((tree, grown, tuple(order), aut, swaps))
     return tuple(catalogue)
 
 
 def enumerate_graph_classes(n: int, d: int) -> List[DecoratedGraph]:
     """Isomorphism classes of decorated trees: n markings, total degree d >= 1.
 
-    Returns the first decoration of each class in (block, degree
-    composition, marking placement) order, as deduplicating every labeled
-    decoration by its :func:`_rooted_key` would.  Only the first block (one
-    Pruefer tree with one bipartition labeling) of each shape in
-    :func:`_shape_catalogue` is decorated: two of its decorations are
-    isomorphic exactly when an automorphism of the block carries one onto
-    the other.  So compositions are walked up to the shape's edge swaps,
-    which generate its automorphism group, and each kept composition's tree
-    has the shape's order over its orbit size (orbit-stabiliser).
+    Returns the first decoration of each class in (shape, degree
+    composition, marking placement) order, as deduplicating every
+    decoration of the catalogued trees by its :func:`_rooted_key` would.
+    Only the one tree of each shape in :func:`_shape_catalogue` is
+    decorated: two of its decorations are isomorphic exactly when an
+    automorphism of the tree carries one onto the other.  So compositions
+    are walked up to the shape's edge swaps, which generate its
+    automorphism group, and each kept composition's tree has the shape's
+    order over its orbit size (orbit-stabiliser).
     Placements are walked the same way, up to the :func:`_sibling_swaps` of
     the degree-decorated tree, keyed only when n > 0 and the tree has
     automorphisms; each class keeps its tree's order over its placement's
@@ -389,11 +375,12 @@ def _graph(labels: tuple, edges: tuple, markings: tuple, aut: int) -> DecoratedG
 
 
 def count_labeled_graphs(n: int, d: int, V: int) -> int:
-    """Number of *labeled* decorated trees on exactly V vertices (orbit check).
-
-    Cayley's formula gives V^(V-2) labeled trees on V >= 2 vertices.
-    """
-    return _labeled_blocks(V) * _n_compositions(d, V - 1) * V**n
+    """Number of *labeled* decorated trees on exactly V vertices (orbit check):
+    Cayley's V^(V-2) trees on V >= 2 vertices, two colourings, C(d-1, V-2)
+    compositions of d into the V - 1 edge degrees, and V^n placements."""
+    if not 2 <= V <= d + 1:
+        return 0
+    return 2 * V ** (V - 2) * comb(d - 1, V - 2) * V**n
 
 
 def _compositions(total: int, parts: int) -> Iterable[Tuple[int, ...]]:
@@ -402,14 +389,6 @@ def _compositions(total: int, parts: int) -> Iterable[Tuple[int, ...]]:
         tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
         for cuts in itertools.combinations(range(1, total), parts - 1)
     )
-
-
-def _n_compositions(total: int, parts: int) -> int:
-    if parts == 0:
-        return 1 if total == 0 else 0
-    if total < parts:
-        return 0
-    return comb(total - 1, parts - 1)  # positive parts
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +537,7 @@ def _graph_contribution(
 
 def _with_factors(classes: Iterable[DecoratedGraph]) -> Iterator[Tuple[DecoratedGraph, tuple]]:
     """Each class with its tree's :func:`_block_factors`, computed once per
-    run of classes on one tree: enumeration emits a block's classes together."""
+    run of classes on one tree: enumeration emits a tree's classes together."""
     for tree, run in itertools.groupby(classes, lambda g: (g.labels, g.edges)):
         yield from zip(run, itertools.repeat(_block_factors(*tree)))
 

@@ -332,15 +332,32 @@ MUTANTS = (
         LOC,
         "return tuple(catalogue)",
         "return tuple(catalogue[::-1])",
-        "shape catalogue in reverse walk order",
+        "shape catalogue in reverse order",
         (f"{TL}::test_enumeration_matches_dedupe_oracle[0-3]",),
     ),
     Mutant(
         LOC,
         "return tuple(catalogue)",
         "return tuple(catalogue[:-1])",
-        "shape walk stopped one shape early: the last shape it finds left out",
+        "shape growth stopped one shape early: the last shape it finds left out",
         (f"{TL}::test_shape_walk_stops_with_every_shape_found[5-6]",),
+    ),
+    Mutant(
+        LOC,
+        "for stem in range(V - 1):",
+        "for stem in range(V - 2, V - 1):",
+        "leaf attached only to the last vertex: only paths grow",
+        (f"{TL}::test_shape_walk_stops_with_every_shape_found[4-3]",),
+    ),
+    Mutant(
+        LOC,
+        "for labels in (colours, swapped):",
+        "for labels in (colours,):",
+        "colour swap dropped: shapes grown from other trees than the walk's",
+        (
+            f"{TL}::test_shape_catalogue_is_the_walk_as_tuples[3]",
+            f"{TCL}::test_every_localize_table_matches_its_recorded_digest[2-0-csv]",
+        ),
     ),
     Mutant(
         LOC,
@@ -397,6 +414,13 @@ MUTANTS = (
         "except ZeroDivisionError:\n        raise ValueError(",
         "an overflowing order-N power escapes as a raw floating-point error",
         (f"{TCL}::test_asymptotics_out_of_double_range_exits_2_naming_its_parameter",),
+    ),
+    Mutant(
+        ASYM,
+        "if not math.isfinite(inner):",
+        "if False:",
+        "a sum whose terms overflow to inf reported as not converging, without naming z",
+        (f"{TCL}::test_asymptotics_overflowing_terms_exit_2_naming_z[1e-10]",),
     ),
     Mutant(
         CLI,

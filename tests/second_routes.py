@@ -62,6 +62,10 @@ quantities another way, and the tests assert that the two agree.
   enumeration meets by construction, and ``canonical_key``, the complete
   isomorphism invariant the dedupe oracle sorts every labeled decoration
   by; the program keys only the trees it walks up to their automorphisms.
+* The Pruefer walk over every labeled 2-coloured tree (``walk_blocks``)
+  and the first tree of each bare shape in it (``walk_shapes``): the
+  program grows its shape catalogue by leaf extension instead, and for
+  V <= 4 keeps the walk's trees.
 * The string recursion for the psi integrals, and the equivariant pairing
   on the line with its Euler weights, hyperplane class and dual basis.
 
@@ -71,6 +75,7 @@ The module is not named ``oracles``: pytest imports it by its bare name, and
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 from collections import Counter
@@ -78,7 +83,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial, lcm
 from numbers import Rational
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from ocmirror.cli import F_COLUMNS
 from ocmirror.closed import FactorTerm, surface_series_terms, z_coeff_terms
@@ -1237,6 +1242,66 @@ def canonical_key(g: DecoratedGraph) -> tuple:
     order = _rooted_order(g.labels, _edge_adjacency(V, g.edges))
     degrees = [de for *_, de in g.edges]
     return _rooted_key(g.labels, order, degrees, _markings_by_vertex(V, g.markings))[0]
+
+
+def _pruefer_to_edges(seq: Sequence[int], V: int) -> List[Tuple[int, int]]:
+    degree = [1] * V
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(V) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, x), max(leaf, x)))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append(tuple(sorted(leaves)))  # the two vertices left
+    return edges
+
+
+def _labeled_trees(V: int) -> Iterator[List[Tuple[int, int]]]:
+    """Every labeled tree on V >= 2 vertices, in the order of its Pruefer
+    sequence, its edges in the order the sequence decodes them."""
+    return (_pruefer_to_edges(seq, V) for seq in itertools.product(range(V), repeat=V - 2))
+
+
+def _bipartition_labels(V: int, edges: Sequence[Tuple[int, int]], root_label: int) -> tuple:
+    """The 2-colouring of a tree with vertex 0 at ``root_label``."""
+    labels = [0] * V
+    labels[0] = root_label
+    adj = _edge_adjacency(V, edges)
+    frontier = [0]
+    while frontier:
+        v = frontier.pop()
+        for u, _ in adj[v]:
+            if labels[u] == 0:
+                labels[u] = 3 - labels[v]
+                frontier.append(u)
+    return tuple(labels)
+
+
+def walk_blocks(V: int) -> Iterator[Tuple[List[Tuple[int, int]], tuple]]:
+    """The Pruefer walk: every labeled tree with vertex 0 at point 1 and then
+    at point 2, as (tree, labels) blocks."""
+    for tree in _labeled_trees(V):
+        for root_label in P1_POINTS:
+            yield tree, _bipartition_labels(V, tree, root_label)
+
+
+def shape_key(tree: Sequence[Tuple[int, int]], labels: tuple) -> tuple:
+    """The :func:`canonical_key` of a 2-coloured tree with unit degrees."""
+    return canonical_key(DecoratedGraph(labels, tuple((u, v, 1) for u, v in tree)))
+
+
+def walk_shapes(V: int) -> Tuple[Tuple[tuple, tuple], ...]:
+    """The first block (tree, labels) of each bare shape in the whole Pruefer
+    walk, in walk order, with no early stop."""
+    shapes: Dict[tuple, Tuple[tuple, tuple]] = {}
+    for tree, labels in walk_blocks(V):
+        shapes.setdefault(shape_key(tree, labels), (tuple(tree), labels))
+    return tuple(shapes.values())
 
 
 def _inverse(weight: Rational) -> Fraction:

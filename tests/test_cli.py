@@ -196,6 +196,17 @@ def test_asymptotics_out_of_double_range_exits_2_naming_its_parameter(capsys, ar
     assert out == "" and err.startswith(f"error: {message}"), err
 
 
+@pytest.mark.parametrize("z", ["1e-10", "1e-100", "1.5e-154"])
+def test_asymptotics_overflowing_terms_exit_2_naming_z(capsys, z):
+    # z^2 is a normal double, but the running term q2^mu/(mu! z^mu) of the
+    # sums overflows to inf, which never meets the tail tolerance
+    assert main(["asymptotics", "--z", z]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: z = {z} is out of range: the terms of the sums overflow a double\n",
+    )
+
+
 def test_tables_past_the_int_digit_limit(capsys, tmp_path):
     # values of up to 4,540 digits, past the 4,300 a Python int writes by
     # default; the limit is lifted only while the CLI writes, and a file

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 from fractions import Fraction
@@ -15,13 +14,12 @@ from ocmirror.correspondence import disk_potential_bessel, disk_potential_locali
 from ocmirror.geometry import phi_p1, unit_p1
 from ocmirror.localization import (
     DecoratedGraph,
-    _bipartition_labels,
     _block_factors,
     _compositions,
     _edge_adjacency,
     _edge_coefficient,
     _graph_contribution,
-    _labeled_trees,
+    _leaf_order,
     _on_edges,
     _orbit_representatives,
     _rooted_key,
@@ -49,10 +47,13 @@ from second_routes import (
     phi_dual_p1,
     psi_integral_by_string,
     scale,
+    shape_key,
     v_term,
     validate_graph,
     vertex_integral,
     vertex_integral_by_ladder,
+    walk_blocks,
+    walk_shapes,
 )
 
 F = Fraction
@@ -136,17 +137,16 @@ def test_path_with_distinct_degrees_is_rigid():
 
 
 def _enumerate_by_dedupe(n, d):
-    """Oracle: every labeled graph, deduped by canonical key, no block skipping."""
+    """Oracle: every labeled graph of the Pruefer walk, deduped by canonical
+    key, no block skipping."""
     found = {}
     for V in range(2, d + 2):
-        for tree in _labeled_trees(V):
-            for root_label in (1, 2):
-                labels = _bipartition_labels(V, tree, root_label)
-                for degs in _compositions(d, V - 1):
-                    edges = tuple((u, v, de) for (u, v), de in zip(tree, degs))
-                    for marks in itertools.product(range(V), repeat=n):
-                        g = DecoratedGraph(labels, edges, tuple(marks))
-                        found.setdefault(canonical_key(g), g)
+        for tree, labels in walk_blocks(V):
+            for degs in _compositions(d, V - 1):
+                edges = tuple((u, v, de) for (u, v), de in zip(tree, degs))
+                for marks in itertools.product(range(V), repeat=n):
+                    g = DecoratedGraph(labels, edges, tuple(marks))
+                    found.setdefault(canonical_key(g), g)
     return list(found.values())
 
 
@@ -169,15 +169,28 @@ def _aut_brute(g):
 
 
 ORACLE_GRID = [(n, d) for n in range(3) for d in range(1, 5)] + [(0, 5), (3, 3), (4, 3)]
-# the first points where the stopped walk leaves over 90% of the blocks unvisited
+# points only the dedupe oracle reads, beyond the grid the slower oracles share
 BEYOND_ORACLE_GRID = [(1, 5), (0, 6), (5, 3)]
 
 
 @pytest.mark.parametrize("n,d", ORACLE_GRID + BEYOND_ORACLE_GRID)
 def test_enumeration_matches_dedupe_oracle(n, d):
-    # same classes, same representatives, same order as the unskipped walk
+    # to degree 3 (four vertices) the catalogue's trees are the walk's: the
+    # same classes, representatives and order as the unskipped walk.  Beyond,
+    # the shapes are other trees, so each of the oracle's classes maps one to
+    # one onto a class with its key, its order and its unit-class summand
     classes = enumerate_graph_classes(n, d)
-    assert classes == _enumerate_by_dedupe(n, d)
+    oracle = _enumerate_by_dedupe(n, d)
+    if d <= 3:
+        assert classes == oracle
+    else:
+        by_key = {canonical_key(g): g for g in classes}
+        assert len(by_key) == len(classes) == len(oracle)
+        insertions = [(unit_p1(), 0)] * n
+        for want in oracle:
+            g = by_key[canonical_key(want)]
+            assert automorphism_count(g) == automorphism_count(want), g
+            assert _contribution(g, insertions) == _contribution(want, insertions), g
     for g in classes:
         validate_graph(g)
         # the order read off the placement's orbit is the order a fresh copy
@@ -186,68 +199,41 @@ def test_enumeration_matches_dedupe_oracle(n, d):
         assert g.__dict__["_aut"] == automorphism_count(fresh), g
 
 
-@functools.cache  # two tests read it; the walk to V = 7 takes seconds
-def _full_walk_shapes(V):
-    """Oracle: the first block of each bare shape, in walk order, with no
-    early stop, as (shape key, index of the block's tree, block labels)."""
-    shapes = {}
-    for i, tree in enumerate(_labeled_trees(V)):
-        unit_edges = tuple((u, v, 1) for u, v in tree)
-        for root_label in (1, 2):
-            labels = _bipartition_labels(V, tree, root_label)
-            shapes.setdefault(canonical_key(DecoratedGraph(labels, unit_edges)), (i, labels))
-    return tuple((key, i, labels) for key, (i, labels) in shapes.items())
+# bare shapes (2-coloured trees up to isomorphism) on V = 2..12 vertices
+SHAPE_COUNTS = [1, 2, 3, 6, 10, 22, 42, 94, 203, 470, 1082]
 
 
-@pytest.mark.parametrize("V,count", zip(range(2, 8), [1, 2, 3, 6, 10, 22]))
-def test_shape_walk_stops_with_every_shape_found(V, count, monkeypatch):
-    walked = []
-
-    def counted_trees(V):
-        for tree in _labeled_trees(V):
-            walked.append(tree)
-            yield tree
-
-    monkeypatch.setattr(localization, "_labeled_trees", counted_trees)
-    _shape_catalogue.cache_clear()  # earlier tests filled it
+@pytest.mark.parametrize("V,count", zip(range(2, 13), SHAPE_COUNTS))
+def test_shape_walk_stops_with_every_shape_found(V, count):
+    # the catalogue is complete: its shapes are distinct, and their orbits
+    # V!/|Aut| cover all 2 * V^(V-2) labeled 2-coloured trees
+    # (orbit-stabiliser).  The orders are the brute-force search's to V = 7,
+    # as the record test below checks
     catalogue = _shape_catalogue(V)
-    full = _full_walk_shapes(V)
-    keys = [
-        canonical_key(DecoratedGraph(labels, tuple((u, v, 1) for u, v in tree)))
-        for tree, labels, *_ in catalogue
-    ]
-    assert keys == [key for key, *_ in full]
+    assert len({shape_key(tree, labels) for tree, labels, *_ in catalogue}) == count
     assert len(catalogue) == count
-    # the walk ends at the tree where the last shape turns up
-    assert len(walked) == full[-1][1] + 1
-    # the shapes' orbits cover all 2 * V^(V-2) labeled blocks; the orders
-    # come from the brute-force search, not the key the stop rule reads
-    orbits = 0
-    for tree, labels, *_ in catalogue:
-        shape = DecoratedGraph(labels, tuple((u, v, 1) for u, v in tree))
-        orbits += F(factorial(V), _aut_brute(shape))
-    assert orbits == 2 * V ** (V - 2)
+    assert sum(F(factorial(V), aut) for *_, aut, _ in catalogue) == 2 * V ** (V - 2)
 
 
 def test_shape_catalogue_walks_each_vertex_count_once(monkeypatch):
-    walks, trees = [], []
+    # each vertex count's catalogue is grown once per process, from the one
+    # on a vertex fewer (a lone vertex for V = 2): one tree per vertex of
+    # each smaller shape
+    grown = []
 
-    def counted_trees(V):
-        walks.append(V)
-        for tree in _labeled_trees(V):
-            trees.append(tree)
-            yield tree
+    def counted_order(V, edges):
+        grown.append(V)
+        return _leaf_order(V, edges)
 
-    monkeypatch.setattr(localization, "_labeled_trees", counted_trees)
+    monkeypatch.setattr(localization, "_leaf_order", counted_order)
     _shape_catalogue.cache_clear()  # earlier tests filled it
     enumerate_graph_classes(1, 4)
-    assert walks == [2, 3, 4, 5]
-    walked = len(trees)
-    # other markings, the same vertex counts: no tree is walked again
+    parents = {2: 1, 3: 1, 4: 2, 5: 3}
+    assert grown == [V for V in range(2, 6) for _ in range((V - 1) * parents[V])]
+    # other markings, the same vertex counts: no catalogue is grown again
     enumerate_graph_classes(2, 4)
     enumerate_graph_classes(0, 4)
-    assert walks == [2, 3, 4, 5]
-    assert len(trees) == walked
+    assert len(grown) == 1 + 2 + 6 + 12
 
 
 def _closure(V, swaps):
@@ -286,7 +272,7 @@ def test_sibling_swaps_generate_the_automorphism_group(V):
 
 def test_enumeration_keys_each_composition_once(monkeypatch):
     for V in range(2, 7):
-        _shape_catalogue(V)  # the shape walk's own keys are not counted
+        _shape_catalogue(V)  # the keys that grow the shapes are not counted
     calls = []
 
     def counted_key(*args):
@@ -335,15 +321,19 @@ def _made_of_tuples(x) -> bool:
 
 @pytest.mark.parametrize("V", range(2, 8))
 def test_shape_catalogue_is_the_walk_as_tuples(V):
-    # each record holds the first block of its shape in the unstopped walk:
-    # its tree, labels and rooted order, as tuples all through
+    # the catalogue holds the shapes of the unstopped Pruefer walk, and to
+    # V = 4 each record holds its shape's first block in the walk: its tree,
+    # labels and rooted order.  Tuples all through
     catalogue = _shape_catalogue(V)
-    trees = list(_labeled_trees(V))
-    walk = [
-        (tuple(trees[i]), labels, tuple(_rooted_order(labels, _edge_adjacency(V, trees[i]))))
-        for _, i, labels in _full_walk_shapes(V)
-    ]
-    assert [record[:3] for record in catalogue] == walk
+    walk = walk_shapes(V)
+    if V <= 4:
+        assert [record[:3] for record in catalogue] == [
+            (tree, labels, tuple(_rooted_order(labels, _edge_adjacency(V, tree))))
+            for tree, labels in walk
+        ]
+    assert len(catalogue) == len(walk)
+    keys = {shape_key(tree, labels) for tree, labels, *_ in catalogue}
+    assert keys == {shape_key(tree, labels) for tree, labels in walk}
     assert isinstance(catalogue, tuple) and _made_of_tuples(catalogue)
     # each shape's order and edge swaps: involutions of the edges that keep
     # which edges meet, and at which fixed point, and generate a group of
@@ -614,7 +604,7 @@ def test_graph_sums_rebuild_curve_series(alpha, d):
 
 def test_graph_sums_compute_no_key(monkeypatch):
     # every class the program builds carries its order, and each vertex
-    # count's shapes are walked once per process: with the catalogue warm,
+    # count's shapes are grown once per process: with the catalogue warm,
     # no graph sum roots a tree to key it
     for V in range(2, 6):
         _shape_catalogue(V)
