@@ -28,8 +28,19 @@ the deterministic enumeration order, so identical configurations produce
 byte-identical output.  ``disk`` and
 ``rhs`` write each Q-power slice as it is built, already in that order, so
 their memory does not grow with the table; every refusal comes before the
-first byte.  Exit codes: 0 success (check passed), 1 check failure, 2 usage
-or configuration error, or an ``--output`` path that cannot be written.
+first byte.  JSON tables and the ``check`` report are written from ``%``
+templates, byte for byte as indented ``json.dumps`` writes them; only the
+``asymptotics`` JSON goes through ``json``.  Exit codes: 0 success
+(check passed), 1 check failure, 2 usage or configuration error, or an
+``--output`` path that cannot be written.
+
+A request made only of exact ``--flag value`` tokens (a bare ``--flag``
+for ``--corrupt-exc``) is read off its subcommand's flag table: each
+value through its flag's own type, choices and action, a value starting
+with '-' only as a plain negative integer, and every required flag
+given.  Argparse parses every other request (``-h``, ``--flag=value``,
+abbreviations, unknown or missing tokens, values it would refuse), so it
+alone writes usage, help and error messages.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .asymptotics import NumericParams, ratio_table
 from .closed import surface_series_terms, z_coeff_terms
-from .correspondence import disk_slices, rational_str, rhs_slices, run_check
+from .correspondence import CorrespondenceReport, disk_slices, rational_str, rhs_slices, run_check
 from .localization import graph_class_rows
 from .series import FormalSeries, RawTerm, TruncationWindow, lowest_terms
 
@@ -80,25 +91,35 @@ def _laurent_str(series: FormalSeries) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+def _object_template(columns: Sequence[str], depth: int) -> Tuple[str, itemgetter]:
+    """A ``%`` template of one JSON object laid out by ``_json_text`` at
+    ``depth``, its keys ``columns`` sorted, and the picker that puts a row
+    given in ``columns`` order into the template's order.
+
+    A ``value`` is quoted; every other field must already be JSON text laid
+    out at the depth of the object's fields (see :func:`_json_array`).
+    """
+    keys = sorted(columns)
+    pad = "\n" + "  " * depth
+    fields = (f'{pad}  "{k}": ' + ('"%s"' if k == "value" else "%s") for k in keys)
+    return "{" + ",".join(fields) + pad + "}", itemgetter(*map(columns.index, keys))
+
+
 def _table(columns: Sequence[str], chunks: Iterable[Iterable[tuple]], fmt: str) -> Iterator[str]:
     """A table's text: its header, then one string per chunk of rows.
 
     CSV fields are written as they are: no field of any table holds a comma,
     a quote or a line break.  JSON is ``_json_text`` of the rows as dicts
-    byte for byte, from a row template with the keys sorted: with an indent,
-    ``json`` encodes in pure Python, several times slower.  A ``value`` is
-    quoted; every other field must already be JSON text laid out at a row
-    field's depth (see :func:`_json_array`).
+    byte for byte, each row from :func:`_object_template`: with an indent,
+    ``json`` encodes in pure Python, several times slower.
     """
     if fmt == "csv":
         line = ",".join(["%s"] * len(columns)) + "\n"
         yield ",".join(columns) + "\n"
         yield from ("".join([line % row for row in rows]) for rows in chunks)
         return
-    keys = sorted(columns)
-    fields = (f'    "{k}": ' + ('"%s"' if k == "value" else "%s") for k in keys)
-    template = "  {\n" + ",\n".join(fields) + "\n  }"
-    pick = itemgetter(*map(columns.index, keys))
+    template, pick = _object_template(columns, 1)
+    template = "  " + template
     texts = (",\n".join([template % pick(row) for row in rows]) for rows in chunks)
     sep = "[\n"  # then each nonempty chunk after the first starts with a comma
     for text in filter(None, texts):
@@ -112,6 +133,26 @@ def _json_array(items: Iterable[str], depth: int = 2) -> str:
     pad = "\n" + "  " * (depth + 1)
     body = ("," + pad).join(items)
     return "[" + pad + body + "\n" + "  " * depth + "]" if body else "[]"
+
+
+# the check report's objects, with the keys of ``to_json_dict`` in the order
+# ``_report_json`` gives their fields: the report, its window, a diff row
+_REPORT = _object_template(("window", "pass", "diff"), 0)
+_WINDOW = _object_template(("maxQ", "maxT", "maxAbsMu", "minV", "maxV"), 1)
+_DIFF_ROW = _object_template(("X", "Q", "T", "V", "value"), 2)
+
+
+def _report_json(report: CorrespondenceReport) -> str:
+    """``_json_text(report.to_json_dict())`` byte for byte, from object templates."""
+    (top, pick), (window, pick_window), (row, pick_row) = _REPORT, _WINDOW, _DIFF_ROW
+    w = report.window
+    diff = (row % pick_row((m.X, m.Q, m.T, m.V, rational_str(c))) for m, c in report.diff.items())
+    fields = (
+        window % pick_window((w.max_q, w.max_t, w.max_abs_x, w.min_v, w.max_v)),
+        "true" if report.passed else "false",
+        _json_array(diff, 1),
+    )
+    return top % pick(fields) + "\n"
 
 
 def _f_rows(terms: Iterable[RawTerm]) -> List[tuple]:
@@ -137,7 +178,7 @@ def cmd_check(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
     report = run_check(_window_from(args), corrupt_correction=args.corrupt_exc)
     code = 0 if report.passed else 1
     if args.format == "json":
-        return code, [_json_text(report.to_json_dict())]
+        return code, [_report_json(report)]
     diff = ((m, c.numerator, c.denominator) for m, c in report.diff.items())
     return code, _table(F_COLUMNS, [_f_rows(diff)], "csv")
 
@@ -173,12 +214,14 @@ def cmd_localize(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
 def cmd_ifunction(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
     # outputs carry no Q; the window's max_q is the joint q1+q2 cap, and
     # the slice keeps every Kaehler excess up to it.  A class of degree
-    # d1 + d2 lands at V <= zcoeff - (d1 + d2), so only degrees up to
+    # e = d1 + d2 lands at T^l V^(zcoeff - e - l) with 0 <= l <= max_t and
+    # zcoeff - e - l <= 0, so only degrees from zcoeff - max_t to
     # zcoeff - min_v reach the table.
     window = TruncationWindow(
         max_q=args.max_q, max_t=args.max_t, max_abs_x=0, min_v=args.min_v, max_v=1
     )
-    terms = surface_series_terms(window, window.max_q, args.zcoeff - args.min_v)
+    degrees = (args.zcoeff - args.min_v, args.zcoeff - args.max_t)
+    terms = surface_series_terms(window, window.max_q, *degrees)
     raw = z_coeff_terms(terms, args.zcoeff, window)
     rows = [(m.T, m.q1, m.q2, m.V, f"{n}/{d}") for m, n, d in lowest_terms(raw)]
     return 0, _table(SLICE_COLUMNS, [rows], args.format)
@@ -198,87 +241,164 @@ def cmd_asymptotics(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _add_window_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-q", type=int, default=10, help="square-root-area order cap")
-    sub.add_argument("--max-t", type=int, default=4, help="logarithm order cap")
-    sub.add_argument("--max-mu", type=int, default=4, help="winding magnitude cap")
-    sub.add_argument("--min-v", type=int, default=-8, help="weight-Laurent floor")
+def _add_window_flags(sub: argparse.ArgumentParser) -> List[argparse.Action]:
+    return [
+        sub.add_argument("--max-q", type=int, default=10, help="square-root-area order cap"),
+        sub.add_argument("--max-t", type=int, default=4, help="logarithm order cap"),
+        sub.add_argument("--max-mu", type=int, default=4, help="winding magnitude cap"),
+        sub.add_argument("--min-v", type=int, default=-8, help="weight-Laurent floor"),
+    ]
 
 
-def _add_format_flags(sub: argparse.ArgumentParser, default: str) -> None:
-    sub.add_argument("--format", choices=("csv", "json"), default=default)
-    sub.add_argument("--output", default=None, help="write here instead of stdout")
+def _add_format_flags(sub: argparse.ArgumentParser, default: str) -> List[argparse.Action]:
+    return [
+        sub.add_argument("--format", choices=("csv", "json"), default=default),
+        sub.add_argument("--output", default=None, help="write here instead of stdout"),
+    ]
+
+
+class _Subcommand:
+    """A subcommand's parser, after ``set_defaults(**defaults)``, and the
+    flag table of its ``actions``, those ``add_argument`` returned.
+
+    ``flags`` maps each option string to its action (those taking one value
+    or none), ``required`` holds the required actions, and ``start`` is the
+    namespace before any flag is read, as argparse starts it: each action's
+    default over the parser's defaults, a string default converted by the
+    action's type.
+    """
+
+    __slots__ = ("parser", "flags", "start", "required")
+
+    def __init__(
+        self, parser: argparse.ArgumentParser, actions: List[argparse.Action], **defaults: object
+    ) -> None:
+        parser.set_defaults(**defaults)
+        self.parser = parser
+        self.flags = {s: a for a in actions if a.nargs in (None, 0) for s in a.option_strings}
+        self.required = frozenset(a for a in actions if a.required)
+        self.start = dict(defaults)
+        for a in actions:
+            d = a.default
+            self.start[a.dest] = a.type(d) if a.type and isinstance(d, str) else d
 
 
 @functools.cache  # built on the first call; parsing leaves it unchanged
-def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's own parser, by name."""
+def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _Subcommand]]:
+    """The top-level parser and each subcommand, by name."""
     parser = argparse.ArgumentParser(
         prog="ocmirror",
         description="Exact disk-potential / sphere-series correspondence tools.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    commands: Dict[str, _Subcommand] = {}
 
-    disk = subs.add_parser("disk", help="disk potential coefficient table")
-    _add_window_flags(disk)
-    _add_format_flags(disk, "csv")
-    disk.set_defaults(handler=cmd_side, slices=disk_slices)
-
-    rhs = subs.add_parser("rhs", help="assembled sphere-side coefficient table")
-    _add_window_flags(rhs)
-    _add_format_flags(rhs, "csv")
-    rhs.set_defaults(handler=cmd_side, slices=rhs_slices)
+    for name, slices, summary in (
+        ("disk", disk_slices, "disk potential coefficient table"),
+        ("rhs", rhs_slices, "assembled sphere-side coefficient table"),
+    ):
+        sub = subs.add_parser(name, help=summary)
+        actions = _add_window_flags(sub) + _add_format_flags(sub, "csv")
+        commands[name] = _Subcommand(sub, actions, handler=cmd_side, slices=slices)
 
     check = subs.add_parser("check", help="compare both sides exactly")
-    _add_window_flags(check)
-    _add_format_flags(check, "json")
-    check.add_argument(
-        "--corrupt-exc",
-        action="store_true",
-        help="deliberately flip part of the exceptional correction (mutation test)",
-    )
-    check.set_defaults(handler=cmd_check)
+    actions = [
+        *_add_window_flags(check),
+        *_add_format_flags(check, "json"),
+        check.add_argument(
+            "--corrupt-exc",
+            action="store_true",
+            help="deliberately flip part of the exceptional correction (mutation test)",
+        ),
+    ]
+    commands["check"] = _Subcommand(check, actions, handler=cmd_check)
 
     localize = subs.add_parser("localize", help="fixed-locus graph class table")
-    localize.add_argument("--degree", type=int, required=True)
-    localize.add_argument("--markings", type=int, default=0)
-    _add_format_flags(localize, "csv")
-    localize.set_defaults(handler=cmd_localize)
+    actions = [
+        localize.add_argument("--degree", type=int, required=True),
+        localize.add_argument("--markings", type=int, default=0),
+        *_add_format_flags(localize, "csv"),
+    ]
+    commands["localize"] = _Subcommand(localize, actions, handler=cmd_localize)
 
     ifunction = subs.add_parser(
         "ifunction", help="descendant-slice table of the surface series"
     )
-    ifunction.add_argument("--zcoeff", type=int, default=2, help="slice index")
-    ifunction.add_argument("--max-q", type=int, default=10, help="joint area-order cap")
-    ifunction.add_argument("--max-t", type=int, default=4)
-    ifunction.add_argument("--min-v", type=int, default=-8)
-    _add_format_flags(ifunction, "csv")
-    ifunction.set_defaults(handler=cmd_ifunction)
+    actions = [
+        ifunction.add_argument("--zcoeff", type=int, default=2, help="slice index"),
+        ifunction.add_argument("--max-q", type=int, default=10, help="joint area-order cap"),
+        ifunction.add_argument("--max-t", type=int, default=4),
+        ifunction.add_argument("--min-v", type=int, default=-8),
+        *_add_format_flags(ifunction, "csv"),
+    ]
+    commands["ifunction"] = _Subcommand(ifunction, actions, handler=cmd_ifunction)
 
     asym = subs.add_parser("asymptotics", help="large-weight ratio table")
-    asym.add_argument("--q0", type=float, default=1.0)
-    asym.add_argument("--q1", type=float, default=0.25)
-    asym.add_argument("--q2", type=float, default=0.25)
-    asym.add_argument("--z", type=float, default=1.0)
-    asym.add_argument("--N", type=int, default=1, help="asymptotic order")
-    asym.add_argument(
-        "--l", type=int, action="append", help="sequence index (repeatable)"
-    )
-    asym.add_argument("--component", type=int, choices=(1, 2), default=2)
-    _add_format_flags(asym, "csv")
-    asym.set_defaults(handler=cmd_asymptotics)
+    actions = [
+        asym.add_argument("--q0", type=float, default=1.0),
+        asym.add_argument("--q1", type=float, default=0.25),
+        asym.add_argument("--q2", type=float, default=0.25),
+        asym.add_argument("--z", type=float, default=1.0),
+        asym.add_argument("--N", type=int, default=1, help="asymptotic order"),
+        asym.add_argument("--l", type=int, action="append", help="sequence index (repeatable)"),
+        asym.add_argument("--component", type=int, choices=(1, 2), default=2),
+        *_add_format_flags(asym, "csv"),
+    ]
+    commands["asymptotics"] = _Subcommand(asym, actions, handler=cmd_asymptotics)
 
-    return parser, dict(subs.choices)  # the subparsers action's choices: name -> parser
+    return parser, commands
+
+
+def _exact(command: _Subcommand, tokens: Sequence[str]) -> Optional[argparse.Namespace]:
+    """What ``command.parser.parse_known_args(tokens)`` returns, with nothing
+    left over, when every token is an exact ``--flag`` of the table or its
+    value and argparse would accept them all; None otherwise.
+
+    Each value goes through its action's own type, choices and call (store,
+    store_true or append).  A value starting with '-' is taken only as a
+    plain negative integer, which every supported argparse reads as a value.
+    """
+    args = argparse.Namespace(**command.start)
+    seen = set()
+    rest = iter(tokens)
+    for flag in rest:
+        action = command.flags.get(flag)
+        if action is None:
+            return None
+        value: object = []  # what argparse hands an action that takes no value
+        if action.nargs is None:
+            text = next(rest, None)
+            if text is None or text[:1] == "-" and not text[1:].isdecimal():
+                return None
+            try:
+                value = action.type(text) if action.type else text
+            except (TypeError, ValueError):  # argparse reports these as usage errors
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        action(command.parser, args, value, flag)
+        seen.add(action)
+    if not command.required <= seen:
+        return None
+    return args
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """The arguments as the top-level parser reads them, parsed once by the
-    named subcommand's parser; a request it cannot finish, or that names no
-    subcommand, goes to the top-level parser, whose messages then stand."""
-    parser, subparsers = _build_parser()
-    sub = subparsers.get(argv[0]) if argv else None
-    if sub is not None:
-        args, rest = sub.parse_known_args(argv[1:])
+    """The arguments as the top-level parser reads them.
+
+    An exact request is resolved against the named subcommand's flag table
+    (see :func:`_exact`); any other is parsed once by that subcommand's
+    parser, and a request it cannot finish, or that names no subcommand,
+    goes to the top-level parser.  So argparse writes every usage, help and
+    error message.
+    """
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args = _exact(command, argv[1:])
+        if args is not None:
+            return args
+        args, rest = command.parser.parse_known_args(argv[1:])
         if not rest:
             return args
     return parser.parse_args(argv)

@@ -69,15 +69,15 @@ def _factorials(n: int) -> List[int]:
 
 
 def surface_series_terms(
-    window: TruncationWindow, max_abs_slope: int, max_degree: int
+    window: TruncationWindow, max_abs_slope: int, max_degree: int, min_degree: int = 0
 ) -> Tuple[FactorTerm, ...]:
     """Origin-restricted specialized surface series, window-complete.
 
     One term per curve class (d1, d2) with d1 + d2 at most the window's
-    ``max_q``, its joint q1+q2 cap, and at most ``max_degree`` (a negative
-    one keeps no class), and |d2 - d1| at most ``max_abs_slope``
-    (``max_q`` or more keeps every class).  With the signed Kaehler excess
-    mu = d2 - d1 and d = min(d1, d2), the term is
+    ``max_q``, its joint q1+q2 cap, at most ``max_degree`` (a negative one
+    keeps no class) and at least ``min_degree``, and |d2 - d1| at most
+    ``max_abs_slope`` (``max_q`` or more keeps every class).  With the
+    signed Kaehler excess mu = d2 - d1 and d = min(d1, d2), the term is
 
         (-1)^|mu| / (d! (d+|mu|)!) * q1^d1 q2^d2 * z^-(d1+d2) * v/(v - mu z);
 
@@ -91,7 +91,7 @@ def surface_series_terms(
     cap = min(window.max_q, max_degree)
     facts = _factorials(cap)
     terms: List[FactorTerm] = []
-    for e in range(cap + 1):
+    for e in range(max(min_degree, 0), cap + 1):
         top = min(max_abs_slope, e)
         top -= (e - top) % 2  # mu has the parity of d1 + d2 = e
         for mu in range(-top, top + 1, 2):

@@ -429,6 +429,61 @@ MUTANTS = (
         "a subcommand's leftover arguments ignored instead of refused",
         (f"{TCL}::test_dispatch_matches_the_top_level_parser[check --bogus]",),
     ),
+    Mutant(
+        CLI,
+        "            if action.choices is not None and value not in action.choices:\n"
+        "                return None\n",
+        "",
+        "an exact request's value taken without its flag's choices check",
+        (
+            f"{TCL}::test_dispatch_matches_the_top_level_parser[check --format xml]",
+            f"{TCL}::test_every_request_has_the_top_level_parsers_outcome",
+        ),
+    ),
+    Mutant(
+        CLI,
+        'if text is None or text[:1] == "-" and not text[1:].isdecimal():',
+        "if text is None:",
+        "any value starting with '-' taken in an exact request, where argparse sees an option",
+        (
+            f"{TCL}::test_dispatch_matches_the_top_level_parser[asymptotics --z -inf]",
+            f"{TCL}::test_every_request_has_the_top_level_parsers_outcome",
+        ),
+    ),
+    Mutant(
+        CLI,
+        "    if not command.required <= seen:\n        return None\n",
+        "",
+        "an exact request missing a required flag resolved without it",
+        (
+            f"{TCL}::test_dispatch_matches_the_top_level_parser[localize --markings 1]",
+            f"{TCL}::test_every_request_has_the_top_level_parsers_outcome",
+        ),
+    ),
+    Mutant(
+        CLI,
+        "action(command.parser, args, value, flag)",
+        "setattr(args, action.dest, value)",
+        "each flag's own action replaced by a plain store: --l no longer appends",
+        (
+            f"{TCL}::test_an_exact_request_reaches_no_argparse_parse[asymptotics]",
+            f"{TCL}::test_every_request_has_the_top_level_parsers_outcome",
+        ),
+    ),
+    Mutant(
+        CLI,
+        '_WINDOW = _object_template(("maxQ", "maxT",',
+        '_WINDOW = _object_template(("maxT", "maxQ",',
+        "the check report's maxQ and maxT keys swapped in its template",
+        (f"{TCL}::test_check_json_is_the_reports_dict_as_json",),
+    ),
+    Mutant(
+        CLI,
+        "degrees = (args.zcoeff - args.min_v, args.zcoeff - args.max_t)",
+        "degrees = (args.zcoeff - args.min_v, args.zcoeff - args.max_t + 1)",
+        "ifunction's degree floor one above the lowest degree that reaches its slice",
+        (f"{TCL}::test_ifunction_builds_only_the_classes_that_reach_its_slice",),
+    ),
 )
 
 

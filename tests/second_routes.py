@@ -50,6 +50,8 @@ quantities another way, and the tests assert that the two agree.
 * The general surface resolver reads each curve class off the divisor
   restriction tables and resolves it by partial fractions; the closed form
   of ``ocmirror.closed.surface_series_terms`` is checked against it.
+  ``unfloored_surface_terms`` is that closed form without the degree floor
+  ``ifunction`` passes it: every class from degree 0.
 * The reduced curve series J~ of the projective line, as a series in v/z
   and at z = c*v in three forms (products, factorial quotients, Bessel), and
   its degree parts rebuilt from the closed descendant graph sums
@@ -254,6 +256,14 @@ def rhs_terms(window: TruncationWindow, corrupt_correction: bool = False) -> Lis
     classes = surface_series_terms(window, window.max_abs_x, 1 - window.min_v)
     mapped = [_paired_in_winding_variables(t) for t in classes]
     return z_coeff_terms(mapped, 2, window) + correction_terms(window, corrupt_correction)
+
+
+def unfloored_surface_terms(
+    window: TruncationWindow, max_abs_slope: int, max_degree: int, min_degree: int
+) -> Tuple[FactorTerm, ...]:
+    """``surface_series_terms`` with every class from degree 0, whatever
+    ``min_degree`` asks: the classes ``ifunction`` built before its floor."""
+    return surface_series_terms(window, max_abs_slope, max_degree)
 
 
 def whole_table(raw: Iterable[RawTerm], fmt: str) -> str:

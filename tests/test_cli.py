@@ -14,16 +14,19 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ocmirror import cli
 from ocmirror.cli import main
+from ocmirror.closed import z_coeff_terms
+from ocmirror.correspondence import run_check
 
 from families import sweep_window
-from second_routes import disk_terms, rhs_terms, whole_table
+from second_routes import disk_terms, rhs_terms, unfloored_surface_terms, whole_table
 
 RATIONAL = re.compile(r"^-?\d+/\d+$")
 
@@ -271,6 +274,22 @@ def test_check_corrupted_correction_fails(capsys):
         assert RATIONAL.match(row["value"])
 
 
+@given(sweep_window(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_check_json_is_the_reports_dict_as_json(window, corrupt):
+    # the report written from its templates, against json.dumps of the
+    # report's dict, as cli.main wrote it before
+    window = replace(window, max_v=1)  # the command line fixes the V ceiling at 1
+    flags = ["--max-q", str(window.max_q), "--max-t", str(window.max_t)]
+    flags += ["--max-mu", str(window.max_abs_x), "--min-v", str(window.min_v)]
+    report = run_check(window, corrupt_correction=corrupt)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["check", *flags, *(["--corrupt-exc"] if corrupt else []), "--format", "json"])
+    assert code == (0 if report.passed else 1)
+    assert out.getvalue() == json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
 def test_check_csv_diff_table(capsys):
     code = main(
         ["check", "--max-q", "4", "--max-mu", "2", "--corrupt-exc", "--format", "csv"]
@@ -361,6 +380,31 @@ def test_ifunction_reads_only_the_degrees_the_v_floor_admits(capsys, zcoeff, min
         assert far == "t0_power,q1_power,q2_power,v_power,value\n"
     else:
         assert far == table(top)
+
+
+@given(
+    st.integers(-1, 11), st.integers(0, 13), st.integers(0, 5), st.integers(-12, 1),
+    st.sampled_from(["csv", "json"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_ifunction_builds_only_the_classes_that_reach_its_slice(zcoeff, max_q, max_t, min_v, fmt):
+    # a class of degree e reaches the slice only for zcoeff - max_t <= e <=
+    # zcoeff - min_v; the table equals the one built from every class of
+    # degree up to zcoeff - min_v
+    argv = ["ifunction", "--zcoeff", str(zcoeff), "--max-q", str(max_q), "--max-t", str(max_t)]
+    argv += ["--min-v", str(min_v), "--format", fmt]
+    extracted = []
+
+    def recording(terms, m, window):
+        extracted.extend(terms)
+        return z_coeff_terms(terms, m, window)
+
+    with mock.patch.object(cli, "z_coeff_terms", recording):
+        floored = _outcome(argv)
+    assert floored[0] == 0
+    assert all(zcoeff - max_t <= -t.monomial.Z <= zcoeff - min_v for t in extracted)
+    with mock.patch.object(cli, "surface_series_terms", unfloored_surface_terms):
+        assert _outcome(argv) == floored
 
 
 def test_ifunction_json(capsys):
@@ -542,41 +586,51 @@ def test_stdout_matches_recorded_digest(capsys, argv, code, digest):
 # ---------------------------------------------------------------------------
 
 
-def _outcome(capsys, argv):
-    """(exit code, stdout, stderr, --output file text) of one in-process call."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
+def _outcome(argv, output=None):
+    """(exit code, stdout, stderr, text of the file at ``output``) of one
+    in-process call; the file is removed first, so None means none was written."""
+    if output is not None and os.path.exists(output):
+        os.remove(output)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     written = None
-    if "--output" in argv:
-        with open(argv[argv.index("--output") + 1], encoding="utf-8") as fh:
+    if output is not None and os.path.exists(output):
+        with open(output, encoding="utf-8") as fh:
             written = fh.read()
-    return code, captured.out, captured.err, written
+    return code, out.getvalue(), err.getvalue(), written
 
 
-def test_reused_parser_carries_nothing_between_calls(capsys, tmp_path):
+def _top_level(argv):
+    """Every request parsed by the top-level parser alone."""
+    return cli._build_parser()[0].parse_args(argv)
+
+
+def test_reused_parser_carries_nothing_between_calls(tmp_path):
     # each pair probes state a shared parser could leak into the next call:
     # an appended list, a store_true flag, an output path, a usage error
     window = ["--max-q", "3", "--max-mu", "2"]
+    table = tmp_path / "table.csv"
     sequence = [
         ["asymptotics", "--l", "100", "--l", "316"],
         ["asymptotics"],
         ["check", "--corrupt-exc"] + window,
         ["check"] + window,
-        ["localize", "--degree", "2", "--output", str(tmp_path / "table.csv")],
+        ["localize", "--degree", "2", "--output", str(table)],
         ["localize", "--degree", "2"],
         ["disk", "--not-a-flag"],
         ["disk"] + window,
     ]
     cli._build_parser.cache_clear()
-    shared = [_outcome(capsys, argv) for argv in sequence]
+    shared = [_outcome(argv, table) for argv in sequence]
     assert cli._build_parser() is cli._build_parser()
     fresh = []
     for argv in sequence:
         cli._build_parser.cache_clear()
-        fresh.append(_outcome(capsys, argv))
+        fresh.append(_outcome(argv, table))
     assert shared == fresh
     assert [code for code, *_ in shared] == [0, 0, 1, 0, 0, 0, 2, 0]
     assert [line.split(",")[0] for line in shared[1][1].splitlines()] == ["l", "200"]
@@ -598,14 +652,26 @@ DISPATCH_CASES = [
     ["check", "--bogus"],
     ["disk", "--max-q", "x"],
     ["localize"],
+    ["localize", "--markings", "1"],
+    ["check", "--corrupt-exc", "--max-q", "2", "--max-mu", "1"],
+    ["check", "--min-v", "-6", "--max-q", "3"],
+    ["check", "--max-q=3"],
+    ["check", "--max", "3"],
+    ["check", "--format", "xml"],
+    ["asymptotics", "--component", "3"],
+    ["asymptotics", "--z", "-inf"],
+    ["asymptotics", "--z", "-0.5"],
+    ["disk", "--max-q", "-1"],
+    ["disk", "--max-q", " 4 "],
+    ["disk", "--max-q"],
 ]
 
 
 @pytest.mark.parametrize("argv", DISPATCH_CASES, ids=lambda argv: " ".join(argv) or "none")
-def test_dispatch_matches_the_top_level_parser(capsys, monkeypatch, argv):
-    one_pass = _outcome(capsys, argv)
-    monkeypatch.setattr(cli, "_parse", lambda argv: cli._build_parser()[0].parse_args(argv))
-    assert _outcome(capsys, argv) == one_pass
+def test_dispatch_matches_the_top_level_parser(monkeypatch, argv):
+    one_pass = _outcome(argv)
+    monkeypatch.setattr(cli, "_parse", _top_level)
+    assert _outcome(argv) == one_pass
 
 
 def test_a_valid_request_skips_the_top_level_parser(capsys, monkeypatch):
@@ -617,7 +683,106 @@ def test_a_valid_request_skips_the_top_level_parser(capsys, monkeypatch):
     assert capsys.readouterr().out.startswith("labels,edges,markings,aut,contribution\n")
 
 
-def test_module_entry_reads_sys_argv(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["disk", "--max-q", "3", "--min-v", "-6", "--format", "json"],
+        ["rhs", "--max-q", "2", "--max-mu", "2", "--max-q", "3"],
+        ["check", "--corrupt-exc", "--max-q", "4", "--max-mu", "2", "--format", "csv"],
+        ["localize", "--markings", "1", "--degree", "2"],
+        ["localize", "--degree", "4"],
+        ["ifunction", "--zcoeff", "-1", "--max-q", "3", "--min-v", "-3"],
+        ["asymptotics", "--l", "100", "--l", "316", "--component", "1", "--q0", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_exact_request_reaches_no_argparse_parse(monkeypatch, argv):
+    # exact flags, each with its value, a negative integer, a repeat, a
+    # store_true and an append among them: read off the flag table alone
+    with mock.patch.object(cli, "_parse", _top_level):
+        want = _outcome(argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed an exact request")
+
+    parser, commands = cli._build_parser()
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    monkeypatch.setattr(commands[argv[0]].parser, "parse_known_args", refuse)
+    assert _outcome(argv) == want
+
+
+WINDOW_FLAGS = ["--max-q", "--max-t", "--max-mu", "--min-v"]
+FORMAT_FLAGS = ["--format", "--output"]
+FLAGS = {
+    "disk": WINDOW_FLAGS + FORMAT_FLAGS,
+    "rhs": WINDOW_FLAGS + FORMAT_FLAGS,
+    "check": WINDOW_FLAGS + FORMAT_FLAGS + ["--corrupt-exc"],
+    "localize": ["--degree", "--markings"] + FORMAT_FLAGS,
+    "ifunction": ["--zcoeff", "--max-q", "--max-t", "--min-v"] + FORMAT_FLAGS,
+    "asymptotics": ["--q0", "--q1", "--q2", "--z", "--N", "--l", "--component"] + FORMAT_FLAGS,
+}
+# values each flag accepts (none for a store_true flag); values an exact
+# request leaves to argparse: starting with '-' but no plain negative
+# integer, or a choice no flag offers; then values of every kind
+OUTPUT = "table.out"  # relative: the test runs in its own directory
+GOOD = {"--format": ["csv", "json"], "--component": ["1", "2"], "--output": [OUTPUT]}
+GOOD["--corrupt-exc"] = []
+NUMBERS = ["0", "1", "2", "3", "-1", "-2"]
+ODD = ["-.5", "-1e3", "-inf", "--", "xml", "3"]
+VALUES = NUMBERS + ODD + ["-0", "-0.5", "-x", "0.5", "nan", "x", "", " 4 ", "1_0", "csv", "json"]
+LONE = ["-h", "--help", "--", "--bogus", "--max-q", "-x", "3", "check"]
+
+
+@st.composite
+def _requests(draw):
+    """A subcommand and tokens.  Half are exact: each flag with a value it
+    accepts, now and then an odd one instead.  The rest mix
+    those with abbreviated and ``=`` flags, flags without a value or with a
+    value of any kind, and lone tokens.  Every other value of ``--output``
+    and its abbreviations names one file."""
+    name = draw(st.sampled_from(sorted(FLAGS)))
+    exact = draw(st.booleans())
+    kinds = ["good"] if exact else ["good", "any", "abbrev", "equals", "bare", "lone"]
+    argv = [name]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "lone":
+            argv.append(draw(st.sampled_from(LONE)))
+            continue
+        flag = draw(st.sampled_from(FLAGS[name]))
+        values = VALUES if kind != "good" and flag != "--output" else GOOD.get(flag, NUMBERS)
+        if values and draw(st.integers(0, 2)) == 0:
+            values = ODD
+        value = draw(st.sampled_from(values)) if values else None
+        if kind == "abbrev":
+            flag = flag[: draw(st.integers(3, len(flag)))]
+        if kind == "equals":
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag] if kind == "bare" or value is None else [flag, value]
+    return argv
+
+
+@given(_requests())
+@settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_every_request_has_the_top_level_parsers_outcome(monkeypatch, tmp_path, argv):
+    # exit code, stdout, stderr and output file, whichever path parses it
+    monkeypatch.chdir(tmp_path)  # where a stray value of --output lands
+
+    def outcome():
+        try:
+            return _outcome(argv, OUTPUT)
+        except TypeError as exc:  # argparse 3.11 reads --q0=-- as the value []
+            return repr(exc)
+
+    one_pass = outcome()
+    with mock.patch.object(cli, "_parse", _top_level):
+        assert outcome() == one_pass, argv
+
+
+def test_module_entry_reads_sys_argv():
     # python -m ocmirror.cli: main() parses sys.argv, as no in-process call does
     src = str(Path(cli.__file__).resolve().parents[1])
     for argv in (["localize", "--degree", "2", "--markings", "1"], ["check", "--max-q", "x"]):
@@ -628,7 +793,7 @@ def test_module_entry_reads_sys_argv(capsys):
             env=dict(os.environ, PYTHONPATH=src),
             timeout=60,
         )
-        assert (done.returncode, done.stdout, done.stderr) == _outcome(capsys, argv)[:3], argv
+        assert (done.returncode, done.stdout, done.stderr) == _outcome(argv)[:3], argv
 
 
 # ---------------------------------------------------------------------------
