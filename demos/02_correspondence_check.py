@@ -17,7 +17,9 @@ from ocmirror.series import TruncationWindow
 
 window = TruncationWindow(max_q=8, max_t=4, max_abs_x=4, min_v=-8, max_v=1)
 
-# the honest run: both sides built independently, compared term by term
+# the honest run: both sides built independently, compared slice by slice
+# as T-ladders (one geometric run mu^l/l! per winding), a slice whose
+# ladders differ, or that the correction joins, term by term
 report = run_check(window)
 print("honest run:")
 print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))

@@ -9,9 +9,10 @@ Subcommands
     Coefficient table of the assembled sphere-side series (descendant slice,
     distinguished pairing, variable substitution, exceptional correction).
 ``check``
-    Build both sides independently as raw integer terms and compare them
-    one Q-power slice at a time; exit 0 on exact equality, 1 otherwise,
-    with a machine-readable report.
+    Build both sides independently as T-ladders and compare them one
+    Q-power slice at a time, a slice whose ladders differ, or that the
+    correction joins, by the values of its terms; exit 0 on exact equality,
+    1 otherwise, with a machine-readable report.
 ``localize``
     Enumerate fixed-locus graph classes at a given degree and marking count,
     with automorphism orders and exact per-class contributions.
@@ -40,7 +41,9 @@ value through its flag's own type, choices and action, a value starting
 with '-' only as a plain negative integer, and every required flag
 given.  Argparse parses every other request (``-h``, ``--flag=value``,
 abbreviations, unknown or missing tokens, values it would refuse), so it
-alone writes usage, help and error messages.
+alone writes usage, help and error messages.  After either route, a flag
+that takes one value but holds none (argparse's reading of
+``--flag=--``) exits 2 as a flag given without its value.
 """
 
 from __future__ import annotations
@@ -262,13 +265,14 @@ class _Subcommand:
     flag table of its ``actions``, those ``add_argument`` returned.
 
     ``flags`` maps each option string to its action (those taking one value
-    or none), ``required`` holds the required actions, and ``start`` is the
-    namespace before any flag is read, as argparse starts it: each action's
-    default over the parser's defaults, a string default converted by the
-    action's type.
+    or none), ``required`` holds the required actions, ``valued`` those
+    taking one value, and ``start`` is the namespace before any flag is
+    read, as argparse starts it: each action's default over the parser's
+    defaults (the subcommand's name among them), a string default
+    converted by the action's type.
     """
 
-    __slots__ = ("parser", "flags", "start", "required")
+    __slots__ = ("parser", "flags", "start", "required", "valued")
 
     def __init__(
         self, parser: argparse.ArgumentParser, actions: List[argparse.Action], **defaults: object
@@ -277,6 +281,7 @@ class _Subcommand:
         self.parser = parser
         self.flags = {s: a for a in actions if a.nargs in (None, 0) for s in a.option_strings}
         self.required = frozenset(a for a in actions if a.required)
+        self.valued = [a for a in actions if a.nargs is None]
         self.start = dict(defaults)
         for a in actions:
             d = a.default
@@ -299,7 +304,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _Subcommand]]:
     ):
         sub = subs.add_parser(name, help=summary)
         actions = _add_window_flags(sub) + _add_format_flags(sub, "csv")
-        commands[name] = _Subcommand(sub, actions, handler=cmd_side, slices=slices)
+        commands[name] = _Subcommand(sub, actions, command=name, handler=cmd_side, slices=slices)
 
     check = subs.add_parser("check", help="compare both sides exactly")
     actions = [
@@ -311,7 +316,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _Subcommand]]:
             help="deliberately flip part of the exceptional correction (mutation test)",
         ),
     ]
-    commands["check"] = _Subcommand(check, actions, handler=cmd_check)
+    commands["check"] = _Subcommand(check, actions, command="check", handler=cmd_check)
 
     localize = subs.add_parser("localize", help="fixed-locus graph class table")
     actions = [
@@ -319,7 +324,7 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _Subcommand]]:
         localize.add_argument("--markings", type=int, default=0),
         *_add_format_flags(localize, "csv"),
     ]
-    commands["localize"] = _Subcommand(localize, actions, handler=cmd_localize)
+    commands["localize"] = _Subcommand(localize, actions, command="localize", handler=cmd_localize)
 
     ifunction = subs.add_parser(
         "ifunction", help="descendant-slice table of the surface series"
@@ -331,7 +336,9 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _Subcommand]]:
         ifunction.add_argument("--min-v", type=int, default=-8),
         *_add_format_flags(ifunction, "csv"),
     ]
-    commands["ifunction"] = _Subcommand(ifunction, actions, handler=cmd_ifunction)
+    commands["ifunction"] = _Subcommand(
+        ifunction, actions, command="ifunction", handler=cmd_ifunction
+    )
 
     asym = subs.add_parser("asymptotics", help="large-weight ratio table")
     actions = [
@@ -344,7 +351,9 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _Subcommand]]:
         asym.add_argument("--component", type=int, choices=(1, 2), default=2),
         *_add_format_flags(asym, "csv"),
     ]
-    commands["asymptotics"] = _Subcommand(asym, actions, handler=cmd_asymptotics)
+    commands["asymptotics"] = _Subcommand(
+        asym, actions, command="asymptotics", handler=cmd_asymptotics
+    )
 
     return parser, commands
 
@@ -421,8 +430,25 @@ def _all_int_digits() -> Iterator[None]:
         sys.set_int_max_str_digits(saved)
 
 
+#: what argparse makes of ``--flag=--``: ``[]`` on the Pythons that drop the
+#: ``--``, the text ``--`` on those that keep it
+_NO_VALUE = ([], "--")
+
+
+def _refuse_missing_values(args: argparse.Namespace) -> None:
+    """Exit 2 through the subcommand's parser, as for a flag given without
+    its value, when a flag taking one value holds none (``--flag=--``)."""
+    command = _build_parser()[1][args.command]
+    for action in command.valued:
+        value = getattr(args, action.dest)
+        if value in _NO_VALUE or isinstance(value, list) and any(v in _NO_VALUE for v in value):
+            flag = "/".join(action.option_strings)
+            command.parser.error(f"argument {flag}: expected one argument")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
+    _refuse_missing_values(args)
     with _all_int_digits():
         try:
             code, chunks = args.handler(args)

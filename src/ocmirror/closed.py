@@ -25,16 +25,20 @@ num/den * monomial * v/(v - slope*z), the factor kept unexpanded; slope 0
 means the factor is 1.  The one expansion the program makes is in the z/v
 direction, v/(v-cz) = sum_{k>=0} (cz/v)^k.
 
-Extraction: ``z_coeff_terms`` takes the coefficient of a fixed power z^(-m)
-of the exponential-prefactored sum of such terms, expanding every factor in
-the z/v direction without building the ladders.  This honest extraction
+Extraction: ``z_coeff_ladders`` takes the coefficient of a fixed power
+z^(-m) of the exponential-prefactored sum of such terms, expanding every
+factor in the z/v direction.  The prefactor's T^l/l! and the factor's
+(slope z/v)^k move together, so each term contributes one *ladder*
+(see ``Ladder``): a geometric run in l, over l!.  This honest extraction
 keeps only nonnegative expansion indices; the tests check it against the
 expanded product itself and against a regrouped presentation (boundary
 monomials such as -q1*v plus an unconstrained resummation).  It reads the
-range of its loop over the T-power off the window, and returns raw
-``(monomial, numerator, denominator)`` terms: the right side of the
-correspondence adds its correction to them, and the ``ifunction`` table
-prints them in lowest terms.
+range of each ladder off the window, and ``expand_ladders`` writes the
+ladders as raw ``(monomial, numerator, denominator)`` terms
+(``z_coeff_terms``): the right side of the correspondence adds its
+correction to them, and the ``ifunction`` table prints them in lowest
+terms.  The disk potential's exp(mu*t0/v) dressing is a ladder too, so one
+expansion writes both sides of the correspondence.
 """
 
 from __future__ import annotations
@@ -46,7 +50,14 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 from .series import Monomial, RawTerm, TruncationWindow, _tuple_new
 
-__all__ = ["FactorTerm", "surface_series_terms", "z_coeff_terms"]
+__all__ = [
+    "FactorTerm",
+    "Ladder",
+    "expand_ladders",
+    "surface_series_terms",
+    "z_coeff_ladders",
+    "z_coeff_terms",
+]
 
 
 class FactorTerm(NamedTuple):
@@ -56,6 +67,12 @@ class FactorTerm(NamedTuple):
     num: int
     den: int
     slope: Rational  # an int for every term the program builds
+
+
+#: (Q, T0, X, V0, q1, q2, num, den, lo, hi, a, b): for each l in [lo, hi], the
+#: term num*a^(l-lo) / (den*b^(l-lo)*l!) at Q^Q T^(T0+l) X^X V^(V0-l) q1^q1
+#: q2^q2, with 0 <= lo and den, b > 0
+Ladder = Tuple[int, int, int, int, int, int, int, int, int, int, int, int]
 
 
 def _factorials(n: int) -> List[int]:
@@ -107,28 +124,50 @@ def surface_series_terms(
 # ===========================================================================
 
 
-def z_coeff_terms(terms: Sequence[FactorTerm], m: int, window: TruncationWindow) -> List[RawTerm]:
-    """Raw terms of the z^(-m) coefficient of e^(t0/z) * sum(terms), factors expanded in z/v.
+def expand_ladders(ladders: Sequence[Ladder]) -> List[RawTerm]:
+    """The raw terms of ``ladders``: l outer, the ladders inside it in list order.
+
+    So ladders given by winding, or by a degree's classes mapped to winding
+    variables, come out in the kernel's order (T, then X).  Equal ladder
+    lists give equal term lists."""
+    raw: List[RawTerm] = []
+    if not ladders:
+        return raw
+    states = [[ladder[6], ladder[7]] for ladder in ladders]  # running num, den
+    facts = _factorials(max(ladder[9] for ladder in ladders))
+    for l in range(min(ladder[8] for ladder in ladders), len(facts)):
+        f = facts[l]
+        for (Q, t0, x, v, q1, q2, _, _, lo, hi, a, b), state in zip(ladders, states):
+            if lo <= l <= hi:
+                num, den = state
+                raw.append((_tuple_new(Monomial, (Q, t0 + l, x, v - l, 0, q1, q2)), num, den * f))
+                state[0] = num * a
+                if b != 1:
+                    state[1] = den * b
+    return raw
+
+
+def z_coeff_ladders(
+    terms: Sequence[FactorTerm], m: int, window: TruncationWindow
+) -> List[Ladder]:
+    """The ladders of the z^(-m) coefficient of e^(t0/z) * sum(terms), factors expanded in z/v.
 
     The exponential prefactor is the origin restriction of the full monomial
     prefactor (the hyperplane-dependent exponent vanishes there), so each
     term gains T^l/l! alongside z^(-l), and the expansion index is
-    k = l - m - Z(term), giving slope^k V^-k.  The window coordinates that
-    do not move with l (Q, X, q1, q2 and the stripped Z) are checked once
-    per term; l then runs only where k >= 0 (k = 0 for a slope-0 factor,
-    which is 1), T <= max_t and V - k lies in [min_v, max_v].  So every term
-    returned lies inside ``window``; a term of the input whose z-power is
-    z^-D reaches the slice only if D <= m - min_v + V(term).  The loop over
-    l is the outer one, the terms inside it in their input order with their
-    running powers: one degree's classes, mapped to winding variables, come
-    out in the kernel's order (T, then X).
+    k = l - m - Z(term), giving slope^k V^-k: one ladder per term, of ratio
+    slope.  The window coordinates that do not move with l (Q, X, q1, q2
+    and the stripped Z) are checked once per term; l then runs only where
+    k >= 0 (k = 0 for a slope-0 factor, which is 1), T <= max_t and V - k
+    lies in [min_v, max_v].  So every term of a ladder lies inside
+    ``window``; a term of the input whose z-power is z^-D reaches the slice
+    only if D <= m - min_v + V(term).  The ladders keep the input's order.
     """
-    raw: List[RawTerm] = []
+    ladders: List[Ladder] = []
     if not window.min_z <= 0 <= window.max_z:  # Z is stripped from every output
-        return raw
+        return ladders
     max_q, max_t, max_x = window.max_q, window.max_t, window.max_abs_x
     min_v, max_v = window.min_v, window.max_v
-    ladders = []  # the running [num, den], lo, hi, slope, the output's parts at l = 0
     for monomial, p, q, slope in terms:
         Q, t0, x, v, z, q1, q2 = monomial
         if Q > max_q or abs(x) > max_x or min(Q, q1, q2) < 0 or q1 + q2 > max_q:
@@ -140,16 +179,13 @@ def z_coeff_terms(terms: Sequence[FactorTerm], m: int, window: TruncationWindow)
         if not a:
             hi = min(hi, shift)
         if lo <= hi:
-            state = [p * a ** (lo - shift), q * b ** (lo - shift)]
-            ladders.append((state, lo, hi, a, b, Q, t0, x, v + shift, q1, q2))
-    top = max((s[2] for s in ladders), default=-1)  # every ladder's l lies in [0, top]
-    facts = _factorials(top)
-    for l in range(top + 1):
-        f = facts[l]
-        for state, lo, hi, a, b, Q, t0, x, v, q1, q2 in ladders:
-            if lo <= l <= hi:
-                num, den = state
-                raw.append((_tuple_new(Monomial, (Q, t0 + l, x, v - l, 0, q1, q2)), num, den * f))
-                state[0] = num * a
-                state[1] = den * b
-    return raw
+            num, den = p * a ** (lo - shift), q * b ** (lo - shift)
+            ladders.append((Q, t0, x, v + shift, q1, q2, num, den, lo, hi, a, b))
+    return ladders
+
+
+def z_coeff_terms(terms: Sequence[FactorTerm], m: int, window: TruncationWindow) -> List[RawTerm]:
+    """Raw terms of the z^(-m) coefficient of e^(t0/z) * sum(terms), in the
+    kernel's order for one degree's classes in winding variables: the
+    expansion of :func:`z_coeff_ladders`."""
+    return expand_ladders(z_coeff_ladders(terms, m, window))

@@ -29,37 +29,54 @@ Then
 
 is added.
 
-Both sides are written as raw integer terms (monomial, num, den), one list
-per Q-power slice e, over only the exponents the window admits and in the
-kernel's order: T, then X, with V = 1 - T - e.  The two sides match term
-for term.  The left side's monomial T^l Q^e X^mu V^(1-l-e), e = 2m + |mu|,
-comes from exactly one surface class, (d1, d2) = ((e-mu)/2, (e+mu)/2), at
-expansion index k = l + e - 2, with the same value mu^k / (l! m! (m+|mu|)!):
-the surface sign (-1)^|mu| and the map's sign (-1)^(d1+d2) cancel.  Only
-the correction's four monomials have no partner: Q*X^-1 and Q*X (k = -1)
-are on the left alone, and the winding-0 slice T^2/(2v) + Q^2/v on the
-right alone, where the correction cancels it.
+On both sides the T-dependence is a pure exponential dressing:
+exp(mu*t0/v) on the left, and e^(t0/z) against v/(v - mu z) in the z^-2
+slice on the right.  So each (Q-power, winding) pair is one T-ladder per
+side (``closed.Ladder``): the geometric run mu^l / l! over the T-powers the
+window admits, times one value.  Both sides are written as ladders, one
+list per Q-power slice e, by winding upwards, and one expansion
+(``closed.expand_ladders``) turns a list into raw integer terms (monomial,
+num, den) in the kernel's order: T, then X, with V = 1 - T - e.  The two
+sides match ladder for ladder.  The left side's monomial T^l Q^e X^mu
+V^(1-l-e), e = 2m + |mu|, comes from exactly one surface class,
+(d1, d2) = ((e-mu)/2, (e+mu)/2), at expansion index k = l + e - 2, with the
+same value mu^k / (l! m! (m+|mu|)!): the surface sign (-1)^|mu| and the
+map's sign (-1)^(d1+d2) cancel.  Only the correction's four monomials have
+no partner: Q*X^-1 and Q*X (k = -1) are on the left alone, and the
+winding-0 slice T^2/(2v) + Q^2/v on the right alone, where the correction
+cancels it.
 
-``run_check`` walks the two sides slice by slice, so the right side is
-never held whole.  Two equal lists add nothing; in any other slice (Q^2,
-where the correction meets the winding-0 term), identical terms cancel and
-the rest is summed per monomial by exact cross-multiplication, so the
-check does not rely on the two builders writing a value the same way.  The
-report's difference is built from the leftover terms only; the headline
-assertion is that it is identically zero on every finite window.  The
-tables ``disk`` and ``rhs`` write each slice as it is built, one row per
-monomial reduced on its own; only the left side a report carries is built
-as a series.
+``run_check`` walks the two sides' ladders slice by slice.  A slice with no
+correction term whose two ladder lists are equal agrees outright: equal
+ladders, written by one expansion, give equal terms.  Every other slice
+(Q^0..Q^2, where the correction lies, or any unequal one) is expanded on
+both sides; identical terms cancel and the rest is summed per monomial by
+exact cross-multiplication, so there the check does not rely on the two
+builders writing a value the same way.  The report's difference is built
+from the leftover terms only; the headline assertion is that it is
+identically zero on every finite window.  The report keeps the left side's
+ladders and builds its series only when ``lhs`` is read.  The tables
+``disk`` and ``rhs`` write each slice as it is expanded, one row per
+monomial reduced on its own.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Tuple
 
-from .closed import FactorTerm, _factorials, surface_series_terms, z_coeff_terms
+from .closed import (
+    FactorTerm,
+    Ladder,
+    _factorials,
+    expand_ladders,
+    surface_series_terms,
+    z_coeff_ladders,
+)
 from .localization import _open_classes, _open_sum, _with_factors
 from .series import (
     MAX_MASS_BUDGET,
@@ -93,38 +110,32 @@ def _refuse_over_budget(window: TruncationWindow) -> None:
         )
 
 
-def _disk_walk(window: TruncationWindow, value: Callable) -> Iterator[List[RawTerm]]:
-    """Raw terms of the disk potential inside ``window``, by Q-power, each in the kernel's order.
+def _disk_walk(window: TruncationWindow, value: Callable) -> Iterator[List[Ladder]]:
+    """The disk potential's ladders inside ``window``, by Q-power, one per winding.
 
     ``value(mu, m, facts)`` is the (num, den) of the T^0 coefficient of Q^e
-    X^mu V^(1-e), m = (e - |mu|)/2, and exp(mu*t0/v) dresses it: l runs from
-    the V ceiling to the V floor or max_t, and for each l, mu upwards over
-    the windings of the parity of e, each with its running power mu^l, over
-    l!.  A window beyond the mass budget is refused before any slice is."""
+    X^mu V^(1-e), m = (e - |mu|)/2, and exp(mu*t0/v) dresses it: a ladder
+    of ratio mu, l running from the V ceiling to the V floor or max_t.  The
+    windings come upwards, over those of the parity of e, so each slice
+    expands in the kernel's order.  A window beyond the mass budget is
+    refused before any slice is."""
     _refuse_over_budget(window)
     degrees = _degrees(window)
-    # a slice with a winding has e >= 1, so l <= min(max_t, -min_v); with
-    # none, no term reads a factorial
-    winding = window.max_abs_x and len(degrees) > 1
-    facts = _factorials(max(degrees[-1], min(window.max_t, -window.min_v))) if winding else []
+    # a value reads factorials to e; with no winding, none
+    facts = _factorials(degrees[-1]) if window.max_abs_x and len(degrees) > 1 else []
 
-    def slice_at(e: int) -> List[RawTerm]:
+    def slice_at(e: int) -> List[Ladder]:
         top = min(window.max_abs_x, e)
         top -= (e - top) % 2  # |mu| has the parity of e
-        windings = [mu for mu in range(-top, top + 1, 2) if mu]
         lo, hi = max(0, 1 - e - window.max_v), min(window.max_t, 1 - e - window.min_v)
-        if not windings or lo > hi:
+        if lo > hi:
             return []
-        heads, dens = zip(*[value(mu, (e - abs(mu)) // 2, facts) for mu in windings])
-        nums = [num * mu**lo for num, mu in zip(heads, windings)]
-        out: List[RawTerm] = []
-        for l in range(lo, hi + 1):
-            f = facts[l]
-            for i, mu in enumerate(windings):
-                n = nums[i]
-                out.append((_tuple_new(Monomial, (e, l, mu, 1 - l - e, 0, 0, 0)), n, dens[i] * f))
-                nums[i] = n * mu
-        return out
+        ladders = []
+        for mu in range(-top, top + 1, 2):
+            if mu:
+                num, den = value(mu, (e - abs(mu)) // 2, facts)
+                ladders.append((e, 0, mu, 1 - e, 0, 0, num * mu**lo, den, lo, hi, mu, 1))
+        return ladders
 
     return map(slice_at, degrees)
 
@@ -134,7 +145,7 @@ def disk_slices(window: TruncationWindow) -> Iterator[List[RawTerm]]:
 
     Every monomial has V-exponent 1 - l - 2m - |mu| <= 0.  A window of mass
     budget 2*max_q + max_t beyond ``MAX_MASS_BUDGET`` is refused."""
-    return _disk_walk(window, _bessel_value)
+    return map(expand_ladders, _disk_walk(window, _bessel_value))
 
 
 def disk_potential_bessel(window: TruncationWindow) -> FormalSeries:
@@ -161,7 +172,8 @@ def disk_potential_localized(window: TruncationWindow) -> FormalSeries:
             raise ArithmeticError(f"graph sum at winding {mu}, degree {m} off its grading: {terms}")
         return terms[0][1], terms[0][2]
 
-    return _from_raw([t for s in _disk_walk(window, graph_value) for t in s], window)
+    raw = [t for s in _disk_walk(window, graph_value) for t in expand_ladders(s)]
+    return _from_raw(raw, window)
 
 
 #: Exc = -Q*X^-1 + Q*X - T^2/(2v) - Q^2/v, as raw (monomial, num, den) terms
@@ -196,6 +208,26 @@ def _paired_in_winding_variables(t: FactorTerm) -> FactorTerm:
     return _tuple_new(FactorTerm, (mapped, -num if (d1 + d2) % 2 else num, den, slope))
 
 
+def _rhs_walk(
+    window: TruncationWindow, corrupt_correction: bool = False
+) -> Iterator[Tuple[List[Ladder], List[RawTerm]]]:
+    """The right side by Q-power: the slice's ladders and the correction's terms there.
+
+    See :func:`rhs_slices`; the window is refused, and the classes are
+    built, before any slice is."""
+    _refuse_over_budget(window)
+    classes: Dict[int, List[FactorTerm]] = {}
+    for t in surface_series_terms(window, window.max_abs_x, 1 - window.min_v):
+        classes.setdefault(-t.monomial.Z, []).append(_paired_in_winding_variables(t))
+    correction = correction_terms(window, corrupt_correction)
+
+    def slice_at(e: int) -> Tuple[List[Ladder], List[RawTerm]]:
+        extra = [c for c in correction if c[0].Q == e]
+        return z_coeff_ladders(classes.get(e, []), 2, window), extra
+
+    return map(slice_at, _degrees(window))
+
+
 def rhs_slices(
     window: TruncationWindow, corrupt_correction: bool = False
 ) -> Iterator[List[RawTerm]]:
@@ -213,18 +245,12 @@ def rhs_slices(
     the identity map here.  The window is refused as :func:`disk_slices`
     refuses it, and the classes are built, before any slice is.
     """
-    _refuse_over_budget(window)
-    classes: Dict[int, List[FactorTerm]] = {}
-    for t in surface_series_terms(window, window.max_abs_x, 1 - window.min_v):
-        classes.setdefault(-t.monomial.Z, []).append(_paired_in_winding_variables(t))
-    correction = correction_terms(window, corrupt_correction)
 
-    def slice_at(e: int) -> List[RawTerm]:
-        terms = z_coeff_terms(classes.get(e, []), 2, window)
-        extra = [c for c in correction if c[0].Q == e]
+    def slice_at(ladders: List[Ladder], extra: List[RawTerm]) -> List[RawTerm]:
+        terms = expand_ladders(ladders)
         return lowest_terms(terms + extra) if extra else terms
 
-    return map(slice_at, _degrees(window))
+    return itertools.starmap(slice_at, _rhs_walk(window, corrupt_correction))
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +265,20 @@ def rational_str(c: Fraction) -> str:
 
 @dataclass(frozen=True)
 class CorrespondenceReport:
-    """Outcome of one window comparison; ``passed`` iff ``diff`` is empty."""
+    """Outcome of one window comparison; ``passed`` iff ``diff`` is empty.
+
+    ``left`` holds the left side's ladders, one list per Q-power slice;
+    ``lhs`` expands them into a series the first time it is read."""
 
     window: TruncationWindow
-    lhs: FormalSeries
     diff: FormalSeries
     passed: bool
+    left: Tuple[List[Ladder], ...] = field(repr=False)
+
+    @cached_property
+    def lhs(self) -> FormalSeries:
+        """The left side, the disk potential inside the window, as a series."""
+        return _from_raw([t for s in self.left for t in expand_ladders(s)], self.window)
 
     def diff_rows(self) -> List[Dict[str, object]]:
         return [
@@ -282,12 +316,11 @@ def run_check(
     window: TruncationWindow, corrupt_correction: bool = False
 ) -> CorrespondenceReport:
     """Walk both sides one Q-power slice at a time and compare; see the module docstring."""
-    lhs: List[RawTerm] = []
+    left_side = tuple(_disk_walk(window, _bessel_value))
     leftover: List[RawTerm] = []
-    sides = zip(disk_slices(window), rhs_slices(window, corrupt_correction), strict=True)
-    for left, right in sides:
-        lhs += left
-        if left != right:
-            leftover += raw_difference(left, right)
+    rhs = _rhs_walk(window, corrupt_correction)
+    for left, (right, extra) in zip(left_side, rhs, strict=True):
+        if extra or left != right:
+            leftover += raw_difference(expand_ladders(left), expand_ladders(right) + extra)
     diff = _from_raw(leftover, window)
-    return CorrespondenceReport(window, _from_raw(lhs, window), diff, diff.is_zero())
+    return CorrespondenceReport(window, diff, diff.is_zero(), left_side)

@@ -25,10 +25,10 @@ truncation window.  Conventions:
 * Sums rescale every operand to the lcm of the denominators, products
   multiply numerators and denominators, and each result is reduced with one
   ``math.gcd`` over its denominator and numerators.  Series written down
-  term by term (the disk potential by either route, the left side and the
-  difference a check reports, the one-boundary graph sums) collect raw
-  ``(monomial, numerator, denominator)`` terms; a series is made of them by
-  a single lcm (``_from_raw``).  A table or a comparison needs none: the
+  term by term (the disk potential by either route, the difference a check
+  reports and its left side when read, the one-boundary graph sums)
+  collect raw ``(monomial, numerator, denominator)`` terms; a series is
+  made of them by a single lcm (``_from_raw``).  A table or a comparison needs none: the
   two sides of the correspondence come one Q-power slice at a time, each
   already in the order of ``items()`` with one term per monomial, and each
   row is reduced on its own.  Where terms can repeat a monomial or come

@@ -178,9 +178,9 @@ MUTANTS = (
     ),
     Mutant(
         CORR,
-        "(e, l, mu, 1 - l - e, 0, 0, 0)",
-        "(e, l, mu, -l - e, 0, 0, 0)",
-        "disk term one V-step too low",
+        "(e, 0, mu, 1 - e, 0, 0,",
+        "(e, 0, mu, -e, 0, 0,",
+        "disk ladder one V-step too low",
         (f"{TCO}::test_disk_coefficient_formula",),
     ),
     Mutant(
@@ -201,8 +201,8 @@ MUTANTS = (
         CLOSED,
         "state[0] = num * a",
         "state[0] = num * -a",
-        "expansion ladder v/(v - cz) with the sign of c flipped",
-        (f"{TC}::test_excess1_z2_closed_formula",),
+        "ladder expansion with the sign of each ratio flipped",
+        (f"{TC}::test_excess1_z2_closed_formula", f"{TC}::test_ladder_expansion_writes_each_rung"),
     ),
     Mutant(
         CLOSED,
@@ -215,8 +215,8 @@ MUTANTS = (
         CLOSED,
         "(Q, t0 + l, x, v - l, 0, q1, q2)",
         "(Q, t0 + l, x, v - l - 1, 0, q1, q2)",
-        "z-slice term one V-step too low",
-        (f"{TC}::test_excess1_z2_closed_formula",),
+        "every expanded term one V-step too low, on both sides alike",
+        (f"{TC}::test_excess1_z2_closed_formula", f"{TCO}::test_disk_coefficient_formula"),
     ),
     Mutant(
         CORR,
@@ -254,14 +254,45 @@ MUTANTS = (
     ),
     Mutant(
         CORR,
-        "if left != right:",
-        "if len(left) != len(right):",
-        "slices compared by length only",
+        "if extra or left != right:",
+        "if extra or len(left) != len(right):",
+        "slices compared by their ladder counts only",
         (f"{TCO}::test_check_settles_each_slice_by_value",),
     ),
     Mutant(
         CORR,
-        "leftover += raw_difference(left, right)",
+        "if extra or left != right:",
+        "if extra or [d[:10] for d in left] != [d[:10] for d in right]:",
+        "ladders compared without their ratio (a, b)",
+        (f"{TCO}::test_check_settles_each_slice_by_value",),
+    ),
+    Mutant(
+        CORR,
+        "if extra or left != right:",
+        "if extra or [d[:9] + d[10:] for d in left] != [d[:9] + d[10:] for d in right]:",
+        "ladders compared without their top rung hi",
+        (f"{TCO}::test_check_settles_each_slice_by_value",),
+    ),
+    Mutant(
+        CORR,
+        "if extra or left != right:",
+        "if left != right:",
+        "a slice with correction terms taken as agreeing when its ladders are equal",
+        (f"{TCO}::test_check_settles_each_slice_by_value",),
+    ),
+    Mutant(
+        CLOSED,
+        "state[1] = den * b",
+        "state[1] = den",
+        "ladder expansion dropping the ratio's denominator b",
+        (
+            f"{TC}::test_ladder_expansion_writes_each_rung",
+            f"{TC}::test_rational_slope_expands_with_its_denominator",
+        ),
+    ),
+    Mutant(
+        CORR,
+        "leftover += raw_difference(expand_ladders(left), expand_ladders(right) + extra)",
         "pass",
         "a slice that is not equal skipped instead of settled",
         (
@@ -278,9 +309,9 @@ MUTANTS = (
     ),
     Mutant(
         CORR,
-        "nums[i] = n * mu",
-        "nums[i] = n * abs(mu)",
-        "the slice walk's dressing exp(mu*t0/v) with |mu| for mu",
+        "den, lo, hi, mu, 1)",
+        "den, lo, hi, abs(mu), 1)",
+        "the disk ladder's dressing exp(mu*t0/v) with |mu| for mu",
         (
             f"{TCO}::test_disk_terms_match_the_series_products",
             f"{TCO}::test_check_passes_on_medium_window",
@@ -469,6 +500,13 @@ MUTANTS = (
             f"{TCL}::test_an_exact_request_reaches_no_argparse_parse[asymptotics]",
             f"{TCL}::test_every_request_has_the_top_level_parsers_outcome",
         ),
+    ),
+    Mutant(
+        CLI,
+        "    _refuse_missing_values(args)\n",
+        "",
+        "a flag holding no value (--flag=--) handed to its subcommand",
+        (f"{TCL}::test_flag_holding_no_value_exits_2",),
     ),
     Mutant(
         CLI,

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ocmirror.closed import surface_series_terms
-from ocmirror.series import FormalSeries, TruncationWindow, mono
+from ocmirror.closed import FactorTerm, expand_ladders, surface_series_terms, z_coeff_terms
+from ocmirror.series import FormalSeries, Monomial, TruncationWindow, mono
 
 from families import by_slope_sign
 from second_routes import (
@@ -256,6 +259,59 @@ def test_excess1_z2_closed_formula():
                 want = F((-1) ** l * mu ** (l + 2 * d + mu - 2), _f(l) * _f(d) * _f(d + mu))
                 got = s.coeff(mono(T=l, q1=d + mu, q2=d, V=2 - l - 2 * d - mu))
                 assert got == want, (l, d, mu)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 3),  # Q, T0, X, V0, q1, q2: a position; T0 + l >= 0
+            st.integers(0, 2),
+            st.integers(-3, 3),
+            st.integers(-4, 2),
+            st.integers(0, 2),
+            st.integers(0, 2),
+            st.integers(-9, 9),  # num, den
+            st.integers(1, 9),
+            st.integers(0, 4),  # lo, and hi as lo + extra - 1
+            st.integers(0, 4),
+            st.integers(-4, 4),  # a, b
+            st.integers(1, 4),
+        ),
+        max_size=4,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_ladder_expansion_writes_each_rung(rows):
+    # for each l in [lo, hi], num*a^(l-lo) / (den*b^(l-lo)*l!) at
+    # T^(T0+l) V^(V0-l); l outer, the ladders inside it in list order
+    ladders = [(*row[:9], row[8] + row[9] - 1, *row[10:]) for row in rows]
+    want = [
+        (
+            Monomial(Q, t0 + l, x, v - l, 0, q1, q2),
+            num * a ** (l - lo),
+            den * b ** (l - lo) * factorial(l),
+        )
+        for l in range(9)
+        for Q, t0, x, v, q1, q2, num, den, lo, hi, a, b in ladders
+        if lo <= l <= hi
+    ]
+    assert expand_ladders(ladders) == want
+
+
+@pytest.mark.parametrize("slope", [F(3, 2), F(-2, 3), F(1, 4)])
+def test_rational_slope_expands_with_its_denominator(slope):
+    # e^(t0/z) * c*M*z^Z * v/(v - slope*z) at z^-m: T^l V^(V(M)-k) with
+    # k = l - m - Z, value c * slope^k / l!
+    window = TruncationWindow(max_q=4, max_t=5, max_abs_x=2, min_v=-8, max_v=3)
+    monomial, m = mono(Q=1, X=1, V=1, Z=-1, q1=1), 2
+    terms = z_coeff_terms([FactorTerm(monomial, 5, 7, slope)], m, window)
+    got = {mt: F(n, d) for mt, n, d in terms}
+    want = {}
+    for l in range(window.max_t + 1):
+        k = l - m + 1
+        if k >= 0 and window.min_v <= 1 - k:
+            want[mono(Q=1, T=l, X=1, V=1 - k, q1=1)] = F(5, 7) * slope**k / factorial(l)
+    assert len(want) == 5 and got == want
 
 
 def test_split_presentation_boundary_and_identity():

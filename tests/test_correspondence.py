@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ocmirror.closed import surface_series_terms, z_coeff_terms
+from ocmirror.closed import expand_ladders, surface_series_terms, z_coeff_terms
 from ocmirror.correspondence import (
+    CorrespondenceReport,
     _paired_in_winding_variables,
     correction_terms,
     disk_potential_bessel,
@@ -22,9 +26,9 @@ from ocmirror.correspondence import (
     raw_difference,
     run_check,
 )
-from ocmirror import correspondence, localization
+from ocmirror import cli, closed, correspondence, localization
 from ocmirror.localization import open_invariant
-from ocmirror.series import FormalSeries, TruncationWindow, mono
+from ocmirror.series import FormalSeries, TruncationWindow, _from_raw, mono
 
 from families import sweep_window
 from second_routes import (
@@ -96,6 +100,8 @@ def test_disk_antisymmetry_under_winding_and_weight_flip():
 
 
 def test_disk_slices_build_only_the_factorials_a_term_reads(monkeypatch):
+    # the walk's values and the ladders' expansion each build their own
+    # factorials; record both
     sizes = []
     factorials = correspondence._factorials
 
@@ -104,6 +110,7 @@ def test_disk_slices_build_only_the_factorials_a_term_reads(monkeypatch):
         return factorials(n)
 
     monkeypatch.setattr(correspondence, "_factorials", recorded)
+    monkeypatch.setattr(closed, "_factorials", recorded)
     # no slice holds a winding: no factorial, however far max_t and min_v reach
     far = TruncationWindow(max_q=0, max_t=8000, max_abs_x=0, min_v=-8000, max_v=1)
     for window in (
@@ -119,8 +126,10 @@ def test_disk_slices_build_only_the_factorials_a_term_reads(monkeypatch):
         (TruncationWindow(max_q=3, max_t=9, max_abs_x=2, min_v=-5, max_v=1), 5),
         (TruncationWindow(max_q=7, max_t=2, max_abs_x=1, min_v=-9, max_v=1), 7),
     ]:
-        assert any(disk_slices(window))
-        assert sizes.pop() == top
+        slices = list(disk_slices(window))  # every slice, so every expansion runs
+        assert any(slices)
+        assert max(sizes) == top
+        sizes.clear()
 
 
 def test_localized_route_matches_bessel_route():
@@ -269,17 +278,88 @@ def test_raw_difference_settles_unequal_terms_by_their_values():
 
 
 def test_check_settles_each_slice_by_value(monkeypatch):
-    # slices equal as lists add nothing; any other slice is settled by the
-    # values of its terms, whatever their lengths or representations
-    q, t = mono(Q=1, V=0), mono(Q=2, V=-1)
-    left = [[], [(q, 1, 2)], [(t, 1, 2)]]
-    right = [[], [(q, 2, 4)], [(t, 1, 3)]]
-    monkeypatch.setattr(correspondence, "disk_slices", lambda window: iter(left))
-    monkeypatch.setattr(correspondence, "rhs_slices", lambda window, corrupt: iter(right))
+    # equal ladder lists agree outright; any other slice, or one with
+    # correction terms, is expanded on both sides and settled by the values
+    # of its terms, whatever their lengths or representations.  A ladder is
+    # (Q, T0, X, V0, q1, q2, num, den, lo, hi, a, b)
+    left = [
+        [],
+        [(1, 0, 1, 0, 0, 0, 1, 2, 0, 0, 1, 1)],
+        [(2, 0, 1, -1, 0, 0, 1, 2, 0, 1, 1, 1)],
+        [(3, 0, 1, -2, 0, 0, 1, 1, 0, 1, 2, 1)],
+        [(4, 0, 1, -3, 0, 0, 1, 1, 0, 0, 1, 1)],
+        [(5, 0, 1, -4, 0, 0, 1, 1, 0, 1, 2, 3)],
+    ]
+    right = [
+        ([], []),
+        ([(1, 0, 1, 0, 0, 0, 2, 4, 0, 0, 1, 1)], []),  # the same values written twice as large
+        ([(2, 0, 1, -1, 0, 0, 1, 2, 0, 1, 3, 1)], []),  # another ratio: l = 1 differs
+        ([(3, 0, 1, -2, 0, 0, 1, 1, 0, 2, 2, 1)], []),  # one rung longer
+        (left[4], [(mono(Q=4, X=1, V=-3), 1, 5)]),  # equal ladders and a correction term
+        (left[5], []),  # equal: agrees outright
+    ]
+    monkeypatch.setattr(correspondence, "_disk_walk", lambda window, value: iter(left))
+    monkeypatch.setattr(correspondence, "_rhs_walk", lambda window, corrupt: iter(right))
     report = run_check(WS)
     assert not report.passed
-    assert list(report.diff.items()) == [(t, F(1, 6))]
-    assert dict(report.lhs.items()) == {q: F(1, 2), t: F(1, 2)}
+    assert list(report.diff.items()) == [
+        (mono(Q=2, T=1, X=1, V=-2), F(-1)),
+        (mono(Q=3, T=2, X=1, V=-4), F(-2)),
+        (mono(Q=4, X=1, V=-3), F(-1, 5)),
+    ]
+    assert dict(report.lhs.items()) == {
+        mono(Q=1, X=1): F(1, 2),
+        mono(Q=2, X=1, V=-1): F(1, 2),
+        mono(Q=2, T=1, X=1, V=-2): F(1, 2),
+        mono(Q=3, X=1, V=-2): F(1),
+        mono(Q=3, T=1, X=1, V=-3): F(2),
+        mono(Q=4, X=1, V=-3): F(1),
+        mono(Q=5, X=1, V=-4): F(1),
+        mono(Q=5, T=1, X=1, V=-5): F(2, 3),
+    }
+
+
+@given(sweep_window(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_check_expands_no_slice_above_the_correction(window, corrupt):
+    # the two sides' ladders agree outright from Q^3 on: only the slices the
+    # correction joins, Q^0..Q^2, are expanded, each side once
+    expanded = []
+
+    def recorded(ladders):
+        expanded.append({ladder[0] for ladder in ladders})
+        return expand_ladders(ladders)
+
+    with mock.patch.object(correspondence, "expand_ladders", recorded):
+        run_check(window, corrupt)
+    assert len(expanded) <= 6
+    assert all(q <= 2 for qs in expanded for q in qs), expanded
+
+
+@given(sweep_window())
+@settings(max_examples=40, deadline=None)
+def test_report_builds_its_left_side_when_read(window):
+    report = run_check(window)
+    assert "lhs" not in vars(report)
+    lhs = report.lhs
+    assert lhs == _from_raw(disk_terms(window), window)
+    assert report.lhs is lhs
+
+
+def test_cli_check_never_builds_the_left_side():
+    def unread(report):
+        raise AssertionError("report.lhs built")
+
+    flags = ["--max-q", "6", "--max-t", "3", "--max-mu", "3", "--min-v", "-6"]
+    with mock.patch.object(CorrespondenceReport, "lhs", property(unread)):
+        with contextlib.redirect_stdout(io.StringIO()):
+            for fmt, corrupt, code in [
+                ("json", [], 0),
+                ("csv", [], 0),
+                ("json", ["--corrupt-exc"], 1),
+                ("csv", ["--corrupt-exc"], 1),
+            ]:
+                assert cli.main(["check", *flags, "--format", fmt, *corrupt]) == code
 
 
 @given(sweep_window(), st.booleans())
