@@ -11,11 +11,7 @@ Run:  python3 demos/01_disk_potential.py
 
 from fractions import Fraction
 
-from ocmirror.correspondence import (
-    disk_potential_bessel,
-    disk_potential_localized,
-    rational_str,
-)
+from ocmirror.correspondence import disk_potential_bessel, disk_potential_localized
 from ocmirror.series import TruncationWindow
 
 window = TruncationWindow(max_q=4, max_t=2, max_abs_x=2, min_v=-4, max_v=1)
@@ -24,7 +20,7 @@ potential = disk_potential_bessel(window)
 print("disk potential on a small window")
 print("  winding | area | log | weight | coefficient")
 for m, c in potential.items():
-    print(f"  {m.X:7d} | {m.Q:4d} | {m.T:3d} | {m.V:6d} | {rational_str(c)}")
+    print(f"  {m.X:7d} | {m.Q:4d} | {m.T:3d} | {m.V:6d} | {c.numerator}/{c.denominator}")
 
 # Structure worth noticing in the table:
 #

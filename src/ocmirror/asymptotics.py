@@ -175,6 +175,7 @@ def ratio_table(
     ratio = (I2(v_l) - sum_{k<N} phi_k v_l^-k) / (phi_N v_l^-N) at v_l = (l+1/2) z
     and abs_error = |ratio - 1|; phi_0 .. phi_N are summed once per table, all
     sums read one walk over mu, and q0^(1/z) cancels, so they are taken at q0 = 1.
+    A ratio that is not finite (nan or an infinity) is refused naming its l.
     """
     if N < 0 or any(l < 0 for l in ls):
         raise ValueError("N and l must be nonnegative")
@@ -199,6 +200,10 @@ def ratio_table(
                     "choose a different N or nonzero q1, q2"
                 )
             ratio = value / scale
+            if not math.isfinite(ratio):
+                raise ValueError(
+                    f"the ratio at l = {l} is {ratio!r}: a sum or the quotient overflows a double"
+                )
             rows.append((l, v_l, N, ratio, abs(ratio - 1.0)))
     except OverflowError:
         raise ValueError(

@@ -29,21 +29,21 @@ the deterministic enumeration order, so identical configurations produce
 byte-identical output.  ``disk`` and
 ``rhs`` write each Q-power slice as it is built, already in that order, so
 their memory does not grow with the table; every refusal comes before the
-first byte.  JSON tables and the ``check`` report are written from ``%``
-templates, byte for byte as indented ``json.dumps`` writes them; only the
-``asymptotics`` JSON goes through ``json``.  Exit codes: 0 success
-(check passed), 1 check failure, 2 usage or configuration error, or an
-``--output`` path that cannot be written.
+first byte.  Every JSON table and the ``check`` report are written from
+``%`` templates, byte for byte as ``json.dumps(..., sort_keys=True,
+indent=2)`` writes them.  Exit codes: 0 success (check passed), 1 check
+failure, 2 usage or configuration error, or an ``--output`` path that
+cannot be written.
 
 A request made only of exact ``--flag value`` tokens (a bare ``--flag``
 for ``--corrupt-exc``) is read off its subcommand's flag table: each
 value through its flag's own type, choices and action, a value starting
 with '-' only as a plain negative integer, and every required flag
-given.  Argparse parses every other request (``-h``, ``--flag=value``,
-abbreviations, unknown or missing tokens, values it would refuse), so it
-alone writes usage, help and error messages.  After either route, a flag
-that takes one value but holds none (argparse's reading of
-``--flag=--``) exits 2 as a flag given without its value.
+given.  The top-level parser parses every other request (``-h``,
+``--flag=value``, abbreviations, unknown or missing tokens, values it would
+refuse), so argparse alone writes usage, help and error messages.  After
+either route, a flag that takes one value but holds none (argparse's
+reading of ``--flag=--``) exits 2 as a flag given without its value.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ import argparse
 import contextlib
 import functools
 import itertools
-import json
 import sys
 from math import gcd
 from operator import itemgetter
@@ -60,7 +59,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .asymptotics import NumericParams, ratio_table
 from .closed import surface_series_terms, z_coeff_terms
-from .correspondence import CorrespondenceReport, disk_slices, rational_str, rhs_slices, run_check
+from .correspondence import disk_slices, rhs_slices, run_check
 from .localization import graph_class_rows
 from .series import FormalSeries, RawTerm, TruncationWindow, lowest_terms
 
@@ -81,22 +80,18 @@ def _window_from(args: argparse.Namespace) -> TruncationWindow:
     return TruncationWindow(args.max_q, args.max_t, args.max_mu, args.min_v, max_v=1)
 
 
-def _json_text(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def _laurent_str(series: FormalSeries) -> str:
     """Canonical string for an exact weight-Laurent scalar, e.g. '-1/2*v^-2'."""
     parts = []
     for m, c in series.items():
-        frac = rational_str(c)
+        frac = f"{c.numerator}/{c.denominator}"
         parts.append(frac if m.V == 0 else f"{frac}*v^{m.V}")
     return " + ".join(parts) if parts else "0"
 
 
 def _object_template(columns: Sequence[str], depth: int) -> Tuple[str, itemgetter]:
-    """A ``%`` template of one JSON object laid out by ``_json_text`` at
-    ``depth``, its keys ``columns`` sorted, and the picker that puts a row
+    """A ``%`` template of one JSON object as ``json.dumps(..., sort_keys=True,
+    indent=2)`` lays it out at ``depth``, and the picker that puts a row
     given in ``columns`` order into the template's order.
 
     A ``value`` is quoted; every other field must already be JSON text laid
@@ -112,9 +107,10 @@ def _table(columns: Sequence[str], chunks: Iterable[Iterable[tuple]], fmt: str) 
     """A table's text: its header, then one string per chunk of rows.
 
     CSV fields are written as they are: no field of any table holds a comma,
-    a quote or a line break.  JSON is ``_json_text`` of the rows as dicts
-    byte for byte, each row from :func:`_object_template`: with an indent,
-    ``json`` encodes in pure Python, several times slower.
+    a quote or a line break.  JSON is the rows as dicts, byte for byte as
+    indented ``json.dumps`` writes them, each row from
+    :func:`_object_template`: with an indent, ``json`` encodes in pure
+    Python, several times slower.
     """
     if fmt == "csv":
         line = ",".join(["%s"] * len(columns)) + "\n"
@@ -132,28 +128,27 @@ def _table(columns: Sequence[str], chunks: Iterable[Iterable[tuple]], fmt: str) 
 
 
 def _json_array(items: Iterable[str], depth: int = 2) -> str:
-    """Nonempty JSON texts as one array laid out by ``_json_text`` at ``depth``."""
+    """Nonempty JSON texts as one array at ``depth``, as indented ``json.dumps`` lays it out."""
     pad = "\n" + "  " * (depth + 1)
     body = ("," + pad).join(items)
     return "[" + pad + body + "\n" + "  " * depth + "]" if body else "[]"
 
 
-# the check report's objects, with the keys of ``to_json_dict`` in the order
-# ``_report_json`` gives their fields: the report, its window, a diff row
+# the check report's objects, each with its keys in the order ``_report_json``
+# gives their fields: the report, its window, a diff row
 _REPORT = _object_template(("window", "pass", "diff"), 0)
 _WINDOW = _object_template(("maxQ", "maxT", "maxAbsMu", "minV", "maxV"), 1)
 _DIFF_ROW = _object_template(("X", "Q", "T", "V", "value"), 2)
 
 
-def _report_json(report: CorrespondenceReport) -> str:
-    """``_json_text(report.to_json_dict())`` byte for byte, from object templates."""
+def _report_json(w: TruncationWindow, rows: List[tuple]) -> str:
+    """The check report on window ``w`` with its diff rows (mu, Q, T, V, value),
+    passed iff there are none, from object templates."""
     (top, pick), (window, pick_window), (row, pick_row) = _REPORT, _WINDOW, _DIFF_ROW
-    w = report.window
-    diff = (row % pick_row((m.X, m.Q, m.T, m.V, rational_str(c))) for m, c in report.diff.items())
     fields = (
         window % pick_window((w.max_q, w.max_t, w.max_abs_x, w.min_v, w.max_v)),
-        "true" if report.passed else "false",
-        _json_array(diff, 1),
+        "false" if rows else "true",
+        _json_array((row % pick_row(r) for r in rows), 1),
     )
     return top % pick(fields) + "\n"
 
@@ -179,11 +174,11 @@ def cmd_side(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
 
 def cmd_check(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
     report = run_check(_window_from(args), corrupt_correction=args.corrupt_exc)
+    rows = _f_rows((m, c.numerator, c.denominator) for m, c in report.diff.items())
     code = 0 if report.passed else 1
     if args.format == "json":
-        return code, [_report_json(report)]
-    diff = ((m, c.numerator, c.denominator) for m, c in report.diff.items())
-    return code, _table(F_COLUMNS, [_f_rows(diff)], "csv")
+        return code, [_report_json(report.window, rows)]
+    return code, _table(F_COLUMNS, [rows], "csv")
 
 
 def cmd_localize(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
@@ -234,9 +229,8 @@ def cmd_asymptotics(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
     params = NumericParams(q0=args.q0, q1=args.q1, q2=args.q2, z=args.z)
     ls = args.l if args.l else [200]
     rows = ratio_table(params, args.N, ls, component=args.component)
-    if args.format == "json":
-        return 0, [_json_text([dict(zip(RATIO_COLUMNS, row)) for row in rows])]
-    return 0, _table(RATIO_COLUMNS, [[tuple(map(repr, row)) for row in rows]], "csv")
+    # a finite float's repr is its JSON text, as for an int
+    return 0, _table(RATIO_COLUMNS, [[tuple(map(repr, row)) for row in rows]], args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -396,21 +390,13 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     """The arguments as the top-level parser reads them.
 
     An exact request is resolved against the named subcommand's flag table
-    (see :func:`_exact`); any other is parsed once by that subcommand's
-    parser, and a request it cannot finish, or that names no subcommand,
-    goes to the top-level parser.  So argparse writes every usage, help and
-    error message.
+    (see :func:`_exact`); any other goes to the top-level parser, so
+    argparse writes every usage, help and error message.
     """
     parser, commands = _build_parser()
     command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args = _exact(command, argv[1:])
-        if args is not None:
-            return args
-        args, rest = command.parser.parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return parser.parse_args(argv)
+    args = None if command is None else _exact(command, argv[1:])
+    return parser.parse_args(argv) if args is None else args
 
 
 @contextlib.contextmanager

@@ -52,20 +52,18 @@ ladders, written by one expansion, give equal terms.  Every other slice
 (Q^0..Q^2, where the correction lies, or any unequal one) is expanded on
 both sides; identical terms cancel and the rest is summed per monomial by
 exact cross-multiplication, so there the check does not rely on the two
-builders writing a value the same way.  The report's difference is built
-from the leftover terms only; the headline assertion is that it is
-identically zero on every finite window.  The report keeps the left side's
-ladders and builds its series only when ``lhs`` is read.  The tables
-``disk`` and ``rhs`` write each slice as it is expanded, one row per
-monomial reduced on its own.
+builders writing a value the same way.  The report holds the window and
+the difference, built from the leftover terms only; the headline assertion
+is that it is identically zero on every finite window.  The tables ``disk``
+and ``rhs`` write each slice as it is expanded, one row per monomial
+reduced on its own.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Tuple
 
@@ -258,47 +256,22 @@ def rhs_slices(
 # ---------------------------------------------------------------------------
 
 
-def rational_str(c: Fraction) -> str:
-    """Explicit num/den rendering used by every serialized report."""
-    return f"{c.numerator}/{c.denominator}"
-
-
 @dataclass(frozen=True)
 class CorrespondenceReport:
-    """Outcome of one window comparison; ``passed`` iff ``diff`` is empty.
-
-    ``left`` holds the left side's ladders, one list per Q-power slice;
-    ``lhs`` expands them into a series the first time it is read."""
+    """Outcome of one window comparison: the window and the sides' difference."""
 
     window: TruncationWindow
     diff: FormalSeries
-    passed: bool
-    left: Tuple[List[Ladder], ...] = field(repr=False)
+
+    @property
+    def passed(self) -> bool:
+        """Whether the two sides agree: the difference is empty."""
+        return self.diff.is_zero()
 
     @cached_property
     def lhs(self) -> FormalSeries:
-        """The left side, the disk potential inside the window, as a series."""
-        return _from_raw([t for s in self.left for t in expand_ladders(s)], self.window)
-
-    def diff_rows(self) -> List[Dict[str, object]]:
-        return [
-            {"X": m.X, "Q": m.Q, "T": m.T, "V": m.V, "value": rational_str(c)}
-            for m, c in self.diff.items()
-        ]
-
-    def to_json_dict(self) -> Dict[str, object]:
-        w = self.window
-        return {
-            "window": {
-                "maxQ": w.max_q,
-                "maxT": w.max_t,
-                "maxAbsMu": w.max_abs_x,
-                "minV": w.min_v,
-                "maxV": w.max_v,
-            },
-            "pass": self.passed,
-            "diff": self.diff_rows(),
-        }
+        """The left side, the disk potential inside the window, built when first read."""
+        return disk_potential_bessel(self.window)
 
 
 def raw_difference(left: List[RawTerm], right: List[RawTerm]) -> List[RawTerm]:
@@ -316,11 +289,10 @@ def run_check(
     window: TruncationWindow, corrupt_correction: bool = False
 ) -> CorrespondenceReport:
     """Walk both sides one Q-power slice at a time and compare; see the module docstring."""
-    left_side = tuple(_disk_walk(window, _bessel_value))
+    left_side = _disk_walk(window, _bessel_value)
     leftover: List[RawTerm] = []
     rhs = _rhs_walk(window, corrupt_correction)
     for left, (right, extra) in zip(left_side, rhs, strict=True):
         if extra or left != right:
             leftover += raw_difference(expand_ladders(left), expand_ladders(right) + extra)
-    diff = _from_raw(leftover, window)
-    return CorrespondenceReport(window, diff, diff.is_zero(), left_side)
+    return CorrespondenceReport(window, _from_raw(leftover, window))

@@ -448,17 +448,17 @@ MUTANTS = (
     ),
     Mutant(
         ASYM,
+        "if not math.isfinite(ratio):",
+        "if False:",
+        "a ratio that is not finite printed as a row (nan, or NaN in JSON)",
+        (f"{TCL}::test_asymptotics_non_finite_ratio_exits_2_naming_l",),
+    ),
+    Mutant(
+        ASYM,
         "if not math.isfinite(inner):",
         "if False:",
         "a sum whose terms overflow to inf reported as not converging, without naming z",
         (f"{TCL}::test_asymptotics_overflowing_terms_exit_2_naming_z[1e-10]",),
-    ),
-    Mutant(
-        CLI,
-        "        if not rest:\n            return args\n",
-        "        return args\n",
-        "a subcommand's leftover arguments ignored instead of refused",
-        (f"{TCL}::test_dispatch_matches_the_top_level_parser[check --bogus]",),
     ),
     Mutant(
         CLI,

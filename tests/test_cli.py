@@ -234,6 +234,26 @@ def test_asymptotics_overflowing_terms_exit_2_naming_z(capsys, z):
     )
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv, l, ratio",
+    [
+        # phi_N is inf - inf at order 30: the ratio would print as nan (NaN in JSON)
+        (["--q1", "300", "--q2", "300", "--N", "30", "--l", "0"], "0", "nan"),
+        # the remainder over phi_N v_l^-N overflows: the ratio would print as -inf
+        (["--z", "0.001", "--N", "25", "--l", "4503599627370495", "--component", "1"],
+         "4503599627370495", "-inf"),
+    ],
+)
+def test_asymptotics_non_finite_ratio_exits_2_naming_l(capsys, argv, l, ratio, fmt):
+    # no row is printed whose ratio is not a finite double, in either format
+    assert main(["asymptotics", *argv, "--format", fmt]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: the ratio at l = {l} is {ratio}: a sum or the quotient overflows a double\n",
+    )
+
+
 def test_tables_past_the_int_digit_limit(capsys, tmp_path):
     # values of up to 4,540 digits, past the 4,300 a Python int writes by
     # default; the limit is lifted only while the CLI writes, and a file
@@ -302,7 +322,7 @@ def test_check_corrupted_correction_fails(capsys):
 @settings(max_examples=60, deadline=None)
 def test_check_json_is_the_reports_dict_as_json(window, corrupt):
     # the report written from its templates, against json.dumps of the
-    # report's dict, as cli.main wrote it before
+    # report's layout built here: its window, pass and num/den diff rows
     window = replace(window, max_v=1)  # the command line fixes the V ceiling at 1
     flags = ["--max-q", str(window.max_q), "--max-t", str(window.max_t)]
     flags += ["--max-mu", str(window.max_abs_x), "--min-v", str(window.min_v)]
@@ -310,8 +330,22 @@ def test_check_json_is_the_reports_dict_as_json(window, corrupt):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(["check", *flags, *(["--corrupt-exc"] if corrupt else []), "--format", "json"])
+    want = {
+        "window": {
+            "maxQ": window.max_q,
+            "maxT": window.max_t,
+            "maxAbsMu": window.max_abs_x,
+            "minV": window.min_v,
+            "maxV": window.max_v,
+        },
+        "pass": report.passed,
+        "diff": [
+            {"X": m.X, "Q": m.Q, "T": m.T, "V": m.V, "value": f"{c.numerator}/{c.denominator}"}
+            for m, c in report.diff.items()
+        ],
+    }
     assert code == (0 if report.passed else 1)
-    assert out.getvalue() == json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    assert out.getvalue() == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
 
 def test_check_csv_diff_table(capsys):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import factorial
 from unittest import mock
@@ -22,7 +22,6 @@ from ocmirror.correspondence import (
     disk_potential_bessel,
     disk_slices,
     disk_potential_localized,
-    rational_str,
     raw_difference,
     run_check,
 )
@@ -373,9 +372,20 @@ def test_slice_walk_diff_is_the_whole_sides_difference(window, corrupt):
     assert report.passed == (not whole)
 
 
+WS_FLAGS = ["--max-q", "5", "--max-t", "2", "--max-mu", "2", "--min-v", "-5"]
+
+
+def _corrupted_check_json() -> str:
+    """What ``check --corrupt-exc --format json`` prints on the small window."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["check", "--corrupt-exc", *WS_FLAGS, "--format", "json"]) == 1
+    return out.getvalue()
+
+
 def test_report_json_schema_and_determinism():
-    report = run_check(WS, corrupt_correction=True)
-    payload = report.to_json_dict()
+    text = _corrupted_check_json()
+    payload = json.loads(text)
     assert set(payload) == {"window", "pass", "diff"}
     assert payload["pass"] is False
     assert payload["window"] == {
@@ -389,13 +399,25 @@ def test_report_json_schema_and_determinism():
         assert set(row) == {"X", "Q", "T", "V", "value"}
         num, den = row["value"].split("/")
         assert int(den) > 0 and int(num) != 0
-    again = run_check(WS, corrupt_correction=True).to_json_dict()
-    assert json.dumps(payload, sort_keys=True) == json.dumps(again, sort_keys=True)
+    assert _corrupted_check_json() == text
 
 
 def test_rational_rendering():
-    assert rational_str(F(-3, 4)) == "-3/4"
-    assert rational_str(F(5)) == "5/1"
+    # each leftover as num/den in lowest terms, an integral one over 1
+    rows = json.loads(_corrupted_check_json())["diff"]
+    assert [(r["X"], r["Q"], r["T"], r["V"], r["value"]) for r in rows] == [
+        (0, 0, 2, -1, "-1/1"),
+        (0, 2, 0, -1, "-2/1"),
+    ]
+
+
+def test_report_holds_only_its_window_and_difference():
+    # passed is read off the difference, the left side rebuilt from the window
+    assert [f.name for f in fields(CorrespondenceReport)] == ["window", "diff"]
+    for corrupt in (False, True):
+        report = run_check(WS, corrupt)
+        assert report.passed == report.diff.is_zero() == (not corrupt)
+        assert report.lhs == disk_potential_bessel(WS)
 
 
 def _rhs_all_windings(window: TruncationWindow) -> FormalSeries:

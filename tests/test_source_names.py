@@ -1,5 +1,5 @@
 """Every top-level name of the package, and every method of its classes,
-is used by the program itself.
+is used by the program itself, and the CLI alone lays out output.
 
 A function, class, constant or method that only the tests reach belongs
 with the tests (``second_routes``), not in ``src/``.  A name counts as used
@@ -9,6 +9,9 @@ it as code: a load, an attribute or an import, anywhere in ``src/``,
 benchmark's tracer wraps functions by name, and a name it lists that
 nothing calls is still unused.  Dunder names are exempt: the language
 calls them.
+
+The CLI alone lays out output: no package function writes the check
+report's layout or num/den text beside it, and no module imports ``json``.
 """
 
 from __future__ import annotations
@@ -105,3 +108,20 @@ def unused_names() -> List[str]:
 
 def test_every_package_name_is_used_outside_the_tests():
     assert unused_names() == []
+
+
+#: writers of the check report's layout and of num/den text that ``cli`` replaced
+RETIRED = {"rational_str", "diff_rows", "to_json_dict", "_json_text"}
+
+
+def test_cli_alone_lays_out_output():
+    """No package function is one of the retired writers, and no module
+    imports ``json``: every JSON byte comes from ``cli``'s templates."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) and n.name in RETIRED:
+                found.append(f"{path.stem}.{n.name}")
+            elif isinstance(n, ast.alias) and n.name.split(".")[0] == "json":
+                found.append(f"{path.stem} imports json")
+    assert found == []
