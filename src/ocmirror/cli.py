@@ -26,10 +26,11 @@ All exact values are printed whole, however many digits they have, as
 ``num/den`` strings, each series row in its own lowest terms; series tables
 iterate in the kernel's lexicographic monomial order and graph tables in
 the deterministic enumeration order, so identical configurations produce
-byte-identical output.  ``disk`` and
-``rhs`` write each Q-power slice as it is built, already in that order, so
-their memory does not grow with the table; every refusal comes before the
-first byte.  Every JSON table and the ``check`` report are written from
+byte-identical output.  ``disk``, ``rhs`` and ``ifunction`` write their
+rows straight from the T-ladders, already in that order, each rung reduced
+from the one before; ``disk`` and ``rhs`` write each Q-power slice as it is
+built, so their memory does not grow with the table.  Every refusal comes
+before the first byte.  Every JSON table and the ``check`` report are written from
 ``%`` templates, byte for byte as ``json.dumps(..., sort_keys=True,
 indent=2)`` writes them.  Exit codes: 0 success (check passed), 1 check
 failure, 2 usage or configuration error, or an ``--output`` path that
@@ -53,13 +54,13 @@ import contextlib
 import functools
 import itertools
 import sys
-from math import gcd
+from math import factorial, gcd
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .asymptotics import NumericParams, ratio_table
-from .closed import surface_series_terms, z_coeff_terms
-from .correspondence import disk_slices, rhs_slices, run_check
+from .closed import Ladder, expand_ladders, surface_series_terms, z_coeff_ladders
+from .correspondence import _bessel_value, _disk_walk, _rhs_walk, run_check
 from .localization import graph_class_rows
 from .series import FormalSeries, RawTerm, TruncationWindow, lowest_terms
 
@@ -103,25 +104,36 @@ def _object_template(columns: Sequence[str], depth: int) -> Tuple[str, itemgette
     return "{" + ",".join(fields) + pad + "}", itemgetter(*map(columns.index, keys))
 
 
-def _table(columns: Sequence[str], chunks: Iterable[Iterable[tuple]], fmt: str) -> Iterator[str]:
-    """A table's text: its header, then one string per chunk of rows.
+@functools.cache  # each slice of a table reads it
+def _row_template(columns: Sequence[str], fmt: str) -> Tuple[str, Callable[[tuple], tuple]]:
+    """The ``%`` template of one row of a ``fmt`` table, and the picker that
+    puts a row given in ``columns`` order into the template's order.
 
     CSV fields are written as they are: no field of any table holds a comma,
-    a quote or a line break.  JSON is the rows as dicts, byte for byte as
-    indented ``json.dumps`` writes them, each row from
-    :func:`_object_template`: with an indent, ``json`` encodes in pure
-    Python, several times slower.
+    a quote or a line break.  A JSON row is its dict, byte for byte as
+    indented ``json.dumps`` writes it, from :func:`_object_template`: with
+    an indent, ``json`` encodes in pure Python, several times slower.
     """
     if fmt == "csv":
-        line = ",".join(["%s"] * len(columns)) + "\n"
-        yield ",".join(columns) + "\n"
-        yield from ("".join([line % row for row in rows]) for rows in chunks)
-        return
+        return ",".join(["%s"] * len(columns)) + "\n", tuple
     template, pick = _object_template(columns, 1)
-    template = "  " + template
-    texts = (",\n".join([template % pick(row) for row in rows]) for rows in chunks)
+    return "  " + template, pick
+
+
+def _texts(columns: Sequence[str], rows: Iterable[tuple], fmt: str) -> List[str]:
+    """Each row's text in a ``fmt`` table of ``columns``."""
+    template, pick = _row_template(columns, fmt)
+    return [template % pick(row) for row in rows]
+
+
+def _table(columns: Sequence[str], chunks: Iterable[List[str]], fmt: str) -> Iterator[str]:
+    """A ``fmt`` table's text: its header, then one string per chunk of row texts."""
+    if fmt == "csv":
+        yield ",".join(columns) + "\n"
+        yield from map("".join, chunks)
+        return
     sep = "[\n"  # then each nonempty chunk after the first starts with a comma
-    for text in filter(None, texts):
+    for text in filter(None, map(",\n".join, chunks)):
         yield sep + text
         sep = ",\n"
     yield "[]\n" if sep == "[\n" else "\n]\n"
@@ -162,6 +174,38 @@ def _f_rows(terms: Iterable[RawTerm]) -> List[tuple]:
     ]
 
 
+#: a ``disk``/``rhs`` row and an ``ifunction`` row, from (Q, T, X, V, q1, q2, value)
+_F_ROW, _SLICE_ROW = itemgetter(2, 0, 1, 3, 6), itemgetter(1, 4, 5, 3, 6)
+
+
+def _ladder_texts(
+    ladders: Sequence[Ladder], columns: Sequence[str], layout: itemgetter, fmt: str
+) -> List[str]:
+    """The row texts of the terms of ``ladders``, in :func:`expand_ladders`' order.
+
+    A ladder's row of ``columns``, which ``layout`` picks from (Q, T, X, V,
+    q1, q2, value), is written once with ``%s`` at T, V and the value, in
+    that order in every table; each rung fills them.  The first rung is
+    reduced by one gcd, each later one is the rung before, n/d in lowest
+    terms, times a/(b*l): gcds against that small step alone reduce it.
+    """
+    template, pick = _row_template(columns, fmt)
+    by_l: List[List[str]] = [[] for _ in range(max((L[9] for L in ladders), default=-1) + 1)]
+    for Q, t0, x, v, q1, q2, n, d, lo, hi, a, b in ladders:
+        text = template % pick(layout((Q, "%s", x, "%s", q1, q2, "%s/%s")))
+        d *= factorial(lo)
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        for l in range(lo, hi + 1):
+            if l > lo:
+                g1, g2 = gcd(n, b * l), gcd(a, d)
+                step_n, step_d = a // g2, b * l // g1
+                g3 = gcd(step_n, step_d)
+                n, d = n // g1 * (step_n // g3), d // g2 * (step_d // g3)
+            by_l[l].append(text % (t0 + l, v - l, n, d))
+    return [text for texts in by_l for text in texts]
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (exit code, output text in chunks)
 # ---------------------------------------------------------------------------
@@ -169,7 +213,19 @@ def _f_rows(terms: Iterable[RawTerm]) -> List[tuple]:
 
 def cmd_side(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
     """``disk`` or ``rhs``: the side's rows, one chunk per Q-power slice."""
-    return 0, _table(F_COLUMNS, map(_f_rows, args.slices(_window_from(args))), args.format)
+
+    def slice_texts(ladders: List[Ladder], extra: List[RawTerm]) -> List[str]:
+        if extra:  # the correction repeats monomials of the slice: summed per monomial
+            rows = _f_rows(lowest_terms(expand_ladders(ladders) + extra))
+            return _texts(F_COLUMNS, rows, args.format)
+        return _ladder_texts(ladders, F_COLUMNS, _F_ROW, args.format)
+
+    window = _window_from(args)
+    if args.command == "rhs":
+        walk = _rhs_walk(window)
+    else:  # the disk potential has no correction
+        walk = ((ladders, []) for ladders in _disk_walk(window, _bessel_value))
+    return 0, _table(F_COLUMNS, itertools.starmap(slice_texts, walk), args.format)
 
 
 def cmd_check(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
@@ -178,7 +234,7 @@ def cmd_check(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
     code = 0 if report.passed else 1
     if args.format == "json":
         return code, [_report_json(report.window, rows)]
-    return code, _table(F_COLUMNS, [rows], "csv")
+    return code, _table(F_COLUMNS, [_texts(F_COLUMNS, rows, "csv")], "csv")
 
 
 def cmd_localize(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
@@ -206,7 +262,7 @@ def cmd_localize(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
             rows += [
                 (*tree, "|".join(map(str, g.markings)), aut, _laurent_str(c)) for g, aut, c in run
             ]
-    return 0, _table(GRAPH_COLUMNS, [rows], args.format)
+    return 0, _table(GRAPH_COLUMNS, [_texts(GRAPH_COLUMNS, rows, args.format)], args.format)
 
 
 def cmd_ifunction(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
@@ -220,9 +276,10 @@ def cmd_ifunction(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
     )
     degrees = (args.zcoeff - args.min_v, args.zcoeff - args.max_t)
     terms = surface_series_terms(window, window.max_q, *degrees)
-    raw = z_coeff_terms(terms, args.zcoeff, window)
-    rows = [(m.T, m.q1, m.q2, m.V, f"{n}/{d}") for m, n, d in lowest_terms(raw)]
-    return 0, _table(SLICE_COLUMNS, [rows], args.format)
+    # at each T-power the rows run by V upwards, then q1: degree down, then slope down
+    ladders = z_coeff_ladders(terms[::-1], args.zcoeff, window)
+    texts = _ladder_texts(ladders, SLICE_COLUMNS, _SLICE_ROW, args.format)
+    return 0, _table(SLICE_COLUMNS, [texts], args.format)
 
 
 def cmd_asymptotics(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
@@ -230,7 +287,8 @@ def cmd_asymptotics(args: argparse.Namespace) -> Tuple[int, Iterable[str]]:
     ls = args.l if args.l else [200]
     rows = ratio_table(params, args.N, ls, component=args.component)
     # a finite float's repr is its JSON text, as for an int
-    return 0, _table(RATIO_COLUMNS, [[tuple(map(repr, row)) for row in rows]], args.format)
+    texts = _texts(RATIO_COLUMNS, (tuple(map(repr, row)) for row in rows), args.format)
+    return 0, _table(RATIO_COLUMNS, [texts], args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +350,13 @@ def _build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, _Subcommand]]:
     subs = parser.add_subparsers(dest="command", required=True)
     commands: Dict[str, _Subcommand] = {}
 
-    for name, slices, summary in (
-        ("disk", disk_slices, "disk potential coefficient table"),
-        ("rhs", rhs_slices, "assembled sphere-side coefficient table"),
+    for name, summary in (
+        ("disk", "disk potential coefficient table"),
+        ("rhs", "assembled sphere-side coefficient table"),
     ):
         sub = subs.add_parser(name, help=summary)
         actions = _add_window_flags(sub) + _add_format_flags(sub, "csv")
-        commands[name] = _Subcommand(sub, actions, command=name, handler=cmd_side, slices=slices)
+        commands[name] = _Subcommand(sub, actions, command=name, handler=cmd_side)
 
     check = subs.add_parser("check", help="compare both sides exactly")
     actions = [

@@ -33,12 +33,12 @@ factor in the z/v direction.  The prefactor's T^l/l! and the factor's
 keeps only nonnegative expansion indices; the tests check it against the
 expanded product itself and against a regrouped presentation (boundary
 monomials such as -q1*v plus an unconstrained resummation).  It reads the
-range of each ladder off the window, and ``expand_ladders`` writes the
-ladders as raw ``(monomial, numerator, denominator)`` terms
-(``z_coeff_terms``): the right side of the correspondence adds its
-correction to them, and the ``ifunction`` table prints them in lowest
-terms.  The disk potential's exp(mu*t0/v) dressing is a ladder too, so one
-expansion writes both sides of the correspondence.
+range of each ladder off the window.  ``expand_ladders`` writes ladders
+as raw ``(monomial, numerator, denominator)`` terms, where the right side
+of the correspondence adds its correction to them or ``check`` compares
+them by value; the tables write each ladder's rungs straight from it, each
+reduced from the one before.  The disk potential's exp(mu*t0/v) dressing
+is a ladder too, so one expansion writes both sides of the correspondence.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "expand_ladders",
     "surface_series_terms",
     "z_coeff_ladders",
-    "z_coeff_terms",
 ]
 
 
@@ -182,10 +181,3 @@ def z_coeff_ladders(
             num, den = p * a ** (lo - shift), q * b ** (lo - shift)
             ladders.append((Q, t0, x, v + shift, q1, q2, num, den, lo, hi, a, b))
     return ladders
-
-
-def z_coeff_terms(terms: Sequence[FactorTerm], m: int, window: TruncationWindow) -> List[RawTerm]:
-    """Raw terms of the z^(-m) coefficient of e^(t0/z) * sum(terms), in the
-    kernel's order for one degree's classes in winding variables: the
-    expansion of :func:`z_coeff_ladders`."""
-    return expand_ladders(z_coeff_ladders(terms, m, window))

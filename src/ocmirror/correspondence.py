@@ -55,13 +55,13 @@ exact cross-multiplication, so there the check does not rely on the two
 builders writing a value the same way.  The report holds the window and
 the difference, built from the leftover terms only; the headline assertion
 is that it is identically zero on every finite window.  The tables ``disk``
-and ``rhs`` write each slice as it is expanded, one row per monomial
-reduced on its own.
+and ``rhs`` write each slice's rows straight from its ladders, each rung
+reduced from the one before; only the slices the correction joins are
+expanded and summed per monomial.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -211,8 +211,12 @@ def _rhs_walk(
 ) -> Iterator[Tuple[List[Ladder], List[RawTerm]]]:
     """The right side by Q-power: the slice's ladders and the correction's terms there.
 
-    See :func:`rhs_slices`; the window is refused, and the classes are
-    built, before any slice is."""
+    The surface terms whose slope (their winding) fits the winding bound
+    and whose degree d1 + d2 <= 1 - min_v can reach the V floor are paired
+    and mapped to winding variables; per degree e, by slope, their z^-2
+    ladders come in the kernel's order.  T is the same variable on both
+    sides.  The window is refused as :func:`_disk_walk` refuses it, and the
+    classes are built, before any slice is."""
     _refuse_over_budget(window)
     classes: Dict[int, List[FactorTerm]] = {}
     for t in surface_series_terms(window, window.max_abs_x, 1 - window.min_v):
@@ -224,31 +228,6 @@ def _rhs_walk(
         return z_coeff_ladders(classes.get(e, []), 2, window), extra
 
     return map(slice_at, _degrees(window))
-
-
-def rhs_slices(
-    window: TruncationWindow, corrupt_correction: bool = False
-) -> Iterator[List[RawTerm]]:
-    """Raw terms of the descendant-slice side of the identity inside ``window``, by Q-power.
-
-    Take the surface terms whose slope (their winding) fits the winding
-    bound and whose degree d1 + d2 <= 1 - min_v can reach the V floor,
-    pair them and map them to winding variables term by term, then per
-    degree e extract the z^-2 slice and add the correction's terms at Q^e.
-    A degree's classes come by slope and the extraction walks l outside
-    them, so a slice is in the kernel's order; the three slices the
-    correction joins are put in lowest terms, which merges the monomials
-    it repeats at Q^0 and Q^2.  The zeroth flat coordinate is carried by
-    the same T variable on both sides, so the log-area identification is
-    the identity map here.  The window is refused as :func:`disk_slices`
-    refuses it, and the classes are built, before any slice is.
-    """
-
-    def slice_at(ladders: List[Ladder], extra: List[RawTerm]) -> List[RawTerm]:
-        terms = expand_ladders(ladders)
-        return lowest_terms(terms + extra) if extra else terms
-
-    return itertools.starmap(slice_at, _rhs_walk(window, corrupt_correction))
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,12 @@ truncation window.  Conventions:
   term by term (the disk potential by either route, the difference a check
   reports and its left side when read, the one-boundary graph sums)
   collect raw ``(monomial, numerator, denominator)`` terms; a series is
-  made of them by a single lcm (``_from_raw``).  A table or a comparison needs none: the
-  two sides of the correspondence come one Q-power slice at a time, each
-  already in the order of ``items()`` with one term per monomial, and each
-  row is reduced on its own.  Where terms can repeat a monomial or come
-  out of order, ``lowest_terms`` sums and sorts them per monomial, with no
-  common denominator.
+  made of them by a single lcm (``_from_raw``).  A table or a comparison
+  needs none: the two sides of the correspondence come one Q-power slice
+  at a time as T-ladders, already in the order of ``items()`` with one
+  term per monomial, and a table reduces each rung from the one before.
+  Where terms can repeat a monomial or come out of order, ``lowest_terms``
+  sums and sorts them per monomial, with no common denominator.
 * A series remembers the window it was truncated to.  Arithmetic re-truncates
   to the intersection of the operand windows.  In Q, T, q1 and q2, whose
   exponents are nonnegative everywhere, operations only raise exponents, so
@@ -43,7 +43,7 @@ truncation window.  Conventions:
   in.  (The right side of the correspondence once lost its 1/V prefactor so
   at max_v <= -3, pairing in a window of V ceiling max_v + 1.)  Monomial maps
   therefore go on the inputs of an expansion, as the right side's Kaehler
-  map does in ``correspondence.rhs_slices``.
+  map does in ``correspondence._rhs_walk``.
 * Iteration over terms is in lexicographic exponent order, which makes every
   report byte-reproducible.
 * Kernel results are built once.  The public constructor

@@ -517,6 +517,20 @@ MUTANTS = (
     ),
     Mutant(
         CLI,
+        "g3 = gcd(step_n, step_d)",
+        "g3 = 1",
+        "a rung's value not reduced by the common factor of a and b*l",
+        (f"{TCL}::test_rungs_reduced_from_the_rung_before_are_the_terms_reduced_alone",),
+    ),
+    Mutant(
+        CLI,
+        "g1, g2 = gcd(n, b * l), gcd(a, d)",
+        "g1, g2 = 1, gcd(a, d)",
+        "a rung's value not reduced by the common factor of the previous numerator and b*l",
+        (f"{TCL}::test_rungs_reduced_from_the_rung_before_are_the_terms_reduced_alone",),
+    ),
+    Mutant(
+        CLI,
         "degrees = (args.zcoeff - args.min_v, args.zcoeff - args.max_t)",
         "degrees = (args.zcoeff - args.min_v, args.zcoeff - args.max_t + 1)",
         "ifunction's degree floor one above the lowest degree that reaches its slice",

@@ -31,7 +31,11 @@ quantities another way, and the tests assert that the two agree.
   extraction.  ``whole_table`` prints a ``disk`` or ``rhs`` table from such
   a list the way the command line did before it streamed: summed per
   monomial and sorted by ``lowest_terms``, then one ``json.dumps`` or CSV
-  text of the whole table.
+  text of the whole table.  ``whole_ifunction_table`` prints an
+  ``ifunction`` table the same way from every class.
+* ``z_coeff_terms``, the expansion of ``z_coeff_ladders`` into raw terms;
+  the program's tables write each ladder's rungs instead, each reduced
+  from the one before.
 * ``z_coeff``, ``exceptional_correction`` and ``rhs_assemble`` are the
   program's raw terms (``z_coeff_terms``, ``correction_terms``,
   ``rhs_terms``) made into series, the form the tests compare.
@@ -87,8 +91,8 @@ from math import factorial, lcm
 from numbers import Rational
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
-from ocmirror.cli import F_COLUMNS
-from ocmirror.closed import FactorTerm, surface_series_terms, z_coeff_terms
+from ocmirror.cli import F_COLUMNS, SLICE_COLUMNS
+from ocmirror.closed import FactorTerm, expand_ladders, surface_series_terms, z_coeff_ladders
 from ocmirror.correspondence import (
     _paired_in_winding_variables,
     correction_terms,
@@ -266,16 +270,34 @@ def unfloored_surface_terms(
     return surface_series_terms(window, max_abs_slope, max_degree)
 
 
+def _printed(columns: Sequence[str], rows: List[tuple], fmt: str) -> str:
+    """``json.dumps`` of all the rows as dicts, or their CSV lines."""
+    if fmt == "json":
+        return json.dumps([dict(zip(columns, r)) for r in rows], sort_keys=True, indent=2) + "\n"
+    return "".join(",".join(map(str, r)) + "\n" for r in [columns, *rows])
+
+
 def whole_table(raw: Iterable[RawTerm], fmt: str) -> str:
     """A ``disk`` or ``rhs`` table printed whole, as before it streamed.
 
     The raw terms summed per monomial in lowest terms, which sorts them,
-    then ``json.dumps`` of all the rows as dicts, or their CSV lines.
+    then printed in one piece.
     """
     rows = [(m.X, m.Q, m.T, m.V, f"{n}/{d}") for m, n, d in lowest_terms(raw)]
-    if fmt == "json":
-        return json.dumps([dict(zip(F_COLUMNS, r)) for r in rows], sort_keys=True, indent=2) + "\n"
-    return "".join(",".join(map(str, r)) + "\n" for r in [F_COLUMNS, *rows])
+    return _printed(F_COLUMNS, rows, fmt)
+
+
+def whole_ifunction_table(zcoeff: int, max_q: int, max_t: int, min_v: int, fmt: str) -> str:
+    """An ``ifunction`` table printed whole, as before its rows came from ladders.
+
+    Every curve class of degree up to ``max_q`` through one
+    ``z_coeff_terms`` call, its terms summed per monomial in lowest terms,
+    which sorts them, then printed in one piece.
+    """
+    window = TruncationWindow(max_q=max_q, max_t=max_t, max_abs_x=0, min_v=min_v, max_v=1)
+    raw = z_coeff_terms(surface_series_terms(window, max_q, max_q), zcoeff, window)
+    rows = [(m.T, m.q1, m.q2, m.V, f"{n}/{d}") for m, n, d in lowest_terms(raw)]
+    return _printed(SLICE_COLUMNS, rows, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +308,14 @@ def whole_table(raw: Iterable[RawTerm], fmt: str) -> str:
 def truncated(s: FormalSeries, window: TruncationWindow) -> FormalSeries:
     """``s`` re-truncated to ``window``: its terms through the validated constructor."""
     return FormalSeries(s.items(), window)
+
+
+def z_coeff_terms(terms: Sequence[FactorTerm], m: int, window: TruncationWindow) -> List[RawTerm]:
+    """Raw terms of the z^(-m) coefficient of e^(t0/z) * sum(terms), in the
+    kernel's order for one degree's classes in winding variables: the
+    expansion of ``z_coeff_ladders``, as the program wrote them before its
+    tables read the ladders rung by rung."""
+    return expand_ladders(z_coeff_ladders(terms, m, window))
 
 
 def z_coeff(terms: Sequence[FactorTerm], m: int, window: TruncationWindow) -> FormalSeries:

@@ -13,20 +13,27 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from math import factorial, gcd
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ocmirror import cli
 from ocmirror.cli import main
-from ocmirror.closed import z_coeff_terms
+from ocmirror.closed import expand_ladders, z_coeff_ladders
 from ocmirror.correspondence import run_check
 
 from families import sweep_window
-from second_routes import disk_terms, rhs_terms, unfloored_surface_terms, whole_table
+from second_routes import (
+    disk_terms,
+    rhs_terms,
+    unfloored_surface_terms,
+    whole_ifunction_table,
+    whole_table,
+)
 
 RATIONAL = re.compile(r"^-?\d+/\d+$")
 
@@ -75,6 +82,37 @@ def test_streamed_tables_match_the_whole_table_oracle(window, fmt):
             assert main([command, *flags, "--format", fmt]) == 0
         # the command line fixes the V ceiling at 1
         assert out.getvalue() == whole_table(raw(replace(window, max_v=1)), fmt), command
+
+
+#: a random ``closed.Ladder``: values of several hundred bits with a common
+#: factor of num and den (1, 720 or 80!), a and lo from 0, b from 1, and
+#: one to seven rungs
+_LADDER = st.tuples(
+    *[st.integers(-3, 3)] * 4,
+    *[st.integers(0, 2)] * 2,
+    st.integers(-(1 << 400), 1 << 400),
+    st.integers(1, 1 << 400),
+    st.integers(0, 4),
+    st.integers(0, 6),
+    st.integers(-40, 40),
+    st.integers(1, 12),
+    st.sampled_from([1, 720, factorial(80)]),
+).map(lambda t: (*t[:6], t[6] * t[12], t[7] * t[12], t[8], t[8] + t[9], t[10], t[11]))
+
+
+@given(st.lists(_LADDER, min_size=1, max_size=6), st.sampled_from(["csv", "json"]))
+@example([(0, 0, 1, 0, 0, 0, 6, 4, 2, 2, 0, 3), (1, 1, -1, -2, 1, 0, -45, 8, 0, 4, 0, 5)], "csv")
+@example([(0, 0, 1, 0, 0, 0, 3 * 7**90, 2**95, 1, 6, -12, 10)], "json")
+@settings(max_examples=200, deadline=None)
+def test_rungs_reduced_from_the_rung_before_are_the_terms_reduced_alone(ladders, fmt):
+    # each rung is the one before times a/(b*l), kept in lowest terms by
+    # gcds against that step only: the rows of the expanded terms, each
+    # reduced by its own gcd, in the same order
+    want = cli._texts(cli.F_COLUMNS, cli._f_rows(expand_ladders(ladders)), fmt)
+    assert cli._ladder_texts(ladders, cli.F_COLUMNS, cli._F_ROW, fmt) == want
+    for text in cli._ladder_texts(ladders, cli.F_COLUMNS, cli._F_ROW, "csv"):
+        n, d = map(int, text.rstrip("\n").rsplit(",", 1)[1].split("/"))
+        assert gcd(n, d) == 1 and d > 0, text
 
 
 def test_disk_json_rows_are_schema_shaped(capsys):
@@ -455,14 +493,30 @@ def test_ifunction_builds_only_the_classes_that_reach_its_slice(zcoeff, max_q, m
 
     def recording(terms, m, window):
         extracted.extend(terms)
-        return z_coeff_terms(terms, m, window)
+        return z_coeff_ladders(terms, m, window)
 
-    with mock.patch.object(cli, "z_coeff_terms", recording):
+    with mock.patch.object(cli, "z_coeff_ladders", recording):
         floored = _outcome(argv)
     assert floored[0] == 0
     assert all(zcoeff - max_t <= -t.monomial.Z <= zcoeff - min_v for t in extracted)
     with mock.patch.object(cli, "surface_series_terms", unfloored_surface_terms):
         assert _outcome(argv) == floored
+
+
+@given(
+    st.integers(-1, 11), st.integers(0, 13), st.integers(0, 5), st.integers(-12, 1),
+    st.sampled_from(["csv", "json"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_ifunction_matches_the_whole_table_oracle(zcoeff, max_q, max_t, min_v, fmt):
+    # rows written rung by rung from the ladders of the classes in reverse
+    # order, against every class's terms summed per monomial, sorted and
+    # printed in one piece
+    argv = ["ifunction", "--zcoeff", str(zcoeff), "--max-q", str(max_q), "--max-t", str(max_t)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([*argv, "--min-v", str(min_v), "--format", fmt]) == 0
+    assert out.getvalue() == whole_ifunction_table(zcoeff, max_q, max_t, min_v, fmt)
 
 
 def test_ifunction_json(capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocmirror.closed import FactorTerm, expand_ladders, surface_series_terms, z_coeff_terms
+from ocmirror.closed import FactorTerm, expand_ladders, surface_series_terms
 from ocmirror.series import FormalSeries, Monomial, TruncationWindow, mono
 
 from families import by_slope_sign
@@ -31,6 +31,7 @@ from second_routes import (
     surface_term_symbolic,
     z_coeff,
     z_coeff_split,
+    z_coeff_terms,
     z_slice,
     zero_series,
 )

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ocmirror.closed import expand_ladders, surface_series_terms, z_coeff_terms
+from ocmirror.closed import expand_ladders, surface_series_terms
 from ocmirror.correspondence import (
     CorrespondenceReport,
     _paired_in_winding_variables,
@@ -41,6 +41,7 @@ from second_routes import (
     substitute,
     truncated,
     z_coeff,
+    z_coeff_terms,
 )
 
 F = Fraction
