@@ -28,17 +28,20 @@ direction, v/(v-cz) = sum_{k>=0} (cz/v)^k.
 Extraction: ``z_coeff_ladders`` takes the coefficient of a fixed power
 z^(-m) of the exponential-prefactored sum of such terms, expanding every
 factor in the z/v direction.  The prefactor's T^l/l! and the factor's
-(slope z/v)^k move together, so each term contributes one *ladder*
-(see ``Ladder``): a geometric run in l, over l!.  This honest extraction
+(slope z/v)^k move together, so each term contributes one *ladder* (see
+``Ladder``): a geometric run in l, over l!.  This honest extraction
 keeps only nonnegative expansion indices; the tests check it against the
 expanded product itself and against a regrouped presentation (boundary
-monomials such as -q1*v plus an unconstrained resummation).  It reads the
-range of each ladder off the window.  ``expand_ladders`` writes ladders
-as raw ``(monomial, numerator, denominator)`` terms, where the right side
-of the correspondence adds its correction to them or ``check`` compares
-them by value; the tables write each ladder's rungs straight from it, each
-reduced from the one before.  The disk potential's exp(mu*t0/v) dressing
-is a ladder too, so one expansion writes both sides of the correspondence.
+monomials such as -q1*v plus an unconstrained resummation).  It reads
+the range of each ladder off the window.  It serves ``ifunction`` and
+the tests' route to the right side of the correspondence, which writes
+its z^-2 ladders straight from each class instead.  ``expand_ladders``
+writes ladders as raw ``(monomial, numerator, denominator)`` terms,
+where the right side of the correspondence adds its correction to them
+or ``check`` compares them by value; the tables write each ladder's
+rungs straight from it, each reduced from the one before.  The disk
+potential's exp(mu*t0/v) dressing is a ladder too, so one expansion
+writes both sides of the correspondence.
 """
 
 from __future__ import annotations

@@ -19,11 +19,11 @@ traded for winding/area variables by
 
     q1 -> -Q * X^-1,      q2 -> -Q * X,
 
-which sends the term to the single winding X^mu.  So only the terms with
-|mu| <= max_abs_x are built, the two maps act on these few terms as one
-fixed monomial map rather than on their expansion, and the z^-2 slice
-(factors expanded in z/v) is extracted directly in the final variables.
-Then
+which sends the term to the single winding X^mu.  So the pairing and the
+map fold into each class's z^-2 ladder (factors expanded in z/v), written
+straight in the final variables from (d1, d2) alone: at each Q-power only
+the classes with |mu| <= max_abs_x, when the walk reaches that slice, and
+no class ahead of it.  Then
 
     Exc = -Q*X^-1 + Q*X - T^2/(2v) - Q^2/v
 
@@ -65,25 +65,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Iterator, List, Tuple
 
-from .closed import (
-    FactorTerm,
-    Ladder,
-    _factorials,
-    expand_ladders,
-    surface_series_terms,
-    z_coeff_ladders,
-)
+from .closed import Ladder, _factorials, expand_ladders
 from .localization import _open_classes, _open_sum, _with_factors
 from .series import (
     MAX_MASS_BUDGET,
     FormalSeries,
-    Monomial,
     RawTerm,
     TruncationWindow,
     _from_raw,
-    _tuple_new,
     lowest_terms,
     mono,
 )
@@ -193,39 +184,43 @@ def correction_terms(window: TruncationWindow, corrupt: bool = False) -> List[Ra
     ]
 
 
-def _paired_in_winding_variables(t: FactorTerm) -> FactorTerm:
-    """The pairing's 1/v times ``t``, with q1 -> -Q*X^-1 and q2 -> -Q*X.
-
-    q1^d1 q2^d2 Z^e goes to (-1)^(d1+d2) Q^(d1+d2) X^(d2-d1) V^-1 Z^e; the
-    factor v/(v - slope*z) involves neither map.  Since d1 + d2 and
-    |d2 - d1| have the same parity, the sign cancels the closed form's.
-    """
-    m, num, den, slope = t
-    d1, d2 = m.q1, m.q2
-    mapped = _tuple_new(Monomial, (d1 + d2, 0, d2 - d1, -1, m.Z, 0, 0))
-    return _tuple_new(FactorTerm, (mapped, -num if (d1 + d2) % 2 else num, den, slope))
-
-
 def _rhs_walk(
     window: TruncationWindow, corrupt_correction: bool = False
 ) -> Iterator[Tuple[List[Ladder], List[RawTerm]]]:
     """The right side by Q-power: the slice's ladders and the correction's terms there.
 
-    The surface terms whose slope (their winding) fits the winding bound
-    and whose degree d1 + d2 <= 1 - min_v can reach the V floor are paired
-    and mapped to winding variables; per degree e, by slope, their z^-2
-    ladders come in the kernel's order.  T is the same variable on both
-    sides.  The window is refused as :func:`_disk_walk` refuses it, and the
-    classes are built, before any slice is."""
+    At Q^e each winding mu of the parity of e with |mu| <= max_abs_x is one
+    class (d1, d2) = ((e-mu)/2, (e+mu)/2), whose z^-2 ladder is written when
+    the slice is reached: at T^l X^mu V^(1-e-l), the pairing's 1/v in the V
+    power, the value (-1)^|mu| (-1)^(d1+d2) mu^k / (l! d1! d2!) at expansion
+    index k = l + e - 2 >= 0 (k = 0 alone for mu = 0, whose factor is 1),
+    with l <= max_t and V in [min_v, max_v].  The windings come upwards, so
+    each slice expands in the kernel's order; the factorials grow only as
+    far as a ladder reads.  T is the same variable on both sides.  The
+    window is refused as :func:`_disk_walk` refuses it, before any slice is."""
     _refuse_over_budget(window)
-    classes: Dict[int, List[FactorTerm]] = {}
-    for t in surface_series_terms(window, window.max_abs_x, 1 - window.min_v):
-        classes.setdefault(-t.monomial.Z, []).append(_paired_in_winding_variables(t))
     correction = correction_terms(window, corrupt_correction)
+    facts = _factorials(0)
 
     def slice_at(e: int) -> Tuple[List[Ladder], List[RawTerm]]:
         extra = [c for c in correction if c[0].Q == e]
-        return z_coeff_ladders(classes.get(e, []), 2, window), extra
+        top = min(window.max_abs_x, e)
+        top -= (e - top) % 2  # |mu| has the parity of e
+        lo = max(0, 2 - e, 1 - e - window.max_v)
+        hi = min(window.max_t, 1 - e - window.min_v)
+        if top < 0 or lo > (hi if top else min(hi, 2 - e)):  # no winding, or its widest one empty
+            return [], extra
+        while len(facts) <= (e + top) // 2:  # its class reads the largest factorial
+            facts.append(facts[-1] * len(facts))
+        kaehler = -1 if e % 2 else 1  # (-Q)^(d1+d2)
+        ladders = []
+        for mu in range(-top, top + 1, 2):
+            hi_mu = hi if mu else min(hi, 2 - e)
+            if lo <= hi_mu:
+                num = (-1 if mu % 2 else 1) * kaehler * mu ** (lo + e - 2)  # the class's (-1)^|mu|
+                den = facts[(e - mu) // 2] * facts[(e + mu) // 2]
+                ladders.append((e, 0, mu, 1 - e, 0, 0, num, den, lo, hi_mu, mu, 1))
+        return ladders, extra
 
     return map(slice_at, _degrees(window))
 

@@ -10,7 +10,7 @@ at each point, carried as the pair (c, k).
 The toric surface of the other side enters the program only through two
 constants of its origin fixed point: the distinguished pairing, an exact
 1/v, and the Kaehler map q1 -> -Q*X^-1, q2 -> -Q*X.  Both are written
-into :func:`ocmirror.correspondence._paired_in_winding_variables`; the
+into each class's ladder by :func:`ocmirror.correspondence._rhs_walk`; the
 tests recompute the pairing from the surface's fixed-point tables and
 apply the map through a general substitution.
 """

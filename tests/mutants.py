@@ -157,10 +157,33 @@ MUTANTS = (
     ),
     Mutant(
         CORR,
-        "-num if (d1 + d2) % 2 else num",
-        "num",
-        "Kaehler map without the sign of (-Q)^(d1+d2)",
-        (f"{TCO}::test_check_passes_on_medium_window",),
+        "kaehler = -1 if e % 2 else 1",
+        "kaehler = 1",
+        "right-side ladders without the Kaehler map's sign of (-Q)^(d1+d2)",
+        (
+            f"{TCO}::test_rhs_walk_matches_the_three_stage_route",
+            f"{TCO}::test_check_passes_on_medium_window",
+        ),
+    ),
+    Mutant(
+        CORR,
+        "num = (-1 if mu % 2 else 1) * kaehler",
+        "num = kaehler",
+        "right-side ladders without the class's sign (-1)^|mu|",
+        (
+            f"{TCO}::test_rhs_walk_matches_the_three_stage_route",
+            f"{TCO}::test_check_passes_on_medium_window",
+        ),
+    ),
+    Mutant(
+        CORR,
+        "lo = max(0, 2 - e, 1 - e - window.max_v)",
+        "lo = max(0, 1 - e - window.max_v)",
+        "right-side ladders below the expansion index k = 0: the floor 2 - e dropped",
+        (
+            f"{TCO}::test_rhs_walk_matches_the_three_stage_route",
+            f"{TCO}::test_check_passes_on_medium_window",
+        ),
     ),
     Mutant(
         CORR,
@@ -178,8 +201,8 @@ MUTANTS = (
     ),
     Mutant(
         CORR,
-        "(e, 0, mu, 1 - e, 0, 0,",
-        "(e, 0, mu, -e, 0, 0,",
+        "(e, 0, mu, 1 - e, 0, 0, num * mu**lo,",
+        "(e, 0, mu, -e, 0, 0, num * mu**lo,",
         "disk ladder one V-step too low",
         (f"{TCO}::test_disk_coefficient_formula",),
     ),
@@ -354,8 +377,8 @@ MUTANTS = (
     ),
     Mutant(
         CORR,
-        "    _refuse_over_budget(window)\n    classes:",
-        "    classes:",
+        "    _refuse_over_budget(window)\n    correction =",
+        "    correction =",
         "right-side table answers a window beyond the mass budget",
         (f"{TCL}::test_window_beyond_the_mass_budget_exits_2",),
     ),

@@ -33,6 +33,11 @@ quantities another way, and the tests assert that the two agree.
   monomial and sorted by ``lowest_terms``, then one ``json.dumps`` or CSV
   text of the whole table.  ``whole_ifunction_table`` prints an
   ``ifunction`` table the same way from every class.
+* ``rhs_slices``, the right side's slices by the three-stage route: every
+  class built by ``surface_series_terms``, paired and sent to winding
+  variables by ``_paired_in_winding_variables``, then read off the window
+  by ``z_coeff_ladders``; the program writes each class's ladder directly
+  when its slice is reached.
 * ``z_coeff_terms``, the expansion of ``z_coeff_ladders`` into raw terms;
   the program's tables write each ladder's rungs instead, each reduced
   from the one before.
@@ -92,12 +97,14 @@ from numbers import Rational
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from ocmirror.cli import F_COLUMNS, SLICE_COLUMNS
-from ocmirror.closed import FactorTerm, expand_ladders, surface_series_terms, z_coeff_ladders
-from ocmirror.correspondence import (
-    _paired_in_winding_variables,
-    correction_terms,
-    disk_slices,
+from ocmirror.closed import (
+    FactorTerm,
+    Ladder,
+    expand_ladders,
+    surface_series_terms,
+    z_coeff_ladders,
 )
+from ocmirror.correspondence import correction_terms, disk_slices
 from ocmirror.geometry import P1_POINTS, P1Class, Restriction, phi_p1, unit_p1
 from ocmirror.localization import (
     DecoratedGraph,
@@ -247,6 +254,36 @@ def series_exp(c: Rational, m: Monomial, window: TruncationWindow) -> FormalSeri
 def disk_terms(window: TruncationWindow) -> List[RawTerm]:
     """The disk potential's raw terms, every Q-power slice in one list."""
     return [t for s in disk_slices(window) for t in s]
+
+
+def _paired_in_winding_variables(t: FactorTerm) -> FactorTerm:
+    """The pairing's 1/v times ``t``, with q1 -> -Q*X^-1 and q2 -> -Q*X.
+
+    q1^d1 q2^d2 Z^e goes to (-1)^(d1+d2) Q^(d1+d2) X^(d2-d1) V^-1 Z^e; the
+    factor v/(v - slope*z) involves neither map.  Since d1 + d2 and
+    |d2 - d1| have the same parity, the sign cancels the closed form's.
+    """
+    m, num, den, slope = t
+    d1, d2 = m.q1, m.q2
+    mapped = Monomial(Q=d1 + d2, X=d2 - d1, V=-1, Z=m.Z)
+    return FactorTerm(mapped, -num if (d1 + d2) % 2 else num, den, slope)
+
+
+def rhs_slices(
+    window: TruncationWindow, corrupt_correction: bool = False
+) -> Iterator[Tuple[List[Ladder], List[RawTerm]]]:
+    """The right side by Q-power as ``correspondence._rhs_walk`` yields it,
+    by the three-stage route it replaced: every class built whole by
+    ``surface_series_terms``, paired and mapped, then each degree's ladders
+    read off the window by ``z_coeff_ladders``."""
+    classes: Dict[int, List[FactorTerm]] = {}
+    for t in surface_series_terms(window, window.max_abs_x, 1 - window.min_v):
+        classes.setdefault(-t.monomial.Z, []).append(_paired_in_winding_variables(t))
+    correction = correction_terms(window, corrupt_correction)
+    top = min(window.max_q, 1 - window.min_v) if window.min_z <= 0 <= window.max_z else -1
+    for e in range(top + 1):
+        extra = [c for c in correction if c[0].Q == e]
+        yield z_coeff_ladders(classes.get(e, []), 2, window), extra
 
 
 def rhs_terms(window: TruncationWindow, corrupt_correction: bool = False) -> List[RawTerm]:

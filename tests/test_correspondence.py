@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
 from math import factorial
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from ocmirror.closed import expand_ladders, surface_series_terms
 from ocmirror.correspondence import (
     CorrespondenceReport,
-    _paired_in_winding_variables,
+    _rhs_walk,
     correction_terms,
     disk_potential_bessel,
     disk_slices,
@@ -32,11 +33,13 @@ from ocmirror.series import FormalSeries, TruncationWindow, _from_raw, mono
 from families import sweep_window
 from second_routes import (
     KAEHLER,
+    _paired_in_winding_variables,
     disk_potential_by_product,
     disk_terms,
     distinguished_pairing_prefactor,
     exceptional_correction,
     rhs_assemble,
+    rhs_slices,
     rhs_terms,
     substitute,
     truncated,
@@ -130,6 +133,79 @@ def test_disk_slices_build_only_the_factorials_a_term_reads(monkeypatch):
         assert any(slices)
         assert max(sizes) == top
         sizes.clear()
+
+
+def test_rhs_slices_build_only_the_factorials_a_ladder_reads(monkeypatch):
+    # the walk grows one factorial list as far as its ladders' classes read
+    # it, d1! and d2!; 0! alone when no ladder is written
+    built = []
+    factorials = correspondence._factorials
+
+    def recorded(n):
+        built.append(factorials(n))
+        return built[-1]
+
+    monkeypatch.setattr(correspondence, "_factorials", recorded)
+    far = TruncationWindow(max_q=8000, max_t=8000, max_abs_x=0, min_v=-8000, max_v=1)
+    for window, top in [
+        (far, 1),  # no winding: the balanced classes (0, 0) and (1, 1), at k = 0 only
+        (replace(far, max_t=0), 1),  # (1, 1) alone
+        (replace(far, min_v=0), 0),  # no V floor below -1: no slice holds a ladder
+        (replace(far, max_q=5, max_abs_x=3, max_t=4, min_z=1, max_z=2), 0),  # no slice
+        (TruncationWindow(max_q=7, max_t=2, max_abs_x=1, min_v=-9, max_v=1), 4),  # (3, 4)
+        (TruncationWindow(max_q=9, max_t=3, max_abs_x=9, min_v=-5, max_v=1), 6),  # (0, 6)
+    ]:
+        ladders = [ladder for s, _ in _rhs_walk(window) for ladder in s]
+        read = max((max(e - mu, e + mu) // 2 for e, _, mu, *_ in ladders), default=0)
+        assert read == top, window
+        assert [len(facts) - 1 for facts in built] == [top], window
+        built.clear()
+
+
+def test_first_rhs_slice_is_read_before_the_window_is_built():
+    # 80,241 classes reach this window's slices, and held 105 MB when they
+    # were all built before the first slice
+    window = TruncationWindow(max_q=2000, max_t=20, max_abs_x=40, min_v=-2000, max_v=1)
+    tracemalloc.start()
+    try:
+        first = next(_rhs_walk(window))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == ([(0, 0, 0, 1, 0, 0, 1, 1, 2, 2, 0, 1)], [(mono(T=2, V=-1), -1, 2)])
+    assert peak < 5_000_000, peak
+
+
+@st.composite
+def _rhs_oracle_window(draw):
+    """V ceilings -3..3, Z ranges with and without 0, winding bounds from 0
+    to past max_q, max_t from 0, and V floors above 1 - max_q."""
+    max_q, max_v, min_z = draw(st.integers(0, 10)), draw(st.integers(-3, 3)), draw(st.integers(-2, 1))
+    return TruncationWindow(
+        max_q=max_q,
+        max_t=draw(st.integers(0, 5)),
+        max_abs_x=draw(st.integers(0, max_q + 3)),
+        min_v=draw(st.integers(-12, max_v)),
+        max_v=max_v,
+        min_z=min_z,
+        max_z=draw(st.integers(min_z, 2)),
+    )
+
+
+@given(_rhs_oracle_window(), st.booleans())
+@example(WM, False)
+@example(WM, True)
+@example(replace(WM, max_abs_x=9, max_v=-3), False)
+@example(replace(WM, max_abs_x=0), False)
+@example(replace(WM, max_t=0), True)
+@example(replace(WM, max_q=8, min_v=-3), False)
+@example(replace(WM, min_z=1, max_z=2), True)
+@settings(max_examples=150, deadline=None)
+def test_rhs_walk_matches_the_three_stage_route(window, corrupt):
+    # each class's ladder written straight from (d1, d2), against the classes
+    # built whole, paired and mapped, then read off the window, slice for
+    # slice with the correction's terms
+    assert list(_rhs_walk(window, corrupt)) == list(rhs_slices(window, corrupt))
 
 
 def test_localized_route_matches_bessel_route():
