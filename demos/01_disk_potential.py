@@ -34,7 +34,9 @@ for m, c in potential.items():
     assert potential.coeff(mirror) == flipped, m
 print("  holds on every monomial in the window")
 
-# 2. The same series falls out of the fixed-locus graph sums, term by term.
+# 2. The same series falls out of the fixed-locus graph sums, term by term:
+#    each value is the sum over trees rooted at the disk vertex, by a
+#    recursion over their child tuples that lists no graph.
 graph_route = disk_potential_localized(window)
 assert graph_route == potential
 print("\ngraph-sum route reproduces the series exactly "

@@ -7,7 +7,8 @@ Left side: the multiple-cover disk potential of the equivariant line —
 whose coefficient of T^l Q^(2m+|mu|) X^mu V^(1-l-2m-|mu|) is
 mu^(l+2m+|mu|-2) / (l! m! (m+|mu|)!).  One slice walk writes it down, the
 dressing exp(mu*t0/v) giving mu^l / l! and each (mu, m) the rest: from that
-closed form (fast route) or from one-boundary graph sums (independent route).
+closed form (fast route) or from the one-boundary fixed-point graph sums,
+by a recursion over trees rooted at the disk vertex (independent route).
 
 Right side: the z^-2 slice of the origin-restricted surface series, paired
 against the distinguished origin class and written in winding/area
@@ -68,7 +69,7 @@ from functools import cached_property
 from typing import Callable, Iterator, List, Tuple
 
 from .closed import Ladder, _factorials, expand_ladders
-from .localization import _open_classes, _open_sum, _with_factors
+from .localization import _rooted_forests, _rooted_sum
 from .series import (
     MAX_MASS_BUDGET,
     FormalSeries,
@@ -147,19 +148,20 @@ def disk_potential_localized(window: TruncationWindow) -> FormalSeries:
 
     The closed form's slice walk with each value from the graph sum of
     winding mu at sphere degree m, which must be one term at V^(1-2m-|mu|).
-    Each degree's classes and their trees' factors are built once, in
-    increasing degree, and shared by every winding.  Exponentially slower
-    than :func:`disk_potential_bessel`: the independent oracle route.
+    The sum runs over trees rooted at the disk vertex, by recursion on their
+    child tuples, whose tables grow once per call to the largest degree the
+    walk reads.  The independent route: it shares only the walk.
     """
-    classes: List[list] = []  # by sphere degree, the classes with their factors
+    forests = _rooted_forests()
+    by_degree: List[dict] = []  # each sphere degree's child tuples at both points
 
     def graph_value(mu: int, m: int, facts: List[int]) -> Tuple[int, int]:
-        while len(classes) <= m:
-            classes.append(list(_with_factors(_open_classes(0, len(classes)))))
-        terms = _open_sum(mu, classes[m])
-        if [t[0] for t in terms] != [mono(V=1 - 2 * m - abs(mu))]:
+        while len(by_degree) <= m:
+            by_degree.append(next(forests))
+        terms = _rooted_sum(mu, m, by_degree[m])
+        if list(terms) != [1 - 2 * m - abs(mu)]:
             raise ArithmeticError(f"graph sum at winding {mu}, degree {m} off its grading: {terms}")
-        return terms[0][1], terms[0][2]
+        return next(iter(terms.values()))
 
     raw = [t for s in _disk_walk(window, graph_value) for t in expand_ladders(s)]
     return _from_raw(raw, window)

@@ -3,9 +3,9 @@
 The projective line carries the standard circle action with two fixed
 points.  An equivariant cohomology class is carried by its pair of
 fixed-point restrictions.  Every class the graph sums of
-:mod:`ocmirror.localization` insert, the unit and the fixed-point basis
-classes, restricts to an exact monomial c * V^k in the equivariant weight V
-at each point, carried as the pair (c, k).
+:mod:`ocmirror.localization` insert (the fixed-point basis classes, and the
+unit, which the class rows take as 1) restricts to an exact monomial c * V^k
+in the equivariant weight V at each point, carried as the pair (c, k).
 
 The toric surface of the other side enters the program only through two
 constants of its origin fixed point: the distinguished pairing, an exact
@@ -20,7 +20,7 @@ from __future__ import annotations
 from numbers import Rational
 from typing import Tuple
 
-__all__ = ["P1_POINTS", "Restriction", "P1Class", "unit_p1", "phi_p1"]
+__all__ = ["P1_POINTS", "Restriction", "P1Class", "phi_p1"]
 
 P1_POINTS = (1, 2)
 
@@ -29,10 +29,6 @@ Restriction = Tuple[Rational, int]
 
 #: restriction pair type: (value at point 1, value at point 2)
 P1Class = Tuple[Restriction, Restriction]
-
-
-def unit_p1() -> P1Class:
-    return ((1, 0), (1, 0))
 
 
 def phi_p1(alpha: int) -> P1Class:

@@ -76,7 +76,16 @@ automorphisms, so every class the program builds carries its order, read
 off its orbit sizes (orbit-stabiliser); a tree is keyed only when it has
 markings to place and automorphisms to place them up to.  A summand's
 factors that depend on the tree alone, its vertex integrals among them,
-are computed once per tree.
+are computed once per tree; a class row's, whose unit insertions restrict
+to 1, once per tree and marking count on each vertex.
+
+The unmarked one-boundary sums list no graph.  Rooted at the disk vertex,
+which every automorphism fixes, the sum of 1/|Aut| over trees is the sum of
+1/k! over *ordered* tuples of k child subtrees, recursively.  A vertex's
+flags share the sign sigma of its point (-1 at point 1), so with s its child
+edges' degree sum, a vertex below an edge of degree e weighs
+sigma^(k+1) * e * (e+s)^(k-2) * v^(1-k), the root
+sigma^(k-1) * mu * (|mu|+s)^(k-2) * v^(-k), and each child edge h(e).
 """
 
 from __future__ import annotations
@@ -85,10 +94,10 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass
-from math import comb, factorial, gcd, prod
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from math import comb, factorial, gcd, perm, prod
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .geometry import P1_POINTS, P1Class, phi_p1, unit_p1
+from .geometry import P1_POINTS, P1Class, phi_p1
 from .series import (
     FormalSeries,
     Monomial,
@@ -484,7 +493,8 @@ def _block_factors(labels: Sequence[int], edges) -> Tuple[int, int, int, List[Li
     (num, den, k, inverses, memo): every h(d_e)/d_e and w^(valence-1) folded
     into num/den * v^k, ``inverses[v]`` the u = 1/w of vertex v's edge flags,
     and ``memo`` an empty store for the tree's vertex integrals, keyed by
-    (vertex, psi exponents, boundary flag's inverse)."""
+    (vertex, psi exponents, boundary flag's inverse), or for its class rows'
+    summands, keyed by the marking count on each vertex."""
     num, den, k = 1, 1, 0
     inverses: List[List[int]] = [[] for _ in labels]
     for u, v, de in edges:
@@ -624,6 +634,71 @@ def open_via_closed(
 
 
 # ===========================================================================
+# the unmarked one-boundary sums by rooted trees
+# ===========================================================================
+
+#: (children k, their edge degrees' sum s, V-power) -> numerator over (t!)^2
+Forest = Dict[Tuple[int, int, int], int]
+
+
+def _vertex_sums(forest: Forest, sigma: int, a: int, D: int) -> Tuple[Dict[int, int], int]:
+    """A vertex at sign ``sigma`` below an edge of degree ``a`` over its child
+    tuples of total degree D: sigma^(k+1) * a * (a+s)^(k-2) / k! times each,
+    summed per V-power vk + 1 - k over (D!)^2 * delta.  delta = a * D! *
+    (a+D)!/a! makes each term whole: k <= D, and a + s is in [a, a+D]."""
+    delta = a * factorial(D) * perm(a + D, D)
+    sums: Dict[int, int] = {}
+    for (k, s, vk), w in forest.items():
+        x = a * delta * (a + s) ** k // (factorial(k) * (a + s) ** 2) * w
+        sums[vk + 1 - k] = sums.get(vk + 1 - k, 0) + sigma ** (k + 1) * x
+    return sums, delta
+
+
+def _rooted_forests() -> Iterator[Dict[int, Forest]]:
+    """The ordered child tuples below a vertex at each sign, by total degree
+    t = 0, 1, ...: their products of planted values h(e) * T(e, D), each kept
+    times (e+D)!^2, summed times (t!)^2; a last child of total c adds C(t, c)^2."""
+    forests = {1: [{(0, 0, 0): 1}], -1: [{(0, 0, 0): 1}]}
+    planted: Dict[int, List[list]] = {1: [[]], -1: [[]]}  # a sign's children by total
+    for t in itertools.count(1):
+        yield {sigma: tables[t - 1] for sigma, tables in forests.items()}
+        for sigma in (1, -1):
+            row = []  # (e, V-power, value): the children of total t, at -sigma
+            for e in range(1, t + 1):
+                sums, delta = _vertex_sums(forests[-sigma][t - e], -sigma, e, t - e)
+                hn, hd = _edge_coefficient(e)  # h(e), rescaled from (D!)^2 to (t!)^2
+                scale = hn * perm(t, e) ** 2 // hd
+                row += [(e, vk - 2 * e, scale * x // delta) for vk, x in sums.items()]
+            planted[sigma].append(row)
+            grown: Forest = {}
+            for c in range(1, t + 1):
+                b = comb(t, c) ** 2
+                for (k, s, vk), w in forests[sigma][t - c].items():
+                    w *= b
+                    for e, ve, value in planted[sigma][c]:
+                        key = (k + 1, s + e, vk + ve)
+                        grown[key] = grown.get(key, 0) + w * value
+            forests[sigma].append(grown)
+
+
+def _rooted_sum(mu: int, d: int, forests: Dict[int, Forest]) -> Dict[int, Tuple[int, int]]:
+    """The unmarked one-boundary sum of winding ``mu`` at sphere degree d
+    from the degree's :func:`_rooted_forests`, as reduced (num, den) per
+    nonzero V-power.  The root weighs sigma^(k-1) * mu * (|mu|+s)^(k-2) *
+    v^(-k): sigma times a non-root vertex with a = |mu|, one V-power lower."""
+    sigma = 1 if mu > 0 else -1  # the disk vertex's forced point
+    sums, delta = _vertex_sums(forests[sigma], sigma, abs(mu), d)
+    cn, cd, ck = disk_factor(mu)
+    terms = {}
+    for vk, x in sums.items():
+        if x:
+            num, den = sigma * mu * cn * x, cd * delta * factorial(d) ** 2
+            common = gcd(num, den)
+            terms[vk - 2 + ck] = num // common, den // common
+    return terms
+
+
+# ===========================================================================
 # inspection table of the graph classes
 # ===========================================================================
 
@@ -641,12 +716,17 @@ def graph_class_rows(n: int, d: int) -> List[GraphClassRow]:
     contribution is zero (a unit class restricts to 1, and the flags at a
     vertex share one weight sign), so each is built as its one reduced term.
     """
-    unit = unit_p1()
-    insertions = [(unit, 0)] * n
     rows = []
-    for g, factors in _with_factors(enumerate_graph_classes(n, d)):
-        num, den, k = _graph_contribution(g, insertions, factors)
-        common = gcd(num, den)
+    for g, (num, den, k, inverses, memo) in _with_factors(enumerate_graph_classes(n, d)):
+        counts = tuple(map(g.markings.count, range(len(inverses))))
+        if counts not in memo:  # the summand times |Aut|, by the markings on each vertex
+            for inverse, c in zip(inverses, counts):
+                vn, vd, kv = _vertex_scalar(inverse, [0] * c)
+                num, den, k = num * vn, den * vd, k + kv
+            memo[counts] = num, den, k
+        num, den, k = memo[counts]
+        den *= automorphism_count(g)
+        common = gcd(num, den) if den > 0 else -gcd(num, den)
         series = _built({Monomial(V=k): num // common}, den // common, WIDE)
         rows.append((g, automorphism_count(g), series))
     return rows

@@ -342,17 +342,44 @@ MUTANTS = (
     ),
     Mutant(
         CORR,
-        "_open_sum(mu, classes[m])",
-        "_open_sum(mu, classes[max(m - 1, 0)])",
-        "localized route reads each graph value one sphere degree low",
+        "_rooted_sum(mu, m, by_degree[m])",
+        "_rooted_sum(mu, m, by_degree[max(m - 1, 0)])",
+        "localized route reads each graph value off the tables one sphere degree low",
         (f"{TCO}::test_localized_route_matches_bessel_route_to_winding_five",),
     ),
     Mutant(
         CORR,
-        "if [t[0] for t in terms] != [mono(V=1 - 2 * m - abs(mu))]:",
+        "if list(terms) != [1 - 2 * m - abs(mu)]:",
         "if len(terms) != 1:",
         "localized route places a graph sum at the walk's V-power whatever its own",
         (f"{TCO}::test_localized_route_certifies_the_grading_of_each_graph_sum",),
+    ),
+    Mutant(
+        LOC,
+        "// (factorial(k) * (a + s) ** 2)",
+        "// (a + s) ** 2",
+        "rooted-tree recursion summing ordered child tuples without their 1/k!",
+        (
+            f"{TL}::test_rooted_recursion_matches_the_enumerated_sums",
+            f"{TL}::test_rooted_recursion_matches_the_closed_form",
+        ),
+    ),
+    Mutant(
+        LOC,
+        "num, den = sigma * mu * cn * x,",
+        "num, den = mu * cn * x,",
+        "the root's sign sigma^(k-1) flipped: the disk vertex weighed sigma^k * mu",
+        (
+            f"{TL}::test_rooted_recursion_matches_the_enumerated_sums",
+            f"{TL}::test_rooted_recursion_matches_the_closed_form",
+        ),
+    ),
+    Mutant(
+        LOC,
+        "counts = tuple(map(g.markings.count, range(len(inverses))))",
+        "counts = tuple(sorted(map(g.markings.count, range(len(inverses)))))",
+        "class-row summands memoized by sorted marking counts, not the count on each vertex",
+        (f"{TL}::test_class_rows_match_the_per_class_route[1-2]",),
     ),
     Mutant(
         LOC,

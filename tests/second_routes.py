@@ -69,6 +69,9 @@ quantities another way, and the tests assert that the two agree.
   in its ladder, one term per weak composition of the psi budget
   (``vertex_integral_by_ladder``), against the program's closed form read
   in the same weights (``vertex_integral``).
+* ``class_rows_by_class``, the inspection table's rows summed one class
+  at a time; the program computes each summand once per tree and marking
+  count vector.
 * ``validate_graph``, the shape checks of a decorated tree, which the
   enumeration meets by construction, and ``canonical_key``, the complete
   isomorphism invariant the dedupe oracle sorts every labeled decoration
@@ -78,7 +81,8 @@ quantities another way, and the tests assert that the two agree.
   program grows its shape catalogue by leaf extension instead, and for
   V <= 4 keeps the walk's trees.
 * The string recursion for the psi integrals, and the equivariant pairing
-  on the line with its Euler weights, hyperplane class and dual basis.
+  on the line with its Euler weights, unit and hyperplane classes and dual
+  basis.
 
 The module is not named ``oracles``: pytest imports it by its bare name, and
 ``perfbench/oracles.py`` is imported the same way.
@@ -105,7 +109,7 @@ from ocmirror.closed import (
     z_coeff_ladders,
 )
 from ocmirror.correspondence import correction_terms, disk_slices
-from ocmirror.geometry import P1_POINTS, P1Class, Restriction, phi_p1, unit_p1
+from ocmirror.geometry import P1_POINTS, P1Class, Restriction, phi_p1
 from ocmirror.localization import (
     DecoratedGraph,
     _edge_adjacency,
@@ -115,6 +119,7 @@ from ocmirror.localization import (
     _rooted_order,
     _vertex_scalar,
     _with_factors,
+    automorphism_count,
     enumerate_graph_classes,
 )
 from ocmirror.series import (
@@ -1255,6 +1260,18 @@ def closed_descendant(insertions: Sequence[Tuple[P1Class, int]], d: int) -> Form
     return v_series((Fraction(num, den), k) for num, den, k in summands)
 
 
+def class_rows_by_class(n: int, d: int) -> List[Tuple[DecoratedGraph, int, FormalSeries]]:
+    """``graph_class_rows`` one class at a time: each row's summand from its
+    own ``_graph_contribution`` against n unit-class insertions, where the
+    program computes it once per marking count vector of each tree."""
+    insertions = [(unit_p1(), 0)] * n
+    rows = []
+    for g, factors in _with_factors(enumerate_graph_classes(n, d)):
+        num, den, k = _graph_contribution(g, insertions, factors)
+        rows.append((g, automorphism_count(g), v_term(Fraction(num, den), k)))
+    return rows
+
+
 def j_degree_part_from_graphs(alpha: int, d: int, window: TruncationWindow) -> FormalSeries:
     """Degree-d part of the reduced curve series rebuilt from graph sums:
 
@@ -1455,6 +1472,12 @@ def vertex_integral_by_ladder(
 def euler_p1(point: int) -> Restriction:
     """Euler weight of the tangent line at a fixed point: -V at 1, +V at 2."""
     return _sign(point), 1
+
+
+def unit_p1() -> P1Class:
+    """The unit class, restriction 1 at both points: the program's class rows
+    take it as 1."""
+    return ((1, 0), (1, 0))
 
 
 def hyperplane_p1() -> P1Class:

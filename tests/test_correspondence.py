@@ -218,11 +218,24 @@ def test_localized_route_matches_bessel_route_to_winding_five():
     assert disk_potential_localized(window) == disk_potential_bessel(window)
 
 
+def _recorded_forests(monkeypatch, change=lambda forests: forests):
+    """Patch the localized route's table builder: every call and each degree
+    it yields are recorded, and ``change`` edits each degree's tables."""
+    calls, built = [], []
+    rooted_forests = correspondence._rooted_forests
+
+    def recorded():
+        calls.append(len(built))
+        return (built.append(d) or change(f) for d, f in enumerate(rooted_forests()))
+
+    monkeypatch.setattr(correspondence, "_rooted_forests", recorded)
+    return calls, built
+
+
 def test_localized_route_refuses_what_the_closed_form_refuses(monkeypatch):
     # 2*max_q + max_t = 4097: refused with the closed form's message before
-    # any graph class is built
-    built = []
-    monkeypatch.setattr(correspondence, "_open_classes", lambda n, d: built.append(d))
+    # any table of the recursion is built
+    _, built = _recorded_forests(monkeypatch)
     window = TruncationWindow(max_q=2048, max_t=1, max_abs_x=1, min_v=-8, max_v=1)
     with pytest.raises(ValueError) as closed:
         disk_slices(window)
@@ -233,53 +246,54 @@ def test_localized_route_refuses_what_the_closed_form_refuses(monkeypatch):
     assert built == []
 
 
+def _shifted(forest, dv):
+    return {(k, s, vk + dv): w for (k, s, vk), w in forest.items()}
+
+
 @pytest.mark.parametrize(
     "off_grading",
     [
-        lambda terms: [(mono(V=m.V - 1), n, d) for m, n, d in terms],  # one V-step low
-        lambda terms: terms + [(mono(V=m.V - 1), n, d) for m, n, d in terms],  # two terms
-        lambda terms: [],  # no term
+        lambda forest: _shifted(forest, -1),  # one V-step low
+        lambda forest: {**forest, **_shifted(forest, -1)},  # two terms
+        lambda forest: {},  # no term
     ],
 )
 def test_localized_route_certifies_the_grading_of_each_graph_sum(monkeypatch, off_grading):
-    # the walk places a value at V^(1-2m-|mu|); a graph sum elsewhere, or of
-    # more or fewer than one term, raises instead of being re-placed there
-    open_sum = correspondence._open_sum
-    monkeypatch.setattr(correspondence, "_open_sum", lambda mu, c: off_grading(open_sum(mu, c)))
+    # the walk places a value at V^(1-2m-|mu|); a graph sum whose carried
+    # V-power lies elsewhere, or of more or fewer than one term, raises
+    # instead of being re-placed there
+    change = lambda forests: {sigma: off_grading(f) for sigma, f in forests.items()}
+    _recorded_forests(monkeypatch, change)
     with pytest.raises(ArithmeticError, match="off its grading"):
         disk_potential_localized(WS)
 
 
-def test_localized_route_enumerates_each_degree_once(monkeypatch):
-    # windings share the classes of a sphere degree, and their trees'
-    # factors: degrees 1-3 are enumerated, degree 0 is the lone vertex at
-    # either point, and each tree's factors are computed once, not once per
-    # winding
-    calls, factored = [], []
-    enumerate_classes = localization.enumerate_graph_classes
-    block_factors = localization._block_factors
-
-    def counted(n, d):
-        calls.append((n, d))
-        return enumerate_classes(n, d)
-
-    def counted_factors(labels, edges):
-        factored.append((labels, edges))
-        return block_factors(labels, edges)
-
-    monkeypatch.setattr(localization, "enumerate_graph_classes", counted)
-    monkeypatch.setattr(localization, "_block_factors", counted_factors)
-    window = TruncationWindow(max_q=8, max_t=3, max_abs_x=3, min_v=-8, max_v=1)
+@pytest.mark.parametrize(
+    "window, top",
+    [
+        pytest.param(TruncationWindow(8, 3, 3, -8, 1), 3, id="q8"),
+        pytest.param(TruncationWindow(9, 3, 3, -8, 1), 4, id="q9"),
+        pytest.param(TruncationWindow(12, 3, 5, -7, 1), 3, id="q12-floor-v7"),
+        pytest.param(TruncationWindow(8, 3, 0, -8, 1), -1, id="no-winding"),
+    ],
+)
+def test_localized_route_builds_its_tables_once_to_the_largest_degree_read(
+    monkeypatch, window, top
+):
+    # one table builder per call, shared by every winding, advanced only as
+    # far as the largest sphere degree (e - |mu|)/2 the walk reads: the top
+    # Q-power's lowest winding, with V = 1 - e no lower than min_v; with no
+    # winding, no table is built
+    calls, built = _recorded_forests(monkeypatch)
+    read = []
+    value = correspondence._rooted_sum
+    monkeypatch.setattr(
+        correspondence, "_rooted_sum", lambda mu, m, f: read.append(m) or value(mu, m, f)
+    )
     assert disk_potential_localized(window) == disk_potential_bessel(window)
-    assert calls == [(1, 1), (1, 2), (1, 3)]
-    trees = [
-        (g.labels, g.edges)
-        for d in range(4)
-        for g in localization._open_classes(0, d)
-    ]
-    once_per_tree = list(dict.fromkeys(trees))
-    assert len(once_per_tree) == 2 + 1 + 3 + 6
-    assert factored == once_per_tree
+    assert calls == [0]
+    assert built == list(range(top + 1))
+    assert max(read, default=-1) == top
 
 
 # ---------------------------------------------------------------------------

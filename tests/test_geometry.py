@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ocmirror.geometry import phi_p1, unit_p1
+from ocmirror.geometry import phi_p1
 
 from second_routes import (
     CHARGES,
@@ -27,6 +27,7 @@ from second_routes import (
     pairing_surface,
     phi_dual_p1,
     point_basis_class,
+    unit_p1,
     v_term,
 )
 

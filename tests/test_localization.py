@@ -11,7 +11,7 @@ import pytest
 
 from ocmirror import localization
 from ocmirror.correspondence import disk_potential_bessel, disk_potential_localized
-from ocmirror.geometry import phi_p1, unit_p1
+from ocmirror.geometry import phi_p1
 from ocmirror.localization import (
     DecoratedGraph,
     _block_factors,
@@ -21,9 +21,13 @@ from ocmirror.localization import (
     _graph_contribution,
     _leaf_order,
     _on_edges,
+    _open_classes,
+    _open_sum,
     _orbit_representatives,
+    _rooted_forests,
     _rooted_key,
     _rooted_order,
+    _rooted_sum,
     _shape_catalogue,
     _sibling_swaps,
     _vertex_scalar,
@@ -40,6 +44,7 @@ from ocmirror.series import FormalSeries, TruncationWindow, mono
 
 from second_routes import (
     canonical_key,
+    class_rows_by_class,
     closed_descendant,
     hyperplane_p1,
     j_degree_part_from_graphs,
@@ -48,6 +53,7 @@ from second_routes import (
     psi_integral_by_string,
     scale,
     shape_key,
+    unit_p1,
     v_term,
     validate_graph,
     vertex_integral,
@@ -542,6 +548,13 @@ def test_class_rows_match_series_oracle_on_fresh_graphs(n, d):
         assert aut == automorphism_count(fresh), g
 
 
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(5) for d in range(1, 5)])
+def test_class_rows_match_the_per_class_route(n, d):
+    # each summand computed once per tree and marking count vector, against
+    # each class's own contribution: graph, order and value, row for row
+    assert graph_class_rows(n, d) == class_rows_by_class(n, d)
+
+
 def test_vertex_integral_raises_before_a_vanishing_restriction_returns():
     # the restriction is zero at the vertex whose integral raises: the
     # integral comes first, so the call raises instead of returning zero
@@ -677,6 +690,35 @@ def test_degree_zero_open_invariants_match_recorded_digest():
         digest.update(f"{got}\n".encode())
     assert nonzero == 860
     assert digest.hexdigest() == DEGREE_ZERO_SHA256
+
+
+WINDINGS = [mu for mu in range(-5, 6) if mu]
+
+
+def _rooted_tables(top):
+    return list(itertools.islice(_rooted_forests(), top + 1))
+
+
+def test_rooted_recursion_matches_the_enumerated_sums():
+    # the recursion over child tuples, against the one-boundary sum over the
+    # enumerated classes, at every sphere degree to 6 and winding to 5
+    tables = _rooted_tables(6)
+    for d in range(7):
+        classes = list(_with_factors(_open_classes(0, d)))
+        for mu in WINDINGS:
+            want = {m.V: F(num, den) for m, num, den in _open_sum(mu, classes)}
+            got = {vk: F(*value) for vk, value in _rooted_sum(mu, d, tables[d]).items()}
+            assert got == want, (mu, d)
+
+
+def test_rooted_recursion_matches_the_closed_form():
+    # mu^(2d+|mu|-2) / (d! (d+|mu|)!) at v^(1-2d-|mu|), reduced, for d <= 16
+    tables = _rooted_tables(16)
+    for d, forests in enumerate(tables):
+        for mu in WINDINGS:
+            value = F(mu ** abs(2 * d + abs(mu) - 2), factorial(d) * factorial(d + abs(mu)))
+            want = {1 - 2 * d - abs(mu): (value.numerator, value.denominator)}
+            assert _rooted_sum(mu, d, forests) == want, (mu, d)
 
 
 def test_open_routes_agree_with_insertions():
