@@ -72,9 +72,17 @@ once per process, from those on V - 1 by attaching a leaf to each vertex,
 and stores each shape with its automorphism order and the swaps that
 generate its group.  Every enumeration walks a shape's degree
 compositions, and then a tree's marking placements, up to those
-automorphisms, so every class the program builds carries its order, read
-off its orbit sizes (orbit-stabiliser); a tree is keyed only when it has
-markings to place and automorphisms to place them up to.  A summand's
+automorphisms, so every class the program builds carries its order.
+Placements are walked by orderly generation (R. C. Read, 1978): a
+shape's whole group, closed once per process when first needed, gives
+each composition's stabiliser, and a placement grows one marking at a
+time, onto a vertex that no element fixing the markings placed so far
+moves lower, so only the least placement of each orbit is reached, with
+its own stabiliser's order.  A group is built only when it is no larger
+than the V^n placements it walks; past that bound (a star's group grows
+as (V-1)!) the tree is keyed, and each placement orbit is closed by
+search under its sibling swaps, the order read off the orbit's size
+(orbit-stabiliser).  A summand's
 factors that depend on the tree alone, its vertex integrals among them,
 are computed once per tree; a class row's, whose unit insertions restrict
 to 1, once per tree and marking count on each vertex.
@@ -338,6 +346,63 @@ def _shape_catalogue(V: int) -> Tuple[Tuple[tuple, tuple, tuple, int, tuple], ..
     return tuple(catalogue)
 
 
+@functools.cache  # a shape's group depends on the shape alone; each is closed once
+def _shape_group(V: int, index: int) -> Tuple[Tuple[tuple, tuple], ...]:
+    """Every automorphism of shape ``index`` of :func:`_shape_catalogue`
+    on V vertices, as (vertex permutation, edge permutation) pairs, closed
+    from the catalogue's edge swaps.  An edge (u, v) goes to edge f, and
+    since the two ends of an edge lie at different fixed points, u goes to
+    the end of f at u's fixed point."""
+    tree, labels, _, _, edge_swaps = _shape_catalogue(V)[index]
+    group = {tuple(range(V - 1))}
+    stack = list(group)
+    while stack:
+        moved = stack.pop()
+        for swap in edge_swaps:
+            composed = tuple([swap[e] for e in moved])
+            if composed not in group:
+                group.add(composed)
+                stack.append(composed)
+    pairs = []
+    for moved in sorted(group):
+        vertices = [0] * V
+        for (u, v), f in zip(tree, moved):
+            a, b = tree[f]
+            vertices[u], vertices[v] = (a, b) if labels[a] == labels[u] else (b, a)
+        pairs.append((tuple(vertices), moved))
+    return tuple(pairs)
+
+
+def _least_placements(V: int, n: int, stabiliser: List[tuple]) -> List[Tuple[tuple, int]]:
+    """The least placement in product order of each orbit of placements of
+    n markings on V vertices under the ``stabiliser``'s vertex permutations
+    (the identity among them), in that order, each with the order of its
+    own stabiliser.
+
+    A placement is least in its orbit exactly when no permutation fixing its
+    first i markings' vertices moves the next one lower, for every i: the
+    first place where a permutation changes the placement is such a move.
+    So a prefix is extended by the vertices x that no element of its
+    stabiliser maps lower, each narrowing the stabiliser to the elements
+    fixing x.  Once only the identity is left, every completion is least,
+    with order 1."""
+    found: List[Tuple[tuple, int]] = []
+
+    def place(prefix: tuple, group: List[tuple]) -> None:
+        if len(group) == 1:
+            rest = itertools.product(range(V), repeat=n - len(prefix))
+            found.extend((prefix + tail, 1) for tail in rest)
+        elif len(prefix) == n:
+            found.append((prefix, len(group)))
+        else:
+            for x, images in enumerate(zip(*group)):
+                if min(images) == x:
+                    place(prefix + (x,), [g for g in group if g[x] == x])
+
+    place((), stabiliser)
+    return found
+
+
 def enumerate_graph_classes(n: int, d: int) -> List[DecoratedGraph]:
     """Isomorphism classes of decorated trees: n markings, total degree d >= 1.
 
@@ -350,28 +415,49 @@ def enumerate_graph_classes(n: int, d: int) -> List[DecoratedGraph]:
     are walked up to the shape's edge swaps, which generate its
     automorphism group, and each kept composition's tree has the shape's
     order over its orbit size (orbit-stabiliser).
-    Placements are walked the same way, up to the :func:`_sibling_swaps` of
-    the degree-decorated tree, keyed only when n > 0 and the tree has
-    automorphisms; each class keeps its tree's order over its placement's
-    orbit size, unkeyed.  The tests validate every class.
+
+    Placements are walked up to the automorphisms of the degree-decorated
+    tree, only when n > 0 and it has any, and each class carries its order,
+    unkeyed.  When the shape's order is at most V^n, the placements' count,
+    its :func:`_shape_group` (closed once per process) gives the tree's
+    group as the elements keeping the composition, and
+    :func:`_least_placements` walks one node per class down this
+    stabiliser chain.  Beyond that bound a group would cost more than the
+    walk it replaces (the star on 12 vertices has 11! automorphisms), so
+    the tree is keyed, and each orbit is closed by breadth-first search
+    under its :func:`_sibling_swaps`: the class has the tree's order over
+    its orbit size.  Both give each orbit's first placement in product
+    order.  The tests validate every class.
     """
     if d < 1:
         raise ValueError("graph sums need positive total degree")
     classes: List[DecoratedGraph] = []
     for V in range(2, d + 2):
         unmarked = [()] * V
-        for tree, labels, order, shape_aut, edge_swaps in _shape_catalogue(V):
+        for index, (tree, labels, order, shape_aut, edge_swaps) in enumerate(_shape_catalogue(V)):
             compositions = _compositions(d, V - 1)
             for degs, orbit in _orbit_representatives(compositions, edge_swaps, _on_edges):
                 aut = shape_aut // orbit
-                swaps = ()
-                if n and aut > 1:
+                edges = tuple((u, v, de) for (u, v), de in zip(tree, degs))
+                if n and aut > 1 and shape_aut <= V**n:
+                    stabiliser = [
+                        vertices
+                        for vertices, moved in _shape_group(V, index)
+                        if _on_edges(degs, moved) == degs
+                    ]
+                    placed = _least_placements(V, n, stabiliser)
+                elif n and aut > 1:
                     _, _, below = _rooted_key(labels, order, degs, unmarked)
                     swaps = _sibling_swaps(order, degs, below)
-                edges = tuple((u, v, de) for (u, v), de in zip(tree, degs))
-                placements = itertools.product(range(V), repeat=n)
-                for marks, size in _orbit_representatives(placements, swaps, _on_vertices):
-                    classes.append(_graph(labels, edges, marks, aut // size))
+                    placements = itertools.product(range(V), repeat=n)
+                    placed = (
+                        (marks, aut // size)
+                        for marks, size in _orbit_representatives(placements, swaps, _on_vertices)
+                    )
+                else:  # every placement is its own class
+                    placed = zip(itertools.product(range(V), repeat=n), itertools.repeat(aut))
+                for marks, class_aut in placed:
+                    classes.append(_graph(labels, edges, marks, class_aut))
     return classes
 
 

@@ -101,10 +101,24 @@ MUTANTS = (
     ),
     Mutant(
         LOC,
-        "classes.append(_graph(labels, edges, marks, aut // size))",
-        "classes.append(_graph(labels, edges, marks, aut))",
+        "(marks, aut // size)",
+        "(marks, aut)",
         "a class's automorphism order taken as its tree's, not divided by its orbit size",
         (f"{TL}::test_enumeration_matches_dedupe_oracle[1-3]",),
+    ),
+    Mutant(
+        LOC,
+        "if min(images) == x:",
+        "if x in images:",
+        "the stabiliser chain extends a prefix by every vertex, not only the least of its orbit",
+        (f"{TL}::test_stabiliser_chain_matches_the_orbit_search[4]",),
+    ),
+    Mutant(
+        LOC,
+        "place(prefix + (x,), [g for g in group if g[x] == x])",
+        "place(prefix + (x,), group)",
+        "the stabiliser chain not narrowed to the elements fixing the vertex placed",
+        (f"{TL}::test_stabiliser_chain_matches_the_orbit_search[4]",),
     ),
     Mutant(
         LOC,

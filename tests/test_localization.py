@@ -20,7 +20,9 @@ from ocmirror.localization import (
     _edge_coefficient,
     _graph_contribution,
     _leaf_order,
+    _least_placements,
     _on_edges,
+    _on_vertices,
     _open_classes,
     _open_sum,
     _orbit_representatives,
@@ -29,6 +31,7 @@ from ocmirror.localization import (
     _rooted_order,
     _rooted_sum,
     _shape_catalogue,
+    _shape_group,
     _sibling_swaps,
     _vertex_scalar,
     _with_factors,
@@ -277,30 +280,126 @@ def test_sibling_swaps_generate_the_automorphism_group(V):
 
 
 def test_enumeration_keys_each_composition_once(monkeypatch):
-    for V in range(2, 7):
-        _shape_catalogue(V)  # the keys that grow the shapes are not counted
-    calls = []
+    # a kept composition whose tree has automorphisms is keyed once, for the
+    # sibling swaps its placements are walked up to, only when its shape's
+    # order exceeds V^n; on the chain side it keys nothing and reads its
+    # stabiliser off its shape's group, which is built once per process,
+    # never past the bound, and never without markings
+    catalogues = {V: _shape_catalogue(V) for V in range(2, 13)}  # keys not counted
+    shape_order = {
+        (labels, order): aut
+        for catalogue in catalogues.values()
+        for _, labels, order, aut, _ in catalogue
+    }
+    calls, groups = [], {}
 
     def counted_key(*args):
         calls.append(args)
         return _rooted_key(*args)
 
+    def recorded_group(V, index):
+        group = _shape_group(V, index)
+        groups[V, index] = len(group)
+        return group
+
     monkeypatch.setattr(localization, "_rooted_key", counted_key)
-    # compositions are walked up to the shape's edge swaps, so with no
-    # markings nothing is keyed
-    assert len(enumerate_graph_classes(0, 5)) == 37
-    assert calls == []
-    # with markings, only a kept composition whose tree has automorphisms is
-    # keyed, for the sibling swaps its placements are walked up to; none per class
+    monkeypatch.setattr(localization, "_shape_group", recorded_group)
+    _shape_group.cache_clear()
+    assert len(enumerate_graph_classes(0, 9)) == 2387
+    for V in range(2, 13):
+        _shape_catalogue(V)
+    assert (calls, groups, _shape_group.cache_info().currsize) == ([], {}, 0)
+    # (4, 3): only the two 3-leaf stars have automorphisms, both on the chain
+    # side (6 <= 4^4): one group each, no key
     classes = enumerate_graph_classes(4, 3)
     trees = list(dict.fromkeys((g.labels, g.edges) for g in classes))
     symmetric = [
-        (labels, tuple(de for *_, de in edges))
-        for labels, edges in trees
-        if _aut_brute(DecoratedGraph(labels, edges)) > 1
+        labels for labels, edges in trees if _aut_brute(DecoratedGraph(labels, edges)) > 1
     ]
     assert (len(trees), len(symmetric), len(classes)) == (6, 2, 536)
-    assert [(labels, degs) for labels, _, degs, _ in calls] == symmetric
+    assert calls == []
+    assert [_shape_catalogue(V)[index][1] for V, index in groups] == symmetric
+    built = _shape_group.cache_info()
+    assert built.misses == 2
+    # the same call again builds nothing
+    assert enumerate_graph_classes(4, 3) == classes
+    assert _shape_group.cache_info().misses == built.misses
+    # (1, 8): a group only where the shape's order is at most V, a key for
+    # each symmetric kept composition past it
+    groups.clear()
+    assert len(enumerate_graph_classes(1, 8)) == 4636
+    assert groups and all(size <= V for (V, _), size in groups.items())
+    assert calls and all(shape_order[labels, order] > len(labels) for labels, order, *_ in calls)
+    keyed = {(labels, order, tuple(degs)) for labels, order, degs, _ in calls}
+    assert len(keyed) == len(calls)  # each composition once
+
+
+def _placements_by_search(labels, order, degs, n, aut):
+    """The breadth-first route: each orbit's first placement under the
+    sibling swaps of the keyed tree, with its tree's order over its orbit's
+    size."""
+    V = len(labels)
+    _, _, below = _rooted_key(labels, order, degs, [()] * V)
+    swaps = _sibling_swaps(order, degs, below)
+    placements = itertools.product(range(V), repeat=n)
+    orbits = _orbit_representatives(placements, swaps, _on_vertices)
+    return [(marks, aut // size) for marks, size in orbits]
+
+
+@pytest.mark.parametrize("V", range(2, 7))
+def test_stabiliser_chain_matches_the_orbit_search(V):
+    # every kept composition of degree V-1 to V+1 of every shape, at 1 to 4
+    # markings, by both routes whichever side of the V^n bound it lies: the
+    # chain over the composition's stabiliser in its shape's group gives the
+    # search's representatives, in its order, with its class orders.  Then
+    # the enumeration, which takes the route its bound picks, gives them too
+    sides = set()
+    want = {}
+    for index, (tree, labels, order, shape_aut, edge_swaps) in enumerate(_shape_catalogue(V)):
+        group = _shape_group(V, index)
+        for d in range(V - 1, V + 2):
+            kept = _orbit_representatives(_compositions(d, V - 1), edge_swaps, _on_edges)
+            for degs, orbit in kept:
+                aut = shape_aut // orbit
+                stabiliser = [x for x, moved in group if _on_edges(degs, moved) == degs]
+                assert len(stabiliser) == aut, (labels, degs)
+                edges = tuple((u, v, de) for (u, v), de in zip(tree, degs))
+                for n in range(1, 5):
+                    search = _placements_by_search(labels, order, degs, n, aut)
+                    assert _least_placements(V, n, stabiliser) == search, (labels, degs, n)
+                    want[n, d, labels, edges] = search
+                    if aut > 1:
+                        sides.add(shape_aut <= V**n)
+    for n in range(1, 5):
+        for d in range(V - 1, V + 2):
+            got = {}
+            for g in enumerate_graph_classes(n, d):
+                if len(g.labels) == V:
+                    got.setdefault((n, d, g.labels, g.edges), []).append(
+                        (g.markings, automorphism_count(g))
+                    )
+            assert got == {key: value for key, value in want.items() if key[:2] == (n, d)}
+    # from V = 4 on, a star's order exceeds V, so both sides are reached
+    assert sides == ({True, False} if V >= 4 else {True} if V == 3 else set())
+
+
+@pytest.mark.parametrize("V", range(2, 8))
+def test_shape_group_is_the_automorphism_group(V):
+    # each shape's group has the catalogue's order and the brute-force
+    # search's; its edge permutations are the closure of the catalogue's
+    # edge swaps, and each element keeps the labels and moves the edges as
+    # its vertex permutation does
+    for index, (tree, labels, _, aut, edge_swaps) in enumerate(_shape_catalogue(V)):
+        group = _shape_group(V, index)
+        shape = DecoratedGraph(labels, tuple((u, v, 1) for u, v in tree))
+        assert len(group) == aut == _aut_brute(shape)
+        assert {moved for _, moved in group} == _closure(V - 1, edge_swaps)
+        assert len({vertices for vertices, _ in group}) == aut
+        for vertices, moved in group:
+            assert sorted(vertices) == list(range(V))
+            assert [labels[x] for x in vertices] == list(labels)
+            for (u, v), f in zip(tree, moved):
+                assert tree[f] == tuple(sorted((vertices[u], vertices[v]))), (labels, vertices)
 
 
 @pytest.mark.parametrize("V", range(2, 8))
