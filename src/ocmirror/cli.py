@@ -187,19 +187,19 @@ def _ladder_texts(
     q1, q2, value), is written once with ``%s`` at T, V and the value, in
     that order in every table; each rung fills them.  The first rung is
     reduced by one gcd, each later one is the rung before, n/d in lowest
-    terms, times a/(b*l): gcds against that small step alone reduce it.
+    terms, times a/l: gcds against that small step alone reduce it.
     """
     template, pick = _row_template(columns, fmt)
     by_l: List[List[str]] = [[] for _ in range(max((L[9] for L in ladders), default=-1) + 1)]
-    for Q, t0, x, v, q1, q2, n, d, lo, hi, a, b in ladders:
+    for Q, t0, x, v, q1, q2, n, d, lo, hi, a in ladders:
         text = template % pick(layout((Q, "%s", x, "%s", q1, q2, "%s/%s")))
         d *= factorial(lo)
         g = gcd(n, d)
         n, d = n // g, d // g
         for l in range(lo, hi + 1):
             if l > lo:
-                g1, g2 = gcd(n, b * l), gcd(a, d)
-                step_n, step_d = a // g2, b * l // g1
+                g1, g2 = gcd(n, l), gcd(a, d)
+                step_n, step_d = a // g2, l // g1
                 g3 = gcd(step_n, step_d)
                 n, d = n // g1 * (step_n // g3), d // g2 * (step_d // g3)
             by_l[l].append(text % (t0 + l, v - l, n, d))

@@ -47,7 +47,6 @@ writes both sides of the correspondence.
 from __future__ import annotations
 
 from itertools import accumulate
-from numbers import Rational
 from operator import mul
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -68,13 +67,13 @@ class FactorTerm(NamedTuple):
     monomial: Monomial
     num: int
     den: int
-    slope: Rational  # an int for every term the program builds
+    slope: int
 
 
-#: (Q, T0, X, V0, q1, q2, num, den, lo, hi, a, b): for each l in [lo, hi], the
-#: term num*a^(l-lo) / (den*b^(l-lo)*l!) at Q^Q T^(T0+l) X^X V^(V0-l) q1^q1
-#: q2^q2, with 0 <= lo and den, b > 0
-Ladder = Tuple[int, int, int, int, int, int, int, int, int, int, int, int]
+#: (Q, T0, X, V0, q1, q2, num, den, lo, hi, a): for each l in [lo, hi], the
+#: term num*a^(l-lo) / (den*l!) at Q^Q T^(T0+l) X^X V^(V0-l) q1^q1 q2^q2,
+#: with 0 <= lo and den > 0
+Ladder = Tuple[int, int, int, int, int, int, int, int, int, int, int]
 
 
 def _factorials(n: int) -> List[int]:
@@ -135,17 +134,15 @@ def expand_ladders(ladders: Sequence[Ladder]) -> List[RawTerm]:
     raw: List[RawTerm] = []
     if not ladders:
         return raw
-    states = [[ladder[6], ladder[7]] for ladder in ladders]  # running num, den
+    nums = [ladder[6] for ladder in ladders]  # each ladder's running numerator
     facts = _factorials(max(ladder[9] for ladder in ladders))
     for l in range(min(ladder[8] for ladder in ladders), len(facts)):
         f = facts[l]
-        for (Q, t0, x, v, q1, q2, _, _, lo, hi, a, b), state in zip(ladders, states):
+        for i, (Q, t0, x, v, q1, q2, _, den, lo, hi, a) in enumerate(ladders):
             if lo <= l <= hi:
-                num, den = state
-                raw.append((_tuple_new(Monomial, (Q, t0 + l, x, v - l, 0, q1, q2)), num, den * f))
-                state[0] = num * a
-                if b != 1:
-                    state[1] = den * b
+                monomial = _tuple_new(Monomial, (Q, t0 + l, x, v - l, 0, q1, q2))
+                raw.append((monomial, nums[i], den * f))
+                nums[i] *= a
     return raw
 
 
@@ -177,10 +174,9 @@ def z_coeff_ladders(
         shift = m + z  # k = l - shift
         lo = max(0, -t0, shift, shift + v - max_v)
         hi = min(max_t - max(t0, 0), shift + v - min_v)
-        a, b = slope.numerator, slope.denominator
-        if not a:
+        if not slope:
             hi = min(hi, shift)
         if lo <= hi:
-            num, den = p * a ** (lo - shift), q * b ** (lo - shift)
-            ladders.append((Q, t0, x, v + shift, q1, q2, num, den, lo, hi, a, b))
+            num = p * slope ** (lo - shift)
+            ladders.append((Q, t0, x, v + shift, q1, q2, num, q, lo, hi, slope))
     return ladders

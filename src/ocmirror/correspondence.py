@@ -124,7 +124,7 @@ def _disk_walk(window: TruncationWindow, value: Callable) -> Iterator[List[Ladde
         for mu in range(-top, top + 1, 2):
             if mu:
                 num, den = value(mu, (e - abs(mu)) // 2, facts)
-                ladders.append((e, 0, mu, 1 - e, 0, 0, num * mu**lo, den, lo, hi, mu, 1))
+                ladders.append((e, 0, mu, 1 - e, 0, 0, num * mu**lo, den, lo, hi, mu))
         return ladders
 
     return map(slice_at, degrees)
@@ -221,7 +221,7 @@ def _rhs_walk(
             if lo <= hi_mu:
                 num = (-1 if mu % 2 else 1) * kaehler * mu ** (lo + e - 2)  # the class's (-1)^|mu|
                 den = facts[(e - mu) // 2] * facts[(e + mu) // 2]
-                ladders.append((e, 0, mu, 1 - e, 0, 0, num, den, lo, hi_mu, mu, 1))
+                ladders.append((e, 0, mu, 1 - e, 0, 0, num, den, lo, hi_mu, mu))
         return ladders, extra
 
     return map(slice_at, _degrees(window))

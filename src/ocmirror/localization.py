@@ -73,16 +73,14 @@ and stores each shape with its automorphism order and the swaps that
 generate its group.  Every enumeration walks a shape's degree
 compositions, and then a tree's marking placements, up to those
 automorphisms, so every class the program builds carries its order.
-Placements are walked by orderly generation (R. C. Read, 1978): a
-shape's whole group, closed once per process when first needed, gives
-each composition's stabiliser, and a placement grows one marking at a
-time, onto a vertex that no element fixing the markings placed so far
-moves lower, so only the least placement of each orbit is reached, with
-its own stabiliser's order.  A group is built only when it is no larger
-than the V^n placements it walks; past that bound (a star's group grows
-as (V-1)!) the tree is keyed, and each placement orbit is closed by
-search under its sibling swaps, the order read off the orbit's size
-(orbit-stabiliser).  A summand's
+Placements are walked by orderly generation (R. C. Read, 1978), and no
+group is listed: a placement grows one marking at a time, onto the first
+vertex of each orbit of the automorphisms fixing the markings placed so
+far, so only the least placement of each orbit is reached.  Such an
+automorphism fixes each marked vertex's path to the root, so their orbits
+are read off the unmarked subtrees' keys (the tree case of B. D. McKay's
+canonical refinement, 1998), and each marking placed divides their number
+by its vertex's orbit size (orbit-stabiliser).  A summand's
 factors that depend on the tree alone, its vertex integrals among them,
 are computed once per tree; a class row's, whose unit insertions restrict
 to 1, once per tree and marking count on each vertex.
@@ -249,11 +247,6 @@ def _on_edges(degrees: tuple, perm: tuple) -> tuple:
     return tuple([degrees[e] for e in perm])
 
 
-def _on_vertices(marks: tuple, perm) -> tuple:
-    """A placement moved by a vertex permutation: each marking follows its vertex."""
-    return tuple([perm[v] for v in marks])
-
-
 def _markings_by_vertex(V: int, markings: Sequence[int]) -> List[Tuple[int, ...]]:
     by_vertex: List[Tuple[int, ...]] = [()] * V
     for i, v in enumerate(markings):
@@ -346,60 +339,52 @@ def _shape_catalogue(V: int) -> Tuple[Tuple[tuple, tuple, tuple, int, tuple], ..
     return tuple(catalogue)
 
 
-@functools.cache  # a shape's group depends on the shape alone; each is closed once
-def _shape_group(V: int, index: int) -> Tuple[Tuple[tuple, tuple], ...]:
-    """Every automorphism of shape ``index`` of :func:`_shape_catalogue`
-    on V vertices, as (vertex permutation, edge permutation) pairs, closed
-    from the catalogue's edge swaps.  An edge (u, v) goes to edge f, and
-    since the two ends of an edge lie at different fixed points, u goes to
-    the end of f at u's fixed point."""
-    tree, labels, _, _, edge_swaps = _shape_catalogue(V)[index]
-    group = {tuple(range(V - 1))}
-    stack = list(group)
-    while stack:
-        moved = stack.pop()
-        for swap in edge_swaps:
-            composed = tuple([swap[e] for e in moved])
-            if composed not in group:
-                group.add(composed)
-                stack.append(composed)
-    pairs = []
-    for moved in sorted(group):
-        vertices = [0] * V
-        for (u, v), f in zip(tree, moved):
-            a, b = tree[f]
-            vertices[u], vertices[v] = (a, b) if labels[a] == labels[u] else (b, a)
-        pairs.append((tuple(vertices), moved))
-    return tuple(pairs)
-
-
-def _least_placements(V: int, n: int, stabiliser: List[tuple]) -> List[Tuple[tuple, int]]:
+def _least_placements(labels, order, degs, n: int, aut: int) -> Iterable[Tuple[tuple, int]]:
     """The least placement in product order of each orbit of placements of
-    n markings on V vertices under the ``stabiliser``'s vertex permutations
-    (the identity among them), in that order, each with the order of its
-    own stabiliser.
+    n markings on the catalogued tree with edge degrees ``degs``, under its
+    automorphisms, ``aut`` of them, in that order, each with the order of
+    its own stabiliser.
 
-    A placement is least in its orbit exactly when no permutation fixing its
-    first i markings' vertices moves the next one lower, for every i: the
-    first place where a permutation changes the placement is such a move.
-    So a prefix is extended by the vertices x that no element of its
-    stabiliser maps lower, each narrowing the stabiliser to the elements
-    fixing x.  Once only the identity is left, every completion is least,
-    with order 1."""
+    A placement is least in its orbit exactly when no automorphism fixing
+    its first i markings' vertices moves the next one lower, for every i:
+    the first place where an automorphism changes the placement is such a
+    move.  Every automorphism fixes the root, so one fixing a vertex fixes
+    its path to the root: a prefix's stabiliser fixes the root and its
+    vertices' root paths, and permutes the unmarked subtrees hanging off
+    them.  So a vertex's orbit is itself if fixed, and else is read off its
+    parent's orbit, its edge degree and its :func:`_rooted_key` subtree key.
+    A prefix is extended by the first vertex of each orbit, the stabiliser's
+    order divided by the orbit's size (orbit-stabiliser).  Once the order
+    is 1, every completion is least, with order 1."""
+    V = len(labels)
+    if aut == 1 or not n:  # nothing to key
+        return zip(itertools.product(range(V), repeat=n), itertools.repeat(aut))
+    _, _, below = _rooted_key(labels, order, degs, [()] * V)
+    root = order[-1][0]
+    up, down, kinds = [(root,)] * V, [], {}  # up[x]: x's path to the root
+    for v, branches in reversed(order):  # each parent before its children
+        for u, e in branches:
+            up[u] = (u,) + up[v]
+            down.append((u, v, kinds.setdefault((degs[e], below[u]), len(kinds))))
     found: List[Tuple[tuple, int]] = []
 
-    def place(prefix: tuple, group: List[tuple]) -> None:
-        if len(group) == 1:
+    def place(prefix: tuple, fixed: frozenset, aut: int) -> None:
+        if aut == 1:
             rest = itertools.product(range(V), repeat=n - len(prefix))
             found.extend((prefix + tail, 1) for tail in rest)
         elif len(prefix) == n:
-            found.append((prefix, len(group)))
+            found.append((prefix, aut))
         else:
-            for x, images in enumerate(zip(*group)):
-                if min(images) == x:
-                    place(prefix + (x,), [g for g in group if g[x] == x])
+            orbit = [~v for v in range(V)]  # a fixed vertex's own
+            ids: Dict[tuple, int] = {}
+            for u, v, kind in down:
+                if u not in fixed:
+                    orbit[u] = ids.setdefault((orbit[v], kind), len(ids))
+            for x, i in enumerate(orbit):
+                if orbit.index(i) == x:  # the first vertex of its orbit
+                    place(prefix + (x,), fixed.union(up[x]), aut // orbit.count(i))
 
-    place((), stabiliser)
+    place((), frozenset(up[root]), aut)
     return found
 
 
@@ -417,47 +402,21 @@ def enumerate_graph_classes(n: int, d: int) -> List[DecoratedGraph]:
     order over its orbit size (orbit-stabiliser).
 
     Placements are walked up to the automorphisms of the degree-decorated
-    tree, only when n > 0 and it has any, and each class carries its order,
-    unkeyed.  When the shape's order is at most V^n, the placements' count,
-    its :func:`_shape_group` (closed once per process) gives the tree's
-    group as the elements keeping the composition, and
-    :func:`_least_placements` walks one node per class down this
-    stabiliser chain.  Beyond that bound a group would cost more than the
-    walk it replaces (the star on 12 vertices has 11! automorphisms), so
-    the tree is keyed, and each orbit is closed by breadth-first search
-    under its :func:`_sibling_swaps`: the class has the tree's order over
-    its orbit size.  Both give each orbit's first placement in product
-    order.  The tests validate every class.
+    tree by :func:`_least_placements`, one node per class, which keys the
+    tree, unmarked, only when n > 0 and it has automorphisms.  Each class
+    carries its order, unkeyed, and is its orbit's first placement in
+    product order.  The tests validate every class.
     """
     if d < 1:
         raise ValueError("graph sums need positive total degree")
     classes: List[DecoratedGraph] = []
     for V in range(2, d + 2):
-        unmarked = [()] * V
-        for index, (tree, labels, order, shape_aut, edge_swaps) in enumerate(_shape_catalogue(V)):
+        for tree, labels, order, shape_aut, edge_swaps in _shape_catalogue(V):
             compositions = _compositions(d, V - 1)
             for degs, orbit in _orbit_representatives(compositions, edge_swaps, _on_edges):
-                aut = shape_aut // orbit
                 edges = tuple((u, v, de) for (u, v), de in zip(tree, degs))
-                if n and aut > 1 and shape_aut <= V**n:
-                    stabiliser = [
-                        vertices
-                        for vertices, moved in _shape_group(V, index)
-                        if _on_edges(degs, moved) == degs
-                    ]
-                    placed = _least_placements(V, n, stabiliser)
-                elif n and aut > 1:
-                    _, _, below = _rooted_key(labels, order, degs, unmarked)
-                    swaps = _sibling_swaps(order, degs, below)
-                    placements = itertools.product(range(V), repeat=n)
-                    placed = (
-                        (marks, aut // size)
-                        for marks, size in _orbit_representatives(placements, swaps, _on_vertices)
-                    )
-                else:  # every placement is its own class
-                    placed = zip(itertools.product(range(V), repeat=n), itertools.repeat(aut))
-                for marks, class_aut in placed:
-                    classes.append(_graph(labels, edges, marks, class_aut))
+                for marks, aut in _least_placements(labels, order, degs, n, shape_aut // orbit):
+                    classes.append(_graph(labels, edges, marks, aut))
     return classes
 
 

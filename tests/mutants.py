@@ -87,10 +87,10 @@ MUTANTS = (
     ),
     Mutant(
         LOC,
-        "swaps = _sibling_swaps(order, degs, below)",
-        "swaps = _sibling_swaps(order, degs, below)[:1]",
-        "placement orbits closed under the first sibling swap only",
-        (f"{TL}::test_enumeration_matches_dedupe_oracle[1-3]",),
+        "zip(ranked[v], ranked[v][1:])",
+        "zip(ranked[v], ranked[v][1:2])",
+        "a run of equal sibling branches swapped only at its first two",
+        (f"{TL}::test_sibling_swaps_generate_the_automorphism_group[4]",),
     ),
     Mutant(
         LOC,
@@ -101,24 +101,31 @@ MUTANTS = (
     ),
     Mutant(
         LOC,
-        "(marks, aut // size)",
-        "(marks, aut)",
-        "a class's automorphism order taken as its tree's, not divided by its orbit size",
-        (f"{TL}::test_enumeration_matches_dedupe_oracle[1-3]",),
-    ),
-    Mutant(
-        LOC,
-        "if min(images) == x:",
-        "if x in images:",
-        "the stabiliser chain extends a prefix by every vertex, not only the least of its orbit",
+        "fixed.union(up[x]), aut // orbit.count(i))",
+        "fixed.union(up[x]), aut)",
+        "a placement's stabiliser order kept, not divided by its vertex's orbit size",
         (f"{TL}::test_stabiliser_chain_matches_the_orbit_search[4]",),
     ),
     Mutant(
         LOC,
-        "place(prefix + (x,), [g for g in group if g[x] == x])",
-        "place(prefix + (x,), group)",
-        "the stabiliser chain not narrowed to the elements fixing the vertex placed",
+        "if orbit.index(i) == x:",
+        "if i in orbit:",
+        "the walk extends a prefix by every vertex, not only the first of its orbit",
         (f"{TL}::test_stabiliser_chain_matches_the_orbit_search[4]",),
+    ),
+    Mutant(
+        LOC,
+        "ids.setdefault((orbit[v], kind), len(ids))",
+        "ids.setdefault(kind, len(ids))",
+        "a vertex's orbit read off its subtree alone, not its parent's orbit",
+        (f"{TL}::test_stabiliser_chain_matches_the_orbit_search[6]",),
+    ),
+    Mutant(
+        LOC,
+        "fixed.union(up[x])",
+        "fixed.union((x,))",
+        "placing a marking fixes its vertex but not the vertex's path to the root",
+        (f"{TL}::test_enumeration_matches_recorded_digest[2-6]",),
     ),
     Mutant(
         LOC,
@@ -236,15 +243,15 @@ MUTANTS = (
     ),
     Mutant(
         CLOSED,
-        "state[0] = num * a",
-        "state[0] = num * -a",
+        "nums[i] *= a",
+        "nums[i] *= -a",
         "ladder expansion with the sign of each ratio flipped",
         (f"{TC}::test_excess1_z2_closed_formula", f"{TC}::test_ladder_expansion_writes_each_rung"),
     ),
     Mutant(
         CLOSED,
-        "p * a ** (lo - shift)",
-        "p * a ** (lo - shift + 1)",
+        "p * slope ** (lo - shift)",
+        "p * slope ** (lo - shift + 1)",
         "expansion index off by one in the slope's power",
         (f"{TC}::test_excess1_z2_closed_formula",),
     ),
@@ -300,7 +307,7 @@ MUTANTS = (
         CORR,
         "if extra or left != right:",
         "if extra or [d[:10] for d in left] != [d[:10] for d in right]:",
-        "ladders compared without their ratio (a, b)",
+        "ladders compared without their ratio a",
         (f"{TCO}::test_check_settles_each_slice_by_value",),
     ),
     Mutant(
@@ -319,13 +326,10 @@ MUTANTS = (
     ),
     Mutant(
         CLOSED,
-        "state[1] = den * b",
-        "state[1] = den",
-        "ladder expansion dropping the ratio's denominator b",
-        (
-            f"{TC}::test_ladder_expansion_writes_each_rung",
-            f"{TC}::test_rational_slope_expands_with_its_denominator",
-        ),
+        "raw.append((monomial, nums[i], den * f))",
+        "raw.append((monomial, nums[i], den))",
+        "ladder expansion dropping each rung's 1/l!",
+        (f"{TC}::test_ladder_expansion_writes_each_rung",),
     ),
     Mutant(
         CORR,
@@ -346,8 +350,8 @@ MUTANTS = (
     ),
     Mutant(
         CORR,
-        "den, lo, hi, mu, 1)",
-        "den, lo, hi, abs(mu), 1)",
+        "den, lo, hi, mu))",
+        "den, lo, hi, abs(mu)))",
         "the disk ladder's dressing exp(mu*t0/v) with |mu| for mu",
         (
             f"{TCO}::test_disk_terms_match_the_series_products",
@@ -583,14 +587,14 @@ MUTANTS = (
         CLI,
         "g3 = gcd(step_n, step_d)",
         "g3 = 1",
-        "a rung's value not reduced by the common factor of a and b*l",
+        "a rung's value not reduced by the common factor of a and l",
         (f"{TCL}::test_rungs_reduced_from_the_rung_before_are_the_terms_reduced_alone",),
     ),
     Mutant(
         CLI,
-        "g1, g2 = gcd(n, b * l), gcd(a, d)",
+        "g1, g2 = gcd(n, l), gcd(a, d)",
         "g1, g2 = 1, gcd(a, d)",
-        "a rung's value not reduced by the common factor of the previous numerator and b*l",
+        "a rung's value not reduced by the common factor of the previous numerator and l",
         (f"{TCL}::test_rungs_reduced_from_the_rung_before_are_the_terms_reduced_alone",),
     ),
     Mutant(

@@ -405,11 +405,14 @@ class LinearFactorTerm:
 
 
 def factor_terms(terms: Iterable[LinearFactorTerm]) -> List[FactorTerm]:
-    """``terms`` as the program's integer terms, for ``z_coeff``."""
-    return [
-        FactorTerm(t.monomial, t.coefficient.numerator, t.coefficient.denominator, t.slope)
-        for t in terms
-    ]
+    """``terms`` as the program's integer terms, for ``z_coeff``: whole slopes only."""
+    out = []
+    for t in terms:
+        c, slope = t.coefficient, t.slope
+        if slope.denominator != 1:
+            raise ValueError(f"the program's slopes are whole, not {slope}")
+        out.append(FactorTerm(t.monomial, c.numerator, c.denominator, slope.numerator))
+    return out
 
 
 def linear_terms(terms: Iterable[FactorTerm]) -> Tuple[LinearFactorTerm, ...]:

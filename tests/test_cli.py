@@ -85,8 +85,7 @@ def test_streamed_tables_match_the_whole_table_oracle(window, fmt):
 
 
 #: a random ``closed.Ladder``: values of several hundred bits with a common
-#: factor of num and den (1, 720 or 80!), a and lo from 0, b from 1, and
-#: one to seven rungs
+#: factor of num and den (1, 720 or 80!), lo from 0, and one to seven rungs
 _LADDER = st.tuples(
     *[st.integers(-3, 3)] * 4,
     *[st.integers(0, 2)] * 2,
@@ -95,17 +94,16 @@ _LADDER = st.tuples(
     st.integers(0, 4),
     st.integers(0, 6),
     st.integers(-40, 40),
-    st.integers(1, 12),
     st.sampled_from([1, 720, factorial(80)]),
-).map(lambda t: (*t[:6], t[6] * t[12], t[7] * t[12], t[8], t[8] + t[9], t[10], t[11]))
+).map(lambda t: (*t[:6], t[6] * t[11], t[7] * t[11], t[8], t[8] + t[9], t[10]))
 
 
 @given(st.lists(_LADDER, min_size=1, max_size=6), st.sampled_from(["csv", "json"]))
-@example([(0, 0, 1, 0, 0, 0, 6, 4, 2, 2, 0, 3), (1, 1, -1, -2, 1, 0, -45, 8, 0, 4, 0, 5)], "csv")
-@example([(0, 0, 1, 0, 0, 0, 3 * 7**90, 2**95, 1, 6, -12, 10)], "json")
+@example([(0, 0, 1, 0, 0, 0, 6, 4, 2, 2, 0), (1, 1, -1, -2, 1, 0, -45, 8, 0, 4, 0)], "csv")
+@example([(0, 0, 1, 0, 0, 0, 3 * 7**90, 2**95, 1, 6, -12)], "json")
 @settings(max_examples=200, deadline=None)
 def test_rungs_reduced_from_the_rung_before_are_the_terms_reduced_alone(ladders, fmt):
-    # each rung is the one before times a/(b*l), kept in lowest terms by
+    # each rung is the one before times a/l, kept in lowest terms by
     # gcds against that step only: the rows of the expanded terms, each
     # reduced by its own gcd, in the same order
     want = cli._texts(cli.F_COLUMNS, cli._f_rows(expand_ladders(ladders)), fmt)

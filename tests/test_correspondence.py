@@ -172,7 +172,7 @@ def test_first_rhs_slice_is_read_before_the_window_is_built():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert first == ([(0, 0, 0, 1, 0, 0, 1, 1, 2, 2, 0, 1)], [(mono(T=2, V=-1), -1, 2)])
+    assert first == ([(0, 0, 0, 1, 0, 0, 1, 1, 2, 2, 0)], [(mono(T=2, V=-1), -1, 2)])
     assert peak < 5_000_000, peak
 
 
@@ -371,20 +371,20 @@ def test_check_settles_each_slice_by_value(monkeypatch):
     # equal ladder lists agree outright; any other slice, or one with
     # correction terms, is expanded on both sides and settled by the values
     # of its terms, whatever their lengths or representations.  A ladder is
-    # (Q, T0, X, V0, q1, q2, num, den, lo, hi, a, b)
+    # (Q, T0, X, V0, q1, q2, num, den, lo, hi, a)
     left = [
         [],
-        [(1, 0, 1, 0, 0, 0, 1, 2, 0, 0, 1, 1)],
-        [(2, 0, 1, -1, 0, 0, 1, 2, 0, 1, 1, 1)],
-        [(3, 0, 1, -2, 0, 0, 1, 1, 0, 1, 2, 1)],
-        [(4, 0, 1, -3, 0, 0, 1, 1, 0, 0, 1, 1)],
-        [(5, 0, 1, -4, 0, 0, 1, 1, 0, 1, 2, 3)],
+        [(1, 0, 1, 0, 0, 0, 1, 2, 0, 0, 1)],
+        [(2, 0, 1, -1, 0, 0, 1, 2, 0, 1, 1)],
+        [(3, 0, 1, -2, 0, 0, 1, 1, 0, 1, 2)],
+        [(4, 0, 1, -3, 0, 0, 1, 1, 0, 0, 1)],
+        [(5, 0, 1, -4, 0, 0, 1, 3, 0, 1, 2)],
     ]
     right = [
         ([], []),
-        ([(1, 0, 1, 0, 0, 0, 2, 4, 0, 0, 1, 1)], []),  # the same values written twice as large
-        ([(2, 0, 1, -1, 0, 0, 1, 2, 0, 1, 3, 1)], []),  # another ratio: l = 1 differs
-        ([(3, 0, 1, -2, 0, 0, 1, 1, 0, 2, 2, 1)], []),  # one rung longer
+        ([(1, 0, 1, 0, 0, 0, 2, 4, 0, 0, 1)], []),  # the same values written twice as large
+        ([(2, 0, 1, -1, 0, 0, 1, 2, 0, 1, 3)], []),  # another ratio: l = 1 differs
+        ([(3, 0, 1, -2, 0, 0, 1, 1, 0, 2, 2)], []),  # one rung longer
         (left[4], [(mono(Q=4, X=1, V=-3), 1, 5)]),  # equal ladders and a correction term
         (left[5], []),  # equal: agrees outright
     ]
@@ -404,7 +404,7 @@ def test_check_settles_each_slice_by_value(monkeypatch):
         mono(Q=3, X=1, V=-2): F(1),
         mono(Q=3, T=1, X=1, V=-3): F(2),
         mono(Q=4, X=1, V=-3): F(1),
-        mono(Q=5, X=1, V=-4): F(1),
+        mono(Q=5, X=1, V=-4): F(1, 3),
         mono(Q=5, T=1, X=1, V=-5): F(2, 3),
     }
 

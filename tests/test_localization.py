@@ -22,7 +22,6 @@ from ocmirror.localization import (
     _leaf_order,
     _least_placements,
     _on_edges,
-    _on_vertices,
     _open_classes,
     _open_sum,
     _orbit_representatives,
@@ -31,7 +30,6 @@ from ocmirror.localization import (
     _rooted_order,
     _rooted_sum,
     _shape_catalogue,
-    _shape_group,
     _sibling_swaps,
     _vertex_scalar,
     _with_factors,
@@ -208,6 +206,34 @@ def test_enumeration_matches_dedupe_oracle(n, d):
         assert g.__dict__["_aut"] == automorphism_count(fresh), g
 
 
+# (n, d) -> (class count, sha256 over each class's (labels, edges, markings,
+# aut) repr in enumeration order), recorded while marked trees were placed by
+# a listed group up to V^n placements and by orbit search past it; (1, 10)
+# reaches the 11-vertex star, past that bound, and (2, 6) the first trees
+# where a second marking's orbits hang on the first one's root path
+ENUMERATION_DIGESTS = {
+    (1, 4): (48, "0bc49d49953ccb38a5e2efe549a12158da872fa3a2be044d0dee4b9b00471f6f"),
+    (2, 4): (170, "ff071c4521e8f746ace2cd8ccf589574a03c4b6e172f9843b8e3cf6138d303d4"),
+    (3, 3): (156, "9d17d142606c6cefc28d00fd97ac042f48373b0d369fb2eb17bfe8e61db04e73"),
+    (4, 3): (536, "a2a30d891dc329cbdf0df58810223e7037e9d3b124f426eb8d8764679df7507b"),
+    (4, 5): (13344, "45310db6c7c8d29b6d0d0bd744f0b731ca1d0626e5bb6aa633d5f0eaab485394"),
+    (8, 2): (6818, "b58760e329a71be2950a7519d4d827fa060598687c74e2651f8b69ae0d4062f5"),
+    (1, 8): (4636, "c81af6d3b996885ab5f53591f4c85e24020699c1fd70a4399d4ef1cdbb723946"),
+    (1, 10): (51406, "bf9748bd7027e7b46f01ddaf843fee0187c94183b284e5f6d5c1ba88d95471a7"),
+    (2, 6): (2178, "9e133f68b25bb613f688613e5c59bd58ebc278ced1d1969007d18ec5bb3ddc20"),
+}
+
+
+@pytest.mark.parametrize("n,d", list(ENUMERATION_DIGESTS))
+def test_enumeration_matches_recorded_digest(n, d):
+    # the same classes, representatives, order and class orders as recorded
+    classes = enumerate_graph_classes(n, d)
+    digest = hashlib.sha256()
+    for g in classes:
+        digest.update(repr((g.labels, g.edges, g.markings, automorphism_count(g))).encode())
+    assert (len(classes), digest.hexdigest()) == ENUMERATION_DIGESTS[n, d]
+
+
 # bare shapes (2-coloured trees up to isomorphism) on V = 2..12 vertices
 SHAPE_COUNTS = [1, 2, 3, 6, 10, 22, 42, 94, 203, 470, 1082]
 
@@ -280,58 +306,40 @@ def test_sibling_swaps_generate_the_automorphism_group(V):
 
 
 def test_enumeration_keys_each_composition_once(monkeypatch):
-    # a kept composition whose tree has automorphisms is keyed once, for the
-    # sibling swaps its placements are walked up to, only when its shape's
-    # order exceeds V^n; on the chain side it keys nothing and reads its
-    # stabiliser off its shape's group, which is built once per process,
-    # never past the bound, and never without markings
-    catalogues = {V: _shape_catalogue(V) for V in range(2, 13)}  # keys not counted
-    shape_order = {
-        (labels, order): aut
-        for catalogue in catalogues.values()
-        for _, labels, order, aut, _ in catalogue
-    }
-    calls, groups = [], {}
+    # the placement walk keys a kept composition's tree once, unmarked, only
+    # when markings meet its automorphisms: without markings, or on a tree
+    # with none, nothing is keyed
+    for V in range(2, 11):
+        _shape_catalogue(V)  # its keys are not counted
+    symmetric = {}
+    for n, d in [(4, 3), (1, 8)]:
+        trees = dict.fromkeys((g.labels, g.edges) for g in enumerate_graph_classes(n, d))
+        symmetric[n, d] = [
+            (labels, tuple(de for *_, de in edges))
+            for labels, edges in trees
+            if automorphism_count(DecoratedGraph(labels, edges)) > 1
+        ]
+    calls = []
 
     def counted_key(*args):
         calls.append(args)
         return _rooted_key(*args)
 
-    def recorded_group(V, index):
-        group = _shape_group(V, index)
-        groups[V, index] = len(group)
-        return group
-
     monkeypatch.setattr(localization, "_rooted_key", counted_key)
-    monkeypatch.setattr(localization, "_shape_group", recorded_group)
-    _shape_group.cache_clear()
     assert len(enumerate_graph_classes(0, 9)) == 2387
-    for V in range(2, 13):
-        _shape_catalogue(V)
-    assert (calls, groups, _shape_group.cache_info().currsize) == ([], {}, 0)
-    # (4, 3): only the two 3-leaf stars have automorphisms, both on the chain
-    # side (6 <= 4^4): one group each, no key
-    classes = enumerate_graph_classes(4, 3)
-    trees = list(dict.fromkeys((g.labels, g.edges) for g in classes))
-    symmetric = [
-        labels for labels, edges in trees if _aut_brute(DecoratedGraph(labels, edges)) > 1
-    ]
-    assert (len(trees), len(symmetric), len(classes)) == (6, 2, 536)
     assert calls == []
-    assert [_shape_catalogue(V)[index][1] for V, index in groups] == symmetric
-    built = _shape_group.cache_info()
-    assert built.misses == 2
-    # the same call again builds nothing
-    assert enumerate_graph_classes(4, 3) == classes
-    assert _shape_group.cache_info().misses == built.misses
-    # (1, 8): a group only where the shape's order is at most V, a key for
-    # each symmetric kept composition past it
-    groups.clear()
-    assert len(enumerate_graph_classes(1, 8)) == 4636
-    assert groups and all(size <= V for (V, _), size in groups.items())
-    assert calls and all(shape_order[labels, order] > len(labels) for labels, order, *_ in calls)
-    keyed = {(labels, order, tuple(degs)) for labels, order, degs, _ in calls}
-    assert len(keyed) == len(calls)  # each composition once
+    for n, d in [(4, 3), (1, 8)]:
+        calls.clear()
+        enumerate_graph_classes(n, d)
+        assert [(labels, tuple(degs)) for labels, _, degs, _ in calls] == symmetric[n, d]
+        assert all(marks == [()] * len(labels) for labels, _, _, marks in calls)
+    # (4, 3): only the two 3-leaf stars have automorphisms
+    assert len(symmetric[4, 3]) == 2
+
+
+def _on_vertices(marks: tuple, perm) -> tuple:
+    """A placement moved by a vertex permutation: each marking follows its vertex."""
+    return tuple([perm[v] for v in marks])
 
 
 def _placements_by_search(labels, order, degs, n, aut):
@@ -349,27 +357,21 @@ def _placements_by_search(labels, order, degs, n, aut):
 @pytest.mark.parametrize("V", range(2, 7))
 def test_stabiliser_chain_matches_the_orbit_search(V):
     # every kept composition of degree V-1 to V+1 of every shape, at 1 to 4
-    # markings, by both routes whichever side of the V^n bound it lies: the
-    # chain over the composition's stabiliser in its shape's group gives the
-    # search's representatives, in its order, with its class orders.  Then
-    # the enumeration, which takes the route its bound picks, gives them too
-    sides = set()
+    # markings: the walk down the stabiliser chain, its orbits read off the
+    # fixed root paths, gives the search's representatives, in its order,
+    # with its class orders.  Then the enumeration gives them too
     want = {}
-    for index, (tree, labels, order, shape_aut, edge_swaps) in enumerate(_shape_catalogue(V)):
-        group = _shape_group(V, index)
+    for tree, labels, order, shape_aut, edge_swaps in _shape_catalogue(V):
         for d in range(V - 1, V + 2):
             kept = _orbit_representatives(_compositions(d, V - 1), edge_swaps, _on_edges)
             for degs, orbit in kept:
                 aut = shape_aut // orbit
-                stabiliser = [x for x, moved in group if _on_edges(degs, moved) == degs]
-                assert len(stabiliser) == aut, (labels, degs)
                 edges = tuple((u, v, de) for (u, v), de in zip(tree, degs))
                 for n in range(1, 5):
                     search = _placements_by_search(labels, order, degs, n, aut)
-                    assert _least_placements(V, n, stabiliser) == search, (labels, degs, n)
+                    placed = list(_least_placements(labels, order, degs, n, aut))
+                    assert placed == search, (labels, degs, n)
                     want[n, d, labels, edges] = search
-                    if aut > 1:
-                        sides.add(shape_aut <= V**n)
     for n in range(1, 5):
         for d in range(V - 1, V + 2):
             got = {}
@@ -379,27 +381,6 @@ def test_stabiliser_chain_matches_the_orbit_search(V):
                         (g.markings, automorphism_count(g))
                     )
             assert got == {key: value for key, value in want.items() if key[:2] == (n, d)}
-    # from V = 4 on, a star's order exceeds V, so both sides are reached
-    assert sides == ({True, False} if V >= 4 else {True} if V == 3 else set())
-
-
-@pytest.mark.parametrize("V", range(2, 8))
-def test_shape_group_is_the_automorphism_group(V):
-    # each shape's group has the catalogue's order and the brute-force
-    # search's; its edge permutations are the closure of the catalogue's
-    # edge swaps, and each element keeps the labels and moves the edges as
-    # its vertex permutation does
-    for index, (tree, labels, _, aut, edge_swaps) in enumerate(_shape_catalogue(V)):
-        group = _shape_group(V, index)
-        shape = DecoratedGraph(labels, tuple((u, v, 1) for u, v in tree))
-        assert len(group) == aut == _aut_brute(shape)
-        assert {moved for _, moved in group} == _closure(V - 1, edge_swaps)
-        assert len({vertices for vertices, _ in group}) == aut
-        for vertices, moved in group:
-            assert sorted(vertices) == list(range(V))
-            assert [labels[x] for x in vertices] == list(labels)
-            for (u, v), f in zip(tree, moved):
-                assert tree[f] == tuple(sorted((vertices[u], vertices[v]))), (labels, vertices)
 
 
 @pytest.mark.parametrize("V", range(2, 8))
@@ -717,7 +698,8 @@ def test_graph_sums_rebuild_curve_series(alpha, d):
 def test_graph_sums_compute_no_key(monkeypatch):
     # every class the program builds carries its order, and each vertex
     # count's shapes are grown once per process: with the catalogue warm,
-    # no graph sum roots a tree to key it
+    # no graph sum roots a tree (a symmetric tree's placements are walked
+    # from its shape's rooted order)
     for V in range(2, 6):
         _shape_catalogue(V)
 
